@@ -207,6 +207,11 @@ def _windows(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
+def _tap(a: np.ndarray, p: int, q: int, ho: int, wo: int, stride: int) -> np.ndarray:
+    """Strided view (N, C, ho, wo) of the elements at kernel offset (p, q)."""
+    return a[:, :, p : p + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride]
+
+
 def conv2d(
     x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1, tape: Tape | None = None
 ) -> Tensor:
@@ -243,34 +248,24 @@ def conv2d(
     )
 
     def bw(g: np.ndarray, needs):
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
         gx = gw = gb = None
         if needs[0]:
-            gx = np.zeros_like(x.data)
-            if gmat.shape[0] > 100_000:
-                # huge batches: one GEMM per kernel offset avoids
-                # materializing and transposing the full im2col gradient
-                wt = weights.data.transpose(2, 3, 0, 1)  # (kh, kw, O, C)
-                for p in range(kh):
-                    for q in range(kw):
-                        patch = (gmat @ wt[p, q]).reshape(n, ho, wo, c)
-                        gx[
-                            :, :, p : p + ho * stride : stride,
-                            q : q + wo * stride : stride,
-                        ] += patch.transpose(0, 3, 1, 2)
-            else:
-                gcols = (gmat @ wmat.T).reshape(n, ho, wo, c, kh, kw)
-                gcols = np.ascontiguousarray(gcols.transpose(0, 3, 4, 5, 1, 2))
-                for p in range(kh):
-                    for q in range(kw):
-                        gx[
-                            :, :, p : p + ho * stride : stride,
-                            q : q + wo * stride : stride,
-                        ] += gcols[:, :, p, q]
-        if needs[1]:
-            gw = (gmat.T @ cols).reshape(o, c, kh, kw)
-        if needs[2]:
-            gb = gmat.sum(axis=0)
+            # one GEMM straight into tap-major order (kh, kw, C, N, ho, wo);
+            # each tap is then one contiguous block added into a CNHW buffer
+            wtap = weights.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
+            taps = wtap @ g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+            taps = taps.reshape(kh, kw, c, n, ho, wo)
+            gxt = np.zeros((c, n, h, w), dtype=x.data.dtype)
+            for p in range(kh):
+                for q in range(kw):
+                    _tap(gxt, p, q, ho, wo, stride)[...] += taps[p, q]
+            gx = np.ascontiguousarray(gxt.transpose(1, 0, 2, 3))
+        if needs[1] or needs[2]:
+            gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
+            if needs[1]:
+                gw = (gmat.T @ cols).reshape(o, c, kh, kw)
+            if needs[2]:
+                gb = gmat.sum(axis=0)
         return gx, gw, gb
 
     return _finish(out, tape, (x, weights, bias), bw)
@@ -281,7 +276,10 @@ def maxpool2d(
 ) -> Tensor:
     """Max pooling over square windows; gradient flows only to the argmax.
 
-    Ties route to the first position in row-major scan order of the window.
+    The forward folds np.maximum over the window taps in row-major order.
+    Ties, signed zeros included (-0.0 == 0.0), route the gradient to the
+    first tap in that order that equals the max, for every stride;
+    overlapping windows accumulate.
     """
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2d input must be NCHW, got shape {x.shape}")
@@ -294,43 +292,23 @@ def maxpool2d(
 
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    wins = _windows(x.data, window, window, stride).reshape(n, c, ho, wo, window * window)
-    recording = tape is not None and x.requires_grad
-    if recording:
-        argmax = wins.argmax(axis=-1)
-        out_data = np.take_along_axis(wins, argmax[..., None], axis=-1)[..., 0]
-    else:
-        out_data = wins.max(axis=-1)
-    out = Tensor(np.ascontiguousarray(out_data), dtype=out_data.dtype)
+    taps = [(p, q) for p in range(window) for q in range(window)]
+    out_data = _tap(x.data, 0, 0, ho, wo, stride).copy()
+    for p, q in taps[1:]:
+        np.maximum(out_data, _tap(x.data, p, q, ho, wo, stride), out=out_data)
+    out = Tensor(out_data, dtype=out_data.dtype)
 
     def bw(g: np.ndarray, needs):
         if not needs[0]:
             return (None,)
-        if stride == window:
-            # exact tiling: scatter into per-window slots, fold back in bulk
-            gwins = np.zeros((n, c, ho, wo, window * window), dtype=g.dtype)
-            np.put_along_axis(gwins, argmax[..., None], g[..., None], axis=-1)
-            folded = gwins.reshape(n, c, ho, wo, window, window)
-            folded = folded.transpose(0, 1, 2, 4, 3, 5)
-            folded = folded.reshape(n, c, ho * window, wo * window)
-            if folded.shape[2:] == (h, w):
-                return (folded,)
-            gx = np.zeros_like(x.data)
-            gx[:, :, : ho * window, : wo * window] = folded
-            return (gx,)
         gx = np.zeros_like(x.data)
-        rows = argmax // window
-        cols = argmax % window
-        oi, oj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-        abs_r = oi[None, None] * stride + rows
-        abs_c = oj[None, None] * stride + cols
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        if stride > window:
-            # windows are disjoint, every target position is unique
-            gx[ni, ci, abs_r, abs_c] = g
-        else:
-            np.add.at(gx, (ni, ci, abs_r, abs_c), g)
+        unclaimed = np.ones(out_data.shape, dtype=bool)
+        for p, q in taps:
+            hit = _tap(x.data, p, q, ho, wo, stride) == out_data
+            hit &= unclaimed
+            unclaimed ^= hit
+            # a finite g times False adds an exact zero; faster than where=
+            _tap(gx, p, q, ho, wo, stride)[...] += g * hit
         return (gx,)
 
     return _finish(out, tape, (x,), bw)

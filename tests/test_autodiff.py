@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from srelu_defense import autodiff as ad
 from srelu_defense.autodiff import Tape, Tensor
@@ -117,6 +118,130 @@ def test_maxpool_overlapping_stride_accumulates():
 def test_maxpool_window_too_large():
     with pytest.raises(ValueError, match="larger than input"):
         ad.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
+
+
+def test_maxpool_signed_zero_tie_keeps_plain_max():
+    x = np.array([[[[-0.0, 0.0], [-1.0, -2.0]]]], dtype=np.float32)
+    recorded, gx = _vjp(lambda t, tape: ad.maxpool2d(t, 2, tape=tape), x,
+                        np.ones((1, 1, 1, 1), dtype=np.float32))
+    plain = ad.maxpool2d(Tensor(x), 2).data
+    assert not np.signbit(plain).any() and not np.signbit(recorded).any()
+    np.testing.assert_array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+
+def _vjp(op, x, g):
+    """Run op(tensor, tape) on x and pull the upstream gradient g back to x."""
+    tape = Tape()
+    out = op(Tensor(x, requires_grad=True, dtype=x.dtype), tape)
+    rec = tape._records[-1]
+    needs = (True,) + (False,) * (len(rec.inputs) - 1)
+    return out.data, rec.backward_fn(g, needs)[0]
+
+
+def _pool_reference(x, window, stride, g):
+    """Per-window max, and each output's g added at its first row-major argmax."""
+    n, c, h, w = x.shape
+    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
+    out = np.empty((n, c, ho, wo), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for b, ch, i, j in np.ndindex(n, c, ho, wo):
+        win = x[b, ch, i * stride: i * stride + window, j * stride: j * stride + window]
+        out[b, ch, i, j] = win.max()
+        r, s = divmod(int(win.argmax()), window)
+        gx[b, ch, i * stride + r, j * stride + s] += g[b, ch, i, j]
+    return out, gx
+
+
+@st.composite
+def _pool_cases(draw):
+    """Tie-heavy inputs: small integers and both signed zeros."""
+    window, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    h, w = draw(st.integers(window, 7)), draw(st.integers(window, 7))
+    x = draw(hnp.arrays(np.float32, (n, c, h, w),
+                        elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
+    # integer gradients: overlapping windows accumulate exactly in any order
+    g = draw(hnp.arrays(np.float32, (n, c, ho, wo),
+                        elements=st.integers(-3, 3).map(float)))
+    return x, window, stride, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pool_cases())
+def test_maxpool_forward_equals_window_max(case):
+    x, window, stride, g = case
+    ref, _ = _pool_reference(x, window, stride, g)
+    recorded, _ = _vjp(lambda t, tape: ad.maxpool2d(t, window, stride, tape=tape), x, g)
+    for out in (ad.maxpool2d(Tensor(x), window, stride).data, recorded):
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pool_cases())
+def test_maxpool_backward_routes_to_first_argmax(case):
+    x, window, stride, g = case
+    _, ref = _pool_reference(x, window, stride, g)
+    _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, stride, tape=tape), x, g)
+    np.testing.assert_array_equal(gx, ref)
+
+
+def _conv_input_grad_reference(weights, g, x_shape, stride):
+    """im2col input gradient: (N*ho*wo, O) @ (O, C*kh*kw), then a strided fold."""
+    n, c, h, w = x_shape
+    o, _, kh, kw = weights.shape
+    ho, wo = g.shape[2:]
+    gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
+    gcols = (gmat @ weights.reshape(o, -1)).reshape(n, ho, wo, c, kh, kw)
+    gx = np.zeros(x_shape, dtype=g.dtype)
+    for p in range(kh):
+        for q in range(kw):
+            gx[:, :, p: p + (ho - 1) * stride + 1: stride,
+               q: q + (wo - 1) * stride + 1: stride] += gcols[..., p, q].transpose(0, 3, 1, 2)
+    return gx
+
+
+def _conv_input_grad(x_shape, w_shape, stride, sample):
+    """conv2d's input gradient and the im2col reference, for sampled weights and g."""
+    ho = (x_shape[2] - w_shape[2]) // stride + 1
+    wo = (x_shape[3] - w_shape[3]) // stride + 1
+    weights = sample(w_shape)
+    g = sample((x_shape[0], w_shape[0], ho, wo))
+    bias = Tensor(np.zeros(w_shape[0], dtype=np.float32))
+    _, gx = _vjp(lambda t, tape: ad.conv2d(t, Tensor(weights), bias, stride, tape=tape),
+                 np.zeros(x_shape, dtype=np.float32), g)
+    return gx, _conv_input_grad_reference(weights, g, x_shape, stride)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), o=st.integers(1, 4),
+       kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 3),
+       extra_h=st.integers(0, 5), extra_w=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_conv2d_input_grad_equals_im2col_reference(n, c, o, kh, kw, stride,
+                                                    extra_h, extra_w, seed):
+    # small integers keep every product and sum exact, whatever kernel
+    # BLAS picks for degenerate (vector) shapes
+    rng = np.random.default_rng(seed)
+    gx, ref = _conv_input_grad(
+        (n, c, kh + extra_h, kw + extra_w), (o, c, kh, kw), stride,
+        lambda shape: rng.integers(-4, 5, size=shape).astype(np.float32),
+    )
+    np.testing.assert_array_equal(gx, ref)
+
+
+@pytest.mark.parametrize("x_shape,w_shape", [
+    ((1, 1, 28, 28), (10, 1, 5, 5)),  # mnist conv1, one image
+    ((256, 1, 28, 28), (10, 1, 5, 5)),  # mnist conv1, N*ho*wo = 147,456 rows
+    ((256, 10, 12, 12), (20, 10, 5, 5)),  # mnist conv2 at the evaluation chunk
+    ((64, 3, 32, 32), (6, 3, 5, 5)),  # cifar conv1 at the training batch
+    ((64, 6, 14, 14), (16, 6, 5, 5)),  # cifar conv2 at the training batch
+])
+def test_conv2d_input_grad_bits_equal_im2col_at_model_shapes(x_shape, w_shape):
+    rng = np.random.default_rng(0)
+    gx, ref = _conv_input_grad(x_shape, w_shape, 1,
+                               lambda shape: rng.normal(size=shape).astype(np.float32))
+    np.testing.assert_array_equal(gx, ref)
 
 
 # ---------------------------------------------------------------------------
