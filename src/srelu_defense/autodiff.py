@@ -209,7 +209,9 @@ def _windows(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 def _tap(a: np.ndarray, p: int, q: int, ho: int, wo: int, stride: int) -> np.ndarray:
     """Strided view (N, C, ho, wo) of the elements at kernel offset (p, q)."""
-    return a[:, :, p : p + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride]
+    rows = slice(p, p + (ho - 1) * stride + 1, stride)
+    cols = slice(q, q + (wo - 1) * stride + 1, stride)
+    return a[:, :, rows, cols]
 
 
 def conv2d(

@@ -14,6 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attacks import (
+    BIM_DEFAULT_STEPS,
+    DEEPFOOL_DEFAULT_ITERS,
     PGD_DEFAULT_STEPS,
     AttackConfig,
     run_attack,
@@ -193,17 +195,17 @@ def attack_all(model: Model, dataset: LabeledImageSet, config: AttackConfig,
 
 def _attack_steps(config: AttackConfig) -> int:
     if config.kind == "bim":
-        return config.steps or 10
+        return config.steps or BIM_DEFAULT_STEPS
     if config.kind == "pgd":
         return config.steps or PGD_DEFAULT_STEPS
     if config.kind == "deepfool":
-        return config.max_iters or 50
+        return config.max_iters or DEEPFOOL_DEFAULT_ITERS
     return 1
 
 
 def _attack_epsilon(config: AttackConfig) -> tuple[float, str]:
     if config.kind == "deepfool":
-        return float(config.max_iters or 50), "iterations"
+        return float(config.max_iters or DEEPFOOL_DEFAULT_ITERS), "iterations"
     if config.kind == "salt_pepper":
         return float(config.fraction), "fraction"
     return float(config.epsilon), "pixels"

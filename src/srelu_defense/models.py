@@ -317,17 +317,6 @@ def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
     return capture["penultimate"]
 
 
-def activation_signature(model: Model, batch: np.ndarray, mode: str = "eval") -> list:
-    """Linear-region signature: rectifier sign patterns and pool argmax maps.
-
-    Two inputs with equal signatures lie in the same piecewise-linear region
-    of the network, which is what gradient checks need to rule out kinks.
-    """
-    capture: dict = {}
-    _forward(model, Tensor(batch), mode=mode, capture=capture)
-    return capture.get("signature", [])
-
-
 # ---------------------------------------------------------------------------
 # parameter persistence
 #

@@ -5,7 +5,7 @@ import pytest
 
 import srelu_defense as sd
 from srelu_defense import experiments as ex
-from srelu_defense.attacks import AttackConfig
+from srelu_defense.attacks import BIM_DEFAULT_STEPS, DEEPFOOL_DEFAULT_ITERS, AttackConfig
 from srelu_defense.data import LabeledImageSet, take_first
 from srelu_defense.experiments import (
     REPORT_HEADER,
@@ -92,6 +92,15 @@ def test_record_steps_and_units(trained_synth, small_test):
     rec = eval_under_attack(trained_synth, small_test,
                             AttackConfig(kind="salt_pepper", fraction=0.1), seed=0)
     assert rec.epsilon == pytest.approx(0.1) and rec.epsilon_units == "fraction"
+
+
+def test_default_record_steps_follow_attack_constants(trained_synth, small_test):
+    few = take_first(small_test, 2)
+    rec = eval_under_attack(trained_synth, few, AttackConfig(kind="bim", epsilon=0.1))
+    assert rec.steps == BIM_DEFAULT_STEPS
+    rec = eval_under_attack(trained_synth, few, AttackConfig(kind="deepfool"))
+    assert rec.steps == DEEPFOOL_DEFAULT_ITERS
+    assert rec.epsilon == float(DEEPFOOL_DEFAULT_ITERS)
 
 
 # ---------------------------------------------------------------------------
