@@ -120,15 +120,6 @@ def test_maxpool_window_too_large():
         ad.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
 
 
-def test_maxpool_signed_zero_tie_keeps_plain_max():
-    x = np.array([[[[-0.0, 0.0], [-1.0, -2.0]]]], dtype=np.float32)
-    recorded, gx = _vjp(lambda t, tape: ad.maxpool2d(t, 2, tape=tape), x,
-                        np.ones((1, 1, 1, 1), dtype=np.float32))
-    plain = ad.maxpool2d(Tensor(x), 2).data
-    assert not np.signbit(plain).any() and not np.signbit(recorded).any()
-    np.testing.assert_array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
-
-
 def _vjp(op, x, g):
     """Run op(tensor, tape) on x and pull the upstream gradient g back to x."""
     tape = Tape()
@@ -136,6 +127,15 @@ def _vjp(op, x, g):
     rec = tape._records[-1]
     needs = (True,) + (False,) * (len(rec.inputs) - 1)
     return out.data, rec.backward_fn(g, needs)[0]
+
+
+def test_maxpool_signed_zero_tie_keeps_plain_max():
+    x = np.array([[[[-0.0, 0.0], [-1.0, -2.0]]]], dtype=np.float32)
+    recorded, gx = _vjp(lambda t, tape: ad.maxpool2d(t, 2, tape=tape), x,
+                        np.ones((1, 1, 1, 1), dtype=np.float32))
+    plain = ad.maxpool2d(Tensor(x), 2).data
+    assert not np.signbit(plain).any() and not np.signbit(recorded).any()
+    np.testing.assert_array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
 def _pool_reference(x, window, stride, g):
@@ -185,6 +185,10 @@ def test_maxpool_backward_routes_to_first_argmax(case):
     _, ref = _pool_reference(x, window, stride, g)
     _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, stride, tape=tape), x, g)
     np.testing.assert_array_equal(gx, ref)
+
+
+# ---------------------------------------------------------------------------
+# conv2d input gradient against an im2col reference
 
 
 def _conv_input_grad_reference(weights, g, x_shape, stride):
