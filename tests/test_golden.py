@@ -1,8 +1,12 @@
-"""Golden outputs: sha256 pins of a fixed sweep's reports and a trained model.
+"""Golden outputs: sha256 pins of fixed experiment reports and trained models.
 
 These digests are the byte-identity gate for kernel and refactor work: a
 change that moves any report or parameter bit fails here. Update a digest
 only together with a CHANGES.md note saying which bits moved and why.
+
+Every experiment driver is pinned: the slope sweep, the targeted sweep, the
+activation swap, pixel scaling with and without clipping, and the BPDA path
+(substitute parameters and transfer report), plus CIFAR training.
 
 The pins hold for the float32 engine on x86-64 with numpy's bundled
 OpenBLAS; another BLAS build may round GEMMs differently.
@@ -14,6 +18,7 @@ import pytest
 
 import srelu_defense as sd
 from srelu_defense import experiments as ex
+from srelu_defense.data import take_first
 from srelu_defense.experiments import SweepGrid, slope_sweep
 
 from helpers import synthetic_cifar, synthetic_split
@@ -21,6 +26,13 @@ from helpers import synthetic_cifar, synthetic_split
 REPORT_SHA256 = "46a5a04b7ab6b23eb276714428feb2c44742c817704fc229aa2c2a6459f4a757"
 SUMMARY_SHA256 = "361cdfaec5afdcd03976224e363baf8bdefd5cab6e6cf8e677c9b38e1ebea2c6"
 CIFAR_PARAMS_SHA256 = "03c74eb0fd83b6a4764aaae39e10f68dcd9ae4790421763df51843f4a1a18383"
+TARGETED_REPORT_SHA256 = "8b59b0b2d2844fd586fb3b6875d6d86222dfec36809239edb65c3d5b1a9ead50"
+TARGETED_SUMMARY_SHA256 = "efa11f0ea71e1934eb183e6a991fa4cf16f0c9802a75a12a6a39f2f5cd40c601"
+SWAP_REPORT_SHA256 = "cd8f4527c379ed007d55f78d6afbe3e322a0706ad35fa06f69f93416e2a6a715"
+SCALE_CLIP_REPORT_SHA256 = "89eb7dbd4c63a9c28b9a7c00ea1b0bae24a4aa7ca62b28564d806f4955c55ca5"
+SCALE_NOCLIP_REPORT_SHA256 = "b914a1bda23f982dcaf08648f9e00dbd2d43762ffbce818b2f994190d247335c"
+BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
+BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 
 
 def _sha256_file(path) -> str:
@@ -28,13 +40,23 @@ def _sha256_file(path) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def _sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
-def golden_sweep(tmp_path_factory):
-    # one full 256-image evaluation chunk: the conv1 input gradient then has
-    # N*ho*wo = 147,456 rows, past any small-batch special case
+def golden_model():
     train_set, test_set = synthetic_split(1024, 256, seed=31)
     model = sd.build_model("mnist_cnn", seed=3)
     ex.train(model, train_set, epochs=2, lr=0.02, batch_size=16, seed=3)
+    return model, train_set, test_set
+
+
+@pytest.fixture(scope="module")
+def golden_sweep(golden_model, tmp_path_factory):
+    # one full 256-image evaluation chunk: the conv1 input gradient then has
+    # N*ho*wo = 147,456 rows, past any small-batch special case
+    model, _, test_set = golden_model
     grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
                      attack_kinds=("fgsm", "stepll", "rfgsm", "bim"))
     report = slope_sweep(model, test_set, grid, seed=7)
@@ -42,6 +64,11 @@ def golden_sweep(tmp_path_factory):
     report.write_csv(out / "report.csv")
     report.write_summary_csv(out / "summary.csv")
     return report, out
+
+
+@pytest.fixture(scope="module")
+def small_test(golden_model):
+    return take_first(golden_model[2], 64)
 
 
 def test_golden_sweep_shape(golden_sweep):
@@ -58,6 +85,43 @@ def test_golden_report_csv(golden_sweep):
 def test_golden_summary_csv(golden_sweep):
     _, out = golden_sweep
     assert _sha256_file(out / "summary.csv") == SUMMARY_SHA256
+
+
+def test_golden_targeted_sweep(golden_model, small_test):
+    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1), attack_kinds=("fgsm",))
+    report = ex.targeted_sweep(golden_model[0], small_test, grid, seed=7)
+    assert len(report.records) == 2 * 10 * 2
+    assert _sha256_text(report.csv_text()) == TARGETED_REPORT_SHA256
+    assert _sha256_text(report.summary_csv_text()) == TARGETED_SUMMARY_SHA256
+
+
+def test_golden_activation_swap(golden_model, small_test):
+    report = ex.activation_swap(golden_model[0], small_test,
+                                ("srelu", "tanh", "softplus"), (0.0, 0.2), seed=7)
+    assert len(report.records) == 3 * 2
+    assert _sha256_text(report.csv_text()) == SWAP_REPORT_SHA256
+
+
+@pytest.mark.parametrize("clip, digest", [(True, SCALE_CLIP_REPORT_SHA256),
+                                          (False, SCALE_NOCLIP_REPORT_SHA256)])
+def test_golden_scaling(golden_model, small_test, clip, digest):
+    report = ex.scaling_experiment(golden_model[0], small_test, (0.5, 2.0), clip,
+                                   (0.0, 0.2), seed=7)
+    assert len(report.records) == 2 * 2
+    assert _sha256_text(report.csv_text()) == digest
+
+
+def test_golden_bpda(golden_model, small_test, tmp_path):
+    model, train_set, _ = golden_model
+    substitute = ex.bpda_train_substitute(model, take_first(train_set, 256),
+                                          epochs=1, seed=4)
+    sd.save_params(substitute, tmp_path / "substitute.bin")
+    assert _sha256_file(tmp_path / "substitute.bin") == BPDA_PARAMS_SHA256
+    report = ex.bpda_transfer_eval(model, substitute, small_test, slopes=(1.0, 10.0),
+                                   epsilons=(0.0, 0.2), attack_kinds=("fgsm", "rfgsm"),
+                                   seed=7)
+    assert len(report.records) == 2 * 2 * 2
+    assert _sha256_text(report.csv_text()) == BPDA_REPORT_SHA256
 
 
 def test_golden_cifar_training_params(tmp_path):
