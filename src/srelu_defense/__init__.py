@@ -34,10 +34,8 @@ from .models import (
     ParamsFormatError,
     SlopeConfig,
     build_model,
-    forward_logits,
     load_params,
     penultimate_features,
-    predict_classes,
     save_params,
 )
 from .attacks import (

@@ -286,8 +286,7 @@ def _load_split(cfg: dict, split: str):
 def _load_model(cfg: dict, slope: float = 1.0, activation: str = "srelu"):
     if not cfg.get("params"):
         raise CliError("load-params", "missing required option: params")
-    model = load_params(cfg["params"], cfg["arch"])
-    model = model.with_slope(slope)
+    model = load_params(cfg["params"], cfg["arch"]).with_slope(slope)
     if activation != "srelu":
         model = model.with_activation(activation)
     return model
@@ -343,14 +342,8 @@ def _cmd_eval(cfg: dict, outdir: str) -> None:
     model = _load_model(cfg, cfg["slope"], cfg["activation"])
     dataset = _limited(cfg, _load_split(cfg, "test"))
     acc = ex.eval_clean(model, dataset)
-    scfg = model.slope_config
-    record = ex.EvalRecord(
-        dataset=dataset.name, model=model.spec.id, activation=scfg.test_activation,
-        train_slope=scfg.train_slope, test_slope=scfg.test_slope, attack="none",
-        targeted=False, target_class=None, epsilon=0.0, steps=0,
-        n_images=dataset.n, clean_acc=acc, adv_acc=acc, attack_success=0.0,
-        seed=cfg["seed"],
-    )
+    record = ex.eval_record(model, dataset.name, dataset.n, None, acc, acc, 0.0,
+                            cfg["seed"])
     ex.Report(records=[record]).write_csv(os.path.join(outdir, "report.csv"))
     print(f"clean accuracy: {acc:.4f}")
 
@@ -371,13 +364,12 @@ def _attack_config(cfg: dict) -> AttackConfig:
 
 
 def _cmd_attack(cfg: dict, outdir: str) -> None:
+    config = _attack_config(cfg)
     model = _load_model(cfg, cfg["slope"])
-    dataset = _load_split(cfg, "test")
-    limit = cfg.get("limit")
-    if limit is None:
-        limit = 2000  # default budget for one-off attack evaluations
-    dataset = take_first(dataset, min(limit, dataset.n))
-    record = ex.eval_under_attack(model, dataset, _attack_config(cfg), seed=cfg["seed"])
+    if cfg.get("limit") is None:
+        cfg = {**cfg, "limit": 2000}  # default budget for one-off attack evaluations
+    dataset = _limited(cfg, _load_split(cfg, "test"))
+    record = ex.eval_under_attack(model, dataset, config, seed=cfg["seed"])
     ex.Report(records=[record]).write_csv(os.path.join(outdir, "report.csv"))
     print(f"clean {record.clean_acc:.4f} -> adversarial {record.adv_acc:.4f}")
 
@@ -386,10 +378,9 @@ def _cmd_sweep(cfg: dict, outdir: str) -> None:
     if not cfg["attacks"]:
         raise CliError("config", "attack list is empty")
     model = _load_model(cfg)
-    dataset = _load_split(cfg, "test")
+    dataset = _limited(cfg, _load_split(cfg, "test"))
     grid = SweepGrid(slopes=cfg["slopes"], epsilons=_epsilons(cfg),
-                     attack_kinds=cfg["attacks"], deepfool_iters=cfg["deepfool_iters"],
-                     image_budget=cfg.get("limit"))
+                     attack_kinds=cfg["attacks"], deepfool_iters=cfg["deepfool_iters"])
     report = ex.slope_sweep(model, dataset, grid, seed=cfg["seed"],
                             threads=cfg["threads"])
     report.write_csv(os.path.join(outdir, "report.csv"))
@@ -398,9 +389,9 @@ def _cmd_sweep(cfg: dict, outdir: str) -> None:
 
 def _cmd_targeted_sweep(cfg: dict, outdir: str) -> None:
     model = _load_model(cfg)
-    dataset = _load_split(cfg, "test")
+    dataset = _limited(cfg, _load_split(cfg, "test"))
     grid = SweepGrid(slopes=cfg["slopes"], epsilons=_epsilons(cfg),
-                     attack_kinds=("fgsm",), image_budget=cfg.get("limit"))
+                     attack_kinds=("fgsm",))
     report = ex.targeted_sweep(model, dataset, grid, seed=cfg["seed"],
                                threads=cfg["threads"])
     report.write_csv(os.path.join(outdir, "report.csv"))
@@ -411,20 +402,18 @@ def _cmd_swap(cfg: dict, outdir: str) -> None:
     if not cfg["kinds"]:
         raise CliError("config", "activation list is empty")
     model = _load_model(cfg)
-    dataset = _load_split(cfg, "test")
+    dataset = _limited(cfg, _load_split(cfg, "test"))
     report = ex.activation_swap(model, dataset, cfg["kinds"], _epsilons(cfg),
-                                seed=cfg["seed"], threads=cfg["threads"],
-                                image_budget=cfg.get("limit"))
+                                seed=cfg["seed"], threads=cfg["threads"])
     report.write_csv(os.path.join(outdir, "report.csv"))
 
 
 def _cmd_scale(cfg: dict, outdir: str) -> None:
     model = _load_model(cfg)
-    dataset = _load_split(cfg, "test")
+    dataset = _limited(cfg, _load_split(cfg, "test"))
     report = ex.scaling_experiment(model, dataset, cfg["factors"], cfg["clip"],
                                    _epsilons(cfg), seed=cfg["seed"],
-                                   threads=cfg["threads"],
-                                   image_budget=cfg.get("limit"))
+                                   threads=cfg["threads"])
     report.write_csv(os.path.join(outdir, "report.csv"))
 
 

@@ -17,11 +17,12 @@ from .attacks import (
     BIM_DEFAULT_STEPS,
     DEEPFOOL_DEFAULT_ITERS,
     PGD_DEFAULT_STEPS,
+    UNIT_RANGE,
     AttackConfig,
     run_attack,
 )
 from .autodiff import Tape, Tensor
-from .data import BatchIterator, LabeledImageSet, scale_pixels, take_first
+from .data import BatchIterator, LabeledImageSet, scale_pixels
 from .models import Model, _forward, build_model, penultimate_features
 
 EVAL_CHUNK = 256  # fixed so numeric results never depend on partitioning
@@ -55,7 +56,6 @@ class SweepGrid:
     epsilons: tuple = MNIST_EPSILONS
     attack_kinds: tuple = DEFAULT_ATTACK_KINDS
     deepfool_iters: tuple = DEEPFOOL_ITER_GRID
-    image_budget: int | None = None
 
     def __post_init__(self):
         if any(s <= 0 for s in self.slopes):
@@ -183,7 +183,7 @@ def eval_clean(model: Model, dataset: LabeledImageSet) -> float:
 
 
 def attack_all(model: Model, dataset: LabeledImageSet, config: AttackConfig,
-               clip=(0.0, 1.0)) -> np.ndarray:
+               clip=UNIT_RANGE) -> np.ndarray:
     """Run one attack over a whole set, chunked, preserving per-image seeds."""
     adv = np.empty_like(dataset.images)
     for lo, hi in _chunks(dataset.n):
@@ -218,7 +218,7 @@ def eval_under_attack(
     seed: int = 0,
     clean_acc: float | None = None,
     clean_preds: np.ndarray | None = None,
-    clip=(0.0, 1.0),
+    clip=UNIT_RANGE,
     dataset_name: str | None = None,
 ) -> EvalRecord:
     """Attack a set and measure accuracy (untargeted) or success (targeted).
@@ -244,25 +244,29 @@ def eval_under_attack(
     else:
         success = 1.0 - adv_acc
 
-    epsilon, units = _attack_epsilon(config)
+    return eval_record(model, dataset_name or dataset.name, dataset.n, config,
+                       clean_acc, adv_acc, success, seed)
+
+
+def eval_record(model: Model, dataset_name: str, n_images: int,
+                config: AttackConfig | None, clean_acc: float, adv_acc: float,
+                success: float, seed: int, attack_prefix: str = "") -> EvalRecord:
+    """One report row for a model; config None is a clean, unattacked row."""
+    if config is None:
+        attack, targeted, target, steps = "none", False, None, 0
+        epsilon, units = 0.0, "pixels"
+    else:
+        attack = attack_prefix + config.kind
+        targeted, target = config.targeted, config.target_class
+        steps = _attack_steps(config)
+        epsilon, units = _attack_epsilon(config)
     cfg = model.slope_config
     return EvalRecord(
-        dataset=dataset_name or dataset.name,
-        model=model.spec.id,
-        activation=cfg.test_activation,
-        train_slope=cfg.train_slope,
-        test_slope=cfg.test_slope,
-        attack=config.kind,
-        targeted=config.targeted,
-        target_class=config.target_class,
-        epsilon=epsilon,
-        steps=_attack_steps(config),
-        n_images=dataset.n,
-        clean_acc=clean_acc,
-        adv_acc=adv_acc,
-        attack_success=success,
-        seed=seed,
-        epsilon_units=units,
+        dataset=dataset_name, model=model.spec.id, activation=cfg.test_activation,
+        train_slope=cfg.train_slope, test_slope=cfg.test_slope, attack=attack,
+        targeted=targeted, target_class=target, epsilon=epsilon, steps=steps,
+        n_images=n_images, clean_acc=clean_acc, adv_acc=adv_acc,
+        attack_success=success, seed=seed, epsilon_units=units,
     )
 
 
@@ -312,124 +316,86 @@ def _grid_summaries(records: list[EvalRecord], metric: str) -> list[SummaryRecor
     return summaries
 
 
-def _budget(dataset: LabeledImageSet, grid: SweepGrid) -> LabeledImageSet:
-    if grid.image_budget is None or grid.image_budget >= dataset.n:
-        return dataset
-    return take_first(dataset, grid.image_budget)
-
-
 def _grid_configs(grid: SweepGrid, seed: int):
     """Expand the grid into flat AttackConfig cells."""
     cells = []
     for kind in grid.attack_kinds:
         if kind == "deepfool":
-            for iters in grid.deepfool_iters:
-                cells.append(AttackConfig(kind="deepfool", max_iters=iters,
-                                          rng_seed=seed))
-        elif kind == "salt_pepper":
-            for eps in grid.epsilons:
-                cells.append(AttackConfig(kind="salt_pepper", fraction=eps,
-                                          rng_seed=seed))
-        else:
-            for eps in grid.epsilons:
-                cells.append(AttackConfig(kind=kind, epsilon=eps, rng_seed=seed))
+            cells += [AttackConfig(kind=kind, max_iters=iters, rng_seed=seed)
+                      for iters in grid.deepfool_iters]
+        else:  # salt-and-pepper reads the epsilon grid as pixel fractions
+            budget = "fraction" if kind == "salt_pepper" else "epsilon"
+            cells += [AttackConfig(kind=kind, rng_seed=seed, **{budget: eps})
+                      for eps in grid.epsilons]
     return cells
+
+
+def _attack_grid(variants, configs, seed: int, threads: int, metadata: dict,
+                 summary_metric: str | None = None) -> Report:
+    """Attack every variant with every config, one eval_under_attack per cell.
+
+    variants are (model, dataset, clip range, dataset tag or None) tuples.
+    Clean predictions are taken once per variant and shared by its cells.
+    """
+    cell_fns = []
+    for model, dataset, clip, tag in variants:
+        preds = predict_all(model, dataset.images)
+        clean = float((preds == dataset.labels).mean())
+        for config in configs:
+            cell_fns.append(
+                lambda m=model, d=dataset, c=config, a=clean, p=preds, r=clip, t=tag:
+                    eval_under_attack(m, d, c, seed=seed, clean_acc=a,
+                                      clean_preds=p, clip=r, dataset_name=t)
+            )
+    records = sorted(_run_cells(cell_fns, threads), key=EvalRecord.sort_key)
+    summaries = _grid_summaries(records, summary_metric) if summary_metric else []
+    return Report(records=records, summaries=summaries, metadata=metadata)
 
 
 def slope_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
                 seed: int = 0, threads: int = 1) -> Report:
     """Cross product of (slope, attack, epsilon) under untargeted attacks."""
-    dataset = _budget(dataset, grid)
-    configs = _grid_configs(grid, seed)
-
-    cell_fns = []
-    for slope in grid.slopes:
-        sloped = model.with_slope(slope)
-        preds = predict_all(sloped, dataset.images)
-        clean = float((preds == dataset.labels).mean())
-        for config in configs:
-            cell_fns.append(
-                lambda m=sloped, c=config, a=clean, p=preds: eval_under_attack(
-                    m, dataset, c, seed=seed, clean_acc=a, clean_preds=p
-                )
-            )
-
-    records = _run_cells(cell_fns, threads)
-    report = Report(records=records, metadata={
+    variants = [(model.with_slope(s), dataset, UNIT_RANGE, None) for s in grid.slopes]
+    return _attack_grid(variants, _grid_configs(grid, seed), seed, threads, {
         "experiment": "slope_sweep", "seed": str(seed),
         "slopes": ",".join(_fmt(s) for s in grid.slopes),
         "epsilons": ",".join(_fmt(e) for e in grid.epsilons),
         "attacks": ",".join(grid.attack_kinds),
         "mean_convention": "grid means exclude the epsilon=0 point; "
                            "*_with_eps0 columns include it",
-    })
-    report.records = report.sorted_records()
-    report.summaries = _grid_summaries(report.records, "adv_acc")
-    return report
+    }, summary_metric="adv_acc")
 
 
 def targeted_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
                    seed: int = 0, threads: int = 1) -> Report:
     """Targeted FGSM toward every class, per slope and epsilon."""
-    dataset = _budget(dataset, grid)
-
-    cell_fns = []
-    for slope in grid.slopes:
-        sloped = model.with_slope(slope)
-        preds = predict_all(sloped, dataset.images)
-        clean = float((preds == dataset.labels).mean())
-        for target in range(10):
-            for eps in grid.epsilons:
-                config = AttackConfig(kind="fgsm", epsilon=eps, targeted=True,
-                                      target_class=target, rng_seed=seed)
-                cell_fns.append(
-                    lambda m=sloped, c=config, a=clean, p=preds: eval_under_attack(
-                        m, dataset, c, seed=seed, clean_acc=a, clean_preds=p
-                    )
-                )
-
-    records = _run_cells(cell_fns, threads)
-    report = Report(records=records, metadata={
+    variants = [(model.with_slope(s), dataset, UNIT_RANGE, None) for s in grid.slopes]
+    configs = [AttackConfig(kind="fgsm", epsilon=eps, targeted=True,
+                            target_class=target, rng_seed=seed)
+               for target in range(10) for eps in grid.epsilons]
+    return _attack_grid(variants, configs, seed, threads, {
         "experiment": "targeted_sweep", "seed": str(seed),
         "success_rule": "images already predicted as the target are excluded",
-    })
-    report.records = report.sorted_records()
-    report.summaries = _grid_summaries(report.records, "attack_success")
-    return report
+    }, summary_metric="attack_success")
+
+
+def _fgsm_configs(epsilons, seed: int) -> list[AttackConfig]:
+    return [AttackConfig(kind="fgsm", epsilon=eps, rng_seed=seed) for eps in epsilons]
 
 
 def activation_swap(model: Model, dataset: LabeledImageSet, kinds,
-                    epsilons, seed: int = 0, threads: int = 1,
-                    image_budget: int | None = None) -> Report:
+                    epsilons, seed: int = 0, threads: int = 1) -> Report:
     """Evaluate substitute test-time activations under the one-step attack."""
-    if image_budget is not None:
-        dataset = take_first(dataset, image_budget)
-
-    cell_fns = []
-    for kind in kinds:
-        swapped = model.with_activation(kind)
-        preds = predict_all(swapped, dataset.images)
-        clean = float((preds == dataset.labels).mean())
-        for eps in epsilons:
-            config = AttackConfig(kind="fgsm", epsilon=eps, rng_seed=seed)
-            cell_fns.append(
-                lambda m=swapped, c=config, a=clean, p=preds: eval_under_attack(
-                    m, dataset, c, seed=seed, clean_acc=a, clean_preds=p
-                )
-            )
-
-    records = _run_cells(cell_fns, threads)
-    report = Report(records=records, metadata={
+    variants = [(model.with_activation(k), dataset, UNIT_RANGE, None) for k in kinds]
+    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads, {
         "experiment": "activation_swap", "seed": str(seed),
         "kinds": ",".join(kinds),
     })
-    report.records = report.sorted_records()
-    return report
 
 
 def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
                        clip: bool, epsilons, seed: int = 0,
-                       threads: int = 1, image_budget: int | None = None) -> Report:
+                       threads: int = 1) -> Report:
     """Scale pixel values, then attack the scaled inputs at slope 1.
 
     Without clipping, the valid pixel range grows to [0, factor] and the
@@ -437,37 +403,57 @@ def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
     """
     if any(f <= 0 for f in factors):
         raise ValueError("scale factors must be positive")
-    if image_budget is not None:
-        dataset = take_first(dataset, image_budget)
     base = model.with_slope(1.0)
-
-    cell_fns = []
-    for factor in factors:
-        scaled = scale_pixels(dataset, factor, clip)
-        tag = f"{dataset.name}[x{factor:g},{'clip' if clip else 'noclip'}]"
-        clip_range = (0.0, 1.0) if clip else (0.0, float(factor))
-        preds = predict_all(base, scaled.images)
-        clean = float((preds == scaled.labels).mean())
-        for eps in epsilons:
-            config = AttackConfig(kind="fgsm", epsilon=eps, rng_seed=seed)
-            cell_fns.append(
-                lambda s=scaled, c=config, a=clean, p=preds, t=tag, r=clip_range:
-                    eval_under_attack(base, s, c, seed=seed, clean_acc=a,
-                                      clean_preds=p, clip=r, dataset_name=t)
-            )
-
-    records = _run_cells(cell_fns, threads)
-    report = Report(records=records, metadata={
+    variants = [
+        (base, scale_pixels(dataset, f, clip),
+         UNIT_RANGE if clip else (0.0, float(f)),
+         f"{dataset.name}[x{f:g},{'clip' if clip else 'noclip'}]")
+        for f in factors
+    ]
+    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads, {
         "experiment": "pixel_scaling", "seed": str(seed),
         "clip": str(clip).lower(),
         "factors": ",".join(_fmt(f) for f in factors),
     })
-    report.records = report.sorted_records()
-    return report
 
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def _sgd(model: Model, epochs: int, epoch_batches, loss_fn, lr: float,
+         momentum: float) -> list[float]:
+    """Minibatch SGD with momentum on the training-mode forward pass.
+
+    epoch_batches(epoch) yields (images, targets) batches; loss_fn(logits,
+    targets, tape=) is the batch-mean loss. Mutates the model's parameters
+    in place and returns the mean loss of each epoch.
+    """
+    if epochs < 0:
+        raise ValueError("epochs must be non-negative")
+    velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
+    epoch_losses = []
+    for epoch in range(epochs):
+        total_loss, seen = 0.0, 0
+        for images, targets in epoch_batches(epoch):
+            tape = Tape()
+            logits = _forward(model, Tensor(images), mode="train", tape=tape)
+            loss = loss_fn(logits, targets, tape=tape)
+            grads = ad.backward(tape, loss)
+            for name, param in model.params.items():
+                g = grads.get(param)
+                if g is None:
+                    continue
+                v = velocity[name]
+                v *= momentum
+                v += g.data
+                param.data -= lr * v
+            total_loss += loss.item() * len(targets)
+            seen += len(targets)
+        if not seen:
+            raise ValueError("cannot train on an empty image set")
+        epoch_losses.append(total_loss / seen)
+    return epoch_losses
 
 
 def train(model: Model, train_set: LabeledImageSet, epochs: int,
@@ -479,52 +465,14 @@ def train(model: Model, train_set: LabeledImageSet, epochs: int,
 
     Mutates the model's parameters in place and returns it. The training-mode
     forward applies the configured train slope at every activation site.
+    epoch_log, when given, receives one (epoch, mean loss) pair per epoch.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
     iterator = BatchIterator(train_set, batch_size, order="shuffle", seed=seed)
-    velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
-
-    for epoch in range(epochs):
-        total_loss = 0.0
-        for images, labels in iterator.epoch_batches(epoch):
-            tape = Tape()
-            logits = _forward(model, Tensor(images), mode="train", tape=tape)
-            loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
-            grads = ad.backward(tape, loss)
-            for name, param in model.params.items():
-                g = grads.get(param)
-                if g is None:
-                    continue
-                v = velocity[name]
-                v *= momentum
-                v += g.data
-                param.data -= lr * v
-            total_loss += loss.item() * len(labels)
-        if epoch_log is not None:
-            epoch_log.append((epoch, total_loss / train_set.n))
+    losses = _sgd(model, epochs, iterator.epoch_batches, ad.softmax_cross_entropy,
+                  lr, momentum)
+    if epoch_log is not None:
+        epoch_log.extend(enumerate(losses))
     return model
-
-
-def sgd_step(model: Model, images: np.ndarray, labels: np.ndarray, lr: float,
-             velocity: dict | None = None, momentum: float = 0.0) -> float:
-    """One optimizer step on one batch; returns the pre-step loss."""
-    tape = Tape()
-    logits = _forward(model, Tensor(images), mode="train", tape=tape)
-    loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
-    grads = ad.backward(tape, loss)
-    for name, param in model.params.items():
-        g = grads.get(param)
-        if g is None:
-            continue
-        step = g.data
-        if velocity is not None:
-            v = velocity[name]
-            v *= momentum
-            v += g.data
-            step = v
-        param.data -= lr * step
-    return loss.item()
 
 
 # ---------------------------------------------------------------------------
@@ -553,30 +501,15 @@ def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
     substitute = build_model(original.spec, seed)
     soft = teacher_soft_labels(original, train_set.images)
     iterator = BatchIterator(train_set, batch_size, order="shuffle", seed=seed)
-    velocity = {name: np.zeros_like(p.data) for name, p in substitute.params.items()}
 
-    for epoch in range(epochs):
-        for batch_idx in _batched_indices(iterator, epoch):
-            tape = Tape()
-            logits = _forward(substitute, Tensor(train_set.images[batch_idx]),
-                              mode="train", tape=tape)
-            loss = ad.soft_cross_entropy(logits, soft[batch_idx], tape=tape)
-            grads = ad.backward(tape, loss)
-            for name, param in substitute.params.items():
-                g = grads.get(param)
-                if g is None:
-                    continue
-                v = velocity[name]
-                v *= momentum
-                v += g.data
-                param.data -= lr * v
+    def soft_batches(epoch):
+        idx = iterator.epoch_indices(epoch)
+        for start in range(0, len(idx), batch_size):
+            sel = idx[start : start + batch_size]
+            yield train_set.images[sel], soft[sel]
+
+    _sgd(substitute, epochs, soft_batches, ad.soft_cross_entropy, lr, momentum)
     return substitute
-
-
-def _batched_indices(iterator: BatchIterator, epoch: int):
-    idx = iterator.epoch_indices(epoch)
-    for start in range(0, len(idx), iterator.batch_size):
-        yield idx[start : start + iterator.batch_size]
 
 
 def bpda_transfer_eval(original: Model, substitute: Model,
@@ -585,37 +518,26 @@ def bpda_transfer_eval(original: Model, substitute: Model,
     """Craft attacks on the substitute (slope 1), evaluate on the original.
 
     Each adversarial set is crafted once per (attack, epsilon) and reused
-    across the original's slopes.
+    across the original's slopes; clean accuracy is taken once per slope.
     """
     crafting = substitute.with_slope(1.0)
+    targets = [(m, eval_clean(m, dataset)) for m in map(original.with_slope, slopes)]
     records = []
     for kind in attack_kinds:
         for eps in epsilons:
             config = AttackConfig(kind=kind, epsilon=eps, rng_seed=seed)
             adv = attack_all(crafting, dataset, config)
-            steps = _attack_steps(config)
-            for slope in slopes:
-                target_model = original.with_slope(slope)
-                clean = eval_clean(target_model, dataset)
-                adv_acc = float(
-                    (predict_all(target_model, adv) == dataset.labels).mean()
-                )
-                cfg = target_model.slope_config
-                records.append(EvalRecord(
-                    dataset=dataset.name, model=original.spec.id,
-                    activation=cfg.test_activation, train_slope=cfg.train_slope,
-                    test_slope=slope, attack=f"bpda_{kind}", targeted=False,
-                    target_class=None, epsilon=eps, steps=steps,
-                    n_images=dataset.n, clean_acc=clean, adv_acc=adv_acc,
-                    attack_success=1.0 - adv_acc, seed=seed,
+            for target, clean in targets:
+                adv_acc = float((predict_all(target, adv) == dataset.labels).mean())
+                records.append(eval_record(
+                    target, dataset.name, dataset.n, config, clean, adv_acc,
+                    1.0 - adv_acc, seed, attack_prefix="bpda_",
                 ))
-    report = Report(records=records, metadata={
+    return Report(records=sorted(records, key=EvalRecord.sort_key), metadata={
         "experiment": "bpda_transfer", "seed": str(seed),
         "substitute_loss": "soft-label distillation "
                            "(cross-entropy against teacher softmax)",
     })
-    report.records = report.sorted_records()
-    return report
 
 
 def export_features(model: Model, dataset: LabeledImageSet, path) -> None:

@@ -171,10 +171,11 @@ class Model:
     # narrow interface the attack generators rely on -----------------------
 
     def logits(self, images: np.ndarray, mode: str = "eval") -> np.ndarray:
-        x = Tensor(images)
-        return _forward(self, x, mode=mode, tape=None).data
+        """Logits for a batch; eval mode applies the configured test activation."""
+        return _forward(self, Tensor(images), mode=mode).data
 
     def predict(self, images: np.ndarray) -> np.ndarray:
+        """Argmax class per image in eval mode; ties resolve to the lowest index."""
         return self.logits(images).argmax(axis=1)
 
     def loss_input_grad(
@@ -211,26 +212,30 @@ def _init_param(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
     return Tensor(values, requires_grad=True)
 
 
+def _param_layout(spec: ArchitectureSpec) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of every parameter, in initialization order."""
+    layout = []
+    for layer in spec.layers:
+        if isinstance(layer, Conv):
+            fan_in = layer.in_channels * layer.kernel * layer.kernel
+            shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
+            layout.append((f"{layer.name}.w", shape, fan_in))
+            layout.append((f"{layer.name}.b", (layer.out_channels,), fan_in))
+        elif isinstance(layer, Dense):
+            fan_in = layer.in_features
+            layout.append((f"{layer.name}.w", (fan_in, layer.out_features), fan_in))
+            layout.append((f"{layer.name}.b", (layer.out_features,), fan_in))
+    return layout
+
+
 def build_model(
     arch: "str | ArchitectureSpec", seed: int, slope_config: SlopeConfig | None = None
 ) -> Model:
     """Initialize parameters uniformly in +-1/sqrt(fan_in), per layer, seeded."""
     spec = resolve_arch(arch)
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-    for layer in spec.layers:
-        if isinstance(layer, Conv):
-            fan_in = layer.in_channels * layer.kernel * layer.kernel
-            shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-            params[f"{layer.name}.w"] = _init_param(rng, shape, fan_in)
-            params[f"{layer.name}.b"] = _init_param(rng, (layer.out_channels,), fan_in)
-        elif isinstance(layer, Dense):
-            params[f"{layer.name}.w"] = _init_param(
-                rng, (layer.in_features, layer.out_features), layer.in_features
-            )
-            params[f"{layer.name}.b"] = _init_param(
-                rng, (layer.out_features,), layer.in_features
-            )
+    params = {name: _init_param(rng, shape, fan_in)
+              for name, shape, fan_in in _param_layout(spec)}
     return Model(spec, params, slope_config or SlopeConfig())
 
 
@@ -300,16 +305,6 @@ def _forward(
     return x
 
 
-def forward_logits(model: Model, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
-    """Logits for a batch; eval mode applies the configured test activation."""
-    return _forward(model, Tensor(batch), mode=mode).data
-
-
-def predict_classes(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Argmax class per image in eval mode; ties resolve to the lowest index."""
-    return forward_logits(model, batch).argmax(axis=1)
-
-
 def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
     """Activations entering the final dense layer, in eval mode."""
     capture: dict = {}
@@ -358,8 +353,8 @@ class _Reader:
 def load_params(path, arch: "str | ArchitectureSpec") -> Model:
     """Load parameters saved by save_params into a fresh model.
 
-    Shapes are validated against the architecture; the mismatch error names
-    the offending tensor.
+    Names and shapes are validated against the architecture; the mismatch
+    error names the offending tensor.
     """
     spec = resolve_arch(arch)
     with open(path, "rb") as f:
@@ -386,8 +381,7 @@ def load_params(path, arch: "str | ArchitectureSpec") -> Model:
     if reader.pos != len(reader.blob):
         raise ParamsFormatError("trailing bytes after last tensor")
 
-    reference = build_model(spec, seed=0)
-    expected = {name: t.shape for name, t in reference.params.items()}
+    expected = {name: shape for name, shape, _ in _param_layout(spec)}
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))

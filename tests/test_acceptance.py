@@ -83,9 +83,8 @@ def mnist_attack_report(mnist_model, mnist_data):
     """FGSM/BIM/RFGSM/PGD sweep over the first 2000 test images."""
     _, test = mnist_data
     grid = SweepGrid(slopes=(1.0, 10.0, 100.0), epsilons=MNIST_EPSILONS,
-                     attack_kinds=("fgsm", "bim", "rfgsm", "pgd"),
-                     image_budget=2000)
-    return slope_sweep(mnist_model, test, grid, seed=SEED)
+                     attack_kinds=("fgsm", "bim", "rfgsm", "pgd"))
+    return slope_sweep(mnist_model, take_first(test, 2000), grid, seed=SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +398,8 @@ def test_criterion_5_attack_sanity(mnist_attack_report):
 
 def test_criterion_8_targeted_defense(mnist_model, mnist_data):
     _, test = mnist_data
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=MNIST_EPSILONS,
-                     image_budget=2000)
-    report = ex.targeted_sweep(mnist_model, test, grid, seed=SEED)
+    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=MNIST_EPSILONS)
+    report = ex.targeted_sweep(mnist_model, take_first(test, 2000), grid, seed=SEED)
     means = {s.test_slope: s.mean for s in report.summaries
              if s.metric == "attack_success"}
     _report(8, "targeted-defense", means[10.0] <= means[1.0],

@@ -110,8 +110,8 @@ def test_default_record_steps_follow_attack_constants(trained_synth, small_test)
 @pytest.fixture(scope="module")
 def sweep_report(trained_synth, small_test):
     grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "bim"), image_budget=60)
-    return slope_sweep(trained_synth, small_test, grid, seed=0)
+                     attack_kinds=("fgsm", "bim"))
+    return slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
 
 
 def test_sweep_record_count_is_cross_product(sweep_report):
@@ -146,24 +146,24 @@ def test_sweep_defense_recovers_on_synthetic(sweep_report):
 
 def test_sweep_rerun_is_byte_identical(trained_synth, small_test, sweep_report):
     grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "bim"), image_budget=60)
-    again = slope_sweep(trained_synth, small_test, grid, seed=0)
+                     attack_kinds=("fgsm", "bim"))
+    again = slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
     assert again.csv_text() == sweep_report.csv_text()
     assert again.summary_csv_text() == sweep_report.summary_csv_text()
 
 
 def test_sweep_threads_do_not_change_bytes(trained_synth, small_test, sweep_report):
     grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "bim"), image_budget=60)
-    threaded = slope_sweep(trained_synth, small_test, grid, seed=0, threads=3)
+                     attack_kinds=("fgsm", "bim"))
+    threaded = slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0,
+                           threads=3)
     assert threaded.csv_text() == sweep_report.csv_text()
 
 
 def test_sweep_deepfool_uses_iteration_grid(trained_synth, small_test):
     grid = SweepGrid(slopes=(1.0,), epsilons=(0.0, 0.3),
-                     attack_kinds=("deepfool",), deepfool_iters=(1, 2),
-                     image_budget=16)
-    report = slope_sweep(trained_synth, small_test, grid, seed=0)
+                     attack_kinds=("deepfool",), deepfool_iters=(1, 2))
+    report = slope_sweep(trained_synth, take_first(small_test, 16), grid, seed=0)
     assert [r.epsilon for r in report.records] == [1.0, 2.0]
     assert all(r.epsilon_units == "iterations" for r in report.records)
 
@@ -196,8 +196,8 @@ def test_monotone_eps_and_pgd_strength_on_synthetic(trained_synth, small_test):
 
 
 def test_targeted_sweep_shape_and_summary(trained_synth, small_test):
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.2), image_budget=40)
-    report = ex.targeted_sweep(trained_synth, small_test, grid, seed=0)
+    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.2))
+    report = ex.targeted_sweep(trained_synth, take_first(small_test, 40), grid, seed=0)
     assert len(report.records) == 10 * 2 * 2
     assert all(r.targeted for r in report.records)
     assert sorted({r.target_class for r in report.records}) == list(range(10))
@@ -211,13 +211,12 @@ def test_targeted_sweep_shape_and_summary(trained_synth, small_test):
 
 def test_swap_srelu_reproduces_baseline(trained_synth, small_test):
     eps = (0.0, 0.2)
+    subset = take_first(small_test, 50)
     baseline = slope_sweep(
-        trained_synth, small_test,
-        SweepGrid(slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",), image_budget=50),
-        seed=0,
+        trained_synth, subset,
+        SweepGrid(slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",)), seed=0,
     )
-    swapped = ex.activation_swap(trained_synth, small_test, ("srelu", "tanh"),
-                                 eps, seed=0, image_budget=50)
+    swapped = ex.activation_swap(trained_synth, subset, ("srelu", "tanh"), eps, seed=0)
     base_rows = {(r.epsilon): (r.clean_acc, r.adv_acc) for r in baseline.records}
     srelu_rows = [r for r in swapped.records if r.activation == "srelu"]
     assert len(srelu_rows) == 2
@@ -228,8 +227,8 @@ def test_swap_srelu_reproduces_baseline(trained_synth, small_test):
 
 def test_swap_tags_all_kinds(trained_synth, small_test):
     kinds = ("sigmoid", "tanh", "leaky_relu", "elu", "softplus")
-    report = ex.activation_swap(trained_synth, small_test, kinds, (0.0,),
-                                seed=0, image_budget=20)
+    report = ex.activation_swap(trained_synth, take_first(small_test, 20), kinds,
+                                (0.0,), seed=0)
     assert {r.activation for r in report.records} == set(kinds)
     assert all(r.test_slope == 1.0 for r in report.records)
 
@@ -240,13 +239,12 @@ def test_swap_tags_all_kinds(trained_synth, small_test):
 
 def test_scaling_factor_one_reproduces_baseline(trained_synth, small_test):
     eps = (0.0, 0.2)
+    subset = take_first(small_test, 50)
     baseline = slope_sweep(
-        trained_synth, small_test,
-        SweepGrid(slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",), image_budget=50),
-        seed=0,
+        trained_synth, subset,
+        SweepGrid(slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",)), seed=0,
     )
-    scaled = ex.scaling_experiment(trained_synth, small_test, (1.0,), True, eps,
-                                   seed=0, image_budget=50)
+    scaled = ex.scaling_experiment(trained_synth, subset, (1.0,), True, eps, seed=0)
     base = {r.epsilon: (r.clean_acc, r.adv_acc) for r in baseline.records}
     for r in scaled.records:
         assert (r.clean_acc, r.adv_acc) == base[r.epsilon]
@@ -254,10 +252,9 @@ def test_scaling_factor_one_reproduces_baseline(trained_synth, small_test):
 
 
 def test_scaling_clip_and_noclip_diverge(trained_synth, small_test):
-    clipped = ex.scaling_experiment(trained_synth, small_test, (5.0,), True,
-                                    (0.0,), seed=0, image_budget=30)
-    raw = ex.scaling_experiment(trained_synth, small_test, (5.0,), False,
-                                (0.0,), seed=0, image_budget=30)
+    subset = take_first(small_test, 30)
+    clipped = ex.scaling_experiment(trained_synth, subset, (5.0,), True, (0.0,), seed=0)
+    raw = ex.scaling_experiment(trained_synth, subset, (5.0,), False, (0.0,), seed=0)
     assert clipped.records[0].clean_acc != raw.records[0].clean_acc
     assert raw.records[0].dataset == "synth[x5,noclip]"
 
@@ -272,10 +269,15 @@ def test_scaling_rejects_nonpositive_factor(trained_synth, small_test):
 
 
 def test_loss_decreases_over_first_steps(synth_sets):
+    # one 64-image batch per epoch and no momentum: each logged epoch loss is
+    # the pre-step loss of one plain SGD step on the same 64 images
     train_set, _ = synth_sets
     model = sd.build_model("mnist_cnn", seed=2)
-    images, labels = train_set.images[:64], train_set.labels[:64]
-    losses = [ex.sgd_step(model, images, labels, lr=0.005) for _ in range(4)]
+    log = []
+    ex.train(model, take_first(train_set, 64), epochs=4, lr=0.005, momentum=0.0,
+             batch_size=64, seed=0, epoch_log=log)
+    assert [epoch for epoch, _ in log] == [0, 1, 2, 3]
+    losses = [loss for _, loss in log]
     assert losses[1] < losses[0]
     assert losses[2] < losses[1]
     assert losses[3] < losses[2]

@@ -15,10 +15,8 @@ from srelu_defense.models import (
     ParamsFormatError,
     SlopeConfig,
     build_model,
-    forward_logits,
     load_params,
     penultimate_features,
-    predict_classes,
     save_params,
 )
 
@@ -58,7 +56,7 @@ def test_build_is_deterministic_per_seed():
 
 def test_mnist_cnn_emits_ten_logits():
     model = build_model("mnist_cnn", seed=0)
-    logits = forward_logits(model, np.zeros((2, 1, 28, 28), dtype=np.float32))
+    logits = model.logits(np.zeros((2, 1, 28, 28), dtype=np.float32))
     assert logits.shape == (2, 10)
 
 
@@ -89,8 +87,8 @@ def test_slope_config_validation():
 def test_eval_at_slope_one_equals_train_mode(rng):
     model = build_model("mnist_cnn", seed=7)
     batch = rand_batch(rng, model)
-    eval_logits = forward_logits(model.with_slope(1.0), batch, mode="eval")
-    train_logits = forward_logits(model, batch, mode="train")
+    eval_logits = model.with_slope(1.0).logits(batch, mode="eval")
+    train_logits = model.logits(batch, mode="train")
     np.testing.assert_array_equal(eval_logits, train_logits)
 
 
@@ -98,15 +96,15 @@ def test_toy_slope_two_doubles_logits(rng):
     model = build_model(toy_one_site_spec(), seed=3)
     model.params["fc2.b"].data[:] = 0.0  # bias would break the scaling identity
     batch = rand_batch(rng, model)
-    one = forward_logits(model.with_slope(1.0), batch)
-    two = forward_logits(model.with_slope(2.0), batch)
+    one = model.with_slope(1.0).logits(batch)
+    two = model.with_slope(2.0).logits(batch)
     np.testing.assert_allclose(two, 2.0 * one, rtol=1e-6)
 
 
 def test_forward_shape_mismatch():
     model = build_model("mnist_cnn", seed=0)
     with pytest.raises(ValueError, match="does not match expected"):
-        forward_logits(model, np.zeros((1, 3, 32, 32), dtype=np.float32))
+        model.logits(np.zeros((1, 3, 32, 32), dtype=np.float32))
 
 
 def test_forward_rejects_bad_mode():
@@ -118,10 +116,10 @@ def test_forward_rejects_bad_mode():
 def test_activation_swap_is_applied(rng):
     model = build_model("mnist_cnn", seed=7)
     batch = rand_batch(rng, model)
-    relu = forward_logits(model, batch)
-    tanh = forward_logits(model.with_activation("tanh"), batch)
+    relu = model.logits(batch)
+    tanh = model.with_activation("tanh").logits(batch)
     assert not np.array_equal(relu, tanh)
-    back = forward_logits(model.with_activation("srelu"), batch)
+    back = model.with_activation("srelu").logits(batch)
     np.testing.assert_array_equal(relu, back)
 
 
@@ -133,14 +131,14 @@ def test_predict_ties_take_lowest_class(monkeypatch, rng):
     model = build_model("mnist_cnn", seed=0)
     batch = rand_batch(rng, model, n=4)
     monkeypatch.setattr(
-        md, "forward_logits", lambda m, b, mode="eval": np.zeros((len(b), 10))
+        Model, "logits", lambda self, b, mode="eval": np.zeros((len(b), 10))
     )
-    np.testing.assert_array_equal(predict_classes(model, batch), np.zeros(4))
+    np.testing.assert_array_equal(model.predict(batch), np.zeros(4))
 
 
 def test_predict_batch_of_k_gives_k_labels(rng):
     model = build_model("mnist_cnn", seed=0)
-    labels = predict_classes(model, rand_batch(rng, model, n=5))
+    labels = model.predict(rand_batch(rng, model, n=5))
     assert labels.shape == (5,)
     assert ((labels >= 0) & (labels < 10)).all()
 
@@ -197,11 +195,11 @@ def test_cnn1_cnn2_agree_with_identity_activations(rng):
     cnn1 = build_model("cifar10_cnn1", seed=9)
     cnn2 = Model(md.ARCHITECTURES["cifar10_cnn2"], cnn1.params, SlopeConfig())
     batch = rand_batch(rng, cnn1)
-    with_relu_1 = forward_logits(cnn1, batch)
-    with_relu_2 = forward_logits(cnn2, batch)
+    with_relu_1 = cnn1.logits(batch)
+    with_relu_2 = cnn2.logits(batch)
     assert not np.array_equal(with_relu_1, with_relu_2)  # placement matters
-    ident_1 = forward_logits(cnn1.with_activation("identity"), batch)
-    ident_2 = forward_logits(cnn2.with_activation("identity"), batch)
+    ident_1 = cnn1.with_activation("identity").logits(batch)
+    ident_2 = cnn2.with_activation("identity").logits(batch)
     np.testing.assert_array_equal(ident_1, ident_2)
 
 
@@ -209,16 +207,16 @@ def test_argmax_invariant_under_final_layer_rescaling(rng):
     for slope in (0.5, 1.0, 10.0):
         model = build_model("mnist_cnn", seed=11).with_slope(slope)
         batch = rand_batch(rng, model, n=8)
-        before = predict_classes(model, batch)
+        before = model.predict(batch)
         model.params["fc2.w"].data *= 3.0
         model.params["fc2.b"].data *= 3.0
-        np.testing.assert_array_equal(predict_classes(model, batch), before)
+        np.testing.assert_array_equal(model.predict(batch), before)
 
 
 def test_eval_forward_never_mutates_parameters(rng):
     model = build_model("mnist_cnn", seed=1)
     before = {n: t.data.tobytes() for n, t in model.params.items()}
-    forward_logits(model.with_slope(100.0), rand_batch(rng, model))
+    model.with_slope(100.0).logits(rand_batch(rng, model))
     model.loss_input_grad(rand_batch(rng, model), np.array([1, 2, 3]))
     after = {n: t.data.tobytes() for n, t in model.params.items()}
     assert before == after
@@ -303,3 +301,13 @@ def test_cifar_params_load_into_either_variant(tmp_path):
     assert as_cnn2.spec.id == "cifar10_cnn2"
     for name in model.params:
         assert as_cnn2.params[name].data.tobytes() == model.params[name].data.tobytes()
+
+
+def test_load_draws_no_random_weights(tmp_path, monkeypatch):
+    model = build_model("cifar10_cnn1", seed=3)
+    path = tmp_path / "c.bin"
+    save_params(model, path)
+    monkeypatch.setattr(md, "build_model", None)
+    monkeypatch.setattr(md, "_init_param", None)
+    loaded = load_params(path, "cifar10_cnn1")
+    assert list(loaded.params) == list(model.params)
