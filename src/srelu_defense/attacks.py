@@ -24,6 +24,13 @@ DEEPFOOL_DEFAULT_OVERSHOOT = 0.02
 DEEPFOOL_DEFAULT_ITERS = 50
 _DEEPFOOL_CROSSING_NUDGE = 1e-4  # relative push past the linearized boundary
 
+# attack kind -> the AttackConfig field it cannot run without
+_REQUIRED_FIELD = {
+    "fgsm": "epsilon", "bim": "epsilon", "rfgsm": "epsilon", "stepll": "epsilon",
+    "pgd": "epsilon", "gaussian_noise": "epsilon", "salt_pepper": "fraction",
+    "deepfool": None,
+}
+
 
 @dataclass
 class AttackConfig:
@@ -43,6 +50,13 @@ class AttackConfig:
     random_start: bool = True
 
     def __post_init__(self):
+        if self.kind not in _REQUIRED_FIELD:
+            raise ValueError(
+                f"unknown attack kind {self.kind!r}; known: {sorted(_REQUIRED_FIELD)}"
+            )
+        required = _REQUIRED_FIELD[self.kind]
+        if required is not None and getattr(self, required) is None:
+            raise ValueError(f"{self.kind} attack needs {required}")
         if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.targeted:

@@ -353,8 +353,8 @@ class _Reader:
 def load_params(path, arch: "str | ArchitectureSpec") -> Model:
     """Load parameters saved by save_params into a fresh model.
 
-    Names and shapes are validated against the architecture; the mismatch
-    error names the offending tensor.
+    Names and shapes are validated against the architecture, and every value
+    must be finite; each error names the offending tensor.
     """
     spec = resolve_arch(arch)
     with open(path, "rb") as f:
@@ -395,5 +395,7 @@ def load_params(path, arch: "str | ArchitectureSpec") -> Model:
                 f"tensor {name!r} has shape {params[name].shape}, "
                 f"architecture {spec.id!r} expects {shape}"
             )
+        if not np.isfinite(params[name].data).all():
+            raise ParamsFormatError(f"tensor {name!r} holds non-finite values")
     ordered = {name: params[name] for name in expected}
     return Model(spec, ordered, SlopeConfig())

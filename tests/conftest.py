@@ -3,6 +3,9 @@
 Dataset-dependent acceptance tests resolve the official MNIST/CIFAR-10
 files through SRELU_DATA_DIR (default ./data) and skip with an explicit
 message when the files are absent.
+
+HYPOTHESIS_PROFILE=ci selects derandomized property tests, so a failing CI
+run reproduces locally with the same variable set.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import srelu_defense as sd
 from srelu_defense import experiments as ex
@@ -27,6 +31,9 @@ MNIST_FILES = {
 }
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
+
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def mnist_paths_or_skip():

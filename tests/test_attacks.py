@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srelu_defense.attacks import (
     AttackConfig,
@@ -172,6 +174,31 @@ def test_pgd_partition_invariance(trained_synth, attack_batch):
                  index_base=20)
     stitched = np.concatenate([first.images, second.images])
     np.testing.assert_array_equal(whole.images, stitched)
+
+
+SEEDED_CONFIGS = {
+    "rfgsm": AttackConfig(kind="rfgsm", epsilon=0.2, rng_seed=11),
+    "pgd": AttackConfig(kind="pgd", epsilon=0.2, steps=2, rng_seed=3),
+    "gaussian_noise": AttackConfig(kind="gaussian_noise", epsilon=0.2, rng_seed=5),
+    "salt_pepper": AttackConfig(kind="salt_pepper", fraction=0.1, rng_seed=7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDED_CONFIGS))
+@settings(max_examples=10, deadline=None)
+@given(split=st.integers(1, 15), base=st.integers(0, 5000))
+def test_seeded_attack_partition_invariance(trained_synth, attack_batch, kind,
+                                            split, base):
+    # attack_all relies on this: chunk boundaries never reach the per-image seeds
+    images, labels = attack_batch[0][:16], attack_batch[1][:16]
+    config = SEEDED_CONFIGS[kind]
+    whole = run_attack(trained_synth, images, labels, config, index_base=base)
+    first = run_attack(trained_synth, images[:split], labels[:split], config,
+                       index_base=base)
+    second = run_attack(trained_synth, images[split:], labels[split:], config,
+                        index_base=base + split)
+    stitched = np.concatenate([first.images, second.images])
+    assert whole.images.tobytes() == stitched.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -289,3 +289,60 @@ def test_export_features_smoke(idx_data, saved_model, tmp_path):
     lines = (out / "features.csv").read_text().splitlines()
     assert len(lines) == 25
     assert all(len(line.split(",")) == 51 for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# documented failures exit 1, name the stage, and print no traceback
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--attack-kind", "fgsm"], "fgsm attack needs epsilon"),
+    (["--attack-kind", "salt_pepper"], "salt_pepper attack needs fraction"),
+    (["--attack-kind", "cw", "--epsilon", "0.1"], "unknown attack kind 'cw'"),
+])
+def test_bad_attack_config_exits_1_before_loading(idx_data, tmp_path, capsys,
+                                                  extra, message):
+    # the parameter file does not exist: the config must be rejected first
+    code = cli.main(["attack", *eval_args(idx_data, [
+        "--params", str(tmp_path / "missing.bin"), *extra,
+        "--seed", "2", "--out", str(tmp_path / "o"),
+    ])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in attack:") and message in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_params_exit_1(idx_data, tmp_path, capsys):
+    model = build_model("mnist_cnn", seed=0)
+    model.params["fc2.w"].data[:] = np.nan
+    params = tmp_path / "nan.bin"
+    save_params(model, params)
+    code = cli.main(["attack", *eval_args(idx_data, [
+        "--params", str(params), "--attack-kind", "fgsm", "--epsilon", "0.1",
+        "--seed", "2", "--out", str(tmp_path / "o"),
+    ])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in attack:") and "'fc2.w'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra, rows", [
+    ("sweep", ["--attacks", "fgsm", "--slopes", "1"], 1),
+    ("targeted-sweep", ["--slopes", "1"], 10),
+    ("swap", ["--kinds", "tanh"], 1),
+    ("scale", ["--factors", "2"], 1),
+])
+def test_limit_above_set_size_clamps(idx_data, saved_model, tmp_path, command,
+                                     extra, rows):
+    out = tmp_path / command
+    code = cli.main([command, *eval_args(idx_data, [
+        "--params", saved_model, *extra, "--epsilons", "0", "--limit", "1000",
+        "--seed", "5", "--out", str(out),
+    ])])
+    assert code == 0
+    lines = (out / "report.csv").read_text().splitlines()[1:]
+    assert len(lines) == rows
+    # n_images, counted from the end: scale's dataset tag holds a comma
+    assert {line.split(",")[-5] for line in lines} == {"120"}

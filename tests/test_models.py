@@ -303,6 +303,16 @@ def test_cifar_params_load_into_either_variant(tmp_path):
         assert as_cnn2.params[name].data.tobytes() == model.params[name].data.tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_values_naming_tensor(tmp_path, bad):
+    model = build_model("mnist_cnn", seed=0)
+    model.params["fc2.w"].data[:] = bad
+    path = tmp_path / "nan.bin"
+    save_params(model, path)
+    with pytest.raises(ParamsFormatError, match="'fc2.w'.*non-finite"):
+        load_params(path, "mnist_cnn")
+
+
 def test_load_draws_no_random_weights(tmp_path, monkeypatch):
     model = build_model("cifar10_cnn1", seed=3)
     path = tmp_path / "c.bin"
