@@ -216,7 +216,6 @@ def eval_under_attack(
     dataset: LabeledImageSet,
     config: AttackConfig,
     seed: int = 0,
-    clean_acc: float | None = None,
     clean_preds: np.ndarray | None = None,
     clip=UNIT_RANGE,
     dataset_name: str | None = None,
@@ -230,8 +229,7 @@ def eval_under_attack(
         raise ValueError("cannot evaluate an empty image set")
     if clean_preds is None:
         clean_preds = predict_all(model, dataset.images)
-    if clean_acc is None:
-        clean_acc = float((clean_preds == dataset.labels).mean())
+    clean_acc = float((clean_preds == dataset.labels).mean())
 
     adv = attack_all(model, dataset, config, clip=clip)
     adv_preds = predict_all(model, adv)
@@ -340,12 +338,11 @@ def _attack_grid(variants, configs, seed: int, threads: int, metadata: dict,
     cell_fns = []
     for model, dataset, clip, tag in variants:
         preds = predict_all(model, dataset.images)
-        clean = float((preds == dataset.labels).mean())
         for config in configs:
             cell_fns.append(
-                lambda m=model, d=dataset, c=config, a=clean, p=preds, r=clip, t=tag:
-                    eval_under_attack(m, d, c, seed=seed, clean_acc=a,
-                                      clean_preds=p, clip=r, dataset_name=t)
+                lambda m=model, d=dataset, c=config, p=preds, r=clip, t=tag:
+                    eval_under_attack(m, d, c, seed=seed, clean_preds=p, clip=r,
+                                      dataset_name=t)
             )
     records = sorted(_run_cells(cell_fns, threads), key=EvalRecord.sort_key)
     summaries = _grid_summaries(records, summary_metric) if summary_metric else []
