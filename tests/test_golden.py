@@ -4,8 +4,8 @@ These digests are the byte-identity gate for kernel and refactor work: a
 change that moves any report or parameter bit fails here. Update a digest
 only together with a CHANGES.md note saying which bits moved and why.
 
-Every experiment driver is pinned: the slope sweep, the targeted sweep, the
-activation swap, pixel scaling with and without clipping, and the BPDA path
+Every experiment driver is pinned: the slope sweep (over every attack kind),
+the targeted sweep, the activation swap, pixel scaling with and without clipping, and the BPDA path
 (substitute parameters and transfer report), plus CIFAR training.
 
 The pins hold for the float32 engine on x86-64 with numpy's bundled
@@ -33,6 +33,8 @@ SCALE_CLIP_REPORT_SHA256 = "89eb7dbd4c63a9c28b9a7c00ea1b0bae24a4aa7ca62b28564d80
 SCALE_NOCLIP_REPORT_SHA256 = "b914a1bda23f982dcaf08648f9e00dbd2d43762ffbce818b2f994190d247335c"
 BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
+OTHER_KINDS_REPORT_SHA256 = "5bdfd039e3df962ef101067b03fd0451113bd7ce2be448a8f2d22a83367de58e"
+OTHER_KINDS_SUMMARY_SHA256 = "a10ff57b4d69b8c05e59692cbedbcbd34936bb8882338febf1de3d67a556a0f6"
 
 
 def _sha256_file(path) -> str:
@@ -85,6 +87,19 @@ def test_golden_report_csv(golden_sweep):
 def test_golden_summary_csv(golden_sweep):
     _, out = golden_sweep
     assert _sha256_file(out / "summary.csv") == SUMMARY_SHA256
+
+
+def test_golden_sweep_other_kinds(golden_model):
+    # the kinds the main pin leaves out: PGD, the two seeded degradation
+    # attacks (salt-and-pepper reads the epsilon grid as pixel fractions)
+    # and DeepFool over its own iteration grid
+    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
+                     attack_kinds=("pgd", "gaussian_noise", "salt_pepper", "deepfool"),
+                     deepfool_iters=(1, 2, 5))
+    report = slope_sweep(golden_model[0], take_first(golden_model[2], 32), grid, seed=7)
+    assert len(report.records) == 2 * 4 * 3
+    assert _sha256_text(report.csv_text()) == OTHER_KINDS_REPORT_SHA256
+    assert _sha256_text(report.summary_csv_text()) == OTHER_KINDS_SUMMARY_SHA256
 
 
 def test_golden_targeted_sweep(golden_model, small_test):
