@@ -38,20 +38,7 @@ from .models import (
     penultimate_features,
     save_params,
 )
-from .attacks import (
-    AdversarialBatch,
-    AttackConfig,
-    bim,
-    deepfool,
-    fgsm,
-    fgsm_targeted,
-    gaussian_noise_attack,
-    pgd,
-    rfgsm,
-    run_attack,
-    salt_pepper_attack,
-    stepll,
-)
+from .attacks import AdversarialBatch, AttackConfig, run_attack
 from .experiments import (
     EvalRecord,
     Report,

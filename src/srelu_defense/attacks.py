@@ -17,57 +17,88 @@ import numpy as np
 
 UNIT_RANGE = (0.0, 1.0)
 
-# one-shot L-infinity attacks collapse to these defaults
 BIM_DEFAULT_STEPS = 10
 PGD_DEFAULT_STEPS = 40
-DEEPFOOL_DEFAULT_OVERSHOOT = 0.02
 DEEPFOOL_DEFAULT_ITERS = 50
+DEEPFOOL_DEFAULT_OVERSHOOT = 0.02
 _DEEPFOOL_CROSSING_NUDGE = 1e-4  # relative push past the linearized boundary
 
-# attack kind -> the AttackConfig field it cannot run without
-_REQUIRED_FIELD = {
-    "fgsm": "epsilon", "bim": "epsilon", "rfgsm": "epsilon", "stepll": "epsilon",
-    "pgd": "epsilon", "gaussian_noise": "epsilon", "salt_pepper": "fraction",
-    "deepfool": None,
+# attack kind -> default steps; the kinds at 1 are one-shot and take no other
+_DEFAULT_STEPS = {
+    "fgsm": 1, "stepll": 1, "rfgsm": 1, "gaussian_noise": 1, "salt_pepper": 1,
+    "bim": BIM_DEFAULT_STEPS, "pgd": PGD_DEFAULT_STEPS, "deepfool": DEEPFOOL_DEFAULT_ITERS,
 }
+# optional field -> the kinds that read it; any other kind must leave it None
+_READ_BY = {"step_size": ("bim", "pgd"), "noise_alpha": ("rfgsm",),
+            "target_class": ("fgsm",)}
 
 
 @dataclass
 class AttackConfig:
-    """One attack specification; unused knobs stay at None for other kinds."""
+    """One attack, with every default resolved when it is built.
+
+    epsilon is the L-infinity budget in pixels, except for salt_pepper, where
+    it is the fraction of pixels overwritten; deepfool does not read it and
+    reports its iteration budget, steps, in the epsilon column instead. A
+    target class makes fgsm targeted. step_size, noise_alpha and
+    target_class are rejected for kinds that do not read them, and so is
+    any steps but 1 for the one-shot kinds.
+    """
 
     kind: str
     epsilon: float | None = None
     steps: int | None = None
     step_size: float | None = None
-    targeted: bool = False
     target_class: int | None = None
     rng_seed: int = 0
-    overshoot: float = DEEPFOOL_DEFAULT_OVERSHOOT
-    max_iters: int | None = None
+    overshoot: float = DEEPFOOL_DEFAULT_OVERSHOOT  # deepfool
     noise_alpha: float | None = None  # rfgsm noise share of epsilon
-    fraction: float | None = None  # salt-and-pepper pixel fraction
-    random_start: bool = True
+    random_start: bool = True  # pgd
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED_FIELD:
+        kind = self.kind
+        if kind not in _DEFAULT_STEPS:
             raise ValueError(
-                f"unknown attack kind {self.kind!r}; known: {sorted(_REQUIRED_FIELD)}"
+                f"unknown attack kind {kind!r}; known: {sorted(_DEFAULT_STEPS)}"
             )
-        required = _REQUIRED_FIELD[self.kind]
-        if required is not None and getattr(self, required) is None:
-            raise ValueError(f"{self.kind} attack needs {required}")
+        if self.epsilon is None and kind != "deepfool":
+            raise ValueError(f"{kind} attack needs epsilon")
         if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.targeted:
-            if self.target_class is None or not 0 <= self.target_class < 10:
-                raise ValueError("targeted attack needs a target class in [0, 10)")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("iterative attacks need steps >= 1")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("deepfool needs max_iters >= 1")
-        if self.fraction is not None and not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
+        for name, readers in _READ_BY.items():
+            if getattr(self, name) is not None and kind not in readers:
+                raise ValueError(f"{kind} attack does not take {name}")
+        if self.targeted and not 0 <= self.target_class < 10:
+            raise ValueError("targeted attack needs a target class in [0, 10)")
+
+        if self.steps is None:
+            self.steps = _DEFAULT_STEPS[kind]
+        elif _DEFAULT_STEPS[kind] == 1 and self.steps != 1:
+            raise ValueError(f"{kind} is one-shot and takes steps=1, got {self.steps}")
+        elif self.steps < 1:
+            raise ValueError(f"{kind} needs steps >= 1, got {self.steps}")
+
+        if kind == "bim" and self.step_size is None:
+            self.step_size = self.epsilon / self.steps
+        if kind == "pgd" and self.step_size is None:
+            self.step_size = 2.5 * self.epsilon / self.steps
+        if kind == "rfgsm":
+            if self.noise_alpha is None:
+                self.noise_alpha = self.epsilon / 2.0
+            if not 0.0 <= self.noise_alpha <= self.epsilon:
+                raise ValueError(f"noise step {self.noise_alpha} must lie in "
+                                 f"[0, epsilon={self.epsilon}]")
+
+    @property
+    def targeted(self) -> bool:
+        return self.target_class is not None
+
+    @property
+    def budget(self) -> tuple[float, str]:
+        """The report's epsilon column and its unit."""
+        if self.kind == "deepfool":
+            return float(self.steps), "iterations"
+        return float(self.epsilon), "fraction" if self.kind == "salt_pepper" else "pixels"
 
 
 @dataclass
@@ -84,131 +115,93 @@ class AdversarialBatch:
     l2: np.ndarray | None = None
 
 
-def _finalize(model, originals, adv, labels, *, targeted=False, target=None, flipped_from=None):
-    linf = np.abs(adv - originals).reshape(len(adv), -1).max(axis=1)
-    if model is None:
-        success = np.zeros(len(adv), dtype=bool)
-    else:
-        preds = model.predict(adv)
-        if targeted:
-            success = preds == target
-        elif flipped_from is not None:
-            success = preds != flipped_from
-        else:
-            success = preds != labels
-    return AdversarialBatch(adv, linf, success)
-
-
 def _image_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(seed ^ index)
 
 
-def fgsm(model, images, labels, epsilon, clip=UNIT_RANGE) -> AdversarialBatch:
-    """One signed gradient-ascent step on the true-label loss."""
-    _, grad = model.loss_input_grad(images, labels)
-    adv = np.clip(images + epsilon * np.sign(grad), *clip)
-    return _finalize(model, images, adv, labels)
+# Every generator below takes (model, images, labels, config, clip, index_base)
+# and returns the adversarial images plus, for deepfool only, the L2 norms.
 
 
-def fgsm_targeted(model, images, target_class, epsilon, clip=UNIT_RANGE) -> AdversarialBatch:
-    """One signed gradient-descent step on the target-label loss."""
-    targets = np.full(len(images), target_class, dtype=np.int64)
+def _signed_step(model, images, targets, step, clip):
+    """One step of size |step| along the sign of the loss gradient at targets."""
     _, grad = model.loss_input_grad(images, targets)
-    adv = np.clip(images - epsilon * np.sign(grad), *clip)
-    return _finalize(model, images, adv, None, targeted=True, target=target_class)
+    return np.clip(images + step * np.sign(grad), *clip)
 
 
-def _iterated_sign_ascent(model, images, labels, epsilon, steps, step_size, start, clip):
+def _fgsm(model, images, labels, config, clip, index_base):
+    """Ascent on the true-label loss, or descent on the target-label loss."""
+    if config.targeted:
+        targets = np.full(len(images), config.target_class, dtype=np.int64)
+        return _signed_step(model, images, targets, -config.epsilon, clip), None
+    return _signed_step(model, images, labels, config.epsilon, clip), None
+
+
+def _stepll(model, images, labels, config, clip, index_base):
+    """Targeted step toward each image's least-likely class."""
+    least_likely = model.logits(images).argmin(axis=1)
+    return _signed_step(model, images, least_likely, -config.epsilon, clip), None
+
+
+def _rfgsm(model, images, labels, config, clip, index_base):
+    """Random-start FGSM: a signed-noise step, then the remaining budget on the gradient."""
+    noise = np.empty_like(images)
+    for i in range(len(images)):
+        n = _image_rng(config.rng_seed, index_base + i).standard_normal(images.shape[1:])
+        noise[i] = np.sign(n)
+    x = np.clip(images + config.noise_alpha * noise, *clip)
+    return _signed_step(model, x, labels, config.epsilon - config.noise_alpha, clip), None
+
+
+def _iterated_sign_ascent(model, images, labels, config, start, clip):
     """Shared BIM/PGD loop: signed steps, projected into the epsilon ball."""
     x = start
-    for _ in range(steps):
+    for _ in range(config.steps):
         _, grad = model.loss_input_grad(x, labels)
-        x = x + step_size * np.sign(grad)
-        x = np.clip(x, images - epsilon, images + epsilon)
+        x = x + config.step_size * np.sign(grad)
+        x = np.clip(x, images - config.epsilon, images + config.epsilon)
         x = np.clip(x, *clip)
     return x
 
 
-def bim(model, images, labels, epsilon, steps=BIM_DEFAULT_STEPS, step_size=None,
-        clip=UNIT_RANGE) -> AdversarialBatch:
+def _bim(model, images, labels, config, clip, index_base):
     """Iterated FGSM with per-step projection back into the epsilon ball."""
-    if steps < 1:
-        raise ValueError("bim needs steps >= 1")
-    if step_size is None:
-        step_size = epsilon / steps
-    adv = _iterated_sign_ascent(model, images, labels, epsilon, steps, step_size,
-                                images.copy(), clip)
-    return _finalize(model, images, adv, labels)
+    return _iterated_sign_ascent(model, images, labels, config, images.copy(), clip), None
 
 
-def rfgsm(model, images, labels, epsilon, noise_alpha=None, rng_seed=0,
-          clip=UNIT_RANGE, index_base=0) -> AdversarialBatch:
-    """Random-start FGSM: a signed-noise step, then the remaining budget on the gradient."""
-    if noise_alpha is None:
-        noise_alpha = epsilon / 2.0
-    if not 0.0 <= noise_alpha <= epsilon:
-        raise ValueError(f"noise step {noise_alpha} must lie in [0, epsilon={epsilon}]")
-    noise = np.empty_like(images)
-    for i in range(len(images)):
-        n = _image_rng(rng_seed, index_base + i).standard_normal(images.shape[1:])
-        noise[i] = np.sign(n)
-    x = np.clip(images + noise_alpha * noise, *clip)
-    _, grad = model.loss_input_grad(x, labels)
-    adv = np.clip(x + (epsilon - noise_alpha) * np.sign(grad), *clip)
-    return _finalize(model, images, adv, labels)
-
-
-def stepll(model, images, labels, epsilon, clip=UNIT_RANGE) -> AdversarialBatch:
-    """Targeted step toward each image's least-likely class."""
-    logits = model.logits(images)
-    least_likely = logits.argmin(axis=1)
-    _, grad = model.loss_input_grad(images, least_likely)
-    adv = np.clip(images - epsilon * np.sign(grad), *clip)
-    return _finalize(model, images, adv, labels)
-
-
-def pgd(model, images, labels, epsilon, steps=PGD_DEFAULT_STEPS, step_size=None,
-        random_start=True, rng_seed=0, clip=UNIT_RANGE, index_base=0) -> AdversarialBatch:
+def _pgd(model, images, labels, config, clip, index_base):
     """Projected gradient descent with an optional uniform random start."""
-    if steps < 1:
-        raise ValueError("pgd needs steps >= 1")
-    if step_size is None:
-        step_size = 2.5 * epsilon / steps
-    if random_start:
-        start = np.empty_like(images)
+    start = images.copy()
+    if config.random_start:
+        eps = config.epsilon
         for i in range(len(images)):
-            jitter = _image_rng(rng_seed, index_base + i).uniform(
-                -epsilon, epsilon, size=images.shape[1:]
+            jitter = _image_rng(config.rng_seed, index_base + i).uniform(
+                -eps, eps, size=images.shape[1:]
             )
             start[i] = images[i] + jitter.astype(images.dtype)
         start = np.clip(start, *clip)
-    else:
-        start = images.copy()
-    adv = _iterated_sign_ascent(model, images, labels, epsilon, steps, step_size, start, clip)
-    return _finalize(model, images, adv, labels)
+    return _iterated_sign_ascent(model, images, labels, config, start, clip), None
 
 
-def deepfool(model, images, max_iters=DEEPFOOL_DEFAULT_ITERS,
-             overshoot=DEEPFOOL_DEFAULT_OVERSHOOT, clip=UNIT_RANGE) -> AdversarialBatch:
+def _deepfool(model, images, labels, config, clip, index_base):
     """Minimal-perturbation attack via iterative linearization of logit gaps.
 
-    Per image: find the class whose linearized decision boundary is nearest
-    in L2, step just past it, and repeat until the predicted label flips or
-    the iteration budget runs out. The accumulated perturbation is scaled by
-    (1 + overshoot) and clipped at the end.
+    labels are the clean predictions to move away from. Per image: find the
+    class whose linearized decision boundary is nearest in L2, step just past
+    it, and repeat until the predicted label flips or the steps run out. The
+    accumulated perturbation is scaled by (1 + overshoot) and clipped at the
+    end.
     """
-    if max_iters < 1:
-        raise ValueError("deepfool needs max_iters >= 1")
+    overshoot = config.overshoot
     adv = np.empty_like(images)
     l2 = np.zeros(len(images), dtype=np.float64)
-    original_preds = model.predict(images)
 
     for i in range(len(images)):
         x0 = images[i]
-        orig = int(original_preds[i])
+        orig = int(labels[i])
         r_tot = np.zeros_like(x0, dtype=np.float64)
         current = orig
-        for _ in range(max_iters):
+        for _ in range(config.steps):
             if current != orig:
                 break
             x_work = (x0 + (1.0 + overshoot) * r_tot).astype(images.dtype)
@@ -233,72 +226,50 @@ def deepfool(model, images, max_iters=DEEPFOOL_DEFAULT_ITERS,
             current = int(model.predict(probe[None])[0])
         l2[i] = np.linalg.norm(r_tot.reshape(-1))
         adv[i] = np.clip(x0 + (1.0 + overshoot) * r_tot, *clip).astype(images.dtype)
-
-    out = _finalize(model, images, adv, None, flipped_from=original_preds)
-    out.l2 = l2
-    return out
+    return adv, l2
 
 
-def gaussian_noise_attack(images, epsilon, rng_seed=0, model=None, labels=None,
-                          clip=UNIT_RANGE, index_base=0) -> AdversarialBatch:
+def _gaussian_noise(model, images, labels, config, clip, index_base):
     """Additive seeded Gaussian noise of magnitude epsilon, clipped."""
     adv = np.empty_like(images)
     for i in range(len(images)):
-        n = _image_rng(rng_seed, index_base + i).standard_normal(images.shape[1:])
-        adv[i] = images[i] + epsilon * n.astype(images.dtype)
-    adv = np.clip(adv, *clip)
-    return _finalize(model, images, adv, labels)
+        n = _image_rng(config.rng_seed, index_base + i).standard_normal(images.shape[1:])
+        adv[i] = images[i] + config.epsilon * n.astype(images.dtype)
+    return np.clip(adv, *clip), None
 
 
-def salt_pepper_attack(images, fraction, rng_seed=0, model=None, labels=None,
-                       index_base=0) -> AdversarialBatch:
-    """Set a seeded fraction of pixels per image to 0 or 1 with equal odds."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+def _salt_pepper(model, images, labels, config, clip, index_base):
+    """Set a seeded fraction (epsilon) of pixels per image to 0 or 1 with equal odds."""
     d = int(np.prod(images.shape[1:]))
-    k = int(fraction * d)
+    k = int(config.epsilon * d)
     adv = images.copy()
     for i in range(len(images)):
-        rng = _image_rng(rng_seed, index_base + i)
+        rng = _image_rng(config.rng_seed, index_base + i)
         positions = rng.choice(d, size=k, replace=False)
         values = rng.integers(0, 2, size=k).astype(images.dtype)
         flat = adv[i].reshape(-1)
         flat[positions] = values
-    return _finalize(model, images, adv, labels)
+    return adv, None
+
+
+_ATTACKS = {
+    "fgsm": _fgsm, "stepll": _stepll, "rfgsm": _rfgsm, "bim": _bim, "pgd": _pgd,
+    "deepfool": _deepfool, "gaussian_noise": _gaussian_noise,
+    "salt_pepper": _salt_pepper,
+}
 
 
 def run_attack(model, images, labels, config: AttackConfig, clip=UNIT_RANGE,
                index_base=0) -> AdversarialBatch:
-    """Dispatch an AttackConfig onto the matching generator."""
-    kind = config.kind
-    if kind == "fgsm":
-        if config.targeted:
-            return fgsm_targeted(model, images, config.target_class, config.epsilon, clip)
-        return fgsm(model, images, labels, config.epsilon, clip)
-    if kind == "bim":
-        return bim(model, images, labels, config.epsilon,
-                   steps=config.steps or BIM_DEFAULT_STEPS,
-                   step_size=config.step_size, clip=clip)
-    if kind == "rfgsm":
-        return rfgsm(model, images, labels, config.epsilon,
-                     noise_alpha=config.noise_alpha, rng_seed=config.rng_seed,
-                     clip=clip, index_base=index_base)
-    if kind == "stepll":
-        return stepll(model, images, labels, config.epsilon, clip)
-    if kind == "pgd":
-        return pgd(model, images, labels, config.epsilon,
-                   steps=config.steps or PGD_DEFAULT_STEPS,
-                   step_size=config.step_size, random_start=config.random_start,
-                   rng_seed=config.rng_seed, clip=clip, index_base=index_base)
-    if kind == "deepfool":
-        return deepfool(model, images,
-                        max_iters=config.max_iters or DEEPFOOL_DEFAULT_ITERS,
-                        overshoot=config.overshoot, clip=clip)
-    if kind == "gaussian_noise":
-        return gaussian_noise_attack(images, config.epsilon, rng_seed=config.rng_seed,
-                                     model=model, labels=labels, clip=clip,
-                                     index_base=index_base)
-    if kind == "salt_pepper":
-        return salt_pepper_attack(images, config.fraction, rng_seed=config.rng_seed,
-                                  model=model, labels=labels, index_base=index_base)
-    raise ValueError(f"unknown attack kind {kind!r}")
+    """Run one attack on a batch; index_base is the first image's index in its set.
+
+    Success means the prediction hits the target (targeted fgsm), leaves the
+    clean prediction (deepfool), or leaves the true label (everything else).
+    """
+    if config.kind == "deepfool":
+        labels = model.predict(images)
+    adv, l2 = _ATTACKS[config.kind](model, images, labels, config, clip, index_base)
+    linf = np.abs(adv - images).reshape(len(adv), -1).max(axis=1)
+    preds = model.predict(adv)
+    success = preds == config.target_class if config.targeted else preds != labels
+    return AdversarialBatch(adv, linf, success, l2)

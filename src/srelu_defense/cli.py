@@ -2,8 +2,9 @@
 
 Options resolve in three layers: built-in defaults, then a key=value config
 file, then explicit flags. Every run directory receives the fully resolved
-configuration and a manifest with the seed and format versions, which is
-enough to reproduce the output byte for byte. Seeds are mandatory; nothing
+configuration and, once the command has succeeded, a manifest with the seed
+and format versions, which is enough to reproduce the output byte for byte;
+a run directory without a manifest is a failed run. Seeds are mandatory; nothing
 falls back to wall-clock state.
 """
 
@@ -15,7 +16,7 @@ import sys
 
 from . import __version__
 from . import experiments as ex
-from .attacks import AttackConfig
+from .attacks import DEEPFOOL_DEFAULT_OVERSHOOT, AttackConfig
 from .data import DataFormatError, load_cifar10_bin, load_mnist_idx, take_first
 from .experiments import SweepGrid, default_epsilons
 from .models import (
@@ -80,14 +81,13 @@ OPTIONS: dict[str, dict] = {
         **_COMMON, **_DATA_OPTS,
         "params": ("str", None, "parameter file"),
         "attack_kind": ("str", None, "attack to run"),
-        "epsilon": ("float", None, "L-infinity budget in pixel units"),
-        "steps": ("int", None, "iterations (bim/pgd)"),
-        "step_size": ("float", None, "per-iteration step size"),
-        "target": ("int", None, "target class (makes the attack targeted)"),
+        "epsilon": ("float", None,
+                    "L-infinity budget in pixels; the pixel fraction for salt_pepper"),
+        "steps": ("int", None, "iterations of bim/pgd, or the deepfool budget"),
+        "step_size": ("float", None, "per-iteration step size (bim/pgd)"),
+        "target": ("int", None, "target class (makes fgsm targeted)"),
         "noise_alpha": ("float", None, "rfgsm noise share of epsilon"),
-        "fraction": ("float", None, "salt-and-pepper pixel fraction"),
-        "max_iters": ("int", None, "deepfool iteration budget"),
-        "overshoot": ("float", 0.02, "deepfool overshoot"),
+        "overshoot": ("float", DEEPFOOL_DEFAULT_OVERSHOOT, "deepfool overshoot"),
         "random_start": ("bool", True, "pgd random start"),
         "slope": ("float", 1.0, "test-time rectifier slope"),
     },
@@ -251,13 +251,16 @@ def _write_run_dir(cfg: dict) -> str:
     lines = [f"{k}={_format_value(v)}" for k, v in sorted(cfg.items()) if k != "config"]
     with open(os.path.join(outdir, "config_resolved.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
+    return outdir
+
+
+def _write_manifest(cfg: dict, outdir: str) -> None:
     with open(os.path.join(outdir, "manifest.txt"), "w") as f:
         f.write(f"command={cfg['command']}\n")
         f.write(f"package_version={__version__}\n")
         f.write(f"params_format_version={PARAMS_VERSION}\n")
         f.write(f"csv_schema_version={CSV_SCHEMA_VERSION}\n")
         f.write(f"seed={cfg['seed']}\n")
-    return outdir
 
 
 def _is_idx(arch: str) -> bool:
@@ -353,13 +356,10 @@ def _attack_config(cfg: dict) -> AttackConfig:
     if not kind:
         raise CliError("attack", "missing required option: attack_kind")
     return AttackConfig(
-        kind=kind, epsilon=cfg.get("epsilon"), steps=cfg.get("steps"),
-        step_size=cfg.get("step_size"),
-        targeted=cfg.get("target") is not None, target_class=cfg.get("target"),
-        rng_seed=cfg["seed"], overshoot=cfg.get("overshoot", 0.02),
-        max_iters=cfg.get("max_iters"), noise_alpha=cfg.get("noise_alpha"),
-        fraction=cfg.get("fraction"),
-        random_start=bool(cfg.get("random_start", True)),
+        kind=kind, epsilon=cfg["epsilon"], steps=cfg["steps"],
+        step_size=cfg["step_size"], target_class=cfg["target"], rng_seed=cfg["seed"],
+        overshoot=cfg["overshoot"], noise_alpha=cfg["noise_alpha"],
+        random_start=cfg["random_start"],
     )
 
 
@@ -461,6 +461,7 @@ def main(argv=None) -> int:
         outdir = _write_run_dir(cfg)
         stage = args.command
         _HANDLERS[args.command](cfg, outdir)
+        _write_manifest(cfg, outdir)
         return 0
     except CliError as e:
         print(f"error in {e.stage}: {e}", file=sys.stderr)

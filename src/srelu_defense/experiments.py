@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import (
-    BIM_DEFAULT_STEPS,
-    DEEPFOOL_DEFAULT_ITERS,
-    PGD_DEFAULT_STEPS,
-    UNIT_RANGE,
-    AttackConfig,
-    run_attack,
-)
+from .attacks import UNIT_RANGE, AttackConfig, run_attack
 from .autodiff import Tape, Tensor
 from .data import BatchIterator, LabeledImageSet, scale_pixels
 from .models import Model, _forward, build_model, penultimate_features
@@ -132,7 +125,6 @@ class SummaryRecord:
 class Report:
     records: list[EvalRecord] = field(default_factory=list)
     summaries: list[SummaryRecord] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def sorted_records(self) -> list[EvalRecord]:
         return sorted(self.records, key=EvalRecord.sort_key)
@@ -193,24 +185,6 @@ def attack_all(model: Model, dataset: LabeledImageSet, config: AttackConfig,
     return adv
 
 
-def _attack_steps(config: AttackConfig) -> int:
-    if config.kind == "bim":
-        return config.steps or BIM_DEFAULT_STEPS
-    if config.kind == "pgd":
-        return config.steps or PGD_DEFAULT_STEPS
-    if config.kind == "deepfool":
-        return config.max_iters or DEEPFOOL_DEFAULT_ITERS
-    return 1
-
-
-def _attack_epsilon(config: AttackConfig) -> tuple[float, str]:
-    if config.kind == "deepfool":
-        return float(config.max_iters or DEEPFOOL_DEFAULT_ITERS), "iterations"
-    if config.kind == "salt_pepper":
-        return float(config.fraction), "fraction"
-    return float(config.epsilon), "pixels"
-
-
 def eval_under_attack(
     model: Model,
     dataset: LabeledImageSet,
@@ -255,9 +229,8 @@ def eval_record(model: Model, dataset_name: str, n_images: int,
         epsilon, units = 0.0, "pixels"
     else:
         attack = attack_prefix + config.kind
-        targeted, target = config.targeted, config.target_class
-        steps = _attack_steps(config)
-        epsilon, units = _attack_epsilon(config)
+        targeted, target, steps = config.targeted, config.target_class, config.steps
+        epsilon, units = config.budget
     cfg = model.slope_config
     return EvalRecord(
         dataset=dataset_name, model=model.spec.id, activation=cfg.test_activation,
@@ -319,16 +292,15 @@ def _grid_configs(grid: SweepGrid, seed: int):
     cells = []
     for kind in grid.attack_kinds:
         if kind == "deepfool":
-            cells += [AttackConfig(kind=kind, max_iters=iters, rng_seed=seed)
+            cells += [AttackConfig(kind=kind, steps=iters, rng_seed=seed)
                       for iters in grid.deepfool_iters]
-        else:  # salt-and-pepper reads the epsilon grid as pixel fractions
-            budget = "fraction" if kind == "salt_pepper" else "epsilon"
-            cells += [AttackConfig(kind=kind, rng_seed=seed, **{budget: eps})
+        else:
+            cells += [AttackConfig(kind=kind, epsilon=eps, rng_seed=seed)
                       for eps in grid.epsilons]
     return cells
 
 
-def _attack_grid(variants, configs, seed: int, threads: int, metadata: dict,
+def _attack_grid(variants, configs, seed: int, threads: int,
                  summary_metric: str | None = None) -> Report:
     """Attack every variant with every config, one eval_under_attack per cell.
 
@@ -346,34 +318,24 @@ def _attack_grid(variants, configs, seed: int, threads: int, metadata: dict,
             )
     records = sorted(_run_cells(cell_fns, threads), key=EvalRecord.sort_key)
     summaries = _grid_summaries(records, summary_metric) if summary_metric else []
-    return Report(records=records, summaries=summaries, metadata=metadata)
+    return Report(records=records, summaries=summaries)
 
 
 def slope_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
                 seed: int = 0, threads: int = 1) -> Report:
     """Cross product of (slope, attack, epsilon) under untargeted attacks."""
     variants = [(model.with_slope(s), dataset, UNIT_RANGE, None) for s in grid.slopes]
-    return _attack_grid(variants, _grid_configs(grid, seed), seed, threads, {
-        "experiment": "slope_sweep", "seed": str(seed),
-        "slopes": ",".join(_fmt(s) for s in grid.slopes),
-        "epsilons": ",".join(_fmt(e) for e in grid.epsilons),
-        "attacks": ",".join(grid.attack_kinds),
-        "mean_convention": "grid means exclude the epsilon=0 point; "
-                           "*_with_eps0 columns include it",
-    }, summary_metric="adv_acc")
+    return _attack_grid(variants, _grid_configs(grid, seed), seed, threads,
+                        summary_metric="adv_acc")
 
 
 def targeted_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
                    seed: int = 0, threads: int = 1) -> Report:
     """Targeted FGSM toward every class, per slope and epsilon."""
     variants = [(model.with_slope(s), dataset, UNIT_RANGE, None) for s in grid.slopes]
-    configs = [AttackConfig(kind="fgsm", epsilon=eps, targeted=True,
-                            target_class=target, rng_seed=seed)
+    configs = [AttackConfig(kind="fgsm", epsilon=eps, target_class=target, rng_seed=seed)
                for target in range(10) for eps in grid.epsilons]
-    return _attack_grid(variants, configs, seed, threads, {
-        "experiment": "targeted_sweep", "seed": str(seed),
-        "success_rule": "images already predicted as the target are excluded",
-    }, summary_metric="attack_success")
+    return _attack_grid(variants, configs, seed, threads, summary_metric="attack_success")
 
 
 def _fgsm_configs(epsilons, seed: int) -> list[AttackConfig]:
@@ -384,10 +346,7 @@ def activation_swap(model: Model, dataset: LabeledImageSet, kinds,
                     epsilons, seed: int = 0, threads: int = 1) -> Report:
     """Evaluate substitute test-time activations under the one-step attack."""
     variants = [(model.with_activation(k), dataset, UNIT_RANGE, None) for k in kinds]
-    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads, {
-        "experiment": "activation_swap", "seed": str(seed),
-        "kinds": ",".join(kinds),
-    })
+    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads)
 
 
 def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
@@ -404,14 +363,10 @@ def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
     variants = [
         (base, scale_pixels(dataset, f, clip),
          UNIT_RANGE if clip else (0.0, float(f)),
-         f"{dataset.name}[x{f:g},{'clip' if clip else 'noclip'}]")
+         f"{dataset.name}[x{f:g}:{'clip' if clip else 'noclip'}]")
         for f in factors
     ]
-    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads, {
-        "experiment": "pixel_scaling", "seed": str(seed),
-        "clip": str(clip).lower(),
-        "factors": ",".join(_fmt(f) for f in factors),
-    })
+    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +485,7 @@ def bpda_transfer_eval(original: Model, substitute: Model,
                     target, dataset.name, dataset.n, config, clean, adv_acc,
                     1.0 - adv_acc, seed, attack_prefix="bpda_",
                 ))
-    return Report(records=sorted(records, key=EvalRecord.sort_key), metadata={
-        "experiment": "bpda_transfer", "seed": str(seed),
-        "substitute_loss": "soft-label distillation "
-                           "(cross-entropy against teacher softmax)",
-    })
+    return Report(records=sorted(records, key=EvalRecord.sort_key))
 
 
 def export_features(model: Model, dataset: LabeledImageSet, path) -> None:

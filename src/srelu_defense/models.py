@@ -376,7 +376,7 @@ def load_params(path, arch: "str | ArchitectureSpec") -> Model:
         dims = reader.unpack(f"<{rank}I")
         n_values = int(np.prod(dims, dtype=np.int64)) if rank else 1
         raw = reader.read(4 * n_values)
-        values = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        values = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()  # writable, so it can be trained
         params[name] = Tensor(values, requires_grad=True)
     if reader.pos != len(reader.blob):
         raise ParamsFormatError("trailing bytes after last tensor")

@@ -13,18 +13,7 @@ import srelu_defense as sd
 from srelu_defense import autodiff as ad
 from srelu_defense import cli
 from srelu_defense import experiments as ex
-from srelu_defense.attacks import (
-    AttackConfig,
-    bim,
-    deepfool,
-    fgsm,
-    fgsm_targeted,
-    gaussian_noise_attack,
-    pgd,
-    rfgsm,
-    salt_pepper_attack,
-    stepll,
-)
+from srelu_defense.attacks import AttackConfig, run_attack
 from srelu_defense.autodiff import Tape, Tensor
 from srelu_defense.data import (
     DataFormatError,
@@ -437,35 +426,39 @@ def test_criterion_6_attack_identities(trained_synth, synth_sets):
     model = trained_synth
     problems = []
 
+    def run(kind, images=images, **fields):
+        return run_attack(model, images, labels[:len(images)],
+                          AttackConfig(kind=kind, **fields))
+
     eps = 0.2
-    base = fgsm(model, images, labels, eps)
-    if bim(model, images, labels, eps, steps=1, step_size=eps).images.tobytes() != base.images.tobytes():
+    base = run("fgsm", epsilon=eps)
+    if run("bim", epsilon=eps, steps=1, step_size=eps).images.tobytes() != base.images.tobytes():
         problems.append("bim(1, eps) != fgsm")
-    if pgd(model, images, labels, eps, steps=1, step_size=eps,
+    if run("pgd", epsilon=eps, steps=1, step_size=eps,
            random_start=False).images.tobytes() != base.images.tobytes():
         problems.append("pgd(1, eps, no start) != fgsm")
 
     zero_outputs = {
-        "fgsm": fgsm(model, images, labels, 0.0).images,
-        "fgsm_targeted": fgsm_targeted(model, images, 3, 0.0).images,
-        "bim": bim(model, images, labels, 0.0, steps=3).images,
-        "rfgsm": rfgsm(model, images, labels, 0.0).images,
-        "stepll": stepll(model, images, labels, 0.0).images,
-        "pgd": pgd(model, images, labels, 0.0, steps=2).images,
-        "gaussian_noise": gaussian_noise_attack(images, 0.0).images,
-        "salt_pepper": salt_pepper_attack(images, 0.0).images,
+        "fgsm": run("fgsm", epsilon=0.0).images,
+        "fgsm_targeted": run("fgsm", epsilon=0.0, target_class=3).images,
+        "bim": run("bim", epsilon=0.0, steps=3).images,
+        "rfgsm": run("rfgsm", epsilon=0.0).images,
+        "stepll": run("stepll", epsilon=0.0).images,
+        "pgd": run("pgd", epsilon=0.0, steps=2).images,
+        "gaussian_noise": run("gaussian_noise", epsilon=0.0).images,
+        "salt_pepper": run("salt_pepper", epsilon=0.0).images,
     }
     for kind, out in zero_outputs.items():
         if not np.array_equal(out, images):
             problems.append(f"{kind} eps=0 not a no-op")
 
     constrained = {
-        "fgsm": lambda e: fgsm(model, images, labels, e),
-        "fgsm_targeted": lambda e: fgsm_targeted(model, images, 5, e),
-        "bim": lambda e: bim(model, images, labels, e),
-        "rfgsm": lambda e: rfgsm(model, images, labels, e, rng_seed=1),
-        "stepll": lambda e: stepll(model, images, labels, e),
-        "pgd": lambda e: pgd(model, images, labels, e, steps=5, rng_seed=1),
+        "fgsm": lambda e: run("fgsm", epsilon=e),
+        "fgsm_targeted": lambda e: run("fgsm", epsilon=e, target_class=5),
+        "bim": lambda e: run("bim", epsilon=e),
+        "rfgsm": lambda e: run("rfgsm", epsilon=e, rng_seed=1),
+        "stepll": lambda e: run("stepll", epsilon=e),
+        "pgd": lambda e: run("pgd", epsilon=e, steps=5, rng_seed=1),
     }
     for kind, attack in constrained.items():
         for e in (0.05, 0.3):
@@ -474,9 +467,9 @@ def test_criterion_6_attack_identities(trained_synth, synth_sets):
                 problems.append(f"{kind} eps={e} left [0,1]")
             if out.linf.max() > e + 4 * F32_EPS:
                 problems.append(f"{kind} eps={e} linf={out.linf.max():.8f}")
-    for out in (deepfool(model, images[:8], max_iters=10),
-                gaussian_noise_attack(images, 0.3, rng_seed=2),
-                salt_pepper_attack(images, 0.3, rng_seed=2)):
+    for out in (run("deepfool", images=images[:8], steps=10),
+                run("gaussian_noise", epsilon=0.3, rng_seed=2),
+                run("salt_pepper", epsilon=0.3, rng_seed=2)):
         if out.images.min() < 0.0 or out.images.max() > 1.0:
             problems.append("unconstrained attack left [0,1]")
 
@@ -495,7 +488,7 @@ def test_criterion_7_deepfool_oracle():
         b = rng.normal(size=10)
         model = LinearSoftmaxModel(w, b)
         x = rng.uniform(0.0, 1.0, size=(1, 1, 4, 5))
-        out = deepfool(model, x, max_iters=5)
+        out = run_attack(model, x, None, AttackConfig(kind="deepfool", steps=5))
         expected = linear_min_hyperplane_distance(model, x.reshape(-1))
         worst = max(worst, abs(out.l2[0] - expected) / expected)
     _report(7, "deepfool-oracle", worst < 0.01, f"(worst rel dev {worst:.2e})")

@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srelu_defense.attacks import (
+    BIM_DEFAULT_STEPS,
+    DEEPFOOL_DEFAULT_ITERS,
+    PGD_DEFAULT_STEPS,
     AttackConfig,
-    bim,
-    deepfool,
-    fgsm,
-    fgsm_targeted,
-    gaussian_noise_attack,
-    pgd,
-    rfgsm,
     run_attack,
-    salt_pepper_attack,
-    stepll,
 )
 
 from helpers import LinearSoftmaxModel, linear_min_hyperplane_distance
@@ -28,6 +22,12 @@ F32_EPS = float(np.finfo(np.float32).eps)
 def attack_batch(synth_sets):
     _, test = synth_sets
     return test.images[:48].copy(), test.labels[:48].copy()
+
+
+def attack(model, images, labels, kind, index_base=0, **fields):
+    """run_attack on a config built from keyword fields."""
+    return run_attack(model, images, labels, AttackConfig(kind=kind, **fields),
+                      index_base=index_base)
 
 
 def random_linear_model(rng, features=8, classes=10, dtype=np.float32):
@@ -42,7 +42,7 @@ def random_linear_model(rng, features=8, classes=10, dtype=np.float32):
 
 def test_fgsm_eps_zero_is_noop(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = fgsm(trained_synth, images, labels, 0.0)
+    out = attack(trained_synth, images, labels, "fgsm", epsilon=0.0)
     np.testing.assert_array_equal(out.images, images)
     np.testing.assert_array_equal(out.linf, np.zeros(len(images)))
 
@@ -54,9 +54,9 @@ def test_fgsm_on_increasing_loss_moves_up():
     )
     x = np.full((3, 1, 1, 1), 0.5, dtype=np.float32)
     labels = np.zeros(3, dtype=np.int64)
-    out = fgsm(model, x, labels, 0.25)
+    out = attack(model, x, labels, "fgsm", epsilon=0.25)
     np.testing.assert_allclose(out.images, 0.75)
-    out = fgsm(model, x, labels, 0.75)  # clip engages
+    out = attack(model, x, labels, "fgsm", epsilon=0.75)  # clip engages
     np.testing.assert_allclose(out.images, 1.0)
 
 
@@ -64,7 +64,7 @@ def test_fgsm_pixel_deltas_are_sign_structured(trained_synth, attack_batch):
     images, labels = attack_batch
     interior = np.clip(images, 0.3, 0.7)  # keep away from the clip boundary
     eps = 0.1
-    out = fgsm(trained_synth, interior, labels, eps)
+    out = attack(trained_synth, interior, labels, "fgsm", epsilon=eps)
     deltas = (out.images - interior).reshape(-1)
     matches = (
         (deltas == 0)
@@ -80,7 +80,7 @@ def test_fgsm_pixel_deltas_are_sign_structured(trained_synth, attack_batch):
 
 def test_targeted_eps_zero_is_noop(trained_synth, attack_batch):
     images, _ = attack_batch
-    out = fgsm_targeted(trained_synth, images, 3, 0.0)
+    out = attack(trained_synth, images, None, "fgsm", epsilon=0.0, target_class=3)
     np.testing.assert_array_equal(out.images, images)
 
 
@@ -89,8 +89,8 @@ def test_targeted_step_negates_untargeted_step_at_target_label(rng):
     x = rng.uniform(0.3, 0.7, size=(5, 1, 2, 4)).astype(np.float32)
     target = 4
     eps = 0.05
-    targeted = fgsm_targeted(model, x, target, eps)
-    as_untargeted = fgsm(model, x, np.full(5, target), eps)
+    targeted = attack(model, x, None, "fgsm", epsilon=eps, target_class=target)
+    as_untargeted = attack(model, x, np.full(5, target), "fgsm", epsilon=eps)
     # equal up to float rounding of x - eps vs x + eps (one ulp)
     np.testing.assert_allclose(
         targeted.images - x, -(as_untargeted.images - x), rtol=0, atol=1e-7
@@ -106,7 +106,7 @@ def test_targeted_first_order_decreases_target_loss(rng):
     target = 2
     targets = np.full(6, target)
     before, _ = model.loss_input_grad(x, targets)
-    out = fgsm_targeted(model, x, target, 1e-3)
+    out = attack(model, x, None, "fgsm", epsilon=1e-3, target_class=target)
     after, _ = model.loss_input_grad(out.images, targets)
     assert after <= before
 
@@ -118,17 +118,17 @@ def test_targeted_first_order_decreases_target_loss(rng):
 def test_bim_single_step_equals_fgsm(trained_synth, attack_batch):
     images, labels = attack_batch
     eps = 0.15
-    a = fgsm(trained_synth, images, labels, eps)
-    b = bim(trained_synth, images, labels, eps, steps=1, step_size=eps)
+    a = attack(trained_synth, images, labels, "fgsm", epsilon=eps)
+    b = attack(trained_synth, images, labels, "bim", epsilon=eps, steps=1, step_size=eps)
     assert a.images.tobytes() == b.images.tobytes()
 
 
 def test_pgd_single_step_no_start_equals_fgsm(trained_synth, attack_batch):
     images, labels = attack_batch
     eps = 0.15
-    a = fgsm(trained_synth, images, labels, eps)
-    b = pgd(trained_synth, images, labels, eps, steps=1, step_size=eps,
-            random_start=False)
+    a = attack(trained_synth, images, labels, "fgsm", epsilon=eps)
+    b = attack(trained_synth, images, labels, "pgd", epsilon=eps, steps=1, step_size=eps,
+               random_start=False)
     assert a.images.tobytes() == b.images.tobytes()
 
 
@@ -136,42 +136,45 @@ def test_pgd_single_step_no_start_equals_fgsm(trained_synth, attack_batch):
 def test_bim_budget_and_range(trained_synth, attack_batch, steps, step_size):
     images, labels = attack_batch
     eps = 0.2
-    out = bim(trained_synth, images, labels, eps, steps=steps, step_size=step_size)
+    out = attack(trained_synth, images, labels, "bim", epsilon=eps, steps=steps,
+                 step_size=step_size)
     assert out.images.min() >= 0.0 and out.images.max() <= 1.0
     assert out.linf.max() <= eps + 4 * F32_EPS
 
 
 def test_bim_eps_zero_is_noop(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = bim(trained_synth, images, labels, 0.0, steps=3)
+    out = attack(trained_synth, images, labels, "bim", epsilon=0.0, steps=3)
     np.testing.assert_array_equal(out.images, images)
 
 
 def test_pgd_eps_zero_is_noop_with_random_start(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = pgd(trained_synth, images, labels, 0.0, steps=2, random_start=True)
+    out = attack(trained_synth, images, labels, "pgd", epsilon=0.0, steps=2,
+                 random_start=True)
     np.testing.assert_array_equal(out.images, images)
 
 
 def test_pgd_budget_and_determinism(trained_synth, attack_batch):
     images, labels = attack_batch
     eps = 0.2
-    a = pgd(trained_synth, images, labels, eps, steps=4, rng_seed=5)
-    b = pgd(trained_synth, images, labels, eps, steps=4, rng_seed=5)
+    a = attack(trained_synth, images, labels, "pgd", epsilon=eps, steps=4, rng_seed=5)
+    b = attack(trained_synth, images, labels, "pgd", epsilon=eps, steps=4, rng_seed=5)
     assert a.images.tobytes() == b.images.tobytes()
     assert a.linf.max() <= eps + 4 * F32_EPS
     assert a.images.min() >= 0.0 and a.images.max() <= 1.0
-    c = pgd(trained_synth, images, labels, eps, steps=4, rng_seed=6)
+    c = attack(trained_synth, images, labels, "pgd", epsilon=eps, steps=4, rng_seed=6)
     assert a.images.tobytes() != c.images.tobytes()
 
 
 def test_pgd_partition_invariance(trained_synth, attack_batch):
     images, labels = attack_batch
     eps = 0.2
-    whole = pgd(trained_synth, images, labels, eps, steps=2, rng_seed=3)
-    first = pgd(trained_synth, images[:20], labels[:20], eps, steps=2, rng_seed=3)
-    second = pgd(trained_synth, images[20:], labels[20:], eps, steps=2, rng_seed=3,
-                 index_base=20)
+    fields = dict(epsilon=eps, steps=2, rng_seed=3)
+    whole = attack(trained_synth, images, labels, "pgd", **fields)
+    first = attack(trained_synth, images[:20], labels[:20], "pgd", **fields)
+    second = attack(trained_synth, images[20:], labels[20:], "pgd", index_base=20,
+                    **fields)
     stitched = np.concatenate([first.images, second.images])
     np.testing.assert_array_equal(whole.images, stitched)
 
@@ -180,7 +183,7 @@ SEEDED_CONFIGS = {
     "rfgsm": AttackConfig(kind="rfgsm", epsilon=0.2, rng_seed=11),
     "pgd": AttackConfig(kind="pgd", epsilon=0.2, steps=2, rng_seed=3),
     "gaussian_noise": AttackConfig(kind="gaussian_noise", epsilon=0.2, rng_seed=5),
-    "salt_pepper": AttackConfig(kind="salt_pepper", fraction=0.1, rng_seed=7),
+    "salt_pepper": AttackConfig(kind="salt_pepper", epsilon=0.1, rng_seed=7),
 }
 
 
@@ -208,25 +211,24 @@ def test_seeded_attack_partition_invariance(trained_synth, attack_batch, kind,
 def test_rfgsm_zero_noise_reduces_to_fgsm(trained_synth, attack_batch):
     images, labels = attack_batch
     eps = 0.1
-    a = rfgsm(trained_synth, images, labels, eps, noise_alpha=0.0)
-    b = fgsm(trained_synth, images, labels, eps)
+    a = attack(trained_synth, images, labels, "rfgsm", epsilon=eps, noise_alpha=0.0)
+    b = attack(trained_synth, images, labels, "fgsm", epsilon=eps)
     assert a.images.tobytes() == b.images.tobytes()
 
 
 def test_rfgsm_eps_zero_noop_and_seed_determinism(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = rfgsm(trained_synth, images, labels, 0.0)
+    out = attack(trained_synth, images, labels, "rfgsm", epsilon=0.0)
     np.testing.assert_array_equal(out.images, images)
-    a = rfgsm(trained_synth, images, labels, 0.2, rng_seed=11)
-    b = rfgsm(trained_synth, images, labels, 0.2, rng_seed=11)
+    a = attack(trained_synth, images, labels, "rfgsm", epsilon=0.2, rng_seed=11)
+    b = attack(trained_synth, images, labels, "rfgsm", epsilon=0.2, rng_seed=11)
     assert a.images.tobytes() == b.images.tobytes()
     assert a.linf.max() <= 0.2 + 4 * F32_EPS
 
 
-def test_rfgsm_rejects_oversized_noise(trained_synth, attack_batch):
-    images, labels = attack_batch
+def test_rfgsm_rejects_oversized_noise():
     with pytest.raises(ValueError, match="noise step"):
-        rfgsm(trained_synth, images, labels, 0.1, noise_alpha=0.2)
+        AttackConfig(kind="rfgsm", epsilon=0.1, noise_alpha=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ def test_rfgsm_rejects_oversized_noise(trained_synth, attack_batch):
 
 def test_stepll_eps_zero_is_noop(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = stepll(trained_synth, images, labels, 0.0)
+    out = attack(trained_synth, images, labels, "stepll", epsilon=0.0)
     np.testing.assert_array_equal(out.images, images)
 
 
@@ -256,8 +258,9 @@ def test_stepll_matches_targeted_fgsm_at_least_likely(trained_synth, attack_batc
     # all images of one least-likely class so the targeted call lines up
     pick = least_likely == np.bincount(least_likely).argmax()
     subset = images[pick]
-    out_ll = stepll(trained_synth, subset, labels[pick], eps)
-    out_tg = fgsm_targeted(trained_synth, subset, int(least_likely[pick][0]), eps)
+    out_ll = attack(trained_synth, subset, labels[pick], "stepll", epsilon=eps)
+    out_tg = attack(trained_synth, subset, None, "fgsm", epsilon=eps,
+                    target_class=int(least_likely[pick][0]))
     assert out_ll.images.tobytes() == out_tg.images.tobytes()
 
 
@@ -271,7 +274,7 @@ def test_deepfool_binary_linear_reaches_hyperplane(rng):
     model = LinearSoftmaxModel(w, b)
     x = rng.uniform(0.2, 0.8, size=(1, 1, 1, 3)).astype(np.float64)
     overshoot = 0.02
-    out = deepfool(model, x, max_iters=10, overshoot=overshoot)
+    out = attack(model, x, None, "deepfool", steps=10, overshoot=overshoot)
     flat = x.reshape(-1)
     logits = flat @ w + b
     top = logits.argmax()
@@ -285,7 +288,7 @@ def test_deepfool_binary_linear_reaches_hyperplane(rng):
 def test_deepfool_zero_overshoot_lands_on_boundary(rng):
     model = random_linear_model(rng, features=6, dtype=np.float64)
     x = rng.uniform(0.3, 0.7, size=(1, 1, 1, 6)).astype(np.float64)
-    out = deepfool(model, x, max_iters=1, overshoot=0.0)
+    out = attack(model, x, None, "deepfool", steps=1, overshoot=0.0)
     dist = linear_min_hyperplane_distance(model, x.reshape(-1))
     assert out.l2[0] == pytest.approx(dist, rel=0.01)
 
@@ -294,7 +297,7 @@ def test_deepfool_multiclass_matches_bruteforce(rng):
     for trial in range(8):
         model = random_linear_model(rng, features=12, classes=10, dtype=np.float64)
         x = rng.uniform(0.2, 0.8, size=(1, 1, 3, 4)).astype(np.float64)
-        out = deepfool(model, x, max_iters=5)
+        out = attack(model, x, None, "deepfool", steps=5)
         expected = linear_min_hyperplane_distance(model, x.reshape(-1))
         assert out.l2[0] == pytest.approx(expected, rel=0.01)
 
@@ -303,17 +306,16 @@ def test_deepfool_flips_predictions(trained_synth, attack_batch):
     images, _ = attack_batch
     subset = images[:8]
     before = trained_synth.predict(subset)
-    out = deepfool(trained_synth, subset, max_iters=50)
+    out = attack(trained_synth, subset, None, "deepfool", steps=50)
     after = trained_synth.predict(out.images)
     assert out.success.mean() >= 0.75
     np.testing.assert_array_equal(out.success, after != before)
     assert out.images.min() >= 0.0 and out.images.max() <= 1.0
 
 
-def test_deepfool_rejects_zero_iters(trained_synth, attack_batch):
-    images, _ = attack_batch
-    with pytest.raises(ValueError, match="max_iters"):
-        deepfool(trained_synth, images, max_iters=0)
+def test_deepfool_rejects_zero_iters():
+    with pytest.raises(ValueError, match="steps"):
+        AttackConfig(kind="deepfool", steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,31 +324,31 @@ def test_deepfool_rejects_zero_iters(trained_synth, attack_batch):
 
 def test_gaussian_noise_contracts(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = gaussian_noise_attack(images, 0.0, rng_seed=1)
+    out = attack(trained_synth, images, labels, "gaussian_noise", epsilon=0.0, rng_seed=1)
     np.testing.assert_array_equal(out.images, images)
-    a = gaussian_noise_attack(images, 0.3, rng_seed=2, model=trained_synth, labels=labels)
-    b = gaussian_noise_attack(images, 0.3, rng_seed=2, model=trained_synth, labels=labels)
+    a = attack(trained_synth, images, labels, "gaussian_noise", epsilon=0.3, rng_seed=2)
+    b = attack(trained_synth, images, labels, "gaussian_noise", epsilon=0.3, rng_seed=2)
     assert a.images.tobytes() == b.images.tobytes()
     assert a.images.min() >= 0.0 and a.images.max() <= 1.0
 
 
 def test_salt_pepper_contracts(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = salt_pepper_attack(images, 0.0, rng_seed=1)
+    out = attack(trained_synth, images, labels, "salt_pepper", epsilon=0.0, rng_seed=1)
     np.testing.assert_array_equal(out.images, images)
-    full = salt_pepper_attack(images, 1.0, rng_seed=2)
+    full = attack(trained_synth, images, labels, "salt_pepper", epsilon=1.0, rng_seed=2)
     assert np.isin(full.images, [0.0, 1.0]).all()
-    a = salt_pepper_attack(images, 0.25, rng_seed=3)
-    b = salt_pepper_attack(images, 0.25, rng_seed=3)
+    a = attack(trained_synth, images, labels, "salt_pepper", epsilon=0.25, rng_seed=3)
+    b = attack(trained_synth, images, labels, "salt_pepper", epsilon=0.25, rng_seed=3)
     assert a.images.tobytes() == b.images.tobytes()
-    with pytest.raises(ValueError, match="fraction"):
-        salt_pepper_attack(images, 1.5)
+    with pytest.raises(ValueError, match="epsilon"):  # the fraction is epsilon
+        AttackConfig(kind="salt_pepper", epsilon=1.5)
 
 
-def test_salt_pepper_flips_expected_fraction(attack_batch):
-    images, _ = attack_batch
+def test_salt_pepper_flips_expected_fraction(trained_synth, attack_batch):
+    images, labels = attack_batch
     p = 0.5
-    out = salt_pepper_attack(images, p, rng_seed=4)
+    out = attack(trained_synth, images, labels, "salt_pepper", epsilon=p, rng_seed=4)
     per_image = int(p * images[0].size)
     changed = (out.images != images).reshape(len(images), -1).sum(axis=1)
     assert (changed <= per_image).all()  # overwrites may coincide with old value
@@ -358,11 +360,13 @@ def test_salt_pepper_flips_expected_fraction(attack_batch):
 
 
 def test_run_attack_dispatch_matches_direct_calls(trained_synth, attack_batch):
+    # FGSM written out from the model's input gradient
     images, labels = attack_batch
-    direct = fgsm(trained_synth, images, labels, 0.1)
+    _, grad = trained_synth.loss_input_grad(images, labels)
+    direct = np.clip(images + 0.1 * np.sign(grad), 0.0, 1.0)
     routed = run_attack(trained_synth, images, labels,
                         AttackConfig(kind="fgsm", epsilon=0.1))
-    assert direct.images.tobytes() == routed.images.tobytes()
+    assert direct.tobytes() == routed.images.tobytes()
 
 
 def test_run_attack_unknown_kind(trained_synth, attack_batch):
@@ -375,15 +379,76 @@ def test_attack_config_validation():
     with pytest.raises(ValueError, match="epsilon"):
         AttackConfig(kind="fgsm", epsilon=1.5)
     with pytest.raises(ValueError, match="target class"):
-        AttackConfig(kind="fgsm", epsilon=0.1, targeted=True)
+        AttackConfig(kind="fgsm", epsilon=0.1, target_class=10)
     with pytest.raises(ValueError, match="steps"):
         AttackConfig(kind="bim", epsilon=0.1, steps=0)
-    with pytest.raises(ValueError, match="fraction"):
-        AttackConfig(kind="salt_pepper", fraction=-0.1)
+    with pytest.raises(ValueError, match="epsilon"):  # the salt-and-pepper fraction
+        AttackConfig(kind="salt_pepper", epsilon=-0.1)
 
 
 def test_untargeted_success_flags_match_predictions(trained_synth, attack_batch):
     images, labels = attack_batch
-    out = fgsm(trained_synth, images, labels, 0.25)
+    out = attack(trained_synth, images, labels, "fgsm", epsilon=0.25)
     preds = trained_synth.predict(out.images)
     np.testing.assert_array_equal(out.success, preds != labels)
+
+
+ONE_SHOT = ("fgsm", "stepll", "rfgsm", "gaussian_noise", "salt_pepper")
+ALL_KINDS = ONE_SHOT + ("bim", "pgd", "deepfool")
+
+
+def _budget(kind):
+    return {} if kind == "deepfool" else {"epsilon": 0.2}
+
+
+def test_attack_config_resolves_defaults():
+    for kind in ONE_SHOT:
+        assert AttackConfig(kind=kind, epsilon=0.2).steps == 1
+    bim = AttackConfig(kind="bim", epsilon=0.2)
+    assert (bim.steps, bim.step_size) == (BIM_DEFAULT_STEPS, 0.2 / BIM_DEFAULT_STEPS)
+    pgd = AttackConfig(kind="pgd", epsilon=0.2)
+    assert (pgd.steps, pgd.step_size) == (PGD_DEFAULT_STEPS, 2.5 * 0.2 / PGD_DEFAULT_STEPS)
+    assert AttackConfig(kind="pgd", epsilon=0.2, steps=4, step_size=0.01).step_size == 0.01
+    assert AttackConfig(kind="rfgsm", epsilon=0.2).noise_alpha == 0.1
+    assert AttackConfig(kind="deepfool").steps == DEEPFOOL_DEFAULT_ITERS
+    assert AttackConfig(kind="fgsm", epsilon=0.2, target_class=0).targeted
+    assert not AttackConfig(kind="fgsm", epsilon=0.2).targeted
+
+
+def test_attack_config_budget_column():
+    assert AttackConfig(kind="deepfool", steps=5).budget == (5.0, "iterations")
+    assert AttackConfig(kind="salt_pepper", epsilon=0.25).budget == (0.25, "fraction")
+    assert AttackConfig(kind="pgd", epsilon=0.25).budget == (0.25, "pixels")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_attack_config_rejects_fields_the_kind_does_not_read(kind):
+    if kind != "fgsm":
+        with pytest.raises(ValueError, match="target_class"):
+            AttackConfig(kind=kind, target_class=3, **_budget(kind))
+    if kind in ONE_SHOT:
+        with pytest.raises(ValueError, match="one-shot"):
+            AttackConfig(kind=kind, steps=5, **_budget(kind))
+    if kind not in ("bim", "pgd"):
+        with pytest.raises(ValueError, match="step_size"):
+            AttackConfig(kind=kind, step_size=0.01, **_budget(kind))
+    if kind != "rfgsm":
+        with pytest.raises(ValueError, match="noise_alpha"):
+            AttackConfig(kind=kind, noise_alpha=0.05, **_budget(kind))
+    if kind != "deepfool":
+        with pytest.raises(ValueError, match="needs epsilon"):
+            AttackConfig(kind=kind)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_success_and_linf_for_every_kind(trained_synth, attack_batch, kind):
+    images, labels = attack_batch[0][:8], attack_batch[1][:8]
+    config = AttackConfig(kind=kind, rng_seed=1, **(
+        {"steps": 3} if kind in ("bim", "pgd", "deepfool") else {}), **_budget(kind))
+    out = run_attack(trained_synth, images, labels, config)
+    preds = trained_synth.predict(out.images)
+    reference = trained_synth.predict(images) if kind == "deepfool" else labels
+    np.testing.assert_array_equal(out.success, preds != reference)
+    np.testing.assert_array_equal(
+        out.linf, np.abs(out.images - images).reshape(len(images), -1).max(axis=1))
+    assert (out.l2 is not None) == (kind == "deepfool")

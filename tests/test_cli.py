@@ -1,6 +1,8 @@
 """End-to-end command-line tests on small synthetic datasets."""
 
+import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -297,8 +299,14 @@ def test_export_features_smoke(idx_data, saved_model, tmp_path):
 
 @pytest.mark.parametrize("extra, message", [
     (["--attack-kind", "fgsm"], "fgsm attack needs epsilon"),
-    (["--attack-kind", "salt_pepper"], "salt_pepper attack needs fraction"),
+    (["--attack-kind", "salt_pepper"], "salt_pepper attack needs epsilon"),
     (["--attack-kind", "cw", "--epsilon", "0.1"], "unknown attack kind 'cw'"),
+    # only fgsm has a targeted form: a targeted pgd row would report an untargeted attack
+    (["--attack-kind", "pgd", "--target", "3", "--epsilon", "0.1"],
+     "pgd attack does not take target_class"),
+    (["--attack-kind", "fgsm", "--steps", "5", "--epsilon", "0.1"], "one-shot"),
+    (["--attack-kind", "rfgsm", "--noise-alpha", "0.2", "--epsilon", "0.1"],
+     "noise step 0.2 must lie in [0, epsilon=0.1]"),
 ])
 def test_bad_attack_config_exits_1_before_loading(idx_data, tmp_path, capsys,
                                                   extra, message):
@@ -342,7 +350,33 @@ def test_limit_above_set_size_clamps(idx_data, saved_model, tmp_path, command,
         "--seed", "5", "--out", str(out),
     ])])
     assert code == 0
-    lines = (out / "report.csv").read_text().splitlines()[1:]
-    assert len(lines) == rows
-    # n_images, counted from the end: scale's dataset tag holds a comma
-    assert {line.split(",")[-5] for line in lines} == {"120"}
+    with open(out / "report.csv", newline="") as f:
+        rows_read = list(csv.DictReader(f))
+    assert len(rows_read) == rows
+    assert {row["n_images"] for row in rows_read} == {"120"}
+
+
+def test_failed_run_leaves_no_manifest(idx_data, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = cli.main(["eval", *eval_args(idx_data, [
+        "--params", str(tmp_path / "missing.bin"), "--seed", "2", "--out", str(out),
+    ])])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error in eval:")
+    assert (out / "config_resolved.txt").exists()
+    assert not (out / "manifest.txt").exists()
+
+
+def test_readme_flags_are_accepted():
+    # a flag removed from the CLI must not linger in the docs
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
+    accepted = {"--version"}
+    for options in cli.OPTIONS.values():
+        for name, (tag, _default, _help) in options.items():
+            flag = "--" + name.replace("_", "-")
+            accepted.add(flag)
+            if tag == "bool":
+                accepted.add("--no-" + flag[2:])
+    assert documented, "README documents no flags"
+    assert documented <= accepted, sorted(documented - accepted)

@@ -1,5 +1,8 @@
 """Experiment drivers: records, sweeps, training, distillation, exports."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -64,7 +67,7 @@ def test_eps_zero_record_equals_clean_exactly(trained_synth, small_test):
 def test_targeted_success_zero_at_eps_zero(trained_synth, small_test):
     rec = eval_under_attack(
         trained_synth, small_test,
-        AttackConfig(kind="fgsm", epsilon=0.0, targeted=True, target_class=3),
+        AttackConfig(kind="fgsm", epsilon=0.0, target_class=3),
         seed=0,
     )
     assert rec.attack_success == 0.0
@@ -73,8 +76,7 @@ def test_targeted_success_zero_at_eps_zero(trained_synth, small_test):
 
 def test_targeted_denominator_excludes_pretargeted(trained_synth, small_test):
     target = int(trained_synth.predict(small_test.images[:1])[0])
-    config = AttackConfig(kind="fgsm", epsilon=0.25, targeted=True,
-                          target_class=target)
+    config = AttackConfig(kind="fgsm", epsilon=0.25, target_class=target)
     rec = eval_under_attack(trained_synth, small_test, config, seed=0)
 
     clean_preds = ex.predict_all(trained_synth, small_test.images)
@@ -87,10 +89,10 @@ def test_targeted_denominator_excludes_pretargeted(trained_synth, small_test):
 
 def test_record_steps_and_units(trained_synth, small_test):
     rec = eval_under_attack(trained_synth, small_test,
-                            AttackConfig(kind="deepfool", max_iters=2), seed=0)
+                            AttackConfig(kind="deepfool", steps=2), seed=0)
     assert rec.epsilon == 2.0 and rec.steps == 2 and rec.epsilon_units == "iterations"
     rec = eval_under_attack(trained_synth, small_test,
-                            AttackConfig(kind="salt_pepper", fraction=0.1), seed=0)
+                            AttackConfig(kind="salt_pepper", epsilon=0.1), seed=0)
     assert rec.epsilon == pytest.approx(0.1) and rec.epsilon_units == "fraction"
 
 
@@ -248,7 +250,7 @@ def test_scaling_factor_one_reproduces_baseline(trained_synth, small_test):
     base = {r.epsilon: (r.clean_acc, r.adv_acc) for r in baseline.records}
     for r in scaled.records:
         assert (r.clean_acc, r.adv_acc) == base[r.epsilon]
-        assert r.dataset == "synth[x1,clip]"
+        assert r.dataset == "synth[x1:clip]"
 
 
 def test_scaling_clip_and_noclip_diverge(trained_synth, small_test):
@@ -256,7 +258,7 @@ def test_scaling_clip_and_noclip_diverge(trained_synth, small_test):
     clipped = ex.scaling_experiment(trained_synth, subset, (5.0,), True, (0.0,), seed=0)
     raw = ex.scaling_experiment(trained_synth, subset, (5.0,), False, (0.0,), seed=0)
     assert clipped.records[0].clean_acc != raw.records[0].clean_acc
-    assert raw.records[0].dataset == "synth[x5,noclip]"
+    assert raw.records[0].dataset == "synth[x5:noclip]"
 
 
 def test_scaling_rejects_nonpositive_factor(trained_synth, small_test):
@@ -419,3 +421,27 @@ def test_csv_header_and_formatting(trained_synth, small_test):
 def test_records_sorted_by_canonical_key(sweep_report):
     keys = [r.sort_key() for r in sweep_report.records]
     assert keys == sorted(keys)
+
+
+def test_every_driver_report_parses_to_header_width(trained_synth, small_test):
+    few = take_first(small_test, 12)
+    grid = SweepGrid(slopes=(1.0,), epsilons=(0.0, 0.1),
+                     attack_kinds=("fgsm", "salt_pepper", "deepfool"),
+                     deepfool_iters=(1,))
+    reports = {
+        "sweep": slope_sweep(trained_synth, few, grid, seed=1),
+        "targeted": ex.targeted_sweep(trained_synth, few, grid, seed=1),
+        "swap": ex.activation_swap(trained_synth, few, ("tanh",), (0.0, 0.1), seed=1),
+        "scale": ex.scaling_experiment(trained_synth, few, (0.5, 2.0), True,
+                                       (0.0, 0.1), seed=1),
+        "scale-noclip": ex.scaling_experiment(trained_synth, few, (2.0,), False,
+                                              (0.0, 0.1), seed=1),
+        "bpda": ex.bpda_transfer_eval(trained_synth, trained_synth, few, (1.0,),
+                                      (0.0, 0.1), seed=1),
+    }
+    width = len(REPORT_HEADER.split(","))
+    for name, report in reports.items():
+        rows = list(csv.reader(io.StringIO(report.csv_text())))
+        assert rows[0] == REPORT_HEADER.split(","), name
+        assert len(rows) > 1, name
+        assert {len(row) for row in rows} == {width}, name

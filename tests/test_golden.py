@@ -29,8 +29,8 @@ CIFAR_PARAMS_SHA256 = "03c74eb0fd83b6a4764aaae39e10f68dcd9ae4790421763df51843f4a
 TARGETED_REPORT_SHA256 = "8b59b0b2d2844fd586fb3b6875d6d86222dfec36809239edb65c3d5b1a9ead50"
 TARGETED_SUMMARY_SHA256 = "efa11f0ea71e1934eb183e6a991fa4cf16f0c9802a75a12a6a39f2f5cd40c601"
 SWAP_REPORT_SHA256 = "cd8f4527c379ed007d55f78d6afbe3e322a0706ad35fa06f69f93416e2a6a715"
-SCALE_CLIP_REPORT_SHA256 = "89eb7dbd4c63a9c28b9a7c00ea1b0bae24a4aa7ca62b28564d806f4955c55ca5"
-SCALE_NOCLIP_REPORT_SHA256 = "b914a1bda23f982dcaf08648f9e00dbd2d43762ffbce818b2f994190d247335c"
+SCALE_CLIP_REPORT_SHA256 = "f6070772059a048f224124a49acf79d1865830fbf76587ab17fc3a221e37d2ad"
+SCALE_NOCLIP_REPORT_SHA256 = "f65c680486935938c03700690d0ffce1764406352eaab9b91349ab1be7c06790"
 BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 OTHER_KINDS_REPORT_SHA256 = "5bdfd039e3df962ef101067b03fd0451113bd7ce2be448a8f2d22a83367de58e"
@@ -118,7 +118,8 @@ def test_golden_activation_swap(golden_model, small_test):
 
 
 @pytest.mark.parametrize("clip, digest", [(True, SCALE_CLIP_REPORT_SHA256),
-                                          (False, SCALE_NOCLIP_REPORT_SHA256)])
+                                          (False, SCALE_NOCLIP_REPORT_SHA256)],
+                         ids=["clip", "noclip"])
 def test_golden_scaling(golden_model, small_test, clip, digest):
     report = ex.scaling_experiment(golden_model[0], small_test, (0.5, 2.0), clip,
                                    (0.0, 0.2), seed=7)

@@ -5,7 +5,9 @@ import pytest
 
 import srelu_defense as sd
 from srelu_defense import autodiff as ad
+from srelu_defense import experiments as ex
 from srelu_defense import models as md
+from srelu_defense.data import take_first
 from srelu_defense.models import (
     Act,
     ArchitectureSpec,
@@ -311,6 +313,18 @@ def test_load_rejects_non_finite_values_naming_tensor(tmp_path, bad):
     save_params(model, path)
     with pytest.raises(ParamsFormatError, match="'fc2.w'.*non-finite"):
         load_params(path, "mnist_cnn")
+
+
+def test_loaded_model_trains(tmp_path, synth_sets):
+    model = build_model("mnist_cnn", seed=5)
+    path = tmp_path / "m.bin"
+    save_params(model, path)
+    loaded = load_params(path, "mnist_cnn")
+    before = loaded.params["fc2.w"].data.copy()
+    log = []
+    ex.train(loaded, take_first(synth_sets[0], 32), epochs=1, seed=1, epoch_log=log)
+    assert len(log) == 1 and np.isfinite(log[0][1])
+    assert not np.array_equal(loaded.params["fc2.w"].data, before)
 
 
 def test_load_draws_no_random_weights(tmp_path, monkeypatch):
