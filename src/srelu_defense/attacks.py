@@ -23,9 +23,8 @@ DEEPFOOL_DEFAULT_ITERS = 50
 DEEPFOOL_DEFAULT_OVERSHOOT = 0.02
 _DEEPFOOL_CROSSING_NUDGE = 1e-4  # relative push past the linearized boundary
 
-# attack kind -> default steps; the kinds at 1 are one-shot and take no other
-_DEFAULT_STEPS = {
-    "fgsm": 1, "stepll": 1, "rfgsm": 1, "gaussian_noise": 1, "salt_pepper": 1,
+# iterative kind -> default steps; every other kind is one-shot (steps 1)
+_ITERATIVE_STEPS = {
     "bim": BIM_DEFAULT_STEPS, "pgd": PGD_DEFAULT_STEPS, "deepfool": DEEPFOOL_DEFAULT_ITERS,
 }
 # optional field -> the kinds that read it; any other kind must leave it None
@@ -57,10 +56,8 @@ class AttackConfig:
 
     def __post_init__(self):
         kind = self.kind
-        if kind not in _DEFAULT_STEPS:
-            raise ValueError(
-                f"unknown attack kind {kind!r}; known: {sorted(_DEFAULT_STEPS)}"
-            )
+        if kind not in _ATTACKS:
+            raise ValueError(f"unknown attack kind {kind!r}; known: {sorted(_ATTACKS)}")
         if self.epsilon is None and kind != "deepfool":
             raise ValueError(f"{kind} attack needs epsilon")
         if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
@@ -72,8 +69,8 @@ class AttackConfig:
             raise ValueError("targeted attack needs a target class in [0, 10)")
 
         if self.steps is None:
-            self.steps = _DEFAULT_STEPS[kind]
-        elif _DEFAULT_STEPS[kind] == 1 and self.steps != 1:
+            self.steps = _ITERATIVE_STEPS.get(kind, 1)
+        elif kind not in _ITERATIVE_STEPS and self.steps != 1:
             raise ValueError(f"{kind} is one-shot and takes steps=1, got {self.steps}")
         elif self.steps < 1:
             raise ValueError(f"{kind} needs steps >= 1, got {self.steps}")
