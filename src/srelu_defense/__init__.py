@@ -8,16 +8,7 @@ deterministic CSV reports.
 
 __version__ = "0.1.0"
 
-from .autodiff import (
-    GradientMap,
-    Tape,
-    Tensor,
-    backward,
-    default_dtype,
-    finite_difference_oracle,
-    set_default_dtype,
-    using_dtype,
-)
+from .autodiff import Tape, Tensor, backward, finite_difference_oracle
 from .data import (
     BatchIterator,
     DataFormatError,

@@ -29,7 +29,8 @@ _ITERATIVE_STEPS = {
 }
 # optional field -> the kinds that read it; any other kind must leave it None
 _READ_BY = {"step_size": ("bim", "pgd"), "noise_alpha": ("rfgsm",),
-            "target_class": ("fgsm",)}
+            "target_class": ("fgsm",), "overshoot": ("deepfool",),
+            "random_start": ("pgd",)}
 
 
 @dataclass
@@ -37,11 +38,11 @@ class AttackConfig:
     """One attack, with every default resolved when it is built.
 
     epsilon is the L-infinity budget in pixels, except for salt_pepper, where
-    it is the fraction of pixels overwritten; deepfool does not read it and
+    it is the fraction of pixels overwritten; deepfool takes none and
     reports its iteration budget, steps, in the epsilon column instead. A
-    target class makes fgsm targeted. step_size, noise_alpha and
-    target_class are rejected for kinds that do not read them, and so is
-    any steps but 1 for the one-shot kinds.
+    target class makes fgsm targeted. step_size, noise_alpha, target_class,
+    overshoot and random_start are rejected for kinds that do not read
+    them, and so is any steps but 1 for the one-shot kinds.
     """
 
     kind: str
@@ -50,14 +51,16 @@ class AttackConfig:
     step_size: float | None = None
     target_class: int | None = None
     rng_seed: int = 0
-    overshoot: float = DEEPFOOL_DEFAULT_OVERSHOOT  # deepfool
+    overshoot: float | None = None  # deepfool
     noise_alpha: float | None = None  # rfgsm noise share of epsilon
-    random_start: bool = True  # pgd
+    random_start: bool | None = None  # pgd
 
     def __post_init__(self):
         kind = self.kind
         if kind not in _ATTACKS:
             raise ValueError(f"unknown attack kind {kind!r}; known: {sorted(_ATTACKS)}")
+        if kind == "deepfool" and self.epsilon is not None:
+            raise ValueError("deepfool attack does not take epsilon")
         if self.epsilon is None and kind != "deepfool":
             raise ValueError(f"{kind} attack needs epsilon")
         if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
@@ -77,8 +80,13 @@ class AttackConfig:
 
         if kind == "bim" and self.step_size is None:
             self.step_size = self.epsilon / self.steps
-        if kind == "pgd" and self.step_size is None:
-            self.step_size = 2.5 * self.epsilon / self.steps
+        if kind == "pgd":
+            if self.step_size is None:
+                self.step_size = 2.5 * self.epsilon / self.steps
+            if self.random_start is None:
+                self.random_start = True
+        if kind == "deepfool" and self.overshoot is None:
+            self.overshoot = DEEPFOOL_DEFAULT_OVERSHOOT
         if kind == "rfgsm":
             if self.noise_alpha is None:
                 self.noise_alpha = self.epsilon / 2.0

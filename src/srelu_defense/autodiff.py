@@ -4,49 +4,20 @@ Forward operators cover exactly what small image CNNs need: valid-padding
 convolution, max pooling, affine layers, a family of elementwise
 activations, and softmax cross-entropy losses. Every operator optionally
 records itself on a ``Tape``; ``backward`` replays the tape once in reverse
-and returns a ``GradientMap`` holding gradients for all tensors that
-requested them, including network inputs.
+and returns a dict from each tensor that requested a gradient, network
+inputs included, to that gradient.
 
-Default precision is 32-bit; ``set_default_dtype(np.float64)`` switches the
-whole engine for high-accuracy gradient checks.
+Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
+high-accuracy gradient checks build float64 tensors that way.
 """
 
 from __future__ import annotations
 
-import itertools
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float32
-
-_tensor_ids = itertools.count()
-
-
-def default_dtype():
-    """Return the dtype newly created tensors use."""
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the global tensor dtype. Only float32 and float64 are supported."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-@contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default dtype (used by 64-bit oracle checks)."""
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)
+DTYPE = np.float32
 
 
 class Tensor:
@@ -56,15 +27,14 @@ class Tensor:
     the training loop writes into parameter buffers, between tapes.
     """
 
-    __slots__ = ("data", "requires_grad", "tid")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=dtype or DTYPE)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.tid = next(_tensor_ids)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,16 +63,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad})"
 
 
-def as_view(array: np.ndarray, requires_grad: bool = False) -> Tensor:
-    """Wrap an ndarray without copying or changing its dtype."""
-    return Tensor(array, requires_grad=requires_grad, dtype=array.dtype)
-
-
 class _Record:
-    __slots__ = ("out_tid", "inputs", "backward_fn")
+    __slots__ = ("out", "inputs", "backward_fn")
 
-    def __init__(self, out_tid, inputs, backward_fn):
-        self.out_tid = out_tid
+    def __init__(self, out, inputs, backward_fn):
+        self.out = out
         self.inputs = inputs
         self.backward_fn = backward_fn
 
@@ -118,7 +83,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._produced: set[int] = set()
+        self._produced: set[Tensor] = set()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -129,33 +94,11 @@ class Tape:
         inputs: Sequence[Tensor],
         backward_fn: Callable[[np.ndarray, tuple[bool, ...]], Sequence],
     ) -> None:
-        self._records.append(_Record(out.tid, tuple(inputs), backward_fn))
-        self._produced.add(out.tid)
+        self._records.append(_Record(out, tuple(inputs), backward_fn))
+        self._produced.add(out)
 
     def produced(self, t: Tensor) -> bool:
-        return t.tid in self._produced
-
-
-class GradientMap:
-    """Gradients accumulated by one reverse pass, keyed by tensor identity."""
-
-    def __init__(self, grads: dict[int, np.ndarray]):
-        self._grads = grads
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t.tid in self._grads
-
-    def __getitem__(self, t: Tensor) -> Tensor:
-        try:
-            return as_view(self._grads[t.tid])
-        except KeyError:
-            raise KeyError(
-                "tensor has no gradient (not reachable from the loss)"
-            ) from None
-
-    def get(self, t: Tensor) -> Tensor | None:
-        g = self._grads.get(t.tid)
-        return None if g is None else as_view(g)
+        return t in self._produced
 
 
 def _finish(out: Tensor, tape: Tape | None, inputs, backward_fn) -> Tensor:
@@ -165,8 +108,11 @@ def _finish(out: Tensor, tape: Tape | None, inputs, backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> GradientMap:
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse pass from a scalar loss; returns gradients for the whole tape.
+
+    Tensors hash by identity, so the result is keyed by the tensor objects
+    themselves; a tensor the loss does not reach has no entry.
 
     Deterministic: the accumulation order is fixed by the tape, so repeated
     runs over identical inputs produce bit-identical gradients.
@@ -176,20 +122,20 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
     if not tape.produced(loss):
         raise ValueError("loss tensor was not produced through this tape")
 
-    grads: dict[int, np.ndarray] = {loss.tid: np.ones_like(loss.data)}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for rec in reversed(tape._records):
-        g_out = grads.get(rec.out_tid)
+        g_out = grads.get(rec.out)
         if g_out is None:
             continue
         needs = tuple(t.requires_grad for t in rec.inputs)
         for t, g in zip(rec.inputs, rec.backward_fn(g_out, needs)):
             if g is None or not t.requires_grad:
                 continue
-            acc = grads.get(t.tid)
+            acc = grads.get(t)
             # never accumulate in place: backward functions may return views
             # of upstream gradients (reshape) or read-only broadcasts
-            grads[t.tid] = g if acc is None else acc + g
-    return GradientMap(grads)
+            grads[t] = g if acc is None else acc + g
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from . import experiments as ex
-from .attacks import DEEPFOOL_DEFAULT_OVERSHOOT, AttackConfig
+from .attacks import AttackConfig
 from .data import DataFormatError, load_cifar10_bin, load_mnist_idx, take_first
 from .experiments import SweepGrid, default_epsilons
 from .models import (
@@ -87,8 +87,8 @@ OPTIONS: dict[str, dict] = {
         "step_size": ("float", None, "per-iteration step size (bim/pgd)"),
         "target": ("int", None, "target class (makes fgsm targeted)"),
         "noise_alpha": ("float", None, "rfgsm noise share of epsilon"),
-        "overshoot": ("float", DEEPFOOL_DEFAULT_OVERSHOOT, "deepfool overshoot"),
-        "random_start": ("bool", True, "pgd random start"),
+        "overshoot": ("float", None, "deepfool overshoot"),
+        "random_start": ("bool", None, "pgd random start (on by default)"),
         "slope": ("float", 1.0, "test-time rectifier slope"),
     },
     "sweep": {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import default_dtype
+from .autodiff import DTYPE
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -99,7 +99,7 @@ def load_mnist_idx(images_path, labels_path, name: str = "mnist") -> LabeledImag
         raise DataFormatError(f"label file length {len(lbl_blob)} does not match {n} labels")
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-    images = pixels.astype(default_dtype()).reshape(n, 1, rows, cols) / 255
+    images = pixels.astype(DTYPE).reshape(n, 1, rows, cols) / 255
     labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
     return LabeledImageSet(images, labels, name)
 
@@ -140,7 +140,7 @@ def load_cifar10_bin(batch_paths, name: str = "cifar10") -> LabeledImageSet:
     if labels.size and labels.max() > 9:
         raise DataFormatError(f"label byte {labels.max()} out of range [0, 9]")
     planes = records[:, 1:].reshape(-1, 3, 32, 32)
-    images = planes.astype(default_dtype()) / 255
+    images = planes.astype(DTYPE) / 255
     return LabeledImageSet(images, labels, name)
 
 
@@ -179,29 +179,17 @@ def scale_pixels(dataset: LabeledImageSet, factor: float, clip: bool) -> Labeled
 
 
 class BatchIterator:
-    """Deterministic batching: sequential, or a seeded shuffle per epoch."""
+    """Deterministic batching: a seeded shuffle per epoch."""
 
-    def __init__(
-        self,
-        dataset: LabeledImageSet,
-        batch_size: int,
-        order: str = "sequential",
-        seed: int = 0,
-    ):
+    def __init__(self, dataset: LabeledImageSet, batch_size: int, seed: int = 0):
         if batch_size < 1:
             raise ValueError("batch size must be positive")
-        if order not in ("sequential", "shuffle"):
-            raise ValueError(f"order must be 'sequential' or 'shuffle', got {order!r}")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.order = order
         self.seed = seed
 
     def epoch_indices(self, epoch: int) -> np.ndarray:
-        n = self.dataset.n
-        if self.order == "sequential":
-            return np.arange(n)
-        return np.random.default_rng([self.seed, epoch]).permutation(n)
+        return np.random.default_rng([self.seed, epoch]).permutation(self.dataset.n)
 
     def epoch_batches(self, epoch: int = 0):
         """Yield (images, labels) slices covering the set exactly once."""

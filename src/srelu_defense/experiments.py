@@ -287,16 +287,18 @@ def _grid_summaries(records: list[EvalRecord], metric: str) -> list[SummaryRecor
     return summaries
 
 
-def _grid_configs(grid: SweepGrid, seed: int):
-    """Expand the grid into flat AttackConfig cells."""
+def _grid_configs(attack_kinds, epsilons, seed: int,
+                  deepfool_iters=DEEPFOOL_ITER_GRID) -> list[AttackConfig]:
+    """One AttackConfig cell per (kind, epsilon); deepfool, which takes no
+    epsilon, gets one per iteration budget instead."""
     cells = []
-    for kind in grid.attack_kinds:
+    for kind in attack_kinds:
         if kind == "deepfool":
             cells += [AttackConfig(kind=kind, steps=iters, rng_seed=seed)
-                      for iters in grid.deepfool_iters]
+                      for iters in deepfool_iters]
         else:
             cells += [AttackConfig(kind=kind, epsilon=eps, rng_seed=seed)
-                      for eps in grid.epsilons]
+                      for eps in epsilons]
     return cells
 
 
@@ -325,8 +327,8 @@ def slope_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
                 seed: int = 0, threads: int = 1) -> Report:
     """Cross product of (slope, attack, epsilon) under untargeted attacks."""
     variants = [(model.with_slope(s), dataset, UNIT_RANGE, None) for s in grid.slopes]
-    return _attack_grid(variants, _grid_configs(grid, seed), seed, threads,
-                        summary_metric="adv_acc")
+    configs = _grid_configs(grid.attack_kinds, grid.epsilons, seed, grid.deepfool_iters)
+    return _attack_grid(variants, configs, seed, threads, summary_metric="adv_acc")
 
 
 def targeted_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
@@ -398,7 +400,7 @@ def _sgd(model: Model, epochs: int, epoch_batches, loss_fn, lr: float,
                     continue
                 v = velocity[name]
                 v *= momentum
-                v += g.data
+                v += g
                 param.data -= lr * v
             total_loss += loss.item() * len(targets)
             seen += len(targets)
@@ -419,7 +421,7 @@ def train(model: Model, train_set: LabeledImageSet, epochs: int,
     forward applies the configured train slope at every activation site.
     epoch_log, when given, receives one (epoch, mean loss) pair per epoch.
     """
-    iterator = BatchIterator(train_set, batch_size, order="shuffle", seed=seed)
+    iterator = BatchIterator(train_set, batch_size, seed=seed)
     losses = _sgd(model, epochs, iterator.epoch_batches, ad.softmax_cross_entropy,
                   lr, momentum)
     if epoch_log is not None:
@@ -452,7 +454,7 @@ def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
     """
     substitute = build_model(original.spec, seed)
     soft = teacher_soft_labels(original, train_set.images)
-    iterator = BatchIterator(train_set, batch_size, order="shuffle", seed=seed)
+    iterator = BatchIterator(train_set, batch_size, seed=seed)
 
     def soft_batches(epoch):
         idx = iterator.epoch_indices(epoch)
@@ -469,22 +471,21 @@ def bpda_transfer_eval(original: Model, substitute: Model,
                        attack_kinds=("fgsm",), seed: int = 0) -> Report:
     """Craft attacks on the substitute (slope 1), evaluate on the original.
 
-    Each adversarial set is crafted once per (attack, epsilon) and reused
-    across the original's slopes; clean accuracy is taken once per slope.
+    Cells expand as in the slope sweep (deepfool over its default iteration
+    grid). Each adversarial set is crafted once per cell and reused across
+    the original's slopes; clean accuracy is taken once per slope.
     """
     crafting = substitute.with_slope(1.0)
     targets = [(m, eval_clean(m, dataset)) for m in map(original.with_slope, slopes)]
     records = []
-    for kind in attack_kinds:
-        for eps in epsilons:
-            config = AttackConfig(kind=kind, epsilon=eps, rng_seed=seed)
-            adv = attack_all(crafting, dataset, config)
-            for target, clean in targets:
-                adv_acc = float((predict_all(target, adv) == dataset.labels).mean())
-                records.append(eval_record(
-                    target, dataset.name, dataset.n, config, clean, adv_acc,
-                    1.0 - adv_acc, seed, attack_prefix="bpda_",
-                ))
+    for config in _grid_configs(attack_kinds, epsilons, seed):
+        adv = attack_all(crafting, dataset, config)
+        for target, clean in targets:
+            adv_acc = float((predict_all(target, adv) == dataset.labels).mean())
+            records.append(eval_record(
+                target, dataset.name, dataset.n, config, clean, adv_acc,
+                1.0 - adv_acc, seed, attack_prefix="bpda_",
+            ))
     return Report(records=sorted(records, key=EvalRecord.sort_key))
 
 

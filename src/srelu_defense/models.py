@@ -170,24 +170,37 @@ class Model:
 
     # narrow interface the attack generators rely on -----------------------
 
-    def logits(self, images: np.ndarray, mode: str = "eval") -> np.ndarray:
-        """Logits for a batch; eval mode applies the configured test activation."""
-        return _forward(self, Tensor(images), mode=mode).data
+    def logits(self, images: np.ndarray) -> np.ndarray:
+        """Logits for a batch under the configured test activation."""
+        return _forward(self, Tensor(images)).data
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """Argmax class per image in eval mode; ties resolve to the lowest index."""
-        return self.logits(images).argmax(axis=1)
+        """Argmax class per image; ties resolve to the lowest index.
+
+        Raises ValueError when a logit is not finite (a large slope can
+        overflow the forward pass), so no accuracy is read off NaN argmaxes.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            logits = self.logits(images)
+        finite = np.isfinite(logits).all(axis=1)
+        if not finite.all():
+            cfg = self.slope_config
+            raise ValueError(
+                f"non-finite logits for {int((~finite).sum())} of {len(logits)} images "
+                f"at test slope {cfg.test_slope:g} ({cfg.test_activation}); "
+                "the forward pass overflowed"
+            )
+        return logits.argmax(axis=1)
 
     def loss_input_grad(
-        self, images: np.ndarray, labels: np.ndarray, mode: str = "eval"
+        self, images: np.ndarray, labels: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """Cross-entropy loss and its gradient with respect to the images."""
         tape = Tape()
         x = Tensor(images, requires_grad=True)
-        logits = _forward(self, x, mode=mode, tape=tape, params_grad=False)
+        logits = _forward(self, x, tape=tape, params_grad=False)
         loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
-        grads = ad.backward(tape, loss)
-        return loss.item(), grads[x].data
+        return loss.item(), ad.backward(tape, loss)[x]
 
     def logit_input_grads(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-class logit gradients for a single image (shape 1xCxHxW).
@@ -196,13 +209,12 @@ class Model:
         """
         tape = Tape()
         x = Tensor(image, requires_grad=True)
-        logits = _forward(self, x, mode="eval", tape=tape, params_grad=False)
+        logits = _forward(self, x, tape=tape, params_grad=False)
         n_classes = logits.shape[1]
         grads = np.empty((n_classes,) + x.shape, dtype=x.data.dtype)
         for k in range(n_classes):
             scalar = ad.take(logits, k, tape=tape)
-            gmap = ad.backward(tape, scalar)
-            grads[k] = gmap[x].data
+            grads[k] = ad.backward(tape, scalar)[x]
         return logits.data[0].copy(), grads
 
 
@@ -308,7 +320,7 @@ def _forward(
 def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
     """Activations entering the final dense layer, in eval mode."""
     capture: dict = {}
-    _forward(model, Tensor(batch), mode="eval", capture=capture)
+    _forward(model, Tensor(batch), capture=capture)
     return capture["penultimate"]
 
 

@@ -132,7 +132,7 @@ class LinearSoftmaxModel:
         )
         loss = softmax_cross_entropy(logits, labels, tape=tape)
         grads = backward(tape, loss)
-        return loss.item(), grads[x].data.reshape(images.shape)
+        return loss.item(), grads[x].reshape(images.shape)
 
     def logit_input_grads(self, image):
         flat = image.reshape(1, -1)

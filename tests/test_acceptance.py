@@ -113,7 +113,7 @@ def _op_grad_errors(op_apply, x64, proj64):
         tape = Tape()
         x = Tensor(x64, requires_grad=True, dtype=dtype)
         loss = f(x, tape)
-        got = ad.backward(tape, loss)[x].data.astype(np.float64)
+        got = ad.backward(tape, loss)[x].astype(np.float64)
         scale = max(np.abs(fd).max(), 1e-12)
         errs.append(np.abs(got - fd).max() / scale)
     return errs
@@ -209,7 +209,7 @@ def _ce_grad_errors(rng):
         tape = Tape()
         x = Tensor(logits64, requires_grad=True, dtype=dtype)
         loss = ad.softmax_cross_entropy(x, labels, tape=tape)
-        got = ad.backward(tape, loss)[x].data.astype(np.float64)
+        got = ad.backward(tape, loss)[x].astype(np.float64)
         scale = max(np.abs(fd).max(), 1e-12)
         errs.append(np.abs(got - fd).max() / scale)
     return errs
@@ -245,10 +245,10 @@ def _full_cnn_errors(rng):
         x = Tensor(images, requires_grad=True, dtype=dtype)
         logits = _forward(model, x, mode="eval", tape=tape)
         loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
-        gmap = ad.backward(tape, loss)
+        by_tensor = ad.backward(tape, loss)
         grads[dtype] = {
-            "input": gmap[x].data.astype(np.float64),
-            **{name: gmap[p].data.astype(np.float64)
+            "input": by_tensor[x].astype(np.float64),
+            **{name: by_tensor[p].astype(np.float64)
                for name, p in model.params.items()},
         }
 

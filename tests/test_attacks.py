@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from srelu_defense.attacks import (
     BIM_DEFAULT_STEPS,
     DEEPFOOL_DEFAULT_ITERS,
+    DEEPFOOL_DEFAULT_OVERSHOOT,
     PGD_DEFAULT_STEPS,
     AttackConfig,
     run_attack,
@@ -411,6 +412,10 @@ def test_attack_config_resolves_defaults():
     assert AttackConfig(kind="pgd", epsilon=0.2, steps=4, step_size=0.01).step_size == 0.01
     assert AttackConfig(kind="rfgsm", epsilon=0.2).noise_alpha == 0.1
     assert AttackConfig(kind="deepfool").steps == DEEPFOOL_DEFAULT_ITERS
+    assert AttackConfig(kind="deepfool").overshoot == DEEPFOOL_DEFAULT_OVERSHOOT
+    assert AttackConfig(kind="deepfool", overshoot=0.0).overshoot == 0.0
+    assert AttackConfig(kind="pgd", epsilon=0.2).random_start is True
+    assert AttackConfig(kind="pgd", epsilon=0.2, random_start=False).random_start is False
     assert AttackConfig(kind="fgsm", epsilon=0.2, target_class=0).targeted
     assert not AttackConfig(kind="fgsm", epsilon=0.2).targeted
 
@@ -436,8 +441,17 @@ def test_attack_config_rejects_fields_the_kind_does_not_read(kind):
         with pytest.raises(ValueError, match="noise_alpha"):
             AttackConfig(kind=kind, noise_alpha=0.05, **_budget(kind))
     if kind != "deepfool":
+        with pytest.raises(ValueError, match="overshoot"):
+            AttackConfig(kind=kind, overshoot=0.5, **_budget(kind))
         with pytest.raises(ValueError, match="needs epsilon"):
             AttackConfig(kind=kind)
+    else:
+        with pytest.raises(ValueError, match="does not take epsilon"):
+            AttackConfig(kind=kind, epsilon=0.1)
+    if kind != "pgd":
+        for random_start in (True, False):
+            with pytest.raises(ValueError, match="random_start"):
+                AttackConfig(kind=kind, random_start=random_start, **_budget(kind))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

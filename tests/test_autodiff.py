@@ -14,8 +14,8 @@ def grad_of(build, *tensors):
     """Run build(tape) -> scalar loss and return gradients of the tensors."""
     tape = Tape()
     loss = build(tape)
-    gmap = ad.backward(tape, loss)
-    return [gmap[t].data for t in tensors]
+    grads = ad.backward(tape, loss)
+    return [grads[t] for t in tensors]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_activations_finite_on_finite_input(values):
         y = ad.activation(x, kind, tape=tape)
         assert np.isfinite(y.data).all()
         g = ad.backward(tape, ad.sum_all(y, tape=tape))
-        assert np.isfinite(g[x].data).all()
+        assert np.isfinite(g[x]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def test_backward_bit_identical_across_runs():
         h = ad.maxpool2d(h, 2, tape=tape)
         h = ad.srelu(h, 2.0, tape=tape)
         loss = ad.sum_all(h, tape=tape)
-        return ad.backward(tape, loss)[x].data
+        return ad.backward(tape, loss)[x]
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
@@ -480,10 +480,10 @@ def test_unreachable_tensor_has_no_gradient():
     x = Tensor([1.0], requires_grad=True)
     unused = Tensor([2.0], requires_grad=True)
     loss = ad.sum_all(ad.srelu(x, 1.0, tape=tape), tape=tape)
-    gmap = ad.backward(tape, loss)
-    assert unused not in gmap
+    grads = ad.backward(tape, loss)
+    assert unused not in grads
     with pytest.raises(KeyError):
-        gmap[unused]
+        grads[unused]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def _check(build64, build_at, x64, dtype, tol, step):
     tape = Tape()
     x = Tensor(x64, requires_grad=True, dtype=dtype)
     loss = build_at(x, tape)
-    got = ad.backward(tape, loss)[x].data.astype(np.float64)
+    got = ad.backward(tape, loss)[x].astype(np.float64)
 
     scale = max(np.abs(fd).max(), 1e-12)
     assert np.abs(got - fd).max() / scale < tol

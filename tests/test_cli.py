@@ -307,6 +307,15 @@ def test_export_features_smoke(idx_data, saved_model, tmp_path):
     (["--attack-kind", "fgsm", "--steps", "5", "--epsilon", "0.1"], "one-shot"),
     (["--attack-kind", "rfgsm", "--noise-alpha", "0.2", "--epsilon", "0.1"],
      "noise step 0.2 must lie in [0, epsilon=0.1]"),
+    # a flag the chosen kind does not read is an error, not silently ignored
+    (["--attack-kind", "fgsm", "--epsilon", "0.1", "--no-random-start"],
+     "fgsm attack does not take random_start"),
+    (["--attack-kind", "fgsm", "--epsilon", "0.1", "--random-start"],
+     "fgsm attack does not take random_start"),
+    (["--attack-kind", "fgsm", "--epsilon", "0.1", "--overshoot", "0.5"],
+     "fgsm attack does not take overshoot"),
+    (["--attack-kind", "deepfool", "--epsilon", "0.1"],
+     "deepfool attack does not take epsilon"),
 ])
 def test_bad_attack_config_exits_1_before_loading(idx_data, tmp_path, capsys,
                                                   extra, message):
@@ -334,6 +343,21 @@ def test_non_finite_params_exit_1(idx_data, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error in attack:") and "'fc2.w'" in err
     assert "Traceback" not in err
+
+
+def test_non_finite_logits_fail_the_sweep(idx_data, saved_model, tmp_path, capsys):
+    # slope 1e20 overflows the forward pass; no accuracy row may be written
+    out = tmp_path / "o"
+    code = cli.main(["sweep", *eval_args(idx_data, [
+        "--params", saved_model, "--attacks", "fgsm", "--slopes", "1,1e20",
+        "--epsilons", "0,0.1", "--limit", "10", "--seed", "5", "--out", str(out),
+    ])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in sweep:") and "non-finite logits" in err
+    assert "test slope 1e+20" in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+    assert not (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("command, extra, rows", [

@@ -209,22 +209,28 @@ def test_unit_range_validation():
 # batching
 
 
-def test_sequential_iterator_covers_all_once():
+def test_iterator_covers_all_once_in_epoch_order():
     ds = synthetic_digits(10, seed=4)
     it = BatchIterator(ds, batch_size=3)
-    seen = np.concatenate([lbl for _, lbl in it.epoch_batches(0)])
-    np.testing.assert_array_equal(seen, ds.labels)
+    batches = list(it.epoch_batches(0))
+    assert [len(lbl) for _, lbl in batches] == [3, 3, 3, 1]
+    order = it.epoch_indices(0)
+    assert sorted(order) == list(range(10))
+    np.testing.assert_array_equal(np.concatenate([lbl for _, lbl in batches]),
+                                  ds.labels[order])
+    np.testing.assert_array_equal(np.concatenate([img for img, _ in batches]),
+                                  ds.images[order])
 
 
 def test_shuffle_is_deterministic_per_seed_and_epoch():
     ds = synthetic_digits(32, seed=5)
-    a = BatchIterator(ds, 8, order="shuffle", seed=9)
-    b = BatchIterator(ds, 8, order="shuffle", seed=9)
+    a = BatchIterator(ds, 8, seed=9)
+    b = BatchIterator(ds, 8, seed=9)
     np.testing.assert_array_equal(a.epoch_indices(0), b.epoch_indices(0))
     np.testing.assert_array_equal(a.epoch_indices(3), b.epoch_indices(3))
     assert not np.array_equal(a.epoch_indices(0), a.epoch_indices(1))
     assert sorted(a.epoch_indices(1)) == list(range(32))
-    c = BatchIterator(ds, 8, order="shuffle", seed=10)
+    c = BatchIterator(ds, 8, seed=10)
     assert not np.array_equal(a.epoch_indices(0), c.epoch_indices(0))
 
 
@@ -232,5 +238,3 @@ def test_iterator_validation():
     ds = synthetic_digits(4, seed=6)
     with pytest.raises(ValueError, match="batch size"):
         BatchIterator(ds, 0)
-    with pytest.raises(ValueError, match="order"):
-        BatchIterator(ds, 2, order="random")

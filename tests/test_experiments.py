@@ -371,6 +371,19 @@ def test_transfer_attack_hurts_defended_model(trained_synth, distilled_substitut
     assert by_eps[0.3].adv_acc < by_eps[0.0].clean_acc - 0.1
 
 
+def test_transfer_eval_deepfool_rows_follow_iteration_grid(trained_synth, small_test):
+    # deepfool takes no epsilon: one row per iteration budget, not per epsilon
+    few = take_first(small_test, 4)
+    report = ex.bpda_transfer_eval(trained_synth, trained_synth, few, slopes=(1.0,),
+                                   epsilons=(0.0, 0.1, 0.3),
+                                   attack_kinds=("fgsm", "deepfool"), seed=0)
+    deepfool = [r for r in report.records if r.attack == "bpda_deepfool"]
+    assert [r.steps for r in deepfool] == list(ex.DEEPFOOL_ITER_GRID)
+    assert {r.epsilon_units for r in deepfool} == {"iterations"}
+    keys = [r.sort_key() for r in report.records]
+    assert len(set(keys)) == len(keys) == 3 + len(ex.DEEPFOOL_ITER_GRID)
+
+
 # ---------------------------------------------------------------------------
 # feature export and CSV surfaces
 

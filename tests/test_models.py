@@ -89,8 +89,8 @@ def test_slope_config_validation():
 def test_eval_at_slope_one_equals_train_mode(rng):
     model = build_model("mnist_cnn", seed=7)
     batch = rand_batch(rng, model)
-    eval_logits = model.with_slope(1.0).logits(batch, mode="eval")
-    train_logits = model.logits(batch, mode="train")
+    eval_logits = model.with_slope(1.0).logits(batch)
+    train_logits = md._forward(model, ad.Tensor(batch), mode="train").data
     np.testing.assert_array_equal(eval_logits, train_logits)
 
 
@@ -133,9 +133,20 @@ def test_predict_ties_take_lowest_class(monkeypatch, rng):
     model = build_model("mnist_cnn", seed=0)
     batch = rand_batch(rng, model, n=4)
     monkeypatch.setattr(
-        Model, "logits", lambda self, b, mode="eval": np.zeros((len(b), 10))
+        Model, "logits", lambda self, b: np.zeros((len(b), 10))
     )
     np.testing.assert_array_equal(model.predict(batch), np.zeros(4))
+
+
+def test_predict_rejects_non_finite_logits(rng):
+    # three rectifier sites at slope 1e20 overflow float32: the logits are NaN
+    model = build_model("mnist_cnn", seed=0).with_slope(1e20)
+    batch = rand_batch(rng, model, n=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(model.logits(batch)).any()
+    with pytest.raises(ValueError, match=r"non-finite logits for 4 of 4 images "
+                                         r"at test slope 1e\+20"):
+        model.predict(batch)
 
 
 def test_predict_batch_of_k_gives_k_labels(rng):
@@ -222,6 +233,30 @@ def test_eval_forward_never_mutates_parameters(rng):
     model.loss_input_grad(rand_batch(rng, model), np.array([1, 2, 3]))
     after = {n: t.data.tobytes() for n, t in model.params.items()}
     assert before == after
+
+
+def _forward_grads(model, batch, **forward_kwargs):
+    tape = ad.Tape()
+    x = ad.Tensor(batch, requires_grad=True)
+    logits = md._forward(model, x, tape=tape, **forward_kwargs)
+    loss = ad.softmax_cross_entropy(logits, np.arange(len(batch)) % 10, tape=tape)
+    return x, ad.backward(tape, loss)
+
+
+def test_input_gradient_forward_gives_no_parameter_entries(rng):
+    model = build_model("mnist_cnn", seed=2)
+    x, grads = _forward_grads(model, rand_batch(rng, model), params_grad=False)
+    assert x in grads
+    assert not any(p in grads for p in model.params.values())
+
+
+def test_training_forward_gives_one_entry_per_parameter(rng):
+    # _sgd looks each parameter up with grads.get(param)
+    model = build_model("mnist_cnn", seed=2)
+    _, grads = _forward_grads(model, rand_batch(rng, model), mode="train")
+    for name, param in model.params.items():
+        assert isinstance(grads[param], np.ndarray), name
+        assert grads[param].shape == param.shape, name
 
 
 # ---------------------------------------------------------------------------
