@@ -8,7 +8,7 @@ deterministic CSV reports.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Tensor, backward, finite_difference_oracle
+from .autodiff import Tape, Tensor, backward
 from .data import (
     BatchIterator,
     DataFormatError,

@@ -37,8 +37,9 @@ _READ_BY = {"step_size": ("bim", "pgd"), "noise_alpha": ("rfgsm",),
 class AttackConfig:
     """One attack, with every default resolved when it is built.
 
-    epsilon is the L-infinity budget in pixels, except for salt_pepper, where
-    it is the fraction of pixels overwritten; deepfool takes none and
+    epsilon is the L-infinity budget in pixels, except for gaussian_noise,
+    where it is the noise standard deviation, and salt_pepper, where it is
+    the fraction of pixels overwritten; deepfool takes none and
     reports its iteration budget, steps, in the epsilon column instead. A
     target class makes fgsm targeted. step_size, noise_alpha, target_class,
     overshoot and random_start are rejected for kinds that do not read
@@ -244,14 +245,16 @@ def _gaussian_noise(model, images, labels, config, clip, index_base):
 
 
 def _salt_pepper(model, images, labels, config, clip, index_base):
-    """Set a seeded fraction (epsilon) of pixels per image to 0 or 1 with equal odds."""
+    """Set a seeded fraction (epsilon) of pixels per image to the low or the
+    high end of the clip range (0 or 1 by default) with equal odds."""
     d = int(np.prod(images.shape[1:]))
     k = int(config.epsilon * d)
+    ends = np.asarray(clip, dtype=images.dtype)
     adv = images.copy()
     for i in range(len(images)):
         rng = _image_rng(config.rng_seed, index_base + i)
         positions = rng.choice(d, size=k, replace=False)
-        values = rng.integers(0, 2, size=k).astype(images.dtype)
+        values = ends[rng.integers(0, 2, size=k)]
         flat = adv[i].reshape(-1)
         flat[positions] = values
     return adv, None

@@ -40,14 +40,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
@@ -84,9 +76,6 @@ class Tape:
     def __init__(self):
         self._records: list[_Record] = []
         self._produced: set[Tensor] = set()
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def record(
         self,
@@ -483,33 +472,3 @@ def soft_cross_entropy(
 
     return _finish(out, tape, (logits,), bw)
 
-
-# ---------------------------------------------------------------------------
-# test oracle
-
-
-def finite_difference_oracle(
-    f: Callable[[Tensor], "Tensor | float"], x: Tensor, step: float
-) -> Tensor:
-    """Central-difference gradient estimate of a scalar function, per element.
-
-    Independent of the tape machinery: only evaluates f. The estimate is
-    accumulated in float64 regardless of the working precision.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    def evaluate(arr: np.ndarray) -> float:
-        y = f(Tensor(arr, dtype=arr.dtype))
-        return y.item() if isinstance(y, Tensor) else float(y)
-
-    base = x.data
-    grad = np.zeros(base.shape, dtype=np.float64)
-    flat = grad.reshape(-1)
-    for i in range(base.size):
-        plus = base.copy()
-        plus.reshape(-1)[i] += step
-        minus = base.copy()
-        minus.reshape(-1)[i] -= step
-        flat[i] = (evaluate(plus) - evaluate(minus)) / (2.0 * step)
-    return Tensor(grad, dtype=np.float64)

@@ -17,6 +17,7 @@ import sys
 from . import __version__
 from . import experiments as ex
 from .attacks import AttackConfig
+from .autodiff import ACTIVATION_KINDS
 from .data import DataFormatError, load_cifar10_bin, load_mnist_idx, take_first
 from .experiments import SweepGrid, default_epsilons
 from .models import (
@@ -37,33 +38,30 @@ ARCH_ALIASES = {
     "cifar10-cnn2": "cifar10_cnn2",
 }
 
-COMMANDS = (
-    "train", "eval", "attack", "sweep", "targeted-sweep",
-    "swap", "scale", "bpda", "export-features",
-)
-
-# option name -> (type tag, default, help)
-_DATA_OPTS = {
-    "train_images": ("str", None, "IDX image file for training"),
-    "train_labels": ("str", None, "IDX label file for training"),
-    "train_batches": ("strs", None, "comma-separated CIFAR-10 training batch files"),
-    "test_images": ("str", None, "IDX image file for evaluation"),
-    "test_labels": ("str", None, "IDX label file for evaluation"),
-    "test_batches": ("strs", None, "comma-separated CIFAR-10 test batch files"),
-}
-
+# option name -> (type tag, default, help); each subcommand declares only the
+# options its handler reads
 _COMMON = {
     "arch": ("str", None, "architecture id (mnist_cnn, cifar10_cnn1, cifar10_cnn2)"),
     "seed": ("int", None, "run seed (required; no wall-clock defaults)"),
     "out": ("str", None, "output directory"),
     "config": ("str", None, "key=value config file; flags override it"),
-    "threads": ("int", 1, "worker threads for independent grid cells"),
     "limit": ("int", None, "evaluate only the first N images"),
+    "test_images": ("str", None, "IDX image file for evaluation"),
+    "test_labels": ("str", None, "IDX label file for evaluation"),
+    "test_batches": ("strs", None, "comma-separated CIFAR-10 test batch files"),
 }
+
+_TRAIN_DATA = {
+    "train_images": ("str", None, "IDX image file for training"),
+    "train_labels": ("str", None, "IDX label file for training"),
+    "train_batches": ("strs", None, "comma-separated CIFAR-10 training batch files"),
+}
+
+_THREADS = {"threads": ("int", 1, "worker threads for independent grid cells")}
 
 OPTIONS: dict[str, dict] = {
     "train": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON, **_TRAIN_DATA,
         "epochs": ("int", None, "training epochs (default 5 mnist / 30 cifar)"),
         "lr": ("float", ex.TRAIN_DEFAULTS["lr"], "SGD learning rate"),
         "momentum": ("float", ex.TRAIN_DEFAULTS["momentum"], "SGD momentum"),
@@ -72,17 +70,17 @@ OPTIONS: dict[str, dict] = {
         "limit_train": ("int", None, "train on only the first N images"),
     },
     "eval": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON,
         "params": ("str", None, "parameter file"),
         "slope": ("float", 1.0, "test-time rectifier slope"),
         "activation": ("str", "srelu", "test-time activation override"),
     },
     "attack": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON,
         "params": ("str", None, "parameter file"),
         "attack_kind": ("str", None, "attack to run"),
-        "epsilon": ("float", None,
-                    "L-infinity budget in pixels; the pixel fraction for salt_pepper"),
+        "epsilon": ("float", None, "L-infinity budget in pixels; the noise std for "
+                                   "gaussian_noise; the pixel fraction for salt_pepper"),
         "steps": ("int", None, "iterations of bim/pgd, or the deepfool budget"),
         "step_size": ("float", None, "per-iteration step size (bim/pgd)"),
         "target": ("int", None, "target class (makes fgsm targeted)"),
@@ -92,7 +90,7 @@ OPTIONS: dict[str, dict] = {
         "slope": ("float", 1.0, "test-time rectifier slope"),
     },
     "sweep": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON, **_THREADS,
         "params": ("str", None, "parameter file"),
         "attacks": ("strs", ",".join(ex.DEFAULT_ATTACK_KINDS), "attack kinds"),
         "slopes": ("floats", ",".join(str(s) for s in ex.DEFAULT_SLOPES), "slope grid"),
@@ -101,20 +99,19 @@ OPTIONS: dict[str, dict] = {
                            "deepfool iteration grid"),
     },
     "targeted-sweep": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON, **_THREADS,
         "params": ("str", None, "parameter file"),
         "slopes": ("floats", ",".join(str(s) for s in ex.DEFAULT_SLOPES), "slope grid"),
         "epsilons": ("floats", None, "epsilon grid (default depends on arch)"),
     },
     "swap": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON, **_THREADS,
         "params": ("str", None, "parameter file"),
-        "kinds": ("strs", "sigmoid,tanh,leaky_relu,elu,softplus",
-                  "substitute activations"),
+        "kinds": ("strs", ",".join(ACTIVATION_KINDS), "substitute activations"),
         "epsilons": ("floats", None, "epsilon grid (default depends on arch)"),
     },
     "scale": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON, **_THREADS,
         "params": ("str", None, "parameter file"),
         "factors": ("floats", ",".join(str(f) for f in ex.DEFAULT_SCALE_FACTORS),
                     "pixel scale factors"),
@@ -122,22 +119,22 @@ OPTIONS: dict[str, dict] = {
         "epsilons": ("floats", None, "epsilon grid (default depends on arch)"),
     },
     "bpda": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON, **_TRAIN_DATA,
         "params": ("str", None, "parameter file of the defended model"),
         "epochs": ("int", 5, "substitute training epochs"),
-        "attacks": ("strs", "fgsm", "transfer attack kinds (fgsm, pgd)"),
+        "attacks": ("strs", "fgsm", "attack kinds to craft on the substitute"),
         "slopes": ("floats", ",".join(str(s) for s in ex.DEFAULT_SLOPES), "slope grid"),
         "epsilons": ("floats", None, "epsilon grid (default depends on arch)"),
         "limit_train": ("int", None, "distill on only the first N training images"),
     },
     "export-features": {
-        **_COMMON, **_DATA_OPTS,
+        **_COMMON,
         "params": ("str", None, "parameter file"),
         "slope": ("float", 1.0, "test-time rectifier slope"),
     },
 }
 
-_REQUIRED = {cmd: ("arch", "seed", "out") for cmd in COMMANDS}
+_REQUIRED = ("arch", "seed", "out")
 
 
 class CliError(Exception):
@@ -228,7 +225,7 @@ def parse_config(args: argparse.Namespace) -> dict:
             value = _convert(tag, default, name) if isinstance(default, str) else default
         resolved[name] = value
 
-    for name in _REQUIRED[args.command]:
+    for name in _REQUIRED:
         if resolved.get(name) is None:
             raise CliError("config", f"missing required option: {name}")
     resolved["arch"] = ARCH_ALIASES.get(resolved["arch"], resolved["arch"])
@@ -331,9 +328,7 @@ def _cmd_train(cfg: dict, outdir: str) -> None:
         for epoch, mean_loss in log:
             f.write(f"{epoch},{mean_loss:.6g}\n")
 
-    if (_is_idx(cfg["arch"]) and cfg.get("test_images")) or (
-        not _is_idx(cfg["arch"]) and cfg.get("test_batches")
-    ):
+    if cfg.get("test_images" if _is_idx(cfg["arch"]) else "test_batches"):
         test_set = _limited(cfg, _load_split(cfg, "test"))
         acc = ex.eval_clean(model.with_slope(1.0), test_set)
         with open(os.path.join(outdir, "test_accuracy.txt"), "w") as f:

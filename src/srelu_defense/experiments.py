@@ -433,15 +433,6 @@ def train(model: Model, train_set: LabeledImageSet, epochs: int,
 # gradient-obfuscation probe (substitute network + transfer attack)
 
 
-def teacher_soft_labels(teacher: Model, images: np.ndarray) -> np.ndarray:
-    """Softmax of the teacher's slope-1 logits, chunked."""
-    base = teacher.with_slope(1.0)
-    probs = np.empty((len(images), 10), dtype=images.dtype)
-    for lo, hi in _chunks(len(images)):
-        probs[lo:hi] = ad.softmax(base.logits(images[lo:hi]))
-    return probs
-
-
 def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
                           epochs: int, seed: int,
                           lr: float = TRAIN_DEFAULTS["lr"],
@@ -453,7 +444,10 @@ def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
     the softmax of the original's slope-1 logits (soft-label distillation).
     """
     substitute = build_model(original.spec, seed)
-    soft = teacher_soft_labels(original, train_set.images)
+    teacher = original.with_slope(1.0)
+    soft = np.empty((train_set.n, 10), dtype=train_set.images.dtype)
+    for lo, hi in _chunks(train_set.n):
+        soft[lo:hi] = ad.softmax(teacher.logits(train_set.images[lo:hi]))
     iterator = BatchIterator(train_set, batch_size, seed=seed)
 
     def soft_batches(epoch):

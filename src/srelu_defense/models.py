@@ -182,15 +182,7 @@ class Model:
         """
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
             logits = self.logits(images)
-        finite = np.isfinite(logits).all(axis=1)
-        if not finite.all():
-            cfg = self.slope_config
-            raise ValueError(
-                f"non-finite logits for {int((~finite).sum())} of {len(logits)} images "
-                f"at test slope {cfg.test_slope:g} ({cfg.test_activation}); "
-                "the forward pass overflowed"
-            )
-        return logits.argmax(axis=1)
+        return _require_finite(logits, "logits", self.slope_config).argmax(axis=1)
 
     def loss_input_grad(
         self, images: np.ndarray, labels: np.ndarray
@@ -198,7 +190,7 @@ class Model:
         """Cross-entropy loss and its gradient with respect to the images."""
         tape = Tape()
         x = Tensor(images, requires_grad=True)
-        logits = _forward(self, x, tape=tape, params_grad=False)
+        logits = _forward(self, x, tape=tape)
         loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
         return loss.item(), ad.backward(tape, loss)[x]
 
@@ -209,13 +201,25 @@ class Model:
         """
         tape = Tape()
         x = Tensor(image, requires_grad=True)
-        logits = _forward(self, x, tape=tape, params_grad=False)
+        logits = _forward(self, x, tape=tape)
         n_classes = logits.shape[1]
         grads = np.empty((n_classes,) + x.shape, dtype=x.data.dtype)
         for k in range(n_classes):
             scalar = ad.take(logits, k, tape=tape)
             grads[k] = ad.backward(tape, scalar)[x]
         return logits.data[0].copy(), grads
+
+
+def _require_finite(rows: np.ndarray, what: str, cfg: SlopeConfig) -> np.ndarray:
+    """rows unchanged, or ValueError naming how many images hold a non-finite value."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"non-finite {what} for {int((~finite).sum())} of {len(rows)} images "
+            f"at test slope {cfg.test_slope:g} ({cfg.test_activation}); "
+            "the forward pass overflowed"
+        )
+    return rows
 
 
 def _init_param(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -260,68 +264,47 @@ def _apply_activation(x: Tensor, model: Model, mode: str, tape: Tape | None) -> 
 
 
 def _forward(
-    model: Model,
-    x: Tensor,
-    mode: str = "eval",
-    tape: Tape | None = None,
-    params_grad: bool = True,
-    capture: dict | None = None,
+    model: Model, x: Tensor, mode: str = "eval", tape: Tape | None = None
 ) -> Tensor:
-    """Run the layer stack; optionally capture probes for tests and exports.
-
-    capture (when given) is filled with:
-      "signature":   list of boolean/index arrays pinning down which linear
-                     region each rectifier and pool operated in
-      "penultimate": activations entering the final dense layer
-    """
+    """Run the layer stack; parameters take gradients only in train mode."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     expected = (x.shape[0],) + model.spec.input_shape
     if x.shape != expected:
         raise ValueError(f"batch shape {x.shape} does not match expected {expected}")
-
-    def param(name: str) -> Tensor:
-        p = model.params[name]
-        if params_grad:
-            return p
-        return Tensor(p.data, requires_grad=False, dtype=p.data.dtype)
-
-    last_dense = max(
-        i for i, layer in enumerate(model.spec.layers) if isinstance(layer, Dense)
-    )
-    for i, layer in enumerate(model.spec.layers):
-        if capture is not None and i == last_dense:
-            capture["penultimate"] = x.data
+    params = model.params
+    if tape is not None and mode != "train":  # gradients for the input only
+        params = {n: Tensor(p.data, dtype=p.data.dtype) for n, p in params.items()}
+    for layer in model.spec.layers:
         if isinstance(layer, Conv):
             x = ad.conv2d(
-                x, param(f"{layer.name}.w"), param(f"{layer.name}.b"),
+                x, params[f"{layer.name}.w"], params[f"{layer.name}.b"],
                 stride=layer.stride, tape=tape,
             )
         elif isinstance(layer, Pool):
-            if capture is not None:
-                wins = ad._windows(x.data, layer.window, layer.window, layer.window)
-                capture.setdefault("signature", []).append(
-                    wins.reshape(wins.shape[:4] + (-1,)).argmax(axis=-1)
-                )
             x = ad.maxpool2d(x, layer.window, tape=tape)
         elif isinstance(layer, Act):
-            if capture is not None:
-                capture.setdefault("signature", []).append(x.data > 0)
             x = _apply_activation(x, model, mode, tape)
         elif isinstance(layer, Flatten):
             x = ad.flatten(x, tape=tape)
         elif isinstance(layer, Dense):
-            x = ad.dense(x, param(f"{layer.name}.w"), param(f"{layer.name}.b"), tape=tape)
+            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
         else:
             raise ValueError(f"unknown layer kind {layer!r}")
     return x
 
 
 def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Activations entering the final dense layer, in eval mode."""
-    capture: dict = {}
-    _forward(model, Tensor(batch), capture=capture)
-    return capture["penultimate"]
+    """Activations entering the final dense layer, in eval mode.
+
+    Raises ValueError when a feature is not finite, as Model.predict does.
+    """
+    layers = model.spec.layers
+    last_dense = max(i for i, layer in enumerate(layers) if isinstance(layer, Dense))
+    head = replace(model.spec, layers=layers[:last_dense])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        feats = _forward(replace(model, spec=head), Tensor(batch)).data
+    return _require_finite(feats, "features", model.slope_config)
 
 
 # ---------------------------------------------------------------------------

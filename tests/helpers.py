@@ -1,4 +1,5 @@
-"""Shared test utilities: synthetic datasets, linear oracle models, fixtures."""
+"""Shared test utilities: synthetic datasets, linear oracle models, a
+finite-difference gradient oracle, fixtures."""
 
 from __future__ import annotations
 
@@ -140,6 +141,32 @@ class LinearSoftmaxModel:
         # d logit_k / d x = W[:, k], independent of x
         grads = self.weights.T.reshape((self.weights.shape[1],) + image.shape[1:])
         return logits, grads.astype(image.dtype)
+
+
+def finite_difference_oracle(f, x: Tensor, step: float) -> Tensor:
+    """Central-difference gradient estimate of a scalar function, per element.
+
+    f maps a Tensor to a Tensor or a float. Independent of the tape
+    machinery: only evaluates f. The estimate is accumulated in float64
+    regardless of the working precision.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+
+    def evaluate(arr: np.ndarray) -> float:
+        y = f(Tensor(arr, dtype=arr.dtype))
+        return y.item() if isinstance(y, Tensor) else float(y)
+
+    base = x.data
+    grad = np.zeros(base.shape, dtype=np.float64)
+    flat = grad.reshape(-1)
+    for i in range(base.size):
+        plus = base.copy()
+        plus.reshape(-1)[i] += step
+        minus = base.copy()
+        minus.reshape(-1)[i] -= step
+        flat[i] = (evaluate(plus) - evaluate(minus)) / (2.0 * step)
+    return Tensor(grad, dtype=np.float64)
 
 
 def linear_min_hyperplane_distance(model: LinearSoftmaxModel, x_flat: np.ndarray) -> float:

@@ -6,6 +6,8 @@ message otherwise; this sandbox has no network access to fetch them.
 Everything else runs self-contained.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,12 @@ from srelu_defense.data import (
     take_first,
 )
 from srelu_defense.experiments import MNIST_EPSILONS, SweepGrid, slope_sweep
-from srelu_defense.models import Model, _forward, build_model
+from srelu_defense.models import Act, Model, Pool, SlopeConfig, _forward, build_model
 
 from conftest import cifar_paths_or_skip, mnist_paths_or_skip
 from helpers import (
     LinearSoftmaxModel,
+    finite_difference_oracle,
     idx_fixture_bytes,
     linear_min_hyperplane_distance,
     synthetic_split,
@@ -104,7 +107,7 @@ def _projected_op_loss(op_apply, proj64):
 def _op_grad_errors(op_apply, x64, proj64):
     """(err32, err64): autodiff at each precision vs the float64 oracle."""
     f = _projected_op_loss(op_apply, proj64)
-    fd = ad.finite_difference_oracle(
+    fd = finite_difference_oracle(
         lambda t: f(t), Tensor(x64, dtype=np.float64), STEP64
     ).data
 
@@ -200,7 +203,7 @@ def _ce_grad_errors(rng):
     n, c = int(rng.integers(1, 7)), int(rng.integers(2, 11))
     logits64 = rng.normal(size=(n, c))
     labels = rng.integers(0, c, size=n)
-    fd = ad.finite_difference_oracle(
+    fd = finite_difference_oracle(
         lambda t: ad.softmax_cross_entropy(t, labels),
         Tensor(logits64, dtype=np.float64), STEP64,
     ).data
@@ -216,10 +219,24 @@ def _ce_grad_errors(rng):
 
 
 def _model_loss_sig(model64, images64, labels):
-    capture = {}
-    logits = _forward(model64, Tensor(images64, dtype=np.float64), capture=capture)
-    loss = ad.softmax_cross_entropy(logits, labels).item()
-    return loss, capture["signature"]
+    """Loss, and the linear region it was computed in: the sign pattern at
+    each rectifier's input and the argmax of each pool window.
+
+    The stack runs one layer at a time, each as a one-layer spec through
+    the same _forward, so the signature reads every Pool/Act input.
+    """
+    x = Tensor(images64, dtype=np.float64)
+    signature = []
+    for layer in model64.spec.layers:
+        if isinstance(layer, Pool):
+            wins = ad._windows(x.data, layer.window, layer.window, layer.window)
+            signature.append(wins.reshape(wins.shape[:4] + (-1,)).argmax(axis=-1))
+        elif isinstance(layer, Act):
+            signature.append(x.data > 0)
+        step = replace(model64.spec, input_shape=x.shape[1:], layers=(layer,))
+        x = _forward(replace(model64, spec=step), x)
+    loss = ad.softmax_cross_entropy(x, labels).item()
+    return loss, signature
 
 
 def _sig_equal(a, b):
@@ -239,11 +256,14 @@ def _full_cnn_errors(rng):
     labels = rng.integers(0, 10, size=8)
     images32 = images.astype(np.float32)
 
+    # parameters take gradients only in train mode; at slope 1 with the
+    # plain rectifier it is the same function as the eval forward
+    assert model32.slope_config == SlopeConfig()
     grads = {}
     for dtype, model in ((np.float32, model32), (np.float64, model64)):
         tape = Tape()
         x = Tensor(images, requires_grad=True, dtype=dtype)
-        logits = _forward(model, x, mode="eval", tape=tape)
+        logits = _forward(model, x, mode="train", tape=tape)
         loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
         by_tensor = ad.backward(tape, loss)
         grads[dtype] = {

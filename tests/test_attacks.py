@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srelu_defense.attacks import (
+    _ATTACKS,
     BIM_DEFAULT_STEPS,
     DEEPFOOL_DEFAULT_ITERS,
     DEEPFOOL_DEFAULT_OVERSHOOT,
     PGD_DEFAULT_STEPS,
+    UNIT_RANGE,
     AttackConfig,
+    _image_rng,
     run_attack,
 )
+from srelu_defense.data import LabeledImageSet, scale_pixels
+from srelu_defense.experiments import DEFAULT_SCALE_FACTORS
 
 from helpers import LinearSoftmaxModel, linear_min_hyperplane_distance
 
@@ -466,3 +471,45 @@ def test_success_and_linf_for_every_kind(trained_synth, attack_batch, kind):
     np.testing.assert_array_equal(
         out.linf, np.abs(out.images - images).reshape(len(images), -1).max(axis=1))
     assert (out.l2 is not None) == (kind == "deepfool")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       factor=st.one_of(st.none(), st.sampled_from(DEFAULT_SCALE_FACTORS)),
+       seed=st.integers(0, 5000))
+@example(eps=0.0, factor=None, seed=0)
+@example(eps=0.0, factor=0.5, seed=0)
+def test_budget_and_clip_contract(trained_synth, attack_batch, kind, eps, factor, seed):
+    """Every kind stays in its budget and its clip range; epsilon 0 is a no-op.
+
+    factor None attacks unit-range pixels in UNIT_RANGE; a factor attacks
+    pixels scaled without clipping in (0, factor), as scale --no-clip does.
+    """
+    assert set(ALL_KINDS) == set(_ATTACKS)
+    images, labels = attack_batch[0][:4], attack_batch[1][:4]
+    clip = UNIT_RANGE
+    if factor is not None:
+        images = scale_pixels(LabeledImageSet(images, labels, "t"), factor, False).images
+        clip = (0.0, float(factor))
+    # deepfool takes no epsilon; a short budget keeps the example fast
+    fields = {"steps": 3} if kind == "deepfool" else {"epsilon": eps}
+    config = AttackConfig(kind=kind, rng_seed=seed, **fields)
+    out = run_attack(trained_synth, images, labels, config, clip=clip, index_base=seed)
+
+    assert out.images.min() >= clip[0] and out.images.max() <= clip[1]
+    if kind == "deepfool":
+        return
+    rounding = 4 * F32_EPS * clip[1]  # float32 rounding at the pixel scale
+    if kind == "salt_pepper":
+        overwritten = (out.images != images).reshape(len(images), -1).mean(axis=1)
+        assert (overwritten <= eps).all()
+    elif kind == "gaussian_noise":
+        # epsilon scales a seeded standard normal draw; clipping only shrinks it
+        draws = np.stack([_image_rng(seed, seed + i).standard_normal(images.shape[1:])
+                          for i in range(len(images))])
+        assert (np.abs(out.images - images) <= eps * np.abs(draws) + rounding).all()
+    else:
+        assert out.linf.max() <= eps + rounding
+    if eps == 0.0:
+        assert out.images.tobytes() == images.tobytes()

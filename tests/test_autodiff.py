@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 from srelu_defense import autodiff as ad
 from srelu_defense.autodiff import Tape, Tensor
 
+from helpers import finite_difference_oracle
+
 
 def grad_of(build, *tensors):
     """Run build(tape) -> scalar loss and return gradients of the tensors."""
@@ -494,12 +496,12 @@ def test_oracle_sum_of_squares():
     def f(t):
         return float((np.asarray(t) ** 2).sum())
 
-    g = ad.finite_difference_oracle(f, Tensor([3.0], dtype=np.float64), step=1e-5)
+    g = finite_difference_oracle(f, Tensor([3.0], dtype=np.float64), step=1e-5)
     np.testing.assert_allclose(g.data, [6.0], atol=1e-8)
 
 
 def test_oracle_constant_function():
-    g = ad.finite_difference_oracle(lambda t: 4.2, Tensor(np.ones((2, 3))), step=1e-3)
+    g = finite_difference_oracle(lambda t: 4.2, Tensor(np.ones((2, 3))), step=1e-3)
     np.testing.assert_array_equal(g.data, np.zeros((2, 3)))
 
 
@@ -509,13 +511,13 @@ def test_oracle_linear_exact():
     def f(t):
         return float(np.asarray(t, dtype=np.float64) @ coeff)
 
-    g = ad.finite_difference_oracle(f, Tensor(np.zeros(3, dtype=np.float64)), step=0.1)
+    g = finite_difference_oracle(f, Tensor(np.zeros(3, dtype=np.float64)), step=0.1)
     np.testing.assert_allclose(g.data, coeff, atol=1e-12)
 
 
 def test_oracle_rejects_bad_step():
     with pytest.raises(ValueError, match="positive"):
-        ad.finite_difference_oracle(lambda t: 0.0, Tensor([1.0]), step=0.0)
+        finite_difference_oracle(lambda t: 0.0, Tensor([1.0]), step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +549,7 @@ def _weighted_sum(out, weights, tape):
 
 def _check(build64, build_at, x64, dtype, tol, step):
     """Compare autodiff at dtype against a float64 finite-difference oracle."""
-    fd = ad.finite_difference_oracle(build64, Tensor(x64, dtype=np.float64), step).data
+    fd = finite_difference_oracle(build64, Tensor(x64, dtype=np.float64), step).data
 
     tape = Tape()
     x = Tensor(x64, requires_grad=True, dtype=dtype)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from srelu_defense.models import build_model, save_params
 
 from helpers import synthetic_split, write_idx_files
 
-SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+REPO_DIR = os.path.join(os.path.dirname(__file__), "..")
+SRC_DIR = os.path.join(REPO_DIR, "src")
+GRID_COMMANDS = ("sweep", "targeted-sweep", "swap", "scale")
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,48 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--no-such-flag", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--threads", "2"],
+    ["train", "--threads", "2"],
+    ["sweep", "--train-images", "x"],
+])
+def test_option_the_command_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_every_command_has_a_handler():
+    assert set(cli.OPTIONS) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(cli.OPTIONS))
+def test_config_resolved_lists_exactly_the_command_options(command, tmp_path, capsys):
+    # the handler fails fast (no data or parameters), after the run dir is written
+    out = tmp_path / "o"
+    code = cli.main([command, "--arch", "mnist_cnn", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error in ") and not err.startswith("error in config:")
+    lines = (out / "config_resolved.txt").read_text().splitlines()
+    keys = {line.partition("=")[0] for line in lines}
+    assert len(keys) == len(lines)
+    assert keys == set(cli.OPTIONS[command]) - {"config"} | {"command"}
+    assert ("threads" in keys) == (command in GRID_COMMANDS)
+    assert ("train_images" in keys) == (command in ("train", "bpda"))
+
+
+def test_tracer_patches_only_names_the_package_has():
+    # perfbench/tracer.py wraps package functions by name; a renamed one
+    # breaks --trace 1, so the patching itself runs here
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
+            "tracer.install(tracer.Recorder())")
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_DIR,
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_empty_attack_list_is_rejected(saved_model, idx_data, tmp_path, capsys):
@@ -378,6 +423,24 @@ def test_limit_above_set_size_clamps(idx_data, saved_model, tmp_path, command,
         rows_read = list(csv.DictReader(f))
     assert len(rows_read) == rows
     assert {row["n_images"] for row in rows_read} == {"120"}
+
+
+def test_non_finite_features_fail_the_export(idx_data, saved_model, tmp_path, capsys):
+    # slope 1e20 overflows the forward pass; no NaN feature row may be written,
+    # and the overflow is reported once, as the error, not as numpy warnings
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["export-features", *eval_args(idx_data, [
+            "--params", saved_model, "--slope", "1e20", "--limit", "3",
+            "--seed", "5", "--out", str(out),
+        ])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in export-features:") and "non-finite features" in err
+    assert "test slope 1e+20" in err and "Traceback" not in err
+    assert "nan" not in (out / "features.csv").read_text()
+    assert not (out / "manifest.txt").exists()
 
 
 def test_failed_run_leaves_no_manifest(idx_data, tmp_path, capsys):

@@ -149,6 +149,13 @@ def test_predict_rejects_non_finite_logits(rng):
         model.predict(batch)
 
 
+def test_penultimate_features_reject_non_finite_values(rng):
+    model = build_model("mnist_cnn", seed=0).with_slope(1e20)
+    with pytest.raises(ValueError, match=r"non-finite features for \d of 3 images "
+                                         r"at test slope 1e\+20"):
+        penultimate_features(model, rand_batch(rng, model, n=3))
+
+
 def test_predict_batch_of_k_gives_k_labels(rng):
     model = build_model("mnist_cnn", seed=0)
     labels = model.predict(rand_batch(rng, model, n=5))
@@ -245,7 +252,7 @@ def _forward_grads(model, batch, **forward_kwargs):
 
 def test_input_gradient_forward_gives_no_parameter_entries(rng):
     model = build_model("mnist_cnn", seed=2)
-    x, grads = _forward_grads(model, rand_batch(rng, model), params_grad=False)
+    x, grads = _forward_grads(model, rand_batch(rng, model))  # eval mode
     assert x in grads
     assert not any(p in grads for p in model.params.values())
 
