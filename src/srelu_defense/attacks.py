@@ -100,11 +100,9 @@ class AttackConfig:
         return self.target_class is not None
 
     @property
-    def budget(self) -> tuple[float, str]:
-        """The report's epsilon column and its unit."""
-        if self.kind == "deepfool":
-            return float(self.steps), "iterations"
-        return float(self.epsilon), "fraction" if self.kind == "salt_pepper" else "pixels"
+    def budget(self) -> float:
+        """The report's epsilon column: epsilon, or deepfool's iteration budget."""
+        return float(self.steps if self.kind == "deepfool" else self.epsilon)
 
 
 @dataclass

@@ -39,10 +39,6 @@ SUMMARY_HEADER = (
 TRAIN_DEFAULTS = {"lr": 0.01, "momentum": 0.9, "batch_size": 64}
 
 
-def default_epsilons(dataset_name: str) -> tuple[float, ...]:
-    return MNIST_EPSILONS if "mnist" in dataset_name.lower() else CIFAR_EPSILONS
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     slopes: tuple = DEFAULT_SLOPES
@@ -77,7 +73,6 @@ class EvalRecord:
     adv_acc: float
     attack_success: float
     seed: int
-    epsilon_units: str = "pixels"  # "iterations" for deepfool, "fraction" for salt
 
     def sort_key(self):
         return (
@@ -225,19 +220,18 @@ def eval_record(model: Model, dataset_name: str, n_images: int,
                 success: float, seed: int, attack_prefix: str = "") -> EvalRecord:
     """One report row for a model; config None is a clean, unattacked row."""
     if config is None:
-        attack, targeted, target, steps = "none", False, None, 0
-        epsilon, units = 0.0, "pixels"
+        attack, targeted, target, steps, epsilon = "none", False, None, 0, 0.0
     else:
         attack = attack_prefix + config.kind
         targeted, target, steps = config.targeted, config.target_class, config.steps
-        epsilon, units = config.budget
+        epsilon = config.budget
     cfg = model.slope_config
     return EvalRecord(
         dataset=dataset_name, model=model.spec.id, activation=cfg.test_activation,
         train_slope=cfg.train_slope, test_slope=cfg.test_slope, attack=attack,
         targeted=targeted, target_class=target, epsilon=epsilon, steps=steps,
         n_images=n_images, clean_acc=clean_acc, adv_acc=adv_acc,
-        attack_success=success, seed=seed, epsilon_units=units,
+        attack_success=success, seed=seed,
     )
 
 
@@ -251,8 +245,9 @@ def _run_cells(cell_fns, threads: int) -> list:
 def _grid_summaries(records: list[EvalRecord], metric: str) -> list[SummaryRecord]:
     """Mean over the sweep grid per (attack, slope), plus recovery vs slope 1.
 
-    The canonical mean drops the eps=0 (no attack) point; the variant
-    including it is emitted alongside.
+    The canonical mean drops every eps=0 (no attack) row; the variant
+    including them is emitted alongside. DeepFool rows hold an iteration
+    budget of at least 1 in the epsilon column, so none of them is dropped.
     """
     by_attack: dict[str, dict[float, list[EvalRecord]]] = {}
     for r in records:
@@ -263,11 +258,7 @@ def _grid_summaries(records: list[EvalRecord], metric: str) -> list[SummaryRecor
         slope_means = {}
         for slope, rows in by_attack[attack].items():
             values = [getattr(r, metric) for r in rows]
-            stressed = [
-                getattr(r, metric)
-                for r in rows
-                if not (r.epsilon_units == "pixels" and r.epsilon == 0.0)
-            ]
+            stressed = [getattr(r, metric) for r in rows if r.epsilon != 0.0]
             slope_means[slope] = (
                 float(np.mean(stressed if stressed else values)),
                 float(np.mean(values)),

@@ -426,9 +426,9 @@ def test_attack_config_resolves_defaults():
 
 
 def test_attack_config_budget_column():
-    assert AttackConfig(kind="deepfool", steps=5).budget == (5.0, "iterations")
-    assert AttackConfig(kind="salt_pepper", epsilon=0.25).budget == (0.25, "fraction")
-    assert AttackConfig(kind="pgd", epsilon=0.25).budget == (0.25, "pixels")
+    assert AttackConfig(kind="deepfool", steps=5).budget == 5.0
+    assert AttackConfig(kind="salt_pepper", epsilon=0.25).budget == 0.25
+    assert AttackConfig(kind="pgd", epsilon=0.25).budget == 0.25
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

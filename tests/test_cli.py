@@ -44,6 +44,10 @@ def saved_model(tmp_path_factory, idx_data):
     return os.path.join(out, "model.bin")
 
 
+def train_args(idx_data):
+    return ["--train-images", idx_data["train"][0], "--train-labels", idx_data["train"][1]]
+
+
 def eval_args(idx_data, extra):
     return [
         "--arch", "mnist_cnn",
@@ -107,6 +111,35 @@ def test_config_resolved_lists_exactly_the_command_options(command, tmp_path, ca
     assert keys == set(cli.OPTIONS[command]) - {"config"} | {"command"}
     assert ("threads" in keys) == (command in GRID_COMMANDS)
     assert ("train_images" in keys) == (command in ("train", "bpda"))
+    values = dict(line.partition("=")[::2] for line in lines)
+    assert all(values[name] for name, (_c, default, _h) in cli.OPTIONS[command].items()
+               if default is not None)
+
+
+@pytest.mark.parametrize("command, arch, expected", [
+    ("train", "mnist_cnn", "epochs=5"),
+    ("train", "cifar10_cnn1", "epochs=30"),
+    ("sweep", "mnist_cnn", "epsilons=0.0,0.05,0.1,0.15,0.2,0.25,0.3"),
+    ("sweep", "cifar10_cnn1", "epsilons=0.0,0.02,0.04,0.06,0.08,0.1"),
+    ("attack", "mnist_cnn", "limit=2000"),
+])
+def test_config_resolved_records_the_default_used(command, arch, expected, tmp_path,
+                                                   capsys):
+    # the handler fails fast (no data or parameters), after the run dir is written
+    out = tmp_path / "o"
+    assert cli.main([command, "--arch", arch, "--seed", "1", "--out", str(out)]) == 1
+    assert not capsys.readouterr().err.startswith("error in config:")
+    assert expected in (out / "config_resolved.txt").read_text().splitlines()
+
+
+def test_config_file_value_beats_the_architecture_default(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=7\n")
+    out = tmp_path / "o"
+    code = cli.main(["train", "--arch", "mnist_cnn", "--config", str(config),
+                     "--seed", "1", "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err.startswith("error in load-data:")
+    assert "epochs=7" in (out / "config_resolved.txt").read_text().splitlines()
 
 
 def test_tracer_patches_only_names_the_package_has():
@@ -126,7 +159,42 @@ def test_empty_attack_list_is_rejected(saved_model, idx_data, tmp_path, capsys):
         "--out", str(tmp_path / "o"),
     ])])
     assert code == 1
-    assert "attack list is empty" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error in config: bad value for attacks:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--slopes", ""],
+    ["sweep", "--attacks", "deepfool", "--deepfool-iters", ""],
+    ["scale", "--factors", ""],
+    ["swap", "--kinds", ""],
+    ["bpda", "--attacks", ""],
+], ids=["slopes", "deepfool-iters", "factors", "kinds", "bpda-attacks"])
+def test_empty_list_is_a_bad_value(saved_model, idx_data, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    data = train_args(idx_data) if argv[0] == "bpda" else []
+    code = cli.main([*argv, *eval_args(idx_data, [
+        *data, "--params", saved_model, "--limit", "10", "--seed", "1", "--out", str(out),
+    ])])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error in config: bad value for ")
+    assert not (out / "report.csv").exists()
+    assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--attacks", "fgsm", "--slopes", "1", "--epsilons", "0,0.1"],
+    ["sweep", "--attacks", "fgsm,rfgsm", "--slopes", "1", "--epsilons", "0,0.1"],
+    ["train", "--epochs", "1"],
+], ids=["sweep-fgsm", "sweep-fgsm-rfgsm", "train"])
+def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_path,
+                                                  capsys, argv):
+    data = (train_args(idx_data) if argv[0] == "train"
+            else ["--params", saved_model, "--limit", "10"])
+    out = tmp_path / "o"
+    code = cli.main([*argv, *eval_args(idx_data, data), "--seed", "-1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error in config: bad value for seed:")
+    assert not out.exists()
 
 
 def test_flag_overrides_config_file(idx_data, saved_model, tmp_path, capsys):
@@ -456,14 +524,15 @@ def test_failed_run_leaves_no_manifest(idx_data, tmp_path, capsys):
 
 def test_readme_flags_are_accepted():
     # a flag removed from the CLI must not linger in the docs
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    with open(os.path.join(REPO_DIR, "README.md")) as f:
+        readme = f.read()
     documented = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
     accepted = {"--version"}
     for options in cli.OPTIONS.values():
-        for name, (tag, _default, _help) in options.items():
+        for name, (convert, _default, _help) in options.items():
             flag = "--" + name.replace("_", "-")
             accepted.add(flag)
-            if tag == "bool":
+            if convert is cli._bool:
                 accepted.add("--no-" + flag[2:])
     assert documented, "README documents no flags"
     assert documented <= accepted, sorted(documented - accepted)

@@ -90,10 +90,10 @@ def test_targeted_denominator_excludes_pretargeted(trained_synth, small_test):
 def test_record_steps_and_units(trained_synth, small_test):
     rec = eval_under_attack(trained_synth, small_test,
                             AttackConfig(kind="deepfool", steps=2), seed=0)
-    assert rec.epsilon == 2.0 and rec.steps == 2 and rec.epsilon_units == "iterations"
+    assert rec.epsilon == 2.0 and rec.steps == 2
     rec = eval_under_attack(trained_synth, small_test,
                             AttackConfig(kind="salt_pepper", epsilon=0.1), seed=0)
-    assert rec.epsilon == pytest.approx(0.1) and rec.epsilon_units == "fraction"
+    assert rec.epsilon == pytest.approx(0.1) and rec.steps == 1
 
 
 def test_default_record_steps_follow_attack_constants(trained_synth, small_test):
@@ -167,7 +167,7 @@ def test_sweep_deepfool_uses_iteration_grid(trained_synth, small_test):
                      attack_kinds=("deepfool",), deepfool_iters=(1, 2))
     report = slope_sweep(trained_synth, take_first(small_test, 16), grid, seed=0)
     assert [r.epsilon for r in report.records] == [1.0, 2.0]
-    assert all(r.epsilon_units == "iterations" for r in report.records)
+    assert [r.steps for r in report.records] == [1, 2]
 
 
 def test_grid_validation():
@@ -379,7 +379,7 @@ def test_transfer_eval_deepfool_rows_follow_iteration_grid(trained_synth, small_
                                    attack_kinds=("fgsm", "deepfool"), seed=0)
     deepfool = [r for r in report.records if r.attack == "bpda_deepfool"]
     assert [r.steps for r in deepfool] == list(ex.DEEPFOOL_ITER_GRID)
-    assert {r.epsilon_units for r in deepfool} == {"iterations"}
+    assert [r.epsilon for r in deepfool] == [float(i) for i in ex.DEEPFOOL_ITER_GRID]
     keys = [r.sort_key() for r in report.records]
     assert len(set(keys)) == len(keys) == 3 + len(ex.DEEPFOOL_ITER_GRID)
 

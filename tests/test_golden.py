@@ -34,7 +34,7 @@ SCALE_NOCLIP_REPORT_SHA256 = "f65c680486935938c03700690d0ffce1764406352eaab9b913
 BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 OTHER_KINDS_REPORT_SHA256 = "5bdfd039e3df962ef101067b03fd0451113bd7ce2be448a8f2d22a83367de58e"
-OTHER_KINDS_SUMMARY_SHA256 = "a10ff57b4d69b8c05e59692cbedbcbd34936bb8882338febf1de3d67a556a0f6"
+OTHER_KINDS_SUMMARY_SHA256 = "6f166f39f3b1b9d7870f966c6da6c3064ddaaed8d5b8f864a20fd120c9856952"
 
 
 def _sha256_file(path) -> str:
