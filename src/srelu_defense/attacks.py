@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNIT_RANGE = (0.0, 1.0)
+from .data import UNIT_RANGE
 
 BIM_DEFAULT_STEPS = 10
 PGD_DEFAULT_STEPS = 40
@@ -107,14 +107,14 @@ class AttackConfig:
 
 @dataclass
 class AdversarialBatch:
-    """Attack output: images, per-image distance to the originals, success.
+    """Attack output: images, the attacked model's predictions on them, success.
 
     l2 is filled only by the minimal-perturbation attack (pre-overshoot
     perturbation norms); None elsewhere.
     """
 
     images: np.ndarray
-    linf: np.ndarray
+    preds: np.ndarray
     success: np.ndarray
     l2: np.ndarray | None = None
 
@@ -275,7 +275,6 @@ def run_attack(model, images, labels, config: AttackConfig, clip=UNIT_RANGE,
     if config.kind == "deepfool":
         labels = model.predict(images)
     adv, l2 = _ATTACKS[config.kind](model, images, labels, config, clip, index_base)
-    linf = np.abs(adv - images).reshape(len(adv), -1).max(axis=1)
     preds = model.predict(adv)
     success = preds == config.target_class if config.targeted else preds != labels
-    return AdversarialBatch(adv, linf, success, l2)
+    return AdversarialBatch(adv, preds, success, l2)

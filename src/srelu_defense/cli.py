@@ -58,21 +58,24 @@ def _list(item):
     return convert
 
 
-def _seed(raw: str) -> int:
-    seed = int(raw)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
+def _at_least(low: int):
+    """Converter for an integer count that must be at least low."""
+    def convert(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return convert
 
 
 # option name -> (converter, default, help); each subcommand declares only the
 # options its handler reads. A dict default is keyed by the data family.
 _COMMON = {
     "arch": (str, None, "architecture id (mnist_cnn, cifar10_cnn1, cifar10_cnn2)"),
-    "seed": (_seed, None, "run seed (required; no wall-clock defaults)"),
+    "seed": (_at_least(0), None, "run seed (required; no wall-clock defaults)"),
     "out": (str, None, "output directory"),
     "config": (str, None, "key=value config file; flags override it"),
-    "limit": (int, None, "evaluate only the first N images"),
+    "limit": (_at_least(0), None, "evaluate only the first N images"),
     "test_images": (str, None, "IDX image file for evaluation"),
     "test_labels": (str, None, "IDX label file for evaluation"),
     "test_batches": (_list(str), None, "comma-separated CIFAR-10 test batch files"),
@@ -84,7 +87,7 @@ _TRAIN_DATA = {
     "train_batches": (_list(str), None, "comma-separated CIFAR-10 training batch files"),
 }
 
-_THREADS = {"threads": (int, 1, "worker threads for independent grid cells")}
+_THREADS = {"threads": (_at_least(1), 1, "worker threads for independent grid cells")}
 
 _EPSILON_GRID = {"epsilons": (_list(float),
                               {"mnist": ex.MNIST_EPSILONS, "cifar10": ex.CIFAR_EPSILONS},
@@ -94,13 +97,13 @@ _SLOPES = {"slopes": (_list(float), ex.DEFAULT_SLOPES, "slope grid")}
 OPTIONS: dict[str, dict] = {
     "train": {
         **_COMMON, **_TRAIN_DATA,
-        "epochs": (int, {"mnist": 5, "cifar10": 30},
+        "epochs": (_at_least(0), {"mnist": 5, "cifar10": 30},
                    "training epochs (default 5 mnist / 30 cifar)"),
         "lr": (float, ex.TRAIN_DEFAULTS["lr"], "SGD learning rate"),
         "momentum": (float, ex.TRAIN_DEFAULTS["momentum"], "SGD momentum"),
-        "batch_size": (int, ex.TRAIN_DEFAULTS["batch_size"], "minibatch size"),
+        "batch_size": (_at_least(1), ex.TRAIN_DEFAULTS["batch_size"], "minibatch size"),
         "train_slope": (float, 1.0, "rectifier slope used during training"),
-        "limit_train": (int, None, "train on only the first N images"),
+        "limit_train": (_at_least(0), None, "train on only the first N images"),
     },
     "eval": {
         **_COMMON,
@@ -110,7 +113,7 @@ OPTIONS: dict[str, dict] = {
     },
     "attack": {
         **_COMMON,
-        "limit": (int, 2000, "evaluate only the first N images"),
+        "limit": (_at_least(0), 2000, "evaluate only the first N images"),
         "params": (str, None, "parameter file"),
         "attack_kind": (str, None, "attack to run"),
         "epsilon": (float, None, "L-infinity budget in pixels; the noise std for "
@@ -147,9 +150,9 @@ OPTIONS: dict[str, dict] = {
     "bpda": {
         **_COMMON, **_TRAIN_DATA, **_SLOPES, **_EPSILON_GRID,
         "params": (str, None, "parameter file of the defended model"),
-        "epochs": (int, 5, "substitute training epochs"),
+        "epochs": (_at_least(0), 5, "substitute training epochs"),
         "attacks": (_list(str), ("fgsm",), "attack kinds to craft on the substitute"),
-        "limit_train": (int, None, "distill on only the first N training images"),
+        "limit_train": (_at_least(0), None, "distill on only the first N training images"),
     },
     "export-features": {
         **_COMMON,
@@ -366,8 +369,7 @@ def _cmd_sweep(cfg: dict, outdir: str) -> ex.Report:
 
 def _cmd_targeted_sweep(cfg: dict, outdir: str) -> ex.Report:
     model = _load_model(cfg)
-    grid = SweepGrid(slopes=cfg["slopes"], epsilons=cfg["epsilons"],
-                     attack_kinds=("fgsm",))
+    grid = SweepGrid(slopes=cfg["slopes"], epsilons=cfg["epsilons"])
     return ex.targeted_sweep(model, _load_split(cfg, "test"), grid, seed=cfg["seed"],
                              threads=cfg["threads"])
 

@@ -18,6 +18,7 @@ from .autodiff import DTYPE
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-plane bytes
+UNIT_RANGE = (0.0, 1.0)
 
 
 class DataFormatError(ValueError):
@@ -26,16 +27,16 @@ class DataFormatError(ValueError):
 
 @dataclass
 class LabeledImageSet:
-    """Images in [0, 1] with integer class labels.
+    """Images with integer class labels; every pixel lies in pixel_range.
 
-    in_unit_range is False only for deliberately unclipped pixel scaling,
-    where the [0, 1] invariant is suspended.
+    pixel_range is UNIT_RANGE except for pixels scaled without clipping, and
+    it is the range that attacks clip their outputs to.
     """
 
     images: np.ndarray  # (N, C, H, W)
     labels: np.ndarray  # (N,)
     name: str
-    in_unit_range: bool = True
+    pixel_range: tuple[float, float] = UNIT_RANGE
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -47,10 +48,11 @@ class LabeledImageSet:
             )
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise ValueError("labels must lie in [0, 10)")
-        if self.in_unit_range and self.images.size:
+        if self.images.size:
+            low, high = self.pixel_range
             lo, hi = self.images.min(), self.images.max()
-            if lo < 0.0 or hi > 1.0:
-                raise ValueError(f"pixels outside [0, 1]: min {lo}, max {hi}")
+            if lo < low or hi > high:
+                raise ValueError(f"pixels outside [{low:g}, {high:g}]: min {lo}, max {hi}")
 
     @property
     def n(self) -> int:
@@ -168,14 +170,17 @@ def take_first(dataset: LabeledImageSet, k: int) -> LabeledImageSet:
 def scale_pixels(dataset: LabeledImageSet, factor: float, clip: bool) -> LabeledImageSet:
     """Multiply pixels by factor; clip back to [0, 1] only when asked.
 
-    Without clipping the unit-range invariant is suspended and flagged.
+    Without clipping the pixel range grows to [0, factor]. The scaled set is
+    named after the original, the factor and the clip mode, for its report rows.
     """
     if factor < 0:
         raise ValueError(f"scale factor must be non-negative, got {factor}")
     scaled = dataset.images * np.asarray(factor, dtype=dataset.images.dtype)
+    name = f"{dataset.name}[x{factor:g}:{'clip' if clip else 'noclip'}]"
     if clip:
-        return replace(dataset, images=np.clip(scaled, 0.0, 1.0), in_unit_range=True)
-    return replace(dataset, images=scaled, in_unit_range=bool(factor <= 1.0))
+        return replace(dataset, images=np.clip(scaled, *UNIT_RANGE), name=name,
+                       pixel_range=UNIT_RANGE)
+    return replace(dataset, images=scaled, name=name, pixel_range=(0.0, float(factor)))
 
 
 class BatchIterator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import UNIT_RANGE, AttackConfig, run_attack
+from .attacks import AttackConfig, run_attack
 from .autodiff import Tape, Tensor
 from .data import BatchIterator, LabeledImageSet, scale_pixels
 from .models import Model, _forward, build_model, penultimate_features
@@ -169,15 +169,21 @@ def eval_clean(model: Model, dataset: LabeledImageSet) -> float:
     return float((predict_all(model, dataset.images) == dataset.labels).mean())
 
 
-def attack_all(model: Model, dataset: LabeledImageSet, config: AttackConfig,
-               clip=UNIT_RANGE) -> np.ndarray:
-    """Run one attack over a whole set, chunked, preserving per-image seeds."""
+def attack_all(model: Model, dataset: LabeledImageSet,
+               config: AttackConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run one attack over a whole set, chunked, preserving per-image seeds.
+
+    Returns the adversarial images, clipped to the set's pixel range, and
+    the attacked model's predictions on them.
+    """
     adv = np.empty_like(dataset.images)
+    preds = np.empty(dataset.n, dtype=np.int64)
     for lo, hi in _chunks(dataset.n):
         batch = run_attack(model, dataset.images[lo:hi], dataset.labels[lo:hi],
-                           config, clip=clip, index_base=lo)
+                           config, clip=dataset.pixel_range, index_base=lo)
         adv[lo:hi] = batch.images
-    return adv
+        preds[lo:hi] = batch.preds
+    return adv, preds
 
 
 def eval_under_attack(
@@ -186,8 +192,6 @@ def eval_under_attack(
     config: AttackConfig,
     seed: int = 0,
     clean_preds: np.ndarray | None = None,
-    clip=UNIT_RANGE,
-    dataset_name: str | None = None,
 ) -> EvalRecord:
     """Attack a set and measure accuracy (untargeted) or success (targeted).
 
@@ -200,8 +204,7 @@ def eval_under_attack(
         clean_preds = predict_all(model, dataset.images)
     clean_acc = float((clean_preds == dataset.labels).mean())
 
-    adv = attack_all(model, dataset, config, clip=clip)
-    adv_preds = predict_all(model, adv)
+    _, adv_preds = attack_all(model, dataset, config)
     adv_acc = float((adv_preds == dataset.labels).mean())
 
     if config.targeted:
@@ -211,8 +214,8 @@ def eval_under_attack(
     else:
         success = 1.0 - adv_acc
 
-    return eval_record(model, dataset_name or dataset.name, dataset.n, config,
-                       clean_acc, adv_acc, success, seed)
+    return eval_record(model, dataset.name, dataset.n, config, clean_acc, adv_acc,
+                       success, seed)
 
 
 def eval_record(model: Model, dataset_name: str, n_images: int,
@@ -297,17 +300,16 @@ def _attack_grid(variants, configs, seed: int, threads: int,
                  summary_metric: str | None = None) -> Report:
     """Attack every variant with every config, one eval_under_attack per cell.
 
-    variants are (model, dataset, clip range, dataset tag or None) tuples.
-    Clean predictions are taken once per variant and shared by its cells.
+    variants are (model, dataset) pairs. Clean predictions are taken once
+    per variant and shared by its cells.
     """
     cell_fns = []
-    for model, dataset, clip, tag in variants:
+    for model, dataset in variants:
         preds = predict_all(model, dataset.images)
         for config in configs:
             cell_fns.append(
-                lambda m=model, d=dataset, c=config, p=preds, r=clip, t=tag:
-                    eval_under_attack(m, d, c, seed=seed, clean_preds=p, clip=r,
-                                      dataset_name=t)
+                lambda m=model, d=dataset, c=config, p=preds:
+                    eval_under_attack(m, d, c, seed=seed, clean_preds=p)
             )
     records = sorted(_run_cells(cell_fns, threads), key=EvalRecord.sort_key)
     summaries = _grid_summaries(records, summary_metric) if summary_metric else []
@@ -317,7 +319,7 @@ def _attack_grid(variants, configs, seed: int, threads: int,
 def slope_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
                 seed: int = 0, threads: int = 1) -> Report:
     """Cross product of (slope, attack, epsilon) under untargeted attacks."""
-    variants = [(model.with_slope(s), dataset, UNIT_RANGE, None) for s in grid.slopes]
+    variants = [(model.with_slope(s), dataset) for s in grid.slopes]
     configs = _grid_configs(grid.attack_kinds, grid.epsilons, seed, grid.deepfool_iters)
     return _attack_grid(variants, configs, seed, threads, summary_metric="adv_acc")
 
@@ -325,21 +327,17 @@ def slope_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
 def targeted_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
                    seed: int = 0, threads: int = 1) -> Report:
     """Targeted FGSM toward every class, per slope and epsilon."""
-    variants = [(model.with_slope(s), dataset, UNIT_RANGE, None) for s in grid.slopes]
+    variants = [(model.with_slope(s), dataset) for s in grid.slopes]
     configs = [AttackConfig(kind="fgsm", epsilon=eps, target_class=target, rng_seed=seed)
                for target in range(10) for eps in grid.epsilons]
     return _attack_grid(variants, configs, seed, threads, summary_metric="attack_success")
 
 
-def _fgsm_configs(epsilons, seed: int) -> list[AttackConfig]:
-    return [AttackConfig(kind="fgsm", epsilon=eps, rng_seed=seed) for eps in epsilons]
-
-
 def activation_swap(model: Model, dataset: LabeledImageSet, kinds,
                     epsilons, seed: int = 0, threads: int = 1) -> Report:
     """Evaluate substitute test-time activations under the one-step attack."""
-    variants = [(model.with_activation(k), dataset, UNIT_RANGE, None) for k in kinds]
-    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads)
+    variants = [(model.with_activation(k), dataset) for k in kinds]
+    return _attack_grid(variants, _grid_configs(("fgsm",), epsilons, seed), seed, threads)
 
 
 def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
@@ -353,13 +351,8 @@ def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
     if any(f <= 0 for f in factors):
         raise ValueError("scale factors must be positive")
     base = model.with_slope(1.0)
-    variants = [
-        (base, scale_pixels(dataset, f, clip),
-         UNIT_RANGE if clip else (0.0, float(f)),
-         f"{dataset.name}[x{f:g}:{'clip' if clip else 'noclip'}]")
-        for f in factors
-    ]
-    return _attack_grid(variants, _fgsm_configs(epsilons, seed), seed, threads)
+    variants = [(base, scale_pixels(dataset, f, clip)) for f in factors]
+    return _attack_grid(variants, _grid_configs(("fgsm",), epsilons, seed), seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +457,7 @@ def bpda_transfer_eval(original: Model, substitute: Model,
     targets = [(m, eval_clean(m, dataset)) for m in map(original.with_slope, slopes)]
     records = []
     for config in _grid_configs(attack_kinds, epsilons, seed):
-        adv = attack_all(crafting, dataset, config)
+        adv, _ = attack_all(crafting, dataset, config)
         for target, clean in targets:
             adv_acc = float((predict_all(target, adv) == dataset.labels).mean())
             records.append(eval_record(

@@ -143,6 +143,11 @@ class LinearSoftmaxModel:
         return logits, grads.astype(image.dtype)
 
 
+def linf_distance(adv: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Per-image L-infinity distance between two equally shaped image batches."""
+    return np.abs(adv - images).reshape(len(images), -1).max(axis=1)
+
+
 def finite_difference_oracle(f, x: Tensor, step: float) -> Tensor:
     """Central-difference gradient estimate of a scalar function, per element.
 

@@ -34,6 +34,7 @@ from helpers import (
     finite_difference_oracle,
     idx_fixture_bytes,
     linear_min_hyperplane_distance,
+    linf_distance,
     synthetic_split,
     write_idx_files,
 )
@@ -485,8 +486,9 @@ def test_criterion_6_attack_identities(trained_synth, synth_sets):
             out = attack(e)
             if out.images.min() < 0.0 or out.images.max() > 1.0:
                 problems.append(f"{kind} eps={e} left [0,1]")
-            if out.linf.max() > e + 4 * F32_EPS:
-                problems.append(f"{kind} eps={e} linf={out.linf.max():.8f}")
+            linf = linf_distance(out.images, images).max()
+            if linf > e + 4 * F32_EPS:
+                problems.append(f"{kind} eps={e} linf={linf:.8f}")
     for out in (run("deepfool", images=images[:8], steps=10),
                 run("gaussian_noise", epsilon=0.3, rng_seed=2),
                 run("salt_pepper", epsilon=0.3, rng_seed=2)):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests on small synthetic datasets."""
 
 import csv
+import json
 import os
 import re
 import subprocess
@@ -142,15 +143,23 @@ def test_config_file_value_beats_the_architecture_default(tmp_path, capsys):
     assert "epochs=7" in (out / "config_resolved.txt").read_text().splitlines()
 
 
-def test_tracer_patches_only_names_the_package_has():
-    # perfbench/tracer.py wraps package functions by name; a renamed one
-    # breaks --trace 1, so the patching itself runs here
+def test_tracer_patches_only_names_the_package_has(saved_model, idx_data, tmp_path):
+    # perfbench/tracer.py wraps package functions by name and its observers
+    # read result fields (run_attack's success on deepfool runs); a renamed
+    # one breaks --trace 1, so a traced deepfool sweep runs here
+    trace = tmp_path / "trace.json"
     code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
-            "tracer.install(tracer.Recorder())")
+            "sys.exit(tracer.main(sys.argv[1:]))")
+    argv = [str(trace), "sweep", *eval_args(idx_data, [
+        "--params", saved_model, "--attacks", "deepfool", "--deepfool-iters", "1",
+        "--slopes", "1", "--limit", "8", "--seed", "1", "--out", str(tmp_path / "o"),
+    ])]
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_DIR,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=REPO_DIR,
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
+    counters = json.loads(trace.read_text())["counters"]
+    assert counters["deepfool.images"] == 8
 
 
 def test_empty_attack_list_is_rejected(saved_model, idx_data, tmp_path, capsys):
@@ -194,6 +203,26 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     code = cli.main([*argv, *eval_args(idx_data, data), "--seed", "-1", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error in config: bad value for seed:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("sweep", "threads", "-3"),
+    ("sweep", "threads", "0"),
+    ("train", "batch_size", "0"),
+    ("train", "epochs", "-2"),
+    ("eval", "limit", "-1"),
+    ("train", "limit_train", "-5"),
+    ("eval", "seed", "-1"),
+])
+def test_count_below_its_bound_is_a_bad_value(command, option, value, tmp_path, capsys):
+    out = tmp_path / "o"
+    values = {"arch": "mnist_cnn", "seed": "1", "out": str(out), option: value}
+    argv = [command]
+    for name, raw in values.items():
+        argv += ["--" + name.replace("_", "-"), raw]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error in config: bad value for {option}:")
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from srelu_defense.data import (
     CIFAR_RECORD_BYTES,
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
+    UNIT_RANGE,
     BatchIterator,
     DataFormatError,
     LabeledImageSet,
@@ -176,7 +177,7 @@ def test_scale_pixels_identity():
     ds = synthetic_digits(4, seed=2)
     out = scale_pixels(ds, 1.0, clip=True)
     np.testing.assert_array_equal(out.images, ds.images)
-    assert out.in_unit_range
+    assert out.pixel_range == UNIT_RANGE
 
 
 def test_scale_pixels_clip_and_noclip():
@@ -184,10 +185,19 @@ def test_scale_pixels_clip_and_noclip():
     ds = LabeledImageSet(images, np.array([0]), "t")
     clipped = scale_pixels(ds, 2.0, clip=True)
     np.testing.assert_allclose(clipped.images, 1.0)
-    assert clipped.in_unit_range
+    assert clipped.pixel_range == UNIT_RANGE and clipped.name == "t[x2:clip]"
     raw = scale_pixels(ds, 2.0, clip=False)
     np.testing.assert_allclose(raw.images, 1.2)
-    assert not raw.in_unit_range
+    assert raw.pixel_range == (0.0, 2.0) and raw.name == "t[x2:noclip]"
+
+
+def test_scale_pixels_noclip_range_holds_an_inexact_factor():
+    # 0.3 has no exact float32 value; the brightest pixel lands on float32(0.3)
+    ds = synthetic_digits(4, seed=2)
+    ds.images[0, 0, 0, 0] = 1.0
+    raw = scale_pixels(ds, 0.3, clip=False)
+    assert raw.pixel_range == (0.0, 0.3) and raw.name == "synth[x0.3:noclip]"
+    assert raw.images.max() == np.float32(0.3)
 
 
 def test_scale_pixels_rejects_negative():
@@ -199,6 +209,13 @@ def test_scale_pixels_rejects_negative():
 def test_unit_range_validation():
     with pytest.raises(ValueError, match="outside"):
         LabeledImageSet(np.full((1, 1, 1, 1), 1.5, dtype=np.float32), np.array([0]), "x")
+    wide = np.full((1, 1, 1, 1), 2.5, dtype=np.float32)
+    assert LabeledImageSet(wide, np.array([0]), "x", pixel_range=(0.0, 2.5)).n == 1
+    with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+        LabeledImageSet(wide, np.array([0]), "x", pixel_range=(0.0, 2.0))
+    with pytest.raises(ValueError, match="outside"):
+        LabeledImageSet(np.full((1, 1, 1, 1), 0.5, dtype=np.float32), np.array([0]), "x",
+                        pixel_range=(0.6, 1.0))
     with pytest.raises(ValueError, match="labels"):
         LabeledImageSet(np.zeros((1, 1, 1, 1), dtype=np.float32), np.array([11]), "x")
     with pytest.raises(ValueError, match="count"):

@@ -80,8 +80,8 @@ def test_targeted_denominator_excludes_pretargeted(trained_synth, small_test):
     rec = eval_under_attack(trained_synth, small_test, config, seed=0)
 
     clean_preds = ex.predict_all(trained_synth, small_test.images)
-    adv = ex.attack_all(trained_synth, small_test, config)
-    adv_preds = ex.predict_all(trained_synth, adv)
+    adv, adv_preds = ex.attack_all(trained_synth, small_test, config)
+    assert adv_preds.tobytes() == ex.predict_all(trained_synth, adv).tobytes()
     eligible = clean_preds != target
     expected = ((adv_preds == target) & eligible).sum() / eligible.sum()
     assert rec.attack_success == pytest.approx(expected)
@@ -160,6 +160,24 @@ def test_sweep_threads_do_not_change_bytes(trained_synth, small_test, sweep_repo
     threaded = slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0,
                            threads=3)
     assert threaded.csv_text() == sweep_report.csv_text()
+
+
+def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monkeypatch):
+    # fgsm and bim take their gradients without Model.logits, so the forward
+    # passes left are one clean prediction per slope and one per attacked cell
+    calls = []
+    logits = sd.Model.logits
+
+    def counted(self, images):
+        calls.append(len(images))
+        return logits(self, images)
+
+    monkeypatch.setattr(sd.Model, "logits", counted)
+    grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
+                     attack_kinds=("fgsm", "bim"))
+    slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
+    cells_per_slope = 2 * 3
+    assert calls == [60] * 2 * (1 + cells_per_slope)
 
 
 def test_sweep_deepfool_uses_iteration_grid(trained_synth, small_test):
