@@ -5,8 +5,10 @@ for evaluation, so the attacker always sees the defended network. Outputs
 are clipped to the valid pixel range, [0, 1] unless a caller evaluating
 rescaled inputs widens it.
 
-Randomized attacks derive one RNG per image from seed XOR image index, so
-splitting a batch across workers cannot change results.
+Randomized attacks derive one RNG per image from seed XOR image index, so the
+draws do not depend on how a set is split into batches. The model's float32
+arithmetic may (logits can differ in the last bits between batch sizes), so
+experiments.attack_all always chunks at the fixed EVAL_CHUNK from index 0.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ class AttackConfig:
 
     epsilon is the L-infinity budget in pixels, except for gaussian_noise,
     where it is the noise standard deviation, and salt_pepper, where it is
-    the fraction of pixels overwritten; deepfool takes none and
-    reports its iteration budget, steps, in the epsilon column instead. A
-    target class makes fgsm targeted. step_size, noise_alpha, target_class,
-    overshoot and random_start are rejected for kinds that do not read
-    them, and so is any steps but 1 for the one-shot kinds.
+    the fraction of pixels overwritten; deepfool takes none and reports its
+    iteration budget, steps, in the epsilon column instead. A target class
+    makes fgsm targeted. Only bim and pgd take a step_size; fgsm and stepll
+    step by epsilon and rfgsm by epsilon - noise_alpha. step_size,
+    noise_alpha, target_class, overshoot and random_start are rejected for
+    the other kinds, and so is any steps but 1 for the one-shot kinds.
     """
 
     kind: str
@@ -79,6 +82,8 @@ class AttackConfig:
         elif self.steps < 1:
             raise ValueError(f"{kind} needs steps >= 1, got {self.steps}")
 
+        if kind in ("fgsm", "stepll"):
+            self.step_size = self.epsilon
         if kind == "bim" and self.step_size is None:
             self.step_size = self.epsilon / self.steps
         if kind == "pgd":
@@ -94,6 +99,7 @@ class AttackConfig:
             if not 0.0 <= self.noise_alpha <= self.epsilon:
                 raise ValueError(f"noise step {self.noise_alpha} must lie in "
                                  f"[0, epsilon={self.epsilon}]")
+            self.step_size = self.epsilon - self.noise_alpha
 
     @property
     def targeted(self) -> bool:
@@ -123,68 +129,45 @@ def _image_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(seed ^ index)
 
 
+def _seeded(config, index_base, images, draw):
+    """draw(rng, shape) once per image, from that image's own RNG, in the image dtype."""
+    out = np.empty_like(images)
+    for i in range(len(images)):
+        out[i] = draw(_image_rng(config.rng_seed, index_base + i), images.shape[1:])
+    return out
+
+
 # Every generator below takes (model, images, labels, config, clip, index_base)
 # and returns the adversarial images plus, for deepfool only, the L2 norms.
 
 
-def _signed_step(model, images, targets, step, clip):
-    """One step of size |step| along the sign of the loss gradient at targets."""
-    _, grad = model.loss_input_grad(images, targets)
-    return np.clip(images + step * np.sign(grad), *clip)
+def _sign_steps(model, images, labels, config, clip, index_base):
+    """FGSM, StepLL, RFGSM, BIM and PGD: config.steps signed loss-gradient steps.
 
-
-def _fgsm(model, images, labels, config, clip, index_base):
-    """Ascent on the true-label loss, or descent on the target-label loss."""
+    Each step of config.step_size is projected into the epsilon ball around
+    images, then into clip; rfgsm starts from a signed-noise step and pgd from
+    a uniform random start. Targeted fgsm and stepll descend the loss of their
+    target (stepll's: the least-likely class); the rest ascend the true label's.
+    """
+    eps, step, x = config.epsilon, config.step_size, images
+    if config.kind == "rfgsm":
+        noise = _seeded(config, index_base, images,
+                        lambda rng, shape: np.sign(rng.standard_normal(shape)))
+        x = np.clip(images + config.noise_alpha * noise, *clip)
+    elif config.random_start:
+        jitter = _seeded(config, index_base, images,
+                         lambda rng, shape: rng.uniform(-eps, eps, size=shape))
+        x = np.clip(images + jitter, *clip)
+    targets = labels
     if config.targeted:
-        targets = np.full(len(images), config.target_class, dtype=np.int64)
-        return _signed_step(model, images, targets, -config.epsilon, clip), None
-    return _signed_step(model, images, labels, config.epsilon, clip), None
-
-
-def _stepll(model, images, labels, config, clip, index_base):
-    """Targeted step toward each image's least-likely class."""
-    least_likely = model.logits(images).argmin(axis=1)
-    return _signed_step(model, images, least_likely, -config.epsilon, clip), None
-
-
-def _rfgsm(model, images, labels, config, clip, index_base):
-    """Random-start FGSM: a signed-noise step, then the remaining budget on the gradient."""
-    noise = np.empty_like(images)
-    for i in range(len(images)):
-        n = _image_rng(config.rng_seed, index_base + i).standard_normal(images.shape[1:])
-        noise[i] = np.sign(n)
-    x = np.clip(images + config.noise_alpha * noise, *clip)
-    return _signed_step(model, x, labels, config.epsilon - config.noise_alpha, clip), None
-
-
-def _iterated_sign_ascent(model, images, labels, config, start, clip):
-    """Shared BIM/PGD loop: signed steps, projected into the epsilon ball."""
-    x = start
+        targets, step = np.full(len(images), config.target_class, dtype=np.int64), -step
+    elif config.kind == "stepll":
+        targets, step = model.logits(images).argmin(axis=1), -step
     for _ in range(config.steps):
-        _, grad = model.loss_input_grad(x, labels)
-        x = x + config.step_size * np.sign(grad)
-        x = np.clip(x, images - config.epsilon, images + config.epsilon)
+        _, grad = model.loss_input_grad(x, targets)
+        x = np.clip(x + step * np.sign(grad), images - eps, images + eps)
         x = np.clip(x, *clip)
-    return x
-
-
-def _bim(model, images, labels, config, clip, index_base):
-    """Iterated FGSM with per-step projection back into the epsilon ball."""
-    return _iterated_sign_ascent(model, images, labels, config, images.copy(), clip), None
-
-
-def _pgd(model, images, labels, config, clip, index_base):
-    """Projected gradient descent with an optional uniform random start."""
-    start = images.copy()
-    if config.random_start:
-        eps = config.epsilon
-        for i in range(len(images)):
-            jitter = _image_rng(config.rng_seed, index_base + i).uniform(
-                -eps, eps, size=images.shape[1:]
-            )
-            start[i] = images[i] + jitter.astype(images.dtype)
-        start = np.clip(start, *clip)
-    return _iterated_sign_ascent(model, images, labels, config, start, clip), None
+    return x, None
 
 
 def _deepfool(model, images, labels, config, clip, index_base):
@@ -235,11 +218,8 @@ def _deepfool(model, images, labels, config, clip, index_base):
 
 def _gaussian_noise(model, images, labels, config, clip, index_base):
     """Additive seeded Gaussian noise of magnitude epsilon, clipped."""
-    adv = np.empty_like(images)
-    for i in range(len(images)):
-        n = _image_rng(config.rng_seed, index_base + i).standard_normal(images.shape[1:])
-        adv[i] = images[i] + config.epsilon * n.astype(images.dtype)
-    return np.clip(adv, *clip), None
+    noise = _seeded(config, index_base, images, lambda rng, shape: rng.standard_normal(shape))
+    return np.clip(images + config.epsilon * noise, *clip), None
 
 
 def _salt_pepper(model, images, labels, config, clip, index_base):
@@ -259,9 +239,9 @@ def _salt_pepper(model, images, labels, config, clip, index_base):
 
 
 _ATTACKS = {
-    "fgsm": _fgsm, "stepll": _stepll, "rfgsm": _rfgsm, "bim": _bim, "pgd": _pgd,
-    "deepfool": _deepfool, "gaussian_noise": _gaussian_noise,
-    "salt_pepper": _salt_pepper,
+    "fgsm": _sign_steps, "stepll": _sign_steps, "rfgsm": _sign_steps,
+    "bim": _sign_steps, "pgd": _sign_steps, "deepfool": _deepfool,
+    "gaussian_noise": _gaussian_noise, "salt_pepper": _salt_pepper,
 }
 
 

@@ -26,6 +26,7 @@ from .models import (
     SlopeConfig,
     build_model,
     load_params,
+    resolve_arch,
     save_params,
 )
 
@@ -46,6 +47,11 @@ def _bool(raw) -> bool:
     if low in ("0", "false", "no"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _arch(raw: str) -> str:
+    """Converter for an architecture id or alias; an unknown id is an error."""
+    return resolve_arch(ARCH_ALIASES.get(raw, raw)).id
 
 
 def _list(item):
@@ -71,7 +77,7 @@ def _at_least(low: int):
 # option name -> (converter, default, help); each subcommand declares only the
 # options its handler reads. A dict default is keyed by the data family.
 _COMMON = {
-    "arch": (str, None, "architecture id (mnist_cnn, cifar10_cnn1, cifar10_cnn2)"),
+    "arch": (_arch, None, "architecture id (mnist_cnn, cifar10_cnn1, cifar10_cnn2)"),
     "seed": (_at_least(0), None, "run seed (required; no wall-clock defaults)"),
     "out": (str, None, "output directory"),
     "config": (str, None, "key=value config file; flags override it"),
@@ -237,7 +243,6 @@ def parse_config(args: argparse.Namespace) -> dict:
     for name in _REQUIRED:
         if resolved[name] is None:
             raise CliError("config", f"missing required option: {name}")
-    resolved["arch"] = ARCH_ALIASES.get(resolved["arch"], resolved["arch"])
     for name, (_convert, default, _help) in options.items():
         if resolved[name] is None:
             by_family = isinstance(default, dict)

@@ -36,6 +36,30 @@ def attack(model, images, labels, kind, index_base=0, **fields):
                       index_base=index_base)
 
 
+class RowwiseModel:
+    """A model's attack-facing interface evaluated one image at a time.
+
+    Batched float32 GEMMs may block differently at different batch sizes,
+    which moves the last bits of logits and gradients. Evaluating every row
+    at batch 1 takes that out, so a partition test checks the attack code.
+    loss_input_grad returns the summed loss and its gradient.
+    """
+
+    def __init__(self, model):
+        self.model = model
+
+    def logits(self, images):
+        return np.concatenate([self.model.logits(row[None]) for row in images])
+
+    def predict(self, images):
+        return np.concatenate([self.model.predict(row[None]) for row in images])
+
+    def loss_input_grad(self, images, labels):
+        rows = [self.model.loss_input_grad(images[i:i + 1], labels[i:i + 1])
+                for i in range(len(images))]
+        return sum(loss for loss, _ in rows), np.concatenate([grad for _, grad in rows])
+
+
 def random_linear_model(rng, features=8, classes=10, dtype=np.float32):
     w = rng.normal(size=(features, classes)).astype(dtype)
     b = rng.normal(size=classes).astype(dtype)
@@ -175,12 +199,11 @@ def test_pgd_budget_and_determinism(trained_synth, attack_batch):
 
 def test_pgd_partition_invariance(trained_synth, attack_batch):
     images, labels = attack_batch
-    eps = 0.2
-    fields = dict(epsilon=eps, steps=2, rng_seed=3)
-    whole = attack(trained_synth, images, labels, "pgd", **fields)
-    first = attack(trained_synth, images[:20], labels[:20], "pgd", **fields)
-    second = attack(trained_synth, images[20:], labels[20:], "pgd", index_base=20,
-                    **fields)
+    model = RowwiseModel(trained_synth)
+    fields = dict(epsilon=0.2, steps=2, rng_seed=3)
+    whole = attack(model, images, labels, "pgd", **fields)
+    first = attack(model, images[:20], labels[:20], "pgd", **fields)
+    second = attack(model, images[20:], labels[20:], "pgd", index_base=20, **fields)
     stitched = np.concatenate([first.images, second.images])
     np.testing.assert_array_equal(whole.images, stitched)
 
@@ -196,15 +219,15 @@ SEEDED_CONFIGS = {
 @pytest.mark.parametrize("kind", sorted(SEEDED_CONFIGS))
 @settings(max_examples=10, deadline=None)
 @given(split=st.integers(1, 15), base=st.integers(0, 5000))
+@example(split=1, base=702)  # a batched float32 model differs here by one pixel
 def test_seeded_attack_partition_invariance(trained_synth, attack_batch, kind,
                                             split, base):
     # attack_all relies on this: chunk boundaries never reach the per-image seeds
     images, labels = attack_batch[0][:16], attack_batch[1][:16]
-    config = SEEDED_CONFIGS[kind]
-    whole = run_attack(trained_synth, images, labels, config, index_base=base)
-    first = run_attack(trained_synth, images[:split], labels[:split], config,
-                       index_base=base)
-    second = run_attack(trained_synth, images[split:], labels[split:], config,
+    model, config = RowwiseModel(trained_synth), SEEDED_CONFIGS[kind]
+    whole = run_attack(model, images, labels, config, index_base=base)
+    first = run_attack(model, images[:split], labels[:split], config, index_base=base)
+    second = run_attack(model, images[split:], labels[split:], config,
                         index_base=base + split)
     stitched = np.concatenate([first.images, second.images])
     assert whole.images.tobytes() == stitched.tobytes()
@@ -499,7 +522,6 @@ def test_budget_and_clip_contract(trained_synth, attack_batch, kind, eps, factor
     assert out.images.min() >= clip[0] and out.images.max() <= clip[1]
     if kind == "deepfool":
         return
-    rounding = 4 * F32_EPS * clip[1]  # float32 rounding at the pixel scale
     if kind == "salt_pepper":
         overwritten = (out.images != images).reshape(len(images), -1).mean(axis=1)
         assert (overwritten <= eps).all()
@@ -507,8 +529,9 @@ def test_budget_and_clip_contract(trained_synth, attack_batch, kind, eps, factor
         # epsilon scales a seeded standard normal draw; clipping only shrinks it
         draws = np.stack([_image_rng(seed, seed + i).standard_normal(images.shape[1:])
                           for i in range(len(images))])
+        rounding = 4 * F32_EPS * clip[1]  # float32 rounding at the pixel scale
         assert (np.abs(out.images - images) <= eps * np.abs(draws) + rounding).all()
-    else:
-        assert linf_distance(out.images, images).max() <= eps + rounding
+    else:  # exact membership in the float32 epsilon ball
+        assert ((images - eps <= out.images) & (out.images <= images + eps)).all()
     if eps == 0.0:
         assert out.images.tobytes() == images.tobytes()

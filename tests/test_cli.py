@@ -123,6 +123,7 @@ def test_config_resolved_lists_exactly_the_command_options(command, tmp_path, ca
     ("sweep", "mnist_cnn", "epsilons=0.0,0.05,0.1,0.15,0.2,0.25,0.3"),
     ("sweep", "cifar10_cnn1", "epsilons=0.0,0.02,0.04,0.06,0.08,0.1"),
     ("attack", "mnist_cnn", "limit=2000"),
+    ("eval", "cifar10", "arch=cifar10_cnn1"),  # an alias resolves to its id
 ])
 def test_config_resolved_records_the_default_used(command, arch, expected, tmp_path,
                                                    capsys):
@@ -223,6 +224,13 @@ def test_count_below_its_bound_is_a_bad_value(command, option, value, tmp_path, 
         argv += ["--" + name.replace("_", "-"), raw]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error in config: bad value for {option}:")
+    assert not out.exists()
+
+
+def test_unknown_architecture_is_a_bad_value(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--arch", "foo", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error in config: bad value for arch:")
     assert not out.exists()
 
 
