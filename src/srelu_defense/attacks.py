@@ -148,8 +148,12 @@ def _sign_steps(model, images, labels, config, clip, index_base):
     images, then into clip; rfgsm starts from a signed-noise step and pgd from
     a uniform random start. Targeted fgsm and stepll descend the loss of their
     target (stepll's: the least-likely class); the rest ascend the true label's.
+    At epsilon 0 the ball is images itself, returned with no gradient or draw.
+    A non-finite input gradient raises ValueError naming the kind and slope.
     """
     eps, step, x = config.epsilon, config.step_size, images
+    if eps == 0.0:
+        return images, None
     if config.kind == "rfgsm":
         noise = _seeded(config, index_base, images,
                         lambda rng, shape: np.sign(rng.standard_normal(shape)))
@@ -165,6 +169,9 @@ def _sign_steps(model, images, labels, config, clip, index_base):
         targets, step = model.logits(images).argmin(axis=1), -step
     for _ in range(config.steps):
         _, grad = model.loss_input_grad(x, targets)
+        if not np.isfinite(grad).all():
+            raise ValueError(f"non-finite input gradient in the {config.kind} attack "
+                             f"at test slope {model.slope_config.test_slope:g}")
         x = np.clip(x + step * np.sign(grad), images - eps, images + eps)
         x = np.clip(x, *clip)
     return x, None

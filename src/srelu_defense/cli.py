@@ -359,7 +359,8 @@ def _attack_config(cfg: dict) -> AttackConfig:
 def _cmd_attack(cfg: dict, outdir: str) -> ex.Report:
     config = _attack_config(cfg)
     model = _load_model(cfg, cfg["slope"])
-    record = ex.eval_under_attack(model, _load_split(cfg, "test"), config, seed=cfg["seed"])
+    [record] = ex.eval_under_attack(model, _load_split(cfg, "test"), [config],
+                                    seed=cfg["seed"])
     print(f"clean {record.clean_acc:.4f} -> adversarial {record.adv_acc:.4f}")
     return ex.Report(records=[record])
 

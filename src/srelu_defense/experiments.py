@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -169,53 +170,84 @@ def eval_clean(model: Model, dataset: LabeledImageSet) -> float:
     return float((predict_all(model, dataset.images) == dataset.labels).mean())
 
 
-def attack_all(model: Model, dataset: LabeledImageSet,
-               config: AttackConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run one attack over a whole set, chunked, preserving per-image seeds.
+class _CleanChunk:
+    """A model that takes each pass at one chunk's clean images only once.
 
-    Returns the adversarial images, clipped to the set's pixel range, and
-    the attacked model's predictions on them.
+    logits, predict and loss_input_grad on the chunk's own images array (the
+    same object) compute once, the gradient once per loss-target vector; any
+    other input or attribute passes through to the model. So the configs of
+    a cell share fgsm's and stepll's gradients across epsilons, bim's first
+    step and deepfool's clean labels.
     """
-    adv = np.empty_like(dataset.images)
-    preds = np.empty(dataset.n, dtype=np.int64)
+
+    def __init__(self, model: Model, images: np.ndarray):
+        self.model, self.images = model, images
+        self._logits = None
+        self._grads = {}
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def logits(self, images):
+        if images is not self.images:
+            return self.model.logits(images)
+        if self._logits is None:
+            self._logits = self.model.logits(images)
+        return self._logits
+
+    predict = Model.predict  # reads self.logits, so the chunk's own are cached
+
+    def loss_input_grad(self, images, targets):
+        if images is not self.images:
+            return self.model.loss_input_grad(images, targets)
+        key = (targets.dtype.str, targets.tobytes())
+        if key not in self._grads:
+            self._grads[key] = self.model.loss_input_grad(images, targets)
+        return self._grads[key]
+
+
+def attack_all(model: Model, dataset: LabeledImageSet, configs):
+    """Attack a set with every config, one EVAL_CHUNK chunk at a time from 0.
+
+    Yields (lo, hi, clean, batches) per chunk: clean is the chunk's
+    _CleanChunk over model, and batches lazily gives one AdversarialBatch per
+    config, clipped to the set's pixel range and seeded per image.
+    """
     for lo, hi in _chunks(dataset.n):
-        batch = run_attack(model, dataset.images[lo:hi], dataset.labels[lo:hi],
-                           config, clip=dataset.pixel_range, index_base=lo)
-        adv[lo:hi] = batch.images
-        preds[lo:hi] = batch.preds
-    return adv, preds
+        clean = _CleanChunk(model, dataset.images[lo:hi])
+        attack = partial(run_attack, clean, clean.images, dataset.labels[lo:hi],
+                         clip=dataset.pixel_range, index_base=lo)
+        yield lo, hi, clean, map(attack, configs)
 
 
-def eval_under_attack(
-    model: Model,
-    dataset: LabeledImageSet,
-    config: AttackConfig,
-    seed: int = 0,
-    clean_preds: np.ndarray | None = None,
-) -> EvalRecord:
-    """Attack a set and measure accuracy (untargeted) or success (targeted).
+def eval_under_attack(model: Model, dataset: LabeledImageSet, configs,
+                      seed: int = 0) -> list[EvalRecord]:
+    """Attack a set with every config: one record per config, in order.
 
-    Targeted success counts only images not already predicted as the target
-    before the attack.
+    Records accuracy (untargeted) or success (targeted). Targeted success
+    counts only images not already predicted as the target before the attack.
     """
     if dataset.n == 0:
         raise ValueError("cannot evaluate an empty image set")
-    if clean_preds is None:
-        clean_preds = predict_all(model, dataset.images)
+    clean_preds = np.empty(dataset.n, dtype=np.int64)
+    adv_preds = np.empty((len(configs), dataset.n), dtype=np.int64)
+    for lo, hi, clean, batches in attack_all(model, dataset, configs):
+        clean_preds[lo:hi] = clean.predict(clean.images)
+        for row, batch in zip(adv_preds, batches):
+            row[lo:hi] = batch.preds
     clean_acc = float((clean_preds == dataset.labels).mean())
 
-    _, adv_preds = attack_all(model, dataset, config)
-    adv_acc = float((adv_preds == dataset.labels).mean())
-
-    if config.targeted:
-        eligible = clean_preds != config.target_class
-        hits = (adv_preds == config.target_class) & eligible
-        success = float(hits.sum() / eligible.sum()) if eligible.any() else 0.0
-    else:
+    records = []
+    for config, preds in zip(configs, adv_preds):
+        adv_acc = float((preds == dataset.labels).mean())
         success = 1.0 - adv_acc
-
-    return eval_record(model, dataset.name, dataset.n, config, clean_acc, adv_acc,
-                       success, seed)
+        if config.targeted:
+            eligible = clean_preds != config.target_class
+            hits = (preds == config.target_class) & eligible
+            success = float(hits.sum() / eligible.sum()) if eligible.any() else 0.0
+        records.append(eval_record(model, dataset.name, dataset.n, config, clean_acc,
+                                   adv_acc, success, seed))
+    return records
 
 
 def eval_record(model: Model, dataset_name: str, n_images: int,
@@ -298,20 +330,15 @@ def _grid_configs(attack_kinds, epsilons, seed: int,
 
 def _attack_grid(variants, configs, seed: int, threads: int,
                  summary_metric: str | None = None) -> Report:
-    """Attack every variant with every config, one eval_under_attack per cell.
+    """Attack every variant with every config, one eval_under_attack per variant.
 
-    variants are (model, dataset) pairs. Clean predictions are taken once
-    per variant and shared by its cells.
+    variants are (model, dataset) pairs; each is one cell, and threads run
+    whole cells, so a variant's configs share its clean passes per chunk.
     """
-    cell_fns = []
-    for model, dataset in variants:
-        preds = predict_all(model, dataset.images)
-        for config in configs:
-            cell_fns.append(
-                lambda m=model, d=dataset, c=config, p=preds:
-                    eval_under_attack(m, d, c, seed=seed, clean_preds=p)
-            )
-    records = sorted(_run_cells(cell_fns, threads), key=EvalRecord.sort_key)
+    cell_fns = [lambda m=model, d=dataset: eval_under_attack(m, d, configs, seed=seed)
+                for model, dataset in variants]
+    records = sorted((r for cell in _run_cells(cell_fns, threads) for r in cell),
+                     key=EvalRecord.sort_key)
     summaries = _grid_summaries(records, summary_metric) if summary_metric else []
     return Report(records=records, summaries=summaries)
 
@@ -450,16 +477,21 @@ def bpda_transfer_eval(original: Model, substitute: Model,
     """Craft attacks on the substitute (slope 1), evaluate on the original.
 
     Cells expand as in the slope sweep (deepfool over its default iteration
-    grid). Each adversarial set is crafted once per cell and reused across
+    grid). Each adversarial chunk is crafted once per cell and reused across
     the original's slopes; clean accuracy is taken once per slope.
     """
     crafting = substitute.with_slope(1.0)
     targets = [(m, eval_clean(m, dataset)) for m in map(original.with_slope, slopes)]
+    configs = _grid_configs(attack_kinds, epsilons, seed)
+    correct = np.zeros((len(configs), len(targets)), dtype=np.int64)
+    for lo, hi, _, batches in attack_all(crafting, dataset, configs):
+        for row, batch in zip(correct, batches):
+            row += [(target.predict(batch.images) == dataset.labels[lo:hi]).sum()
+                    for target, _ in targets]
     records = []
-    for config in _grid_configs(attack_kinds, epsilons, seed):
-        adv, _ = attack_all(crafting, dataset, config)
-        for target, clean in targets:
-            adv_acc = float((predict_all(target, adv) == dataset.labels).mean())
+    for config, row in zip(configs, correct):
+        for (target, clean), hits in zip(targets, row):
+            adv_acc = float(hits / dataset.n)
             records.append(eval_record(
                 target, dataset.name, dataset.n, config, clean, adv_acc,
                 1.0 - adv_acc, seed, attack_prefix="bpda_",

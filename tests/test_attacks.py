@@ -535,3 +535,44 @@ def test_budget_and_clip_contract(trained_synth, attack_batch, kind, eps, factor
         assert ((images - eps <= out.images) & (out.images <= images + eps)).all()
     if eps == 0.0:
         assert out.images.tobytes() == images.tobytes()
+
+
+SIGN_STEP_CONFIGS = {
+    "fgsm": {}, "fgsm_targeted": {"target_class": 3}, "stepll": {}, "rfgsm": {},
+    "bim": {}, "pgd": {}, "pgd_no_start": {"random_start": False},
+}
+
+
+class GradientCountingModel:
+    """A model whose loss_input_grad calls are counted."""
+
+    def __init__(self, model):
+        self.model, self.grad_calls = model, 0
+        self.logits, self.predict = model.logits, model.predict
+
+    def loss_input_grad(self, images, labels):
+        self.grad_calls += 1
+        return self.model.loss_input_grad(images, labels)
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_STEP_CONFIGS))
+@settings(max_examples=6, deadline=None)
+@given(factor=st.one_of(st.none(), st.sampled_from(DEFAULT_SCALE_FACTORS)),
+       seed=st.integers(0, 5000))
+@example(factor=None, seed=0)
+def test_sign_steps_at_eps_zero_return_the_clean_batch(trained_synth, attack_batch,
+                                                       name, factor, seed):
+    """Epsilon 0 returns the images bit for bit and their clean predictions,
+    and takes no gradient, in UNIT_RANGE and in a scaled (0, f) range."""
+    images, labels = attack_batch[0][:4], attack_batch[1][:4]
+    clip = UNIT_RANGE
+    if factor is not None:
+        scaled = scale_pixels(LabeledImageSet(images, labels, "t"), factor, False)
+        images, clip = scaled.images, scaled.pixel_range
+    kind = name.split("_")[0]
+    config = AttackConfig(kind=kind, epsilon=0.0, rng_seed=seed, **SIGN_STEP_CONFIGS[name])
+    model = GradientCountingModel(trained_synth)
+    out = run_attack(model, images, labels, config, clip=clip, index_base=seed)
+    assert out.images.tobytes() == images.tobytes()
+    assert out.preds.tobytes() == trained_synth.predict(images).tobytes()
+    assert model.grad_calls == 0

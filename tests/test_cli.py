@@ -1,6 +1,7 @@
 """End-to-end command-line tests on small synthetic datasets."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from srelu_defense import cli
-from srelu_defense.models import build_model, save_params
+from srelu_defense.models import Model, build_model, save_params
 
 from helpers import synthetic_split, write_idx_files
 
@@ -144,23 +145,42 @@ def test_config_file_value_beats_the_architecture_default(tmp_path, capsys):
     assert "epochs=7" in (out / "config_resolved.txt").read_text().splitlines()
 
 
-def test_tracer_patches_only_names_the_package_has(saved_model, idx_data, tmp_path):
-    # perfbench/tracer.py wraps package functions by name and its observers
-    # read result fields (run_attack's success on deepfool runs); a renamed
-    # one breaks --trace 1, so a traced deepfool sweep runs here
-    trace = tmp_path / "trace.json"
+def _traced_sweep(idx_data, saved_model, tmp_path, name, sweep_args):
+    """The trace of perfbench/tracer.py run on one sweep, in its own process."""
+    trace = tmp_path / f"{name}.json"
     code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
             "sys.exit(tracer.main(sys.argv[1:]))")
     argv = [str(trace), "sweep", *eval_args(idx_data, [
-        "--params", saved_model, "--attacks", "deepfool", "--deepfool-iters", "1",
-        "--slopes", "1", "--limit", "8", "--seed", "1", "--out", str(tmp_path / "o"),
+        "--params", saved_model, *sweep_args, "--limit", "8", "--seed", "1",
+        "--out", str(tmp_path / name),
     ])]
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=REPO_DIR,
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
-    counters = json.loads(trace.read_text())["counters"]
-    assert counters["deepfool.images"] == 8
+    return json.loads(trace.read_text())
+
+
+def test_tracer_patches_only_names_the_package_has(saved_model, idx_data, tmp_path):
+    # perfbench/tracer.py wraps package functions by name and its observers
+    # read result fields (run_attack's success on deepfool runs); a renamed
+    # one breaks --trace 1, so a traced deepfool sweep runs here
+    trace = _traced_sweep(idx_data, saved_model, tmp_path, "deepfool", [
+        "--attacks", "deepfool", "--deepfool-iters", "1", "--slopes", "1"])
+    assert trace["counters"]["deepfool.images"] == 8
+
+    # it times one cell per eval_under_attack call, which the grid makes once
+    # per variant (slope); an eps=0 cell takes no gradient, and fgsm shares
+    # its clean gradient with bim's first step, so each slope takes 1 + 9
+    spec = importlib.util.spec_from_file_location(
+        "tracer", os.path.join(REPO_DIR, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    trace = _traced_sweep(idx_data, saved_model, tmp_path, "linf", [
+        "--attacks", "fgsm,bim", "--slopes", "1,2", "--epsilons", "0,0.1"])
+    metrics = tracer.analyse(trace, 0.0, 0.0)
+    assert metrics["experiments.cells"] == 2
+    assert metrics["models.input_grad.calls"] == 2 * (1 + 9)
 
 
 def test_empty_attack_list_is_rejected(saved_model, idx_data, tmp_path, capsys):
@@ -507,6 +527,31 @@ def test_non_finite_logits_fail_the_sweep(idx_data, saved_model, tmp_path, capsy
     assert err.startswith("error in sweep:") and "non-finite logits" in err
     assert "test slope 1e+20" in err and "Traceback" not in err
     assert not (out / "report.csv").exists()
+    assert not (out / "manifest.txt").exists()
+
+
+def test_non_finite_gradient_fails_the_sweep(idx_data, saved_model, tmp_path, capsys,
+                                             monkeypatch):
+    # a double whose input gradient is NaN: the attack that reads it names
+    # itself and the slope, and stops the run at its first gradient, so a
+    # cached NaN never reaches the next epsilon
+    calls = []
+
+    def nan_gradient(self, images, labels):
+        calls.append(len(images))
+        return float("nan"), np.full_like(images, np.nan)
+
+    monkeypatch.setattr(Model, "loss_input_grad", nan_gradient)
+    out = tmp_path / "o"
+    code = cli.main(["sweep", *eval_args(idx_data, [
+        "--params", saved_model, "--attacks", "bim", "--slopes", "2",
+        "--epsilons", "0,0.1,0.2", "--limit", "10", "--seed", "5", "--out", str(out),
+    ])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in sweep:") and "non-finite input gradient" in err
+    assert "bim attack at test slope 2" in err and "Traceback" not in err
+    assert calls == [10]
     assert not (out / "manifest.txt").exists()
 
 

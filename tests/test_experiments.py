@@ -8,7 +8,12 @@ import pytest
 
 import srelu_defense as sd
 from srelu_defense import experiments as ex
-from srelu_defense.attacks import BIM_DEFAULT_STEPS, DEEPFOOL_DEFAULT_ITERS, AttackConfig
+from srelu_defense.attacks import (
+    BIM_DEFAULT_STEPS,
+    DEEPFOOL_DEFAULT_ITERS,
+    PGD_DEFAULT_STEPS,
+    AttackConfig,
+)
 from srelu_defense.data import LabeledImageSet, take_first
 from srelu_defense.experiments import (
     REPORT_HEADER,
@@ -58,16 +63,16 @@ def test_eval_clean_rejects_empty(trained_synth, synth_sets):
 def test_eps_zero_record_equals_clean_exactly(trained_synth, small_test):
     for slope in (0.5, 1.0, 100.0):
         model = trained_synth.with_slope(slope)
-        rec = eval_under_attack(model, small_test,
-                                AttackConfig(kind="fgsm", epsilon=0.0), seed=0)
+        [rec] = eval_under_attack(model, small_test,
+                                  [AttackConfig(kind="fgsm", epsilon=0.0)], seed=0)
         assert rec.adv_acc == rec.clean_acc
         assert rec.attack_success == 1.0 - rec.clean_acc
 
 
 def test_targeted_success_zero_at_eps_zero(trained_synth, small_test):
-    rec = eval_under_attack(
+    [rec] = eval_under_attack(
         trained_synth, small_test,
-        AttackConfig(kind="fgsm", epsilon=0.0, target_class=3),
+        [AttackConfig(kind="fgsm", epsilon=0.0, target_class=3)],
         seed=0,
     )
     assert rec.attack_success == 0.0
@@ -77,30 +82,32 @@ def test_targeted_success_zero_at_eps_zero(trained_synth, small_test):
 def test_targeted_denominator_excludes_pretargeted(trained_synth, small_test):
     target = int(trained_synth.predict(small_test.images[:1])[0])
     config = AttackConfig(kind="fgsm", epsilon=0.25, target_class=target)
-    rec = eval_under_attack(trained_synth, small_test, config, seed=0)
+    [rec] = eval_under_attack(trained_synth, small_test, [config], seed=0)
 
     clean_preds = ex.predict_all(trained_synth, small_test.images)
-    adv, adv_preds = ex.attack_all(trained_synth, small_test, config)
-    assert adv_preds.tobytes() == ex.predict_all(trained_synth, adv).tobytes()
+    [(_, _, _, batches)] = ex.attack_all(trained_synth, small_test, [config])
+    [batch] = batches
+    adv_preds = batch.preds
+    assert adv_preds.tobytes() == ex.predict_all(trained_synth, batch.images).tobytes()
     eligible = clean_preds != target
     expected = ((adv_preds == target) & eligible).sum() / eligible.sum()
     assert rec.attack_success == pytest.approx(expected)
 
 
 def test_record_steps_and_units(trained_synth, small_test):
-    rec = eval_under_attack(trained_synth, small_test,
-                            AttackConfig(kind="deepfool", steps=2), seed=0)
+    [rec] = eval_under_attack(trained_synth, small_test,
+                              [AttackConfig(kind="deepfool", steps=2)], seed=0)
     assert rec.epsilon == 2.0 and rec.steps == 2
-    rec = eval_under_attack(trained_synth, small_test,
-                            AttackConfig(kind="salt_pepper", epsilon=0.1), seed=0)
+    [rec] = eval_under_attack(trained_synth, small_test,
+                              [AttackConfig(kind="salt_pepper", epsilon=0.1)], seed=0)
     assert rec.epsilon == pytest.approx(0.1) and rec.steps == 1
 
 
 def test_default_record_steps_follow_attack_constants(trained_synth, small_test):
     few = take_first(small_test, 2)
-    rec = eval_under_attack(trained_synth, few, AttackConfig(kind="bim", epsilon=0.1))
+    [rec] = eval_under_attack(trained_synth, few, [AttackConfig(kind="bim", epsilon=0.1)])
     assert rec.steps == BIM_DEFAULT_STEPS
-    rec = eval_under_attack(trained_synth, few, AttackConfig(kind="deepfool"))
+    [rec] = eval_under_attack(trained_synth, few, [AttackConfig(kind="deepfool")])
     assert rec.steps == DEEPFOOL_DEFAULT_ITERS
     assert rec.epsilon == float(DEEPFOOL_DEFAULT_ITERS)
 
@@ -163,8 +170,9 @@ def test_sweep_threads_do_not_change_bytes(trained_synth, small_test, sweep_repo
 
 
 def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monkeypatch):
-    # fgsm and bim take their gradients without Model.logits, so the forward
-    # passes left are one clean prediction per slope and one per attacked cell
+    # fgsm and bim take their gradients without Model.logits, and an eps=0
+    # cell returns the clean chunk, whose prediction is cached; so the forward
+    # passes left are one clean prediction per slope and one per eps>0 cell
     calls = []
     logits = sd.Model.logits
 
@@ -176,8 +184,42 @@ def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monk
     grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
                      attack_kinds=("fgsm", "bim"))
     slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
-    cells_per_slope = 2 * 3
-    assert calls == [60] * 2 * (1 + cells_per_slope)
+    attacked_cells_per_slope = 2 * 2
+    assert calls == [60] * 2 * (1 + attacked_cells_per_slope)
+
+
+def _count_input_grads(monkeypatch):
+    """Patch Model.loss_input_grad to record the batch size of every call."""
+    calls = []
+    loss_input_grad = sd.Model.loss_input_grad
+
+    def counted(self, images, labels):
+        calls.append(len(images))
+        return loss_input_grad(self, images, labels)
+
+    monkeypatch.setattr(sd.Model, "loss_input_grad", counted)
+    return calls
+
+
+def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeypatch):
+    calls = _count_input_grads(monkeypatch)
+    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3),
+                     attack_kinds=("fgsm", "stepll", "rfgsm", "bim", "pgd"))
+    slope_sweep(trained_synth, take_first(small_test, 8), grid, seed=0)
+    # per slope, eps=0 takes none; eps 0.1 and 0.3 together take one
+    # true-label gradient at the clean images (fgsm at both, and bim's first
+    # steps), one least-likely-class one (stepll at both), rfgsm's 2 from its
+    # noise steps, bim's 2 x 9 later steps and pgd's 2 x 40 from its start
+    per_slope = 1 + 1 + 2 + 2 * (BIM_DEFAULT_STEPS - 1) + 2 * PGD_DEFAULT_STEPS
+    assert calls == [8] * 2 * per_slope
+
+
+def test_targeted_sweep_takes_one_gradient_per_target(trained_synth, small_test,
+                                                      monkeypatch):
+    calls = _count_input_grads(monkeypatch)
+    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2, 0.3))
+    ex.targeted_sweep(trained_synth, take_first(small_test, 8), grid, seed=0)
+    assert calls == [8] * 2 * 10
 
 
 def test_sweep_deepfool_uses_iteration_grid(trained_synth, small_test):
@@ -198,13 +240,11 @@ def test_grid_validation():
 def test_monotone_eps_and_pgd_strength_on_synthetic(trained_synth, small_test):
     model = trained_synth.with_slope(1.0)
     eps_grid = (0.0, 0.1, 0.2, 0.3)
-    fgsm_accs, pgd_accs = [], []
-    for eps in eps_grid:
-        fgsm_accs.append(eval_under_attack(
-            model, small_test, AttackConfig(kind="fgsm", epsilon=eps), seed=0).adv_acc)
-        pgd_accs.append(eval_under_attack(
-            model, small_test,
-            AttackConfig(kind="pgd", epsilon=eps, steps=10), seed=0).adv_acc)
+    fgsm_accs = [r.adv_acc for r in eval_under_attack(
+        model, small_test, [AttackConfig(kind="fgsm", epsilon=eps) for eps in eps_grid])]
+    pgd_accs = [r.adv_acc for r in eval_under_attack(
+        model, small_test,
+        [AttackConfig(kind="pgd", epsilon=eps, steps=10) for eps in eps_grid])]
     for prev, cur in zip(fgsm_accs, fgsm_accs[1:]):
         assert cur <= prev + 0.01
     for f, p in zip(fgsm_accs, pgd_accs):
@@ -381,6 +421,15 @@ def test_transfer_eval_eps_zero_is_clean(trained_synth, synth_sets, small_test):
             assert r.adv_acc == r.clean_acc
 
 
+def test_transfer_eval_crafts_fgsm_from_one_gradient(trained_synth, small_test,
+                                                     monkeypatch):
+    # the substitute's clean gradient serves every eps; eps=0 crafts nothing
+    calls = _count_input_grads(monkeypatch)
+    ex.bpda_transfer_eval(trained_synth, trained_synth, take_first(small_test, 8),
+                          slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3), seed=0)
+    assert calls == [8]
+
+
 def test_transfer_attack_hurts_defended_model(trained_synth, distilled_substitute,
                                              small_test):
     report = ex.bpda_transfer_eval(trained_synth, distilled_substitute, small_test,
@@ -436,9 +485,9 @@ def test_export_features_toy_scaling(tmp_path, rng):
 
 
 def test_csv_header_and_formatting(trained_synth, small_test):
-    rec = eval_under_attack(trained_synth, take_first(small_test, 30),
-                            AttackConfig(kind="fgsm", epsilon=0.1), seed=7)
-    report = Report(records=[rec])
+    report = Report(records=eval_under_attack(trained_synth, take_first(small_test, 30),
+                                              [AttackConfig(kind="fgsm", epsilon=0.1)],
+                                              seed=7))
     text = report.csv_text()
     lines = text.splitlines()
     assert lines[0] == REPORT_HEADER
