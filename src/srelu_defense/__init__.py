@@ -23,7 +23,6 @@ from .models import (
     ArchitectureSpec,
     Model,
     ParamsFormatError,
-    SlopeConfig,
     build_model,
     load_params,
     penultimate_features,

@@ -148,12 +148,9 @@ def _sign_steps(model, images, labels, config, clip, index_base):
     images, then into clip; rfgsm starts from a signed-noise step and pgd from
     a uniform random start. Targeted fgsm and stepll descend the loss of their
     target (stepll's: the least-likely class); the rest ascend the true label's.
-    At epsilon 0 the ball is images itself, returned with no gradient or draw.
     A non-finite input gradient raises ValueError naming the kind and slope.
     """
     eps, step, x = config.epsilon, config.step_size, images
-    if eps == 0.0:
-        return images, None
     if config.kind == "rfgsm":
         noise = _seeded(config, index_base, images,
                         lambda rng, shape: np.sign(rng.standard_normal(shape)))
@@ -171,7 +168,7 @@ def _sign_steps(model, images, labels, config, clip, index_base):
         _, grad = model.loss_input_grad(x, targets)
         if not np.isfinite(grad).all():
             raise ValueError(f"non-finite input gradient in the {config.kind} attack "
-                             f"at test slope {model.slope_config.test_slope:g}")
+                             f"at test slope {model.slope:g}")
         x = np.clip(x + step * np.sign(grad), images - eps, images + eps)
         x = np.clip(x, *clip)
     return x, None
@@ -258,10 +255,15 @@ def run_attack(model, images, labels, config: AttackConfig, clip=UNIT_RANGE,
 
     Success means the prediction hits the target (targeted fgsm), leaves the
     clean prediction (deepfool), or leaves the true label (everything else).
+    At epsilon 0 every kind that takes one returns images itself, the same
+    object, with no gradient and no draw.
     """
     if config.kind == "deepfool":
         labels = model.predict(images)
-    adv, l2 = _ATTACKS[config.kind](model, images, labels, config, clip, index_base)
+    if config.epsilon == 0.0:
+        adv, l2 = images, None
+    else:
+        adv, l2 = _ATTACKS[config.kind](model, images, labels, config, clip, index_base)
     preds = model.predict(adv)
     success = preds == config.target_class if config.targeted else preds != labels
     return AdversarialBatch(adv, preds, success, l2)

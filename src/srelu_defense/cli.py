@@ -23,7 +23,6 @@ from .experiments import SweepGrid
 from .models import (
     PARAMS_VERSION,
     ParamsFormatError,
-    SlopeConfig,
     build_model,
     load_params,
     resolve_arch,
@@ -108,7 +107,6 @@ OPTIONS: dict[str, dict] = {
         "lr": (float, ex.TRAIN_DEFAULTS["lr"], "SGD learning rate"),
         "momentum": (float, ex.TRAIN_DEFAULTS["momentum"], "SGD momentum"),
         "batch_size": (_at_least(1), ex.TRAIN_DEFAULTS["batch_size"], "minibatch size"),
-        "train_slope": (float, 1.0, "rectifier slope used during training"),
         "limit_train": (_at_least(0), None, "train on only the first N images"),
     },
     "eval": {
@@ -317,8 +315,7 @@ def _load_model(cfg: dict, slope: float = 1.0, activation: str = "srelu"):
 
 def _cmd_train(cfg: dict, outdir: str) -> None:
     train_set = _load_split(cfg, "train")
-    slope_cfg = SlopeConfig(train_slope=cfg["train_slope"], test_slope=1.0)
-    model = build_model(cfg["arch"], cfg["seed"], slope_cfg)
+    model = build_model(cfg["arch"], cfg["seed"])
     log: list = []
     ex.train(model, train_set, cfg["epochs"], lr=cfg["lr"], momentum=cfg["momentum"],
              batch_size=cfg["batch_size"], seed=cfg["seed"], epoch_log=log)
@@ -329,7 +326,7 @@ def _cmd_train(cfg: dict, outdir: str) -> None:
             f.write(f"{epoch},{mean_loss:.6g}\n")
 
     if cfg.get("test_images" if _family(cfg["arch"]) == "mnist" else "test_batches"):
-        acc = ex.eval_clean(model.with_slope(1.0), _load_split(cfg, "test"))
+        acc = ex.eval_clean(model, _load_split(cfg, "test"))
         with open(os.path.join(outdir, "test_accuracy.txt"), "w") as f:
             f.write(f"clean_acc={acc:.6g}\n")
         print(f"test accuracy: {acc:.4f}")

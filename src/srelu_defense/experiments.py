@@ -62,7 +62,6 @@ class EvalRecord:
     dataset: str
     model: str
     activation: str
-    train_slope: float
     test_slope: float
     attack: str
     targeted: bool
@@ -77,8 +76,8 @@ class EvalRecord:
 
     def sort_key(self):
         return (
-            self.dataset, self.model, self.activation, self.train_slope,
-            self.test_slope, self.attack, self.targeted,
+            self.dataset, self.model, self.activation, self.test_slope,
+            self.attack, self.targeted,
             -1 if self.target_class is None else self.target_class,
             self.epsilon, self.steps,
         )
@@ -86,7 +85,8 @@ class EvalRecord:
     def csv_row(self) -> str:
         return ",".join([
             self.dataset, self.model, self.activation,
-            _fmt(self.train_slope), _fmt(self.test_slope), self.attack,
+            "1",  # the training slope: networks always train at slope 1
+            _fmt(self.test_slope), self.attack,
             "true" if self.targeted else "false",
             "" if self.target_class is None else str(self.target_class),
             _fmt(self.epsilon), str(self.steps), str(self.n_images),
@@ -177,7 +177,7 @@ class _CleanChunk:
     same object) compute once, the gradient once per loss-target vector; any
     other input or attribute passes through to the model. So the configs of
     a cell share fgsm's and stepll's gradients across epsilons, bim's first
-    step and deepfool's clean labels.
+    step, deepfool's clean labels and every eps=0 prediction.
     """
 
     def __init__(self, model: Model, images: np.ndarray):
@@ -260,13 +260,11 @@ def eval_record(model: Model, dataset_name: str, n_images: int,
         attack = attack_prefix + config.kind
         targeted, target, steps = config.targeted, config.target_class, config.steps
         epsilon = config.budget
-    cfg = model.slope_config
     return EvalRecord(
-        dataset=dataset_name, model=model.spec.id, activation=cfg.test_activation,
-        train_slope=cfg.train_slope, test_slope=cfg.test_slope, attack=attack,
-        targeted=targeted, target_class=target, epsilon=epsilon, steps=steps,
-        n_images=n_images, clean_acc=clean_acc, adv_acc=adv_acc,
-        attack_success=success, seed=seed,
+        dataset=dataset_name, model=model.spec.id, activation=model.activation,
+        test_slope=model.slope, attack=attack, targeted=targeted, target_class=target,
+        epsilon=epsilon, steps=steps, n_images=n_images, clean_acc=clean_acc,
+        adv_acc=adv_acc, attack_success=success, seed=seed,
     )
 
 
@@ -388,7 +386,7 @@ def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
 
 def _sgd(model: Model, epochs: int, epoch_batches, loss_fn, lr: float,
          momentum: float) -> list[float]:
-    """Minibatch SGD with momentum on the training-mode forward pass.
+    """Minibatch SGD with momentum, always through the plain rectifier (slope 1).
 
     epoch_batches(epoch) yields (images, targets) batches; loss_fn(logits,
     targets, tape=) is the batch-mean loss. Mutates the model's parameters
@@ -396,6 +394,7 @@ def _sgd(model: Model, epochs: int, epoch_batches, loss_fn, lr: float,
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
+    model = model.with_slope(1.0)  # shares the parameter dict it updates
     velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     epoch_losses = []
     for epoch in range(epochs):
@@ -428,8 +427,8 @@ def train(model: Model, train_set: LabeledImageSet, epochs: int,
           seed: int = 0, epoch_log: list | None = None) -> Model:
     """Minibatch SGD with momentum on softmax cross-entropy, seeded shuffle.
 
-    Mutates the model's parameters in place and returns it. The training-mode
-    forward applies the configured train slope at every activation site.
+    Mutates the model's parameters in place and returns it. Training runs the
+    plain rectifier whatever slope or activation the model evaluates with.
     epoch_log, when given, receives one (epoch, mean loss) pair per epoch.
     """
     iterator = BatchIterator(train_set, batch_size, seed=seed)
@@ -478,23 +477,29 @@ def bpda_transfer_eval(original: Model, substitute: Model,
 
     Cells expand as in the slope sweep (deepfool over its default iteration
     grid). Each adversarial chunk is crafted once per cell and reused across
-    the original's slopes; clean accuracy is taken once per slope.
+    the original's slopes. Each slope predicts each clean chunk once, and
+    reads its eps=0 cells, whose chunk is the clean one, from that pass.
     """
+    if dataset.n == 0:
+        raise ValueError("cannot evaluate an empty image set")
     crafting = substitute.with_slope(1.0)
-    targets = [(m, eval_clean(m, dataset)) for m in map(original.with_slope, slopes)]
+    targets = [original.with_slope(s) for s in slopes]
     configs = _grid_configs(attack_kinds, epsilons, seed)
-    correct = np.zeros((len(configs), len(targets)), dtype=np.int64)
-    for lo, hi, _, batches in attack_all(crafting, dataset, configs):
-        for row, batch in zip(correct, batches):
-            row += [(target.predict(batch.images) == dataset.labels[lo:hi]).sum()
-                    for target, _ in targets]
+    clean_hits = np.zeros(len(targets), dtype=np.int64)
+    adv_hits = np.zeros((len(configs), len(targets)), dtype=np.int64)
+    for lo, hi, clean, batches in attack_all(crafting, dataset, configs):
+        labels = dataset.labels[lo:hi]
+        judges = [_CleanChunk(target, clean.images) for target in targets]
+        clean_hits += [(judge.predict(clean.images) == labels).sum() for judge in judges]
+        for row, batch in zip(adv_hits, batches):
+            row += [(judge.predict(batch.images) == labels).sum() for judge in judges]
     records = []
-    for config, row in zip(configs, correct):
-        for (target, clean), hits in zip(targets, row):
-            adv_acc = float(hits / dataset.n)
+    for config, row in zip(configs, adv_hits):
+        for target, n_clean, n_adv in zip(targets, clean_hits, row):
+            adv_acc = float(n_adv / dataset.n)
             records.append(eval_record(
-                target, dataset.name, dataset.n, config, clean, adv_acc,
-                1.0 - adv_acc, seed, attack_prefix="bpda_",
+                target, dataset.name, dataset.n, config, float(n_clean / dataset.n),
+                adv_acc, 1.0 - adv_acc, seed, attack_prefix="bpda_",
             ))
     return Report(records=sorted(records, key=EvalRecord.sort_key))
 

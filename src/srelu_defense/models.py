@@ -1,15 +1,17 @@
 """CNN architectures with a runtime-configurable test-time activation.
 
-Networks train with the plain rectifier (slope 1) and can be evaluated with
-a different rectifier slope, or with a different activation function
-entirely, without touching the parameters. Parameters persist in a compact
-little-endian binary format with a bit-exact round trip.
+A Model is an architecture's parameters plus the activation it runs at every
+activation site: the rectifier at a slope (1 by default), or a substitute
+function. with_slope and with_activation give views that share the
+parameters. Networks always train at slope 1 (experiments._sgd trains the
+slope-1 view), so the slope is a test-time setting only. Parameters persist
+in a compact little-endian binary format with a bit-exact round trip.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,38 +137,29 @@ def resolve_arch(arch: "str | ArchitectureSpec") -> ArchitectureSpec:
         ) from None
 
 
-@dataclass(frozen=True)
-class SlopeConfig:
-    """Activation configuration: training slope, and the test-time override."""
-
-    train_slope: float = 1.0
-    test_slope: float = 1.0
-    test_activation: str = "srelu"
-
-    def __post_init__(self):
-        if self.test_slope <= 0:
-            raise ValueError(f"test slope must be positive, got {self.test_slope}")
-        if self.test_activation != "srelu" and self.test_activation not in ad._ACTIVATIONS:
-            raise ValueError(f"unknown test activation {self.test_activation!r}")
-
-
 @dataclass
 class Model:
+    """Parameters, and what every activation site runs: the rectifier ("srelu")
+    at slope, or the substitute function activation names."""
+
     spec: ArchitectureSpec
     params: dict[str, Tensor]
-    slope_config: SlopeConfig = field(default_factory=SlopeConfig)
+    slope: float = 1.0
+    activation: str = "srelu"
 
-    def with_slope(self, test_slope: float) -> "Model":
-        """Same parameters, different test-time rectifier slope."""
-        cfg = replace(self.slope_config, test_slope=test_slope, test_activation="srelu")
-        return Model(self.spec, self.params, cfg)
+    def __post_init__(self):
+        if self.slope <= 0:
+            raise ValueError(f"test slope must be positive, got {self.slope}")
+        if self.activation != "srelu" and self.activation not in ad._ACTIVATIONS:
+            raise ValueError(f"unknown test activation {self.activation!r}")
+
+    def with_slope(self, slope: float) -> "Model":
+        """Same parameters, rectifier at a different slope."""
+        return replace(self, slope=slope, activation="srelu")
 
     def with_activation(self, kind: str) -> "Model":
-        """Same parameters, test-time activation swapped for a named function."""
-        if kind == "srelu":
-            return self.with_slope(1.0)
-        cfg = replace(self.slope_config, test_activation=kind)
-        return Model(self.spec, self.params, cfg)
+        """Same parameters, activation swapped for a named function."""
+        return replace(self, activation=kind)
 
     # narrow interface the attack generators rely on -----------------------
 
@@ -182,7 +175,7 @@ class Model:
         """
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
             logits = self.logits(images)
-        return _require_finite(logits, "logits", self.slope_config).argmax(axis=1)
+        return _require_finite(logits, "logits", self).argmax(axis=1)
 
     def loss_input_grad(
         self, images: np.ndarray, labels: np.ndarray
@@ -210,13 +203,13 @@ class Model:
         return logits.data[0].copy(), grads
 
 
-def _require_finite(rows: np.ndarray, what: str, cfg: SlopeConfig) -> np.ndarray:
+def _require_finite(rows: np.ndarray, what: str, model: Model) -> np.ndarray:
     """rows unchanged, or ValueError naming how many images hold a non-finite value."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise ValueError(
             f"non-finite {what} for {int((~finite).sum())} of {len(rows)} images "
-            f"at test slope {cfg.test_slope:g} ({cfg.test_activation}); "
+            f"at test slope {model.slope:g} ({model.activation}); "
             "the forward pass overflowed"
         )
     return rows
@@ -244,23 +237,13 @@ def _param_layout(spec: ArchitectureSpec) -> list[tuple[str, tuple[int, ...], in
     return layout
 
 
-def build_model(
-    arch: "str | ArchitectureSpec", seed: int, slope_config: SlopeConfig | None = None
-) -> Model:
+def build_model(arch: "str | ArchitectureSpec", seed: int) -> Model:
     """Initialize parameters uniformly in +-1/sqrt(fan_in), per layer, seeded."""
     spec = resolve_arch(arch)
     rng = np.random.default_rng(seed)
     params = {name: _init_param(rng, shape, fan_in)
               for name, shape, fan_in in _param_layout(spec)}
-    return Model(spec, params, slope_config or SlopeConfig())
-
-
-def _apply_activation(x: Tensor, model: Model, mode: str, tape: Tape | None) -> Tensor:
-    if mode == "train":
-        return ad.srelu(x, model.slope_config.train_slope, tape=tape)
-    if model.slope_config.test_activation == "srelu":
-        return ad.srelu(x, model.slope_config.test_slope, tape=tape)
-    return ad.activation(x, model.slope_config.test_activation, tape=tape)
+    return Model(spec, params)
 
 
 def _forward(
@@ -284,7 +267,8 @@ def _forward(
         elif isinstance(layer, Pool):
             x = ad.maxpool2d(x, layer.window, tape=tape)
         elif isinstance(layer, Act):
-            x = _apply_activation(x, model, mode, tape)
+            x = (ad.srelu(x, model.slope, tape=tape) if model.activation == "srelu"
+                 else ad.activation(x, model.activation, tape=tape))
         elif isinstance(layer, Flatten):
             x = ad.flatten(x, tape=tape)
         elif isinstance(layer, Dense):
@@ -304,7 +288,7 @@ def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
     head = replace(model.spec, layers=layers[:last_dense])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         feats = _forward(replace(model, spec=head), Tensor(batch)).data
-    return _require_finite(feats, "features", model.slope_config)
+    return _require_finite(feats, "features", model)
 
 
 # ---------------------------------------------------------------------------
@@ -393,4 +377,4 @@ def load_params(path, arch: "str | ArchitectureSpec") -> Model:
         if not np.isfinite(params[name].data).all():
             raise ParamsFormatError(f"tensor {name!r} holds non-finite values")
     ordered = {name: params[name] for name in expected}
-    return Model(spec, ordered, SlopeConfig())
+    return Model(spec, ordered)

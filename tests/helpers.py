@@ -106,13 +106,11 @@ class LinearSoftmaxModel:
         id = "linear"
 
     spec = _Spec()
+    slope, activation = 1.0, "srelu"
 
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, slope_config=None):
-        from srelu_defense.models import SlopeConfig
-
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
         self.weights = weights  # (features, classes)
         self.bias = bias
-        self.slope_config = slope_config or SlopeConfig()
 
     def logits(self, images: np.ndarray) -> np.ndarray:
         flat = images.reshape(len(images), -1)

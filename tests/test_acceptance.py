@@ -26,7 +26,7 @@ from srelu_defense.data import (
     take_first,
 )
 from srelu_defense.experiments import MNIST_EPSILONS, SweepGrid, slope_sweep
-from srelu_defense.models import Act, Model, Pool, SlopeConfig, _forward, build_model
+from srelu_defense.models import Act, Model, Pool, _forward, build_model
 
 from conftest import cifar_paths_or_skip, mnist_paths_or_skip
 from helpers import (
@@ -89,7 +89,7 @@ def _f64_twin(model: Model) -> Model:
         name: Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
         for name, p in model.params.items()
     }
-    return Model(model.spec, params, model.slope_config)
+    return replace(model, params=params)
 
 
 def _projected_op_loss(op_apply, proj64):
@@ -259,7 +259,7 @@ def _full_cnn_errors(rng):
 
     # parameters take gradients only in train mode; at slope 1 with the
     # plain rectifier it is the same function as the eval forward
-    assert model32.slope_config == SlopeConfig()
+    assert (model32.slope, model32.activation) == (1.0, "srelu")
     grads = {}
     for dtype, model in ((np.float32, model32), (np.float64, model64)):
         tape = Tape()

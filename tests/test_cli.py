@@ -88,6 +88,7 @@ def test_unknown_flag_exits_2():
     ["eval", "--threads", "2"],
     ["train", "--threads", "2"],
     ["sweep", "--train-images", "x"],
+    ["train", "--train-slope", "5"],
 ])
 def test_option_the_command_does_not_read_exits_2(argv):
     with pytest.raises(SystemExit) as exc:

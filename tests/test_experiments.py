@@ -169,40 +169,35 @@ def test_sweep_threads_do_not_change_bytes(trained_synth, small_test, sweep_repo
     assert threaded.csv_text() == sweep_report.csv_text()
 
 
-def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monkeypatch):
-    # fgsm and bim take their gradients without Model.logits, and an eps=0
-    # cell returns the clean chunk, whose prediction is cached; so the forward
-    # passes left are one clean prediction per slope and one per eps>0 cell
+def _count_calls(monkeypatch, name):
+    """Patch the Model method name to record the batch size of every call."""
     calls = []
-    logits = sd.Model.logits
+    method = getattr(sd.Model, name)
 
-    def counted(self, images):
+    def counted(self, images, *args):
         calls.append(len(images))
-        return logits(self, images)
+        return method(self, images, *args)
 
-    monkeypatch.setattr(sd.Model, "logits", counted)
-    grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "bim"))
-    slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
-    attacked_cells_per_slope = 2 * 2
-    assert calls == [60] * 2 * (1 + attacked_cells_per_slope)
-
-
-def _count_input_grads(monkeypatch):
-    """Patch Model.loss_input_grad to record the batch size of every call."""
-    calls = []
-    loss_input_grad = sd.Model.loss_input_grad
-
-    def counted(self, images, labels):
-        calls.append(len(images))
-        return loss_input_grad(self, images, labels)
-
-    monkeypatch.setattr(sd.Model, "loss_input_grad", counted)
+    monkeypatch.setattr(sd.Model, name, counted)
     return calls
 
 
+@pytest.mark.parametrize("kinds", ["fgsm,bim", "gaussian_noise", "salt_pepper"])
+def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monkeypatch,
+                                                 kinds):
+    # no kind here takes its gradients through Model.logits, and an eps=0
+    # cell returns the clean chunk, whose prediction is cached; so the forward
+    # passes left are one clean prediction per slope and one per eps>0 cell
+    calls = _count_calls(monkeypatch, "logits")
+    grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
+                     attack_kinds=tuple(kinds.split(",")))
+    slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
+    attacked_cells_per_slope = len(grid.attack_kinds) * 2
+    assert calls == [60] * 2 * (1 + attacked_cells_per_slope)
+
+
 def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeypatch):
-    calls = _count_input_grads(monkeypatch)
+    calls = _count_calls(monkeypatch, "loss_input_grad")
     grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3),
                      attack_kinds=("fgsm", "stepll", "rfgsm", "bim", "pgd"))
     slope_sweep(trained_synth, take_first(small_test, 8), grid, seed=0)
@@ -216,7 +211,7 @@ def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeyp
 
 def test_targeted_sweep_takes_one_gradient_per_target(trained_synth, small_test,
                                                       monkeypatch):
-    calls = _count_input_grads(monkeypatch)
+    calls = _count_calls(monkeypatch, "loss_input_grad")
     grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2, 0.3))
     ex.targeted_sweep(trained_synth, take_first(small_test, 8), grid, seed=0)
     assert calls == [8] * 2 * 10
@@ -362,16 +357,18 @@ def test_train_deterministic_per_seed(synth_sets):
     assert runs[0] == runs[1]
 
 
-def test_train_slope_control_changes_training(synth_sets):
+def test_train_runs_the_plain_rectifier_at_any_slope(synth_sets):
+    # train mutates the caller's parameters and leaves its evaluation setting
     train_set, _ = synth_sets
     subset = take_first(train_set, 128)
-    plain = sd.build_model("mnist_cnn", seed=2)
-    raised = sd.build_model("mnist_cnn", seed=2,
-                            slope_config=sd.SlopeConfig(train_slope=5.0))
-    ex.train(plain, subset, epochs=1, seed=9)
-    ex.train(raised, subset, epochs=1, seed=9)
-    assert any(plain.params[n].data.tobytes() != raised.params[n].data.tobytes()
-               for n in plain.params)
+    runs = []
+    for slope, activation in ((1.0, "srelu"), (5.0, "srelu"), (1.0, "tanh")):
+        model = sd.build_model("mnist_cnn", seed=2)
+        view = ex.train(sd.Model(model.spec, model.params, slope, activation), subset,
+                        epochs=1, seed=9)
+        assert (view.slope, view.activation) == (slope, activation)
+        runs.append({n: t.data.tobytes() for n, t in model.params.items()})
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +418,23 @@ def test_transfer_eval_eps_zero_is_clean(trained_synth, synth_sets, small_test):
             assert r.adv_acc == r.clean_acc
 
 
+def test_transfer_eval_rejects_empty(trained_synth, small_test):
+    with pytest.raises(ValueError, match="empty"):
+        ex.bpda_transfer_eval(trained_synth, trained_synth, take_first(small_test, 0),
+                              slopes=(1.0,), epsilons=(0.0,), seed=0)
+
+
 def test_transfer_eval_crafts_fgsm_from_one_gradient(trained_synth, small_test,
                                                      monkeypatch):
     # the substitute's clean gradient serves every eps; eps=0 crafts nothing
-    calls = _count_input_grads(monkeypatch)
+    grads = _count_calls(monkeypatch, "loss_input_grad")
+    passes = _count_calls(monkeypatch, "logits")
     ex.bpda_transfer_eval(trained_synth, trained_synth, take_first(small_test, 8),
                           slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3), seed=0)
-    assert calls == [8]
+    assert grads == [8]
+    # one clean pass per slope, which its eps=0 cell reads too; one substitute
+    # prediction per cell (run_attack's success); one pass per slope per eps>0
+    assert passes == [8] * (2 + 3 + 2 * 2)
 
 
 def test_transfer_attack_hurts_defended_model(trained_synth, distilled_substitute,

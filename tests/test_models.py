@@ -15,7 +15,6 @@ from srelu_defense.models import (
     Flatten,
     Model,
     ParamsFormatError,
-    SlopeConfig,
     build_model,
     load_params,
     penultimate_features,
@@ -76,10 +75,15 @@ def test_unknown_architecture():
 
 
 def test_slope_config_validation():
+    model = build_model("mnist_cnn", seed=0)
     with pytest.raises(ValueError, match="positive"):
-        SlopeConfig(test_slope=0.0)
+        Model(model.spec, model.params, slope=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        model.with_slope(-1.0)
     with pytest.raises(ValueError, match="unknown test activation"):
-        SlopeConfig(test_activation="swish")
+        Model(model.spec, model.params, activation="swish")
+    with pytest.raises(ValueError, match="unknown test activation"):
+        model.with_activation("swish")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +217,7 @@ def test_zero_input_features_come_from_biases_only():
 
 def test_cnn1_cnn2_agree_with_identity_activations(rng):
     cnn1 = build_model("cifar10_cnn1", seed=9)
-    cnn2 = Model(md.ARCHITECTURES["cifar10_cnn2"], cnn1.params, SlopeConfig())
+    cnn2 = Model(md.ARCHITECTURES["cifar10_cnn2"], cnn1.params)
     batch = rand_batch(rng, cnn1)
     with_relu_1 = cnn1.logits(batch)
     with_relu_2 = cnn2.logits(batch)
