@@ -32,7 +32,6 @@ from .attacks import AdversarialBatch, AttackConfig, run_attack
 from .experiments import (
     EvalRecord,
     Report,
-    SweepGrid,
     activation_swap,
     bpda_train_substitute,
     bpda_transfer_eval,

@@ -74,6 +74,10 @@ class AttackConfig:
                 raise ValueError(f"{kind} attack does not take {name}")
         if self.targeted and not 0 <= self.target_class < 10:
             raise ValueError("targeted attack needs a target class in [0, 10)")
+        if self.step_size is not None and not self.step_size > 0:
+            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if self.overshoot is not None and not self.overshoot >= 0:
+            raise ValueError(f"overshoot must be non-negative, got {self.overshoot}")
 
         if self.steps is None:
             self.steps = _ITERATIVE_STEPS.get(kind, 1)

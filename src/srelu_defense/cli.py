@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from . import experiments as ex
 from .attacks import AttackConfig
 from .autodiff import ACTIVATION_KINDS
 from .data import DataFormatError, load_cifar10_bin, load_mnist_idx, take_first
-from .experiments import SweepGrid
 from .models import (
     PARAMS_VERSION,
     ParamsFormatError,
@@ -73,6 +73,23 @@ def _at_least(low: int):
     return convert
 
 
+def _positive(raw: str) -> float:
+    """Converter for a number that must be greater than 0 (a slope or a factor)."""
+    value = float(raw)
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
+def _epsilon_grid(raw: str) -> tuple:
+    """Converter for an epsilon grid: ascending from 0 and within [0, 1]."""
+    values = _list(float)(raw)
+    ascending = all(a <= b for a, b in zip(values, values[1:]))
+    if values[0] != 0.0 or not ascending or not values[-1] <= 1.0:
+        raise ValueError(f"must ascend from 0 and stay within [0, 1], got {raw}")
+    return values
+
+
 # option name -> (converter, default, help); each subcommand declares only the
 # options its handler reads. A dict default is keyed by the data family.
 _COMMON = {
@@ -94,10 +111,10 @@ _TRAIN_DATA = {
 
 _THREADS = {"threads": (_at_least(1), 1, "worker threads for independent grid cells")}
 
-_EPSILON_GRID = {"epsilons": (_list(float),
+_EPSILON_GRID = {"epsilons": (_epsilon_grid,
                               {"mnist": ex.MNIST_EPSILONS, "cifar10": ex.CIFAR_EPSILONS},
                               "epsilon grid (default depends on arch)")}
-_SLOPES = {"slopes": (_list(float), ex.DEFAULT_SLOPES, "slope grid")}
+_SLOPES = {"slopes": (_list(_positive), ex.DEFAULT_SLOPES, "slope grid")}
 
 OPTIONS: dict[str, dict] = {
     "train": {
@@ -112,7 +129,7 @@ OPTIONS: dict[str, dict] = {
     "eval": {
         **_COMMON,
         "params": (str, None, "parameter file"),
-        "slope": (float, 1.0, "test-time rectifier slope"),
+        "slope": (_positive, 1.0, "test-time rectifier slope"),
         "activation": (str, "srelu", "test-time activation override"),
     },
     "attack": {
@@ -128,13 +145,14 @@ OPTIONS: dict[str, dict] = {
         "noise_alpha": (float, None, "rfgsm noise share of epsilon"),
         "overshoot": (float, None, "deepfool overshoot"),
         "random_start": (_bool, None, "pgd random start (on by default)"),
-        "slope": (float, 1.0, "test-time rectifier slope"),
+        "slope": (_positive, 1.0, "test-time rectifier slope"),
     },
     "sweep": {
         **_COMMON, **_THREADS, **_SLOPES, **_EPSILON_GRID,
         "params": (str, None, "parameter file"),
         "attacks": (_list(str), ex.DEFAULT_ATTACK_KINDS, "attack kinds"),
-        "deepfool_iters": (_list(int), ex.DEEPFOOL_ITER_GRID, "deepfool iteration grid"),
+        "deepfool_iters": (_list(_at_least(1)), ex.DEEPFOOL_ITER_GRID,
+                           "deepfool iteration grid"),
     },
     "targeted-sweep": {
         **_COMMON, **_THREADS, **_SLOPES, **_EPSILON_GRID,
@@ -148,7 +166,7 @@ OPTIONS: dict[str, dict] = {
     "scale": {
         **_COMMON, **_THREADS, **_EPSILON_GRID,
         "params": (str, None, "parameter file"),
-        "factors": (_list(float), ex.DEFAULT_SCALE_FACTORS, "pixel scale factors"),
+        "factors": (_list(_positive), ex.DEFAULT_SCALE_FACTORS, "pixel scale factors"),
         "clip": (_bool, True, "clip scaled pixels back to [0, 1]"),
     },
     "bpda": {
@@ -161,7 +179,7 @@ OPTIONS: dict[str, dict] = {
     "export-features": {
         **_COMMON,
         "params": (str, None, "parameter file"),
-        "slope": (float, 1.0, "test-time rectifier slope"),
+        "slope": (_positive, 1.0, "test-time rectifier slope"),
     },
 }
 
@@ -300,13 +318,12 @@ def _load_split(cfg: dict, split: str):
     return dataset
 
 
-def _load_model(cfg: dict, slope: float = 1.0, activation: str = "srelu"):
+def _load_model(cfg: dict):
+    """The parameter file's model at the command's --slope and --activation, if any."""
     if not cfg.get("params"):
         raise CliError("load-params", "missing required option: params")
-    model = load_params(cfg["params"], cfg["arch"]).with_slope(slope)
-    if activation != "srelu":
-        model = model.with_activation(activation)
-    return model
+    return replace(load_params(cfg["params"], cfg["arch"]), slope=cfg.get("slope", 1.0),
+                   activation=cfg.get("activation", "srelu"))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +350,7 @@ def _cmd_train(cfg: dict, outdir: str) -> None:
 
 
 def _cmd_eval(cfg: dict, outdir: str) -> ex.Report:
-    model = _load_model(cfg, cfg["slope"], cfg["activation"])
+    model = _load_model(cfg)
     dataset = _load_split(cfg, "test")
     acc = ex.eval_clean(model, dataset)
     print(f"clean accuracy: {acc:.4f}")
@@ -355,7 +372,7 @@ def _attack_config(cfg: dict) -> AttackConfig:
 
 def _cmd_attack(cfg: dict, outdir: str) -> ex.Report:
     config = _attack_config(cfg)
-    model = _load_model(cfg, cfg["slope"])
+    model = _load_model(cfg)
     [record] = ex.eval_under_attack(model, _load_split(cfg, "test"), [config],
                                     seed=cfg["seed"])
     print(f"clean {record.clean_acc:.4f} -> adversarial {record.adv_acc:.4f}")
@@ -364,17 +381,15 @@ def _cmd_attack(cfg: dict, outdir: str) -> ex.Report:
 
 def _cmd_sweep(cfg: dict, outdir: str) -> ex.Report:
     model = _load_model(cfg)
-    grid = SweepGrid(slopes=cfg["slopes"], epsilons=cfg["epsilons"],
-                     attack_kinds=cfg["attacks"], deepfool_iters=cfg["deepfool_iters"])
-    return ex.slope_sweep(model, _load_split(cfg, "test"), grid, seed=cfg["seed"],
+    return ex.slope_sweep(model, _load_split(cfg, "test"), cfg["slopes"], cfg["epsilons"],
+                          cfg["attacks"], cfg["deepfool_iters"], seed=cfg["seed"],
                           threads=cfg["threads"])
 
 
 def _cmd_targeted_sweep(cfg: dict, outdir: str) -> ex.Report:
     model = _load_model(cfg)
-    grid = SweepGrid(slopes=cfg["slopes"], epsilons=cfg["epsilons"])
-    return ex.targeted_sweep(model, _load_split(cfg, "test"), grid, seed=cfg["seed"],
-                             threads=cfg["threads"])
+    return ex.targeted_sweep(model, _load_split(cfg, "test"), cfg["slopes"],
+                             cfg["epsilons"], seed=cfg["seed"], threads=cfg["threads"])
 
 
 def _cmd_swap(cfg: dict, outdir: str) -> ex.Report:
@@ -402,7 +417,7 @@ def _cmd_bpda(cfg: dict, outdir: str) -> ex.Report:
 
 
 def _cmd_export_features(cfg: dict, outdir: str) -> None:
-    model = _load_model(cfg, cfg["slope"])
+    model = _load_model(cfg)
     ex.export_features(model, _load_split(cfg, "test"),
                        os.path.join(outdir, "features.csv"))
 

@@ -168,13 +168,14 @@ def take_first(dataset: LabeledImageSet, k: int) -> LabeledImageSet:
 
 
 def scale_pixels(dataset: LabeledImageSet, factor: float, clip: bool) -> LabeledImageSet:
-    """Multiply pixels by factor; clip back to [0, 1] only when asked.
+    """Multiply pixels by a positive factor; clip back to [0, 1] only when asked.
 
-    Without clipping the pixel range grows to [0, factor]. The scaled set is
-    named after the original, the factor and the clip mode, for its report rows.
+    Without clipping the pixel range grows to [0, factor]; a factor of 0 would
+    leave no range to attack in, so it is rejected. The scaled set is named
+    after the original, the factor and the clip mode, for its report rows.
     """
-    if factor < 0:
-        raise ValueError(f"scale factor must be non-negative, got {factor}")
+    if factor <= 0:
+        raise ValueError(f"scale factor must be positive, got {factor}")
     scaled = dataset.images * np.asarray(factor, dtype=dataset.images.dtype)
     name = f"{dataset.name}[x{factor:g}:{'clip' if clip else 'noclip'}]"
     if clip:

@@ -40,21 +40,6 @@ SUMMARY_HEADER = (
 TRAIN_DEFAULTS = {"lr": 0.01, "momentum": 0.9, "batch_size": 64}
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    slopes: tuple = DEFAULT_SLOPES
-    epsilons: tuple = MNIST_EPSILONS
-    attack_kinds: tuple = DEFAULT_ATTACK_KINDS
-    deepfool_iters: tuple = DEEPFOOL_ITER_GRID
-
-    def __post_init__(self):
-        if any(s <= 0 for s in self.slopes):
-            raise ValueError("slopes must be positive")
-        eps = tuple(self.epsilons)
-        if not eps or eps[0] != 0.0 or list(eps) != sorted(eps):
-            raise ValueError("epsilons must ascend and start at 0")
-
-
 @dataclass
 class EvalRecord:
     """One (model, slope, attack, epsilon) measurement row."""
@@ -341,20 +326,26 @@ def _attack_grid(variants, configs, seed: int, threads: int,
     return Report(records=records, summaries=summaries)
 
 
-def slope_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
+def slope_sweep(model: Model, dataset: LabeledImageSet, slopes, epsilons,
+                attack_kinds=DEFAULT_ATTACK_KINDS, deepfool_iters=DEEPFOOL_ITER_GRID,
                 seed: int = 0, threads: int = 1) -> Report:
-    """Cross product of (slope, attack, epsilon) under untargeted attacks."""
-    variants = [(model.with_slope(s), dataset) for s in grid.slopes]
-    configs = _grid_configs(grid.attack_kinds, grid.epsilons, seed, grid.deepfool_iters)
+    """Cross product of (slope, attack, epsilon) under untargeted attacks.
+
+    deepfool, which takes no epsilon, runs once per budget in deepfool_iters
+    instead. Model rejects a slope that is not positive and AttackConfig an
+    epsilon outside [0, 1]; the CLI also requires the grid to ascend from 0.
+    """
+    variants = [(model.with_slope(s), dataset) for s in slopes]
+    configs = _grid_configs(attack_kinds, epsilons, seed, deepfool_iters)
     return _attack_grid(variants, configs, seed, threads, summary_metric="adv_acc")
 
 
-def targeted_sweep(model: Model, dataset: LabeledImageSet, grid: SweepGrid,
+def targeted_sweep(model: Model, dataset: LabeledImageSet, slopes, epsilons,
                    seed: int = 0, threads: int = 1) -> Report:
-    """Targeted FGSM toward every class, per slope and epsilon."""
-    variants = [(model.with_slope(s), dataset) for s in grid.slopes]
+    """Targeted FGSM toward every class, per slope and epsilon (as slope_sweep)."""
+    variants = [(model.with_slope(s), dataset) for s in slopes]
     configs = [AttackConfig(kind="fgsm", epsilon=eps, target_class=target, rng_seed=seed)
-               for target in range(10) for eps in grid.epsilons]
+               for target in range(10) for eps in epsilons]
     return _attack_grid(variants, configs, seed, threads, summary_metric="attack_success")
 
 
@@ -373,8 +364,6 @@ def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
     Without clipping, the valid pixel range grows to [0, factor] and the
     attack clips to that range instead.
     """
-    if any(f <= 0 for f in factors):
-        raise ValueError("scale factors must be positive")
     base = model.with_slope(1.0)
     variants = [(base, scale_pixels(dataset, f, clip)) for f in factors]
     return _attack_grid(variants, _grid_configs(("fgsm",), epsilons, seed), seed, threads)
@@ -444,15 +433,14 @@ def train(model: Model, train_set: LabeledImageSet, epochs: int,
 
 
 def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
-                          epochs: int, seed: int,
-                          lr: float = TRAIN_DEFAULTS["lr"],
-                          momentum: float = TRAIN_DEFAULTS["momentum"],
-                          batch_size: int = TRAIN_DEFAULTS["batch_size"]) -> Model:
+                          epochs: int, seed: int) -> Model:
     """Train a same-architecture substitute against the original's soft labels.
 
     The substitute minimizes cross-entropy between its softmax outputs and
-    the softmax of the original's slope-1 logits (soft-label distillation).
+    the softmax of the original's slope-1 logits (soft-label distillation),
+    with train's default SGD settings (TRAIN_DEFAULTS).
     """
+    batch_size = TRAIN_DEFAULTS["batch_size"]
     substitute = build_model(original.spec, seed)
     teacher = original.with_slope(1.0)
     soft = np.empty((train_set.n, 10), dtype=train_set.images.dtype)
@@ -466,7 +454,8 @@ def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
             sel = idx[start : start + batch_size]
             yield train_set.images[sel], soft[sel]
 
-    _sgd(substitute, epochs, soft_batches, ad.soft_cross_entropy, lr, momentum)
+    _sgd(substitute, epochs, soft_batches, ad.soft_cross_entropy,
+         TRAIN_DEFAULTS["lr"], TRAIN_DEFAULTS["momentum"])
     return substitute
 
 

@@ -140,7 +140,7 @@ def resolve_arch(arch: "str | ArchitectureSpec") -> ArchitectureSpec:
 @dataclass
 class Model:
     """Parameters, and what every activation site runs: the rectifier ("srelu")
-    at slope, or the substitute function activation names."""
+    at slope, or the substitute function activation names (at slope 1 only)."""
 
     spec: ArchitectureSpec
     params: dict[str, Tensor]
@@ -152,6 +152,9 @@ class Model:
             raise ValueError(f"test slope must be positive, got {self.slope}")
         if self.activation != "srelu" and self.activation not in ad._ACTIVATIONS:
             raise ValueError(f"unknown test activation {self.activation!r}")
+        if self.activation != "srelu" and self.slope != 1.0:
+            raise ValueError(f"a slope applies only to srelu, not {self.activation} "
+                             f"(got slope {self.slope})")
 
     def with_slope(self, slope: float) -> "Model":
         """Same parameters, rectifier at a different slope."""

@@ -379,6 +379,15 @@ def test_attack_config_validation():
         AttackConfig(kind="bim", epsilon=0.1, steps=0)
     with pytest.raises(ValueError, match="epsilon"):  # the salt-and-pepper fraction
         AttackConfig(kind="salt_pepper", epsilon=-0.1)
+    for kind in ("bim", "pgd"):  # a step that descends the loss is no attack
+        with pytest.raises(ValueError, match="step_size"):
+            AttackConfig(kind=kind, epsilon=0.1, step_size=-0.01)
+        with pytest.raises(ValueError, match="step_size"):
+            AttackConfig(kind=kind, epsilon=0.1, step_size=0.0)
+        assert AttackConfig(kind=kind, epsilon=0.0).step_size == 0.0  # derived, allowed
+    with pytest.raises(ValueError, match="overshoot"):
+        AttackConfig(kind="deepfool", overshoot=-0.02)
+    assert AttackConfig(kind="rfgsm", epsilon=0.0).step_size == 0.0
 
 
 def test_untargeted_success_flags_match_predictions(trained_synth, attack_batch):

@@ -236,6 +236,14 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     ("eval", "limit", "-1"),
     ("train", "limit_train", "-5"),
     ("eval", "seed", "-1"),
+    ("sweep", "slopes", "0,1"),
+    ("bpda", "slopes", "-1"),
+    ("eval", "slope", "0"),
+    ("scale", "factors", "0"),
+    ("swap", "epsilons", "0.1,0"),
+    ("targeted-sweep", "epsilons", "0,1.5"),
+    ("bpda", "epsilons", "0.1,0.2"),
+    ("sweep", "deepfool_iters", "0"),
 ])
 def test_count_below_its_bound_is_a_bad_value(command, option, value, tmp_path, capsys):
     out = tmp_path / "o"
@@ -341,6 +349,19 @@ def test_eval_reports_clean_accuracy(idx_data, saved_model, tmp_path, capsys):
     report = (out / "report.csv").read_text().splitlines()
     assert len(report) == 2
     assert report[1].split(",")[5] == "none"
+
+
+def test_eval_slope_with_a_substitute_activation_is_an_error(idx_data, saved_model,
+                                                            tmp_path, capsys):
+    # a slope applies to the rectifier only; a tanh row must not claim slope 2
+    out = tmp_path / "eval"
+    code = cli.main(["eval", *eval_args(idx_data, [
+        "--params", saved_model, "--slope", "2", "--activation", "tanh",
+        "--seed", "1", "--out", str(out),
+    ])])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error in eval:")
+    assert not (out / "report.csv").exists()
 
 
 # ---------------------------------------------------------------------------

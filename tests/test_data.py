@@ -202,8 +202,10 @@ def test_scale_pixels_noclip_range_holds_an_inexact_factor():
 
 def test_scale_pixels_rejects_negative():
     ds = synthetic_digits(2, seed=3)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="positive"):
         scale_pixels(ds, -1.0, clip=True)
+    with pytest.raises(ValueError, match="positive"):
+        scale_pixels(ds, 0.0, clip=False)
 
 
 def test_unit_range_validation():

@@ -19,7 +19,6 @@ from srelu_defense.experiments import (
     REPORT_HEADER,
     EvalRecord,
     Report,
-    SweepGrid,
     eval_clean,
     eval_under_attack,
     slope_sweep,
@@ -118,9 +117,9 @@ def test_default_record_steps_follow_attack_constants(trained_synth, small_test)
 
 @pytest.fixture(scope="module")
 def sweep_report(trained_synth, small_test):
-    grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "bim"))
-    return slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
+    grid = dict(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
+                attack_kinds=("fgsm", "bim"))
+    return slope_sweep(trained_synth, take_first(small_test, 60), **grid, seed=0)
 
 
 def test_sweep_record_count_is_cross_product(sweep_report):
@@ -154,17 +153,17 @@ def test_sweep_defense_recovers_on_synthetic(sweep_report):
 
 
 def test_sweep_rerun_is_byte_identical(trained_synth, small_test, sweep_report):
-    grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "bim"))
-    again = slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
+    grid = dict(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
+                attack_kinds=("fgsm", "bim"))
+    again = slope_sweep(trained_synth, take_first(small_test, 60), **grid, seed=0)
     assert again.csv_text() == sweep_report.csv_text()
     assert again.summary_csv_text() == sweep_report.summary_csv_text()
 
 
 def test_sweep_threads_do_not_change_bytes(trained_synth, small_test, sweep_report):
-    grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "bim"))
-    threaded = slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0,
+    grid = dict(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
+                attack_kinds=("fgsm", "bim"))
+    threaded = slope_sweep(trained_synth, take_first(small_test, 60), **grid, seed=0,
                            threads=3)
     assert threaded.csv_text() == sweep_report.csv_text()
 
@@ -189,18 +188,18 @@ def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monk
     # cell returns the clean chunk, whose prediction is cached; so the forward
     # passes left are one clean prediction per slope and one per eps>0 cell
     calls = _count_calls(monkeypatch, "logits")
-    grid = SweepGrid(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=tuple(kinds.split(",")))
-    slope_sweep(trained_synth, take_first(small_test, 60), grid, seed=0)
-    attacked_cells_per_slope = len(grid.attack_kinds) * 2
+    grid = dict(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
+                attack_kinds=tuple(kinds.split(",")))
+    slope_sweep(trained_synth, take_first(small_test, 60), **grid, seed=0)
+    attacked_cells_per_slope = len(grid["attack_kinds"]) * 2
     assert calls == [60] * 2 * (1 + attacked_cells_per_slope)
 
 
 def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeypatch):
     calls = _count_calls(monkeypatch, "loss_input_grad")
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3),
-                     attack_kinds=("fgsm", "stepll", "rfgsm", "bim", "pgd"))
-    slope_sweep(trained_synth, take_first(small_test, 8), grid, seed=0)
+    grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3),
+                attack_kinds=("fgsm", "stepll", "rfgsm", "bim", "pgd"))
+    slope_sweep(trained_synth, take_first(small_test, 8), **grid, seed=0)
     # per slope, eps=0 takes none; eps 0.1 and 0.3 together take one
     # true-label gradient at the clean images (fgsm at both, and bim's first
     # steps), one least-likely-class one (stepll at both), rfgsm's 2 from its
@@ -212,24 +211,17 @@ def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeyp
 def test_targeted_sweep_takes_one_gradient_per_target(trained_synth, small_test,
                                                       monkeypatch):
     calls = _count_calls(monkeypatch, "loss_input_grad")
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2, 0.3))
-    ex.targeted_sweep(trained_synth, take_first(small_test, 8), grid, seed=0)
+    grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2, 0.3))
+    ex.targeted_sweep(trained_synth, take_first(small_test, 8), **grid, seed=0)
     assert calls == [8] * 2 * 10
 
 
 def test_sweep_deepfool_uses_iteration_grid(trained_synth, small_test):
-    grid = SweepGrid(slopes=(1.0,), epsilons=(0.0, 0.3),
-                     attack_kinds=("deepfool",), deepfool_iters=(1, 2))
-    report = slope_sweep(trained_synth, take_first(small_test, 16), grid, seed=0)
+    grid = dict(slopes=(1.0,), epsilons=(0.0, 0.3),
+                attack_kinds=("deepfool",), deepfool_iters=(1, 2))
+    report = slope_sweep(trained_synth, take_first(small_test, 16), **grid, seed=0)
     assert [r.epsilon for r in report.records] == [1.0, 2.0]
     assert [r.steps for r in report.records] == [1, 2]
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError, match="positive"):
-        SweepGrid(slopes=(0.0, 1.0))
-    with pytest.raises(ValueError, match="ascend"):
-        SweepGrid(epsilons=(0.1, 0.0))
 
 
 def test_monotone_eps_and_pgd_strength_on_synthetic(trained_synth, small_test):
@@ -251,8 +243,8 @@ def test_monotone_eps_and_pgd_strength_on_synthetic(trained_synth, small_test):
 
 
 def test_targeted_sweep_shape_and_summary(trained_synth, small_test):
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.2))
-    report = ex.targeted_sweep(trained_synth, take_first(small_test, 40), grid, seed=0)
+    grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.2))
+    report = ex.targeted_sweep(trained_synth, take_first(small_test, 40), **grid, seed=0)
     assert len(report.records) == 10 * 2 * 2
     assert all(r.targeted for r in report.records)
     assert sorted({r.target_class for r in report.records}) == list(range(10))
@@ -269,7 +261,7 @@ def test_swap_srelu_reproduces_baseline(trained_synth, small_test):
     subset = take_first(small_test, 50)
     baseline = slope_sweep(
         trained_synth, subset,
-        SweepGrid(slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",)), seed=0,
+        slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",), seed=0,
     )
     swapped = ex.activation_swap(trained_synth, subset, ("srelu", "tanh"), eps, seed=0)
     base_rows = {(r.epsilon): (r.clean_acc, r.adv_acc) for r in baseline.records}
@@ -297,7 +289,7 @@ def test_scaling_factor_one_reproduces_baseline(trained_synth, small_test):
     subset = take_first(small_test, 50)
     baseline = slope_sweep(
         trained_synth, subset,
-        SweepGrid(slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",)), seed=0,
+        slopes=(1.0,), epsilons=eps, attack_kinds=("fgsm",), seed=0,
     )
     scaled = ex.scaling_experiment(trained_synth, subset, (1.0,), True, eps, seed=0)
     base = {r.epsilon: (r.clean_acc, r.adv_acc) for r in baseline.records}
@@ -512,12 +504,12 @@ def test_records_sorted_by_canonical_key(sweep_report):
 
 def test_every_driver_report_parses_to_header_width(trained_synth, small_test):
     few = take_first(small_test, 12)
-    grid = SweepGrid(slopes=(1.0,), epsilons=(0.0, 0.1),
-                     attack_kinds=("fgsm", "salt_pepper", "deepfool"),
-                     deepfool_iters=(1,))
     reports = {
-        "sweep": slope_sweep(trained_synth, few, grid, seed=1),
-        "targeted": ex.targeted_sweep(trained_synth, few, grid, seed=1),
+        "sweep": slope_sweep(trained_synth, few, slopes=(1.0,), epsilons=(0.0, 0.1),
+                             attack_kinds=("fgsm", "salt_pepper", "deepfool"),
+                             deepfool_iters=(1,), seed=1),
+        "targeted": ex.targeted_sweep(trained_synth, few, slopes=(1.0,),
+                                      epsilons=(0.0, 0.1), seed=1),
         "swap": ex.activation_swap(trained_synth, few, ("tanh",), (0.0, 0.1), seed=1),
         "scale": ex.scaling_experiment(trained_synth, few, (0.5, 2.0), True,
                                        (0.0, 0.1), seed=1),

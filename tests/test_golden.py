@@ -19,7 +19,7 @@ import pytest
 import srelu_defense as sd
 from srelu_defense import experiments as ex
 from srelu_defense.data import take_first
-from srelu_defense.experiments import SweepGrid, slope_sweep
+from srelu_defense.experiments import slope_sweep
 
 from helpers import synthetic_cifar, synthetic_split
 
@@ -59,9 +59,9 @@ def golden_sweep(golden_model, tmp_path_factory):
     # one full 256-image evaluation chunk: the conv1 input gradient then has
     # N*ho*wo = 147,456 rows, past any small-batch special case
     model, _, test_set = golden_model
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
-                     attack_kinds=("fgsm", "stepll", "rfgsm", "bim"))
-    report = slope_sweep(model, test_set, grid, seed=7)
+    grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
+                attack_kinds=("fgsm", "stepll", "rfgsm", "bim"))
+    report = slope_sweep(model, test_set, **grid, seed=7)
     out = tmp_path_factory.mktemp("golden")
     report.write_csv(out / "report.csv")
     report.write_summary_csv(out / "summary.csv")
@@ -93,18 +93,18 @@ def test_golden_sweep_other_kinds(golden_model):
     # the kinds the main pin leaves out: PGD, the two seeded degradation
     # attacks (salt-and-pepper reads the epsilon grid as pixel fractions)
     # and DeepFool over its own iteration grid
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
-                     attack_kinds=("pgd", "gaussian_noise", "salt_pepper", "deepfool"),
-                     deepfool_iters=(1, 2, 5))
-    report = slope_sweep(golden_model[0], take_first(golden_model[2], 32), grid, seed=7)
+    grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
+                attack_kinds=("pgd", "gaussian_noise", "salt_pepper", "deepfool"),
+                deepfool_iters=(1, 2, 5))
+    report = slope_sweep(golden_model[0], take_first(golden_model[2], 32), **grid, seed=7)
     assert len(report.records) == 2 * 4 * 3
     assert _sha256_text(report.csv_text()) == OTHER_KINDS_REPORT_SHA256
     assert _sha256_text(report.summary_csv_text()) == OTHER_KINDS_SUMMARY_SHA256
 
 
 def test_golden_targeted_sweep(golden_model, small_test):
-    grid = SweepGrid(slopes=(1.0, 10.0), epsilons=(0.0, 0.1), attack_kinds=("fgsm",))
-    report = ex.targeted_sweep(golden_model[0], small_test, grid, seed=7)
+    report = ex.targeted_sweep(golden_model[0], small_test, slopes=(1.0, 10.0),
+                               epsilons=(0.0, 0.1), seed=7)
     assert len(report.records) == 2 * 10 * 2
     assert _sha256_text(report.csv_text()) == TARGETED_REPORT_SHA256
     assert _sha256_text(report.summary_csv_text()) == TARGETED_SUMMARY_SHA256

@@ -84,6 +84,10 @@ def test_slope_config_validation():
         Model(model.spec, model.params, activation="swish")
     with pytest.raises(ValueError, match="unknown test activation"):
         model.with_activation("swish")
+    with pytest.raises(ValueError, match="only to srelu"):
+        Model(model.spec, model.params, slope=2.0, activation="tanh")
+    with pytest.raises(ValueError, match="only to srelu"):
+        model.with_slope(2.0).with_activation("tanh")
 
 
 # ---------------------------------------------------------------------------
