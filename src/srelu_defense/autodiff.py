@@ -174,33 +174,37 @@ def conv2d(
 
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    # im2col: (N*ho*wo, C*kh*kw) @ (C*kh*kw, O)
-    cols = _windows(x.data, kh, kw, stride).transpose(0, 2, 3, 1, 4, 5)
-    cols = cols.reshape(n * ho * wo, c * kh * kw)
-    wmat = weights.data.reshape(o, c * kh * kw).T
-    out_mat = cols @ wmat + bias.data
+    # K-major im2col: (O, C*kh*kw) @ (C*kh*kw, N*ho*wo), so the output
+    # transpose to NCHW moves whole contiguous ho*wo rows
+    cols = _windows(x.data, kh, kw, stride).transpose(1, 4, 5, 0, 2, 3)
+    cols = cols.reshape(c * kh * kw, n * ho * wo)
+    out_mat = weights.data.reshape(o, c * kh * kw) @ cols
+    out_mat += bias.data[:, None]
     out = Tensor(
-        np.ascontiguousarray(out_mat.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)),
+        np.ascontiguousarray(out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)),
         dtype=out_mat.dtype,
     )
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
         if needs[0]:
-            # one GEMM straight into tap-major order (kh, kw, C, N, ho, wo);
-            # each tap is then one contiguous block added into a CNHW buffer
+            # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N),
+            # each tap added into a CHWN buffer; with the batch innermost an
+            # add runs over wo*N contiguous floats. Both are indexed as NCHW.
             wtap = weights.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
-            taps = wtap @ g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-            taps = taps.reshape(kh, kw, c, n, ho, wo)
-            gxt = np.zeros((c, n, h, w), dtype=x.data.dtype)
+            taps = wtap @ g.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
+            taps = taps.reshape(kh, kw, c, ho, wo, n).transpose(0, 1, 5, 2, 3, 4)
+            gx = np.zeros((c, h, w, n), dtype=x.data.dtype).transpose(3, 0, 1, 2)
             for p in range(kh):
                 for q in range(kw):
-                    _tap(gxt, p, q, ho, wo, stride)[...] += taps[p, q]
-            gx = np.ascontiguousarray(gxt.transpose(1, 0, 2, 3))
+                    _tap(gx, p, q, ho, wo, stride)[...] += taps[p, q]
+            gx = np.ascontiguousarray(gx)
         if needs[1] or needs[2]:
+            # (N*ho*wo, O); the weight gradient reads it as g(O, N*ho*wo), and
+            # the bias gradient adds its rows in sequence
             gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
             if needs[1]:
-                gw = (gmat.T @ cols).reshape(o, c, kh, kw)
+                gw = (gmat.T @ cols.T).reshape(o, c, kh, kw)
             if needs[2]:
                 gb = gmat.sum(axis=0)
         return gx, gw, gb

@@ -174,7 +174,7 @@ def scale_pixels(dataset: LabeledImageSet, factor: float, clip: bool) -> Labeled
     leave no range to attack in, so it is rejected. The scaled set is named
     after the original, the factor and the clip mode, for its report rows.
     """
-    if factor <= 0:
+    if not factor > 0:  # also rejects nan
         raise ValueError(f"scale factor must be positive, got {factor}")
     scaled = dataset.images * np.asarray(factor, dtype=dataset.images.dtype)
     name = f"{dataset.name}[x{factor:g}:{'clip' if clip else 'noclip'}]"

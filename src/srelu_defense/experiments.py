@@ -7,7 +7,9 @@ before writing, so thread count never changes output bytes.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -253,10 +255,58 @@ def eval_record(model: Model, dataset_name: str, n_images: int,
     )
 
 
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None without one.
+
+    The library is found by name in this process's memory map; numpy's own
+    wheels bundle it with 64-bit integers and a scipy_ prefix on its symbols.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", "")):
+            get = getattr(handle, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on its calling thread only, restoring the prior count after."""
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    prior = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(prior)
+
+
 def _run_cells(cell_fns, threads: int) -> list:
+    """Every cell's result, in order; threads > 1 runs them in a pool.
+
+    While the pool runs, each worker's GEMMs stay on the worker's own thread,
+    so the pool busies `threads` cores rather than `threads` times the BLAS
+    thread count. No result depends on the BLAS thread count.
+    """
     if threads <= 1:
         return [fn() for fn in cell_fns]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda fn: fn(), cell_fns))
 
 

@@ -148,7 +148,7 @@ class Model:
     activation: str = "srelu"
 
     def __post_init__(self):
-        if self.slope <= 0:
+        if not self.slope > 0:  # also rejects nan
             raise ValueError(f"test slope must be positive, got {self.slope}")
         if self.activation != "srelu" and self.activation not in ad._ACTIVATIONS:
             raise ValueError(f"unknown test activation {self.activation!r}")

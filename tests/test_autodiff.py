@@ -190,34 +190,43 @@ def test_maxpool_backward_routes_to_first_argmax(case):
 
 
 # ---------------------------------------------------------------------------
-# conv2d input gradient against an im2col reference
+# conv2d against a row-major im2col reference
 
 
-def _conv_input_grad_reference(weights, g, x_shape, stride):
-    """im2col input gradient: (N*ho*wo, O) @ (O, C*kh*kw), then a strided fold."""
-    n, c, h, w = x_shape
+def _conv_reference(x, weights, bias, g, stride):
+    """Row-major im2col: the forward (N*ho*wo, C*kh*kw) @ (C*kh*kw, O) + bias,
+    the weight and bias gradients from the same columns, and the input
+    gradient (N*ho*wo, O) @ (O, C*kh*kw) folded back one tap at a time."""
+    n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     ho, wo = g.shape[2:]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    cols = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    cols = cols.reshape(n * ho * wo, c * kh * kw)
+    out = (cols @ weights.reshape(o, -1).T + bias).reshape(n, ho, wo, o)
     gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
     gcols = (gmat @ weights.reshape(o, -1)).reshape(n, ho, wo, c, kh, kw)
-    gx = np.zeros(x_shape, dtype=g.dtype)
+    gx = np.zeros(x.shape, dtype=g.dtype)
     for p in range(kh):
         for q in range(kw):
             gx[:, :, p: p + (ho - 1) * stride + 1: stride,
                q: q + (wo - 1) * stride + 1: stride] += gcols[..., p, q].transpose(0, 3, 1, 2)
-    return gx
+    gw = (gmat.T @ cols).reshape(weights.shape)
+    return out.transpose(0, 3, 1, 2), gx, gw, gmat.sum(axis=0)
 
 
-def _conv_input_grad(x_shape, w_shape, stride, sample):
-    """conv2d's input gradient and the im2col reference, for sampled weights and g."""
+def _conv_case(x_shape, w_shape, stride, sample):
+    """conv2d's (forward, input, weight and bias gradients) and the reference
+    ones, for a sampled input, weights, bias and upstream gradient."""
     ho = (x_shape[2] - w_shape[2]) // stride + 1
     wo = (x_shape[3] - w_shape[3]) // stride + 1
-    weights = sample(w_shape)
+    x, weights, bias = sample(x_shape), sample(w_shape), sample(w_shape[:1])
     g = sample((x_shape[0], w_shape[0], ho, wo))
-    bias = Tensor(np.zeros(w_shape[0], dtype=np.float32))
-    _, gx = _vjp(lambda t, tape: ad.conv2d(t, Tensor(weights), bias, stride, tape=tape),
-                 np.zeros(x_shape, dtype=np.float32), g)
-    return gx, _conv_input_grad_reference(weights, g, x_shape, stride)
+    tape = Tape()
+    out = ad.conv2d(*(Tensor(a, requires_grad=True) for a in (x, weights, bias)), stride,
+                    tape=tape)
+    grads = tape._records[-1].backward_fn(g, (True, True, True))
+    return (out.data, *grads), _conv_reference(x, weights, bias, g, stride)
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,27 +236,47 @@ def _conv_input_grad(x_shape, w_shape, stride, sample):
 def test_conv2d_input_grad_equals_im2col_reference(n, c, o, kh, kw, stride,
                                                     extra_h, extra_w, seed):
     # small integers keep every product and sum exact, whatever kernel
-    # BLAS picks for degenerate (vector) shapes
+    # BLAS picks for degenerate (vector) shapes; the forward and the
+    # parameter gradients are checked too
     rng = np.random.default_rng(seed)
-    gx, ref = _conv_input_grad(
+    ours, ref = _conv_case(
         (n, c, kh + extra_h, kw + extra_w), (o, c, kh, kw), stride,
         lambda shape: rng.integers(-4, 5, size=shape).astype(np.float32),
     )
-    np.testing.assert_array_equal(gx, ref)
+    for got, want in zip(ours, ref):
+        np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("x_shape,w_shape", [
+MODEL_CONV_SHAPES = [
     ((1, 1, 28, 28), (10, 1, 5, 5)),  # mnist conv1, one image
     ((256, 1, 28, 28), (10, 1, 5, 5)),  # mnist conv1, N*ho*wo = 147,456 rows
     ((256, 10, 12, 12), (20, 10, 5, 5)),  # mnist conv2 at the evaluation chunk
     ((64, 3, 32, 32), (6, 3, 5, 5)),  # cifar conv1 at the training batch
     ((64, 6, 14, 14), (16, 6, 5, 5)),  # cifar conv2 at the training batch
-])
-def test_conv2d_input_grad_bits_equal_im2col_at_model_shapes(x_shape, w_shape):
+]
+CIFAR_TRAINING_SHAPES = MODEL_CONV_SHAPES[3:]
+
+
+def _normal_conv_case(x_shape, w_shape):
     rng = np.random.default_rng(0)
-    gx, ref = _conv_input_grad(x_shape, w_shape, 1,
-                               lambda shape: rng.normal(size=shape).astype(np.float32))
+    return _conv_case(x_shape, w_shape, 1,
+                      lambda shape: rng.normal(size=shape).astype(np.float32))
+
+
+@pytest.mark.parametrize("x_shape,w_shape", MODEL_CONV_SHAPES)
+def test_conv2d_input_grad_bits_equal_im2col_at_model_shapes(x_shape, w_shape):
+    (_, gx, _, _), (_, ref, _, _) = _normal_conv_case(x_shape, w_shape)
     np.testing.assert_array_equal(gx, ref)
+
+
+@pytest.mark.parametrize("x_shape,w_shape", MODEL_CONV_SHAPES)
+def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_shape):
+    (out, _, gw, gb), (ref_out, _, ref_gw, ref_gb) = _normal_conv_case(x_shape, w_shape)
+    np.testing.assert_array_equal(out, ref_out)
+    if (x_shape, w_shape) in CIFAR_TRAINING_SHAPES:
+        # the parameter gradients SGD reads, at the shapes training runs
+        np.testing.assert_array_equal(gw, ref_gw)
+        np.testing.assert_array_equal(gb, ref_gb)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,13 @@ def test_scale_pixels_rejects_negative():
         scale_pixels(ds, 0.0, clip=False)
 
 
+@pytest.mark.parametrize("clip", [True, False])
+def test_scale_pixels_rejects_nan(clip):
+    ds = synthetic_digits(2, seed=3)
+    with pytest.raises(ValueError, match="positive"):
+        scale_pixels(ds, float("nan"), clip=clip)
+
+
 def test_unit_range_validation():
     with pytest.raises(ValueError, match="outside"):
         LabeledImageSet(np.full((1, 1, 1, 1), 1.5, dtype=np.float32), np.array([0]), "x")

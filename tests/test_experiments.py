@@ -168,6 +168,41 @@ def test_sweep_threads_do_not_change_bytes(trained_synth, small_test, sweep_repo
     assert threaded.csv_text() == sweep_report.csv_text()
 
 
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's (get, set) thread count, starting at 2; skipped without one."""
+    control = ex._openblas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = control
+    user = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(user)
+
+
+def test_cell_pool_runs_blas_on_one_thread_and_restores_it(blas_threads):
+    assert ex._run_cells([blas_threads] * 4, threads=2) == [1, 1, 1, 1]
+    assert blas_threads() == 2
+    assert ex._run_cells([blas_threads] * 2, threads=1) == [2, 2]
+
+
+def test_cell_pool_restores_blas_threads_when_a_cell_raises(blas_threads):
+    seen = []
+
+    def failing():
+        seen.append(blas_threads())
+        raise RuntimeError("cell failed")
+
+    with pytest.raises(RuntimeError, match="cell failed"):
+        ex._run_cells([failing, failing], threads=2)
+    # map cancels the cells not yet started once one raises
+    assert set(seen) == {1}
+    assert blas_threads() == 2
+
+
 def _count_calls(monkeypatch, name):
     """Patch the Model method name to record the batch size of every call."""
     calls = []

@@ -90,6 +90,14 @@ def test_slope_config_validation():
         model.with_slope(2.0).with_activation("tanh")
 
 
+def test_nan_slope_is_rejected():
+    model = build_model("mnist_cnn", seed=0)
+    with pytest.raises(ValueError, match="positive"):
+        Model(model.spec, model.params, slope=float("nan"))
+    with pytest.raises(ValueError, match="positive"):
+        model.with_slope(float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # forward modes
 
