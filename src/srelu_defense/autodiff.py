@@ -212,31 +212,27 @@ def conv2d(
     return _finish(out, tape, (x, weights, bias), bw)
 
 
-def maxpool2d(
-    x: Tensor, window: int, stride: int | None = None, tape: Tape | None = None
-) -> Tensor:
-    """Max pooling over square windows; gradient flows only to the argmax.
+def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
+    """Max pooling over non-overlapping square windows (the stride is the
+    window); gradient flows only to the argmax.
 
     The forward folds np.maximum over the window taps in row-major order.
     Ties, signed zeros included (-0.0 == 0.0), route the gradient to the
-    first tap in that order that equals the max, for every stride;
-    overlapping windows accumulate.
+    first tap in that order that equals the max.
     """
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2d input must be NCHW, got shape {x.shape}")
-    stride = window if stride is None else stride
     n, c, h, w = x.shape
     if window > h or window > w:
         raise ValueError(f"pool window {window} larger than input {h}x{w}")
-    if window < 1 or stride < 1:
-        raise ValueError("window and stride must be positive integers")
+    if window < 1:
+        raise ValueError("window must be a positive integer")
 
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
+    ho, wo = h // window, w // window
     taps = [(p, q) for p in range(window) for q in range(window)]
-    out_data = _tap(x.data, 0, 0, ho, wo, stride).copy()
+    out_data = _tap(x.data, 0, 0, ho, wo, window).copy()
     for p, q in taps[1:]:
-        np.maximum(out_data, _tap(x.data, p, q, ho, wo, stride), out=out_data)
+        np.maximum(out_data, _tap(x.data, p, q, ho, wo, window), out=out_data)
     out = Tensor(out_data, dtype=out_data.dtype)
 
     def bw(g: np.ndarray, needs):
@@ -245,11 +241,11 @@ def maxpool2d(
         gx = np.zeros_like(x.data)
         unclaimed = np.ones(out_data.shape, dtype=bool)
         for p, q in taps:
-            hit = _tap(x.data, p, q, ho, wo, stride) == out_data
+            hit = _tap(x.data, p, q, ho, wo, window) == out_data
             hit &= unclaimed
             unclaimed ^= hit
             # a finite g times False adds an exact zero; faster than where=
-            _tap(gx, p, q, ho, wo, stride)[...] += g * hit
+            _tap(gx, p, q, ho, wo, window)[...] += g * hit
         return (gx,)
 
     return _finish(out, tape, (x,), bw)

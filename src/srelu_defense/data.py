@@ -120,9 +120,7 @@ def dump_mnist_idx(dataset: LabeledImageSet) -> tuple[bytes, bytes]:
 
 
 def load_cifar10_bin(batch_paths, name: str = "cifar10") -> LabeledImageSet:
-    """Parse CIFAR-10 binary batches: 3073-byte records, label then RGB planes."""
-    if isinstance(batch_paths, (str, bytes)) or hasattr(batch_paths, "__fspath__"):
-        batch_paths = [batch_paths]
+    """Parse a list of CIFAR-10 batch files: 3073-byte records, label then RGB planes."""
     if not batch_paths:
         raise ValueError("no CIFAR-10 batch files given")
 

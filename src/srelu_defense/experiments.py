@@ -2,7 +2,9 @@
 
 Every driver is deterministic per seed: batches are chunked at a fixed size,
 randomized attacks seed per image, and reports are sorted by a canonical key
-before writing, so thread count never changes output bytes.
+before writing, so thread count never changes output bytes. The training
+loop (_sgd) is the one place where parameters take gradients; every other
+driver differentiates with respect to the input alone.
 """
 
 from __future__ import annotations
@@ -433,14 +435,18 @@ def _sgd(model: Model, epochs: int, epoch_batches, loss_fn, lr: float,
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    model = model.with_slope(1.0)  # shares the parameter dict it updates
+    # the slope-1 view's parameters take gradients and wrap the model's own
+    # arrays, so each in-place update lands in the caller's model
+    model = Model(model.spec, {
+        name: Tensor(p.data, requires_grad=True, dtype=p.data.dtype)
+        for name, p in model.params.items()})
     velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     epoch_losses = []
     for epoch in range(epochs):
         total_loss, seen = 0.0, 0
         for images, targets in epoch_batches(epoch):
             tape = Tape()
-            logits = _forward(model, Tensor(images), mode="train", tape=tape)
+            logits = _forward(model, Tensor(images), tape=tape)
             loss = loss_fn(logits, targets, tape=tape)
             grads = ad.backward(tape, loss)
             for name, param in model.params.items():

@@ -3,9 +3,10 @@
 A Model is an architecture's parameters plus the activation it runs at every
 activation site: the rectifier at a slope (1 by default), or a substitute
 function. with_slope and with_activation give views that share the
-parameters. Networks always train at slope 1 (experiments._sgd trains the
-slope-1 view), so the slope is a test-time setting only. Parameters persist
-in a compact little-endian binary format with a bit-exact round trip.
+parameters. The parameters take no gradient: only the training loop
+(experiments._sgd) builds a trainable view of them, at slope 1, so the slope
+is a test-time setting only. Parameters persist in a compact little-endian
+binary format with a bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-
-NUM_CLASSES = 10
 
 PARAMS_MAGIC = b"SRLU"
 PARAMS_VERSION = 1
@@ -38,7 +37,6 @@ class Conv:
     in_channels: int
     out_channels: int
     kernel: int
-    stride: int = 1
 
 
 @dataclass(frozen=True)
@@ -220,8 +218,7 @@ def _require_finite(rows: np.ndarray, what: str, model: Model) -> np.ndarray:
 
 def _init_param(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
-    values = rng.uniform(-bound, bound, size=shape)
-    return Tensor(values, requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape))
 
 
 def _param_layout(spec: ArchitectureSpec) -> list[tuple[str, tuple[int, ...], int]]:
@@ -249,24 +246,16 @@ def build_model(arch: "str | ArchitectureSpec", seed: int) -> Model:
     return Model(spec, params)
 
 
-def _forward(
-    model: Model, x: Tensor, mode: str = "eval", tape: Tape | None = None
-) -> Tensor:
-    """Run the layer stack; parameters take gradients only in train mode."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+def _forward(model: Model, x: Tensor, tape: Tape | None = None) -> Tensor:
+    """Run the layer stack; an op records a gradient for each tensor, input or
+    parameter, that asks for one."""
     expected = (x.shape[0],) + model.spec.input_shape
     if x.shape != expected:
         raise ValueError(f"batch shape {x.shape} does not match expected {expected}")
     params = model.params
-    if tape is not None and mode != "train":  # gradients for the input only
-        params = {n: Tensor(p.data, dtype=p.data.dtype) for n, p in params.items()}
     for layer in model.spec.layers:
         if isinstance(layer, Conv):
-            x = ad.conv2d(
-                x, params[f"{layer.name}.w"], params[f"{layer.name}.b"],
-                stride=layer.stride, tape=tape,
-            )
+            x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
         elif isinstance(layer, Pool):
             x = ad.maxpool2d(x, layer.window, tape=tape)
         elif isinstance(layer, Act):
@@ -282,7 +271,7 @@ def _forward(
 
 
 def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Activations entering the final dense layer, in eval mode.
+    """Activations entering the final dense layer.
 
     Raises ValueError when a feature is not finite, as Model.predict does.
     """
@@ -304,6 +293,11 @@ def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
 
 
 def save_params(model: Model, path) -> None:
+    """Write the model's parameters; a non-finite value is refused, naming its
+    tensor, before the file is opened, as load_params would refuse it."""
+    for name, tensor in model.params.items():
+        if not np.isfinite(tensor.data).all():
+            raise ParamsFormatError(f"tensor {name!r} holds non-finite values")
     with open(path, "wb") as f:
         f.write(PARAMS_MAGIC)
         f.write(struct.pack("<II", PARAMS_VERSION, len(model.params)))
@@ -359,7 +353,7 @@ def load_params(path, arch: "str | ArchitectureSpec") -> Model:
         n_values = int(np.prod(dims, dtype=np.int64)) if rank else 1
         raw = reader.read(4 * n_values)
         values = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()  # writable, so it can be trained
-        params[name] = Tensor(values, requires_grad=True)
+        params[name] = Tensor(values)
     if reader.pos != len(reader.blob):
         raise ParamsFormatError("trailing bytes after last tensor")
 

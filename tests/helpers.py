@@ -1,5 +1,5 @@
 """Shared test utilities: synthetic datasets, linear oracle models, a
-finite-difference gradient oracle, fixtures."""
+finite-difference gradient oracle, trainable model views, fixtures."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from srelu_defense.data import (
     dump_cifar10_bin,
     dump_mnist_idx,
 )
+from srelu_defense.models import PARAMS_MAGIC, PARAMS_VERSION, Model
 
 
 def synthetic_digits(n: int, seed: int, size: int = 28) -> LabeledImageSet:
@@ -85,6 +86,26 @@ def write_cifar_file(dataset: LabeledImageSet, directory, name: str = "synth_bat
     with open(path, "wb") as f:
         f.write(dump_cifar10_bin(dataset))
     return path
+
+
+def params_file_bytes(params: dict[str, np.ndarray]) -> bytes:
+    """A parameter file in save_params's layout, written without its checks,
+    so a test can build the non-finite files load_params must refuse."""
+    blob = PARAMS_MAGIC + struct.pack("<II", PARAMS_VERSION, len(params))
+    for name, values in params.items():
+        encoded = name.encode("utf-8")
+        blob += struct.pack(f"<H{len(encoded)}sI", len(encoded), encoded, values.ndim)
+        blob += struct.pack(f"<{values.ndim}I", *values.shape)
+        blob += np.ascontiguousarray(values, dtype="<f4").tobytes()
+    return blob
+
+
+def trainable(model: Model, dtype=None) -> Model:
+    """The slope-1 view experiments._sgd trains: parameters that take gradients,
+    wrapping the model's own arrays (or copies cast to dtype, when given)."""
+    return Model(model.spec, {
+        name: Tensor(p.data, requires_grad=True, dtype=dtype or p.data.dtype)
+        for name, p in model.params.items()})
 
 
 def idx_fixture_bytes():

@@ -26,7 +26,7 @@ from srelu_defense.data import (
     take_first,
 )
 from srelu_defense.experiments import MNIST_EPSILONS, slope_sweep
-from srelu_defense.models import Act, Model, Pool, _forward, build_model
+from srelu_defense.models import Act, Pool, _forward, build_model
 
 from conftest import cifar_paths_or_skip, mnist_paths_or_skip
 from helpers import (
@@ -36,6 +36,7 @@ from helpers import (
     linear_min_hyperplane_distance,
     linf_distance,
     synthetic_split,
+    trainable,
     write_idx_files,
 )
 
@@ -82,14 +83,6 @@ def mnist_attack_report(mnist_model, mnist_data):
 
 # ---------------------------------------------------------------------------
 # criterion 1: gradient oracle
-
-
-def _f64_twin(model: Model) -> Model:
-    params = {
-        name: Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
-        for name, p in model.params.items()
-    }
-    return replace(model, params=params)
 
 
 def _projected_op_loss(op_apply, proj64):
@@ -251,20 +244,20 @@ def _full_cnn_errors(rng):
     land in different piecewise-linear regions (rectifier sign or pool argmax
     changes) are kink-adjacent and excluded.
     """
-    model32 = build_model("mnist_cnn", seed=SEED)
-    model64 = _f64_twin(model32)
+    model32 = trainable(build_model("mnist_cnn", seed=SEED))
+    model64 = trainable(model32, np.float64)
     images = rng.uniform(0.0, 1.0, size=(8, 1, 28, 28))
     labels = rng.integers(0, 10, size=8)
     images32 = images.astype(np.float32)
 
-    # parameters take gradients only in train mode; at slope 1 with the
-    # plain rectifier it is the same function as the eval forward
+    # the trainable views run the plain rectifier at slope 1, the function
+    # every network trains through
     assert (model32.slope, model32.activation) == (1.0, "srelu")
     grads = {}
     for dtype, model in ((np.float32, model32), (np.float64, model64)):
         tape = Tape()
         x = Tensor(images, requires_grad=True, dtype=dtype)
-        logits = _forward(model, x, mode="train", tape=tape)
+        logits = _forward(model, x, tape=tape)
         loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
         by_tensor = ad.backward(tape, loss)
         grads[dtype] = {

@@ -105,18 +105,6 @@ def test_maxpool_tie_routes_to_first_in_scan_order():
     np.testing.assert_array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
-def test_maxpool_overlapping_stride_accumulates():
-    x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-
-    def build(tape):
-        return ad.sum_all(ad.maxpool2d(x, 2, stride=1, tape=tape), tape=tape)
-
-    (gx,) = grad_of(build, x)
-    # bottom-right corner (value 15) wins 1 window, 14 wins 1, 13 wins 1, ...
-    assert gx[0, 0, 3, 3] == 1.0
-    assert gx.sum() == 9.0  # one unit per output cell
-
-
 def test_maxpool_window_too_large():
     with pytest.raises(ValueError, match="larger than input"):
         ad.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
@@ -140,42 +128,43 @@ def test_maxpool_signed_zero_tie_keeps_plain_max():
     np.testing.assert_array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
-def _pool_reference(x, window, stride, g):
-    """Per-window max, and each output's g added at its first row-major argmax."""
+def _pool_reference(x, window, g):
+    """Per-window max over windows that tile the input (stride = window, any
+    remainder rows and columns dropped), and each output's g added at its
+    first row-major argmax."""
     n, c, h, w = x.shape
-    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
+    ho, wo = (h - window) // window + 1, (w - window) // window + 1
     out = np.empty((n, c, ho, wo), dtype=x.dtype)
     gx = np.zeros_like(x)
     for b, ch, i, j in np.ndindex(n, c, ho, wo):
-        win = x[b, ch, i * stride: i * stride + window, j * stride: j * stride + window]
+        win = x[b, ch, i * window: (i + 1) * window, j * window: (j + 1) * window]
         out[b, ch, i, j] = win.max()
         r, s = divmod(int(win.argmax()), window)
-        gx[b, ch, i * stride + r, j * stride + s] += g[b, ch, i, j]
+        gx[b, ch, i * window + r, j * window + s] += g[b, ch, i, j]
     return out, gx
 
 
 @st.composite
 def _pool_cases(draw):
     """Tie-heavy inputs: small integers and both signed zeros."""
-    window, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    window = draw(st.integers(1, 3))
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     h, w = draw(st.integers(window, 7)), draw(st.integers(window, 7))
     x = draw(hnp.arrays(np.float32, (n, c, h, w),
                         elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
-    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
-    # integer gradients: overlapping windows accumulate exactly in any order
+    ho, wo = (h - window) // window + 1, (w - window) // window + 1
     g = draw(hnp.arrays(np.float32, (n, c, ho, wo),
                         elements=st.integers(-3, 3).map(float)))
-    return x, window, stride, g
+    return x, window, g
 
 
 @settings(max_examples=200, deadline=None)
 @given(_pool_cases())
 def test_maxpool_forward_equals_window_max(case):
-    x, window, stride, g = case
-    ref, _ = _pool_reference(x, window, stride, g)
-    recorded, _ = _vjp(lambda t, tape: ad.maxpool2d(t, window, stride, tape=tape), x, g)
-    for out in (ad.maxpool2d(Tensor(x), window, stride).data, recorded):
+    x, window, g = case
+    ref, _ = _pool_reference(x, window, g)
+    recorded, _ = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x, g)
+    for out in (ad.maxpool2d(Tensor(x), window).data, recorded):
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
 
@@ -183,9 +172,9 @@ def test_maxpool_forward_equals_window_max(case):
 @settings(max_examples=200, deadline=None)
 @given(_pool_cases())
 def test_maxpool_backward_routes_to_first_argmax(case):
-    x, window, stride, g = case
-    _, ref = _pool_reference(x, window, stride, g)
-    _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, stride, tape=tape), x, g)
+    x, window, g = case
+    _, ref = _pool_reference(x, window, g)
+    _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x, g)
     np.testing.assert_array_equal(gx, ref)
 
 

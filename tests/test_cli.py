@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from srelu_defense import cli
-from srelu_defense.models import Model, build_model, save_params
+from srelu_defense.models import Model, build_model
 
-from helpers import synthetic_split, write_idx_files
+from helpers import params_file_bytes, synthetic_split, write_idx_files
 
 REPO_DIR = os.path.join(os.path.dirname(__file__), "..")
 SRC_DIR = os.path.join(REPO_DIR, "src")
@@ -146,20 +146,30 @@ def test_config_file_value_beats_the_architecture_default(tmp_path, capsys):
     assert "epochs=7" in (out / "config_resolved.txt").read_text().splitlines()
 
 
-def _traced_sweep(idx_data, saved_model, tmp_path, name, sweep_args):
-    """The trace of perfbench/tracer.py run on one sweep, in its own process."""
+def _traced(tmp_path, name, argv):
+    """The trace of perfbench/tracer.py run on one command, in its own process."""
     trace = tmp_path / f"{name}.json"
     code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
             "sys.exit(tracer.main(sys.argv[1:]))")
-    argv = [str(trace), "sweep", *eval_args(idx_data, [
-        "--params", saved_model, *sweep_args, "--limit", "8", "--seed", "1",
-        "--out", str(tmp_path / name),
-    ])]
+    argv = [str(trace), *argv, "--seed", "1", "--out", str(tmp_path / name)]
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=REPO_DIR,
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(trace.read_text())
+
+
+def _traced_sweep(idx_data, saved_model, tmp_path, name, sweep_args):
+    return _traced(tmp_path, name, ["sweep", *eval_args(idx_data, [
+        "--params", saved_model, *sweep_args, "--limit", "8"])])
+
+
+def _perfbench_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "tracer", os.path.join(REPO_DIR, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_tracer_patches_only_names_the_package_has(saved_model, idx_data, tmp_path):
@@ -173,15 +183,26 @@ def test_tracer_patches_only_names_the_package_has(saved_model, idx_data, tmp_pa
     # it times one cell per eval_under_attack call, which the grid makes once
     # per variant (slope); an eps=0 cell takes no gradient, and fgsm shares
     # its clean gradient with bim's first step, so each slope takes 1 + 9
-    spec = importlib.util.spec_from_file_location(
-        "tracer", os.path.join(REPO_DIR, "perfbench", "tracer.py"))
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     trace = _traced_sweep(idx_data, saved_model, tmp_path, "linf", [
         "--attacks", "fgsm,bim", "--slopes", "1,2", "--epsilons", "0,0.1"])
-    metrics = tracer.analyse(trace, 0.0, 0.0)
+    metrics = _perfbench_tracer().analyse(trace, 0.0, 0.0)
     assert metrics["experiments.cells"] == 2
     assert metrics["models.input_grad.calls"] == 2 * (1 + 9)
+
+
+def test_tracer_times_each_training_step(idx_data, tmp_path):
+    # the train-cifar workload reads the wrappers of experiments._forward and
+    # BatchIterator.epoch_batches: one batch of 64 is one step, one forward
+    # and one reverse pass through mnist_cnn's two convolutions
+    trace = _traced(tmp_path, "train", ["train", "--arch", "mnist_cnn",
+                                        *train_args(idx_data), "--limit-train", "64",
+                                        "--epochs", "1"])
+    tracer = _perfbench_tracer()
+    metrics = tracer.analyse(trace, 0.0, 0.0)
+    assert metrics["experiments.train.steps"] == 1
+    assert metrics["autodiff.conv2d.bwd_calls"] == 2
+    _, spans = tracer.self_times(trace["names"], trace["threads"])
+    assert [name for name, _, _ in spans].count("models.train_forward") == 1
 
 
 def test_empty_attack_list_is_rejected(saved_model, idx_data, tmp_path, capsys):
@@ -323,6 +344,18 @@ def test_train_writes_expected_artifacts(idx_data, tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "seed=3" in manifest and "params_format_version=1" in manifest
     assert (out / "test_accuracy.txt").exists()
+
+
+def test_train_that_diverges_saves_nothing(idx_data, tmp_path, capsys):
+    # a NaN learning rate turns every parameter NaN after the first step
+    out = tmp_path / "run"
+    code = cli.main(["train", "--arch", "mnist_cnn", *train_args(idx_data),
+                     "--lr", "nan", "--epochs", "2", "--seed", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in train: tensor 'conv1.w' holds non-finite values")
+    assert "Traceback" not in err
+    assert sorted(os.listdir(out)) == ["config_resolved.txt"]
 
 
 def test_train_is_reproducible(idx_data, tmp_path):
@@ -523,10 +556,10 @@ def test_bad_attack_config_exits_1_before_loading(idx_data, tmp_path, capsys,
 
 
 def test_non_finite_params_exit_1(idx_data, tmp_path, capsys):
-    model = build_model("mnist_cnn", seed=0)
-    model.params["fc2.w"].data[:] = np.nan
+    values = {n: t.data.copy() for n, t in build_model("mnist_cnn", seed=0).params.items()}
+    values["fc2.w"][:] = np.nan
     params = tmp_path / "nan.bin"
-    save_params(model, params)
+    params.write_bytes(params_file_bytes(values))
     code = cli.main(["attack", *eval_args(idx_data, [
         "--params", str(params), "--attack-kind", "fgsm", "--epsilon", "0.1",
         "--seed", "2", "--out", str(tmp_path / "o"),

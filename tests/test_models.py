@@ -1,4 +1,4 @@
-"""Architecture, forward-mode, and parameter-persistence tests."""
+"""Architecture, forward-pass, and parameter-persistence tests."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,8 @@ from srelu_defense.models import (
     penultimate_features,
     save_params,
 )
+
+from helpers import params_file_bytes, trainable
 
 
 def toy_one_site_spec(features=6, hidden=4):
@@ -99,14 +101,14 @@ def test_nan_slope_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# forward modes
+# forward passes
 
 
 def test_eval_at_slope_one_equals_train_mode(rng):
     model = build_model("mnist_cnn", seed=7)
     batch = rand_batch(rng, model)
     eval_logits = model.with_slope(1.0).logits(batch)
-    train_logits = md._forward(model, ad.Tensor(batch), mode="train").data
+    train_logits = md._forward(trainable(model), ad.Tensor(batch)).data
     np.testing.assert_array_equal(eval_logits, train_logits)
 
 
@@ -123,12 +125,6 @@ def test_forward_shape_mismatch():
     model = build_model("mnist_cnn", seed=0)
     with pytest.raises(ValueError, match="does not match expected"):
         model.logits(np.zeros((1, 3, 32, 32), dtype=np.float32))
-
-
-def test_forward_rejects_bad_mode():
-    model = build_model("mnist_cnn", seed=0)
-    with pytest.raises(ValueError, match="mode"):
-        md._forward(model, ad.Tensor(np.zeros((1, 1, 28, 28))), mode="test")
 
 
 def test_activation_swap_is_applied(rng):
@@ -258,25 +254,25 @@ def test_eval_forward_never_mutates_parameters(rng):
     assert before == after
 
 
-def _forward_grads(model, batch, **forward_kwargs):
+def _forward_grads(model, batch):
     tape = ad.Tape()
     x = ad.Tensor(batch, requires_grad=True)
-    logits = md._forward(model, x, tape=tape, **forward_kwargs)
+    logits = md._forward(model, x, tape=tape)
     loss = ad.softmax_cross_entropy(logits, np.arange(len(batch)) % 10, tape=tape)
     return x, ad.backward(tape, loss)
 
 
 def test_input_gradient_forward_gives_no_parameter_entries(rng):
     model = build_model("mnist_cnn", seed=2)
-    x, grads = _forward_grads(model, rand_batch(rng, model))  # eval mode
+    x, grads = _forward_grads(model, rand_batch(rng, model))
     assert x in grads
     assert not any(p in grads for p in model.params.values())
 
 
 def test_training_forward_gives_one_entry_per_parameter(rng):
     # _sgd looks each parameter up with grads.get(param)
-    model = build_model("mnist_cnn", seed=2)
-    _, grads = _forward_grads(model, rand_batch(rng, model), mode="train")
+    model = trainable(build_model("mnist_cnn", seed=2))
+    _, grads = _forward_grads(model, rand_batch(rng, model))
     for name, param in model.params.items():
         assert isinstance(grads[param], np.ndarray), name
         assert grads[param].shape == param.shape, name
@@ -365,12 +361,34 @@ def test_cifar_params_load_into_either_variant(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_load_rejects_non_finite_values_naming_tensor(tmp_path, bad):
-    model = build_model("mnist_cnn", seed=0)
-    model.params["fc2.w"].data[:] = bad
+    params = {n: t.data.copy() for n, t in build_model("mnist_cnn", seed=0).params.items()}
+    params["fc2.w"][:] = bad
     path = tmp_path / "nan.bin"
-    save_params(model, path)
+    path.write_bytes(params_file_bytes(params))
     with pytest.raises(ParamsFormatError, match="'fc2.w'.*non-finite"):
         load_params(path, "mnist_cnn")
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_save_refuses_non_finite_values_naming_tensor(tmp_path, bad):
+    model = build_model("mnist_cnn", seed=0)
+    model.params["conv2.b"].data[3] = bad
+    path = tmp_path / "nan.bin"
+    with pytest.raises(ParamsFormatError, match="'conv2.b'.*non-finite"):
+        save_params(model, path)
+    assert not path.exists()
+
+
+def test_only_the_training_loop_makes_parameters_trainable(tmp_path, synth_sets):
+    built = build_model("mnist_cnn", seed=5)
+    path = tmp_path / "m.bin"
+    save_params(built, path)
+    for model in (built, load_params(path, "mnist_cnn")):
+        assert not any(p.requires_grad for p in model.params.values())
+        before = model.params["fc2.w"].data.copy()
+        ex.train(model, take_first(synth_sets[0], 32), epochs=1, seed=1)
+        assert not np.array_equal(model.params["fc2.w"].data, before)  # trained in place
+        assert not any(p.requires_grad for p in model.params.values())
 
 
 def test_loaded_model_trains(tmp_path, synth_sets):
