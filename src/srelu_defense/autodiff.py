@@ -13,6 +13,7 @@ high-accuracy gradient checks build float64 tensors that way.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,6 +150,19 @@ def _tap(a: np.ndarray, p: int, q: int, ho: int, wo: int, stride: int) -> np.nda
     return a[:, :, rows, cols]
 
 
+_scratch = threading.local()
+
+
+def _scratch_array(slot: int, shape: tuple, dtype) -> np.ndarray:
+    """Uninitialised array in this thread's reused byte buffer slot (conv2d's 0:
+    columns-, 1: output-, 2: input-sized); no op returns or keeps a view of one."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    slots = _scratch.__dict__.setdefault("slots", [np.empty(0, np.uint8)] * 3)
+    if slots[slot].nbytes < nbytes:
+        slots[slot] = np.empty(nbytes, np.uint8)
+    return slots[slot][:nbytes].view(dtype).reshape(shape)
+
+
 def conv2d(
     x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1, tape: Tape | None = None
 ) -> Tensor:
@@ -174,16 +188,19 @@ def conv2d(
 
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    # K-major im2col: (O, C*kh*kw) @ (C*kh*kw, N*ho*wo), so the output
-    # transpose to NCHW moves whole contiguous ho*wo rows
-    cols = _windows(x.data, kh, kw, stride).transpose(1, 4, 5, 0, 2, 3)
-    cols = cols.reshape(c * kh * kw, n * ho * wo)
-    out_mat = weights.data.reshape(o, c * kh * kw) @ cols
+    k, m = c * kh * kw, n * ho * wo
+    # K-major im2col: (O, C*kh*kw) @ (C*kh*kw, N*ho*wo), so the output transpose
+    # to NCHW moves whole ho*wo rows; the columns outlive the call only for gw
+    kept_cols = np.empty((k, m), x.data.dtype) if tape and weights.requires_grad else None
+    cols = _scratch_array(0, (k, m), x.data.dtype) if kept_cols is None else kept_cols
+    np.copyto(cols.reshape(c, kh, kw, n, ho, wo),
+              _windows(x.data, kh, kw, stride).transpose(1, 4, 5, 0, 2, 3))
+    out_mat = np.matmul(weights.data.reshape(o, k), cols, out=_scratch_array(
+        1, (o, m), np.result_type(weights.data, cols)))
     out_mat += bias.data[:, None]
-    out = Tensor(
-        np.ascontiguousarray(out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)),
-        dtype=out_mat.dtype,
-    )
+    # a copy even where the transpose is already contiguous (a batch of one)
+    out = Tensor(np.array(out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), order="C"),
+                 dtype=out_mat.dtype)
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
@@ -191,20 +208,23 @@ def conv2d(
             # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N),
             # each tap added into a CHWN buffer; with the batch innermost an
             # add runs over wo*N contiguous floats. Both are indexed as NCHW.
-            wtap = weights.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
-            taps = wtap @ g.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
+            gt = _scratch_array(1, (o, m), g.dtype)
+            np.copyto(gt.reshape(o, ho, wo, n), g.transpose(1, 2, 3, 0))
+            wtap = weights.data.transpose(2, 3, 1, 0).reshape(k, o)
+            taps = np.matmul(wtap, gt, out=_scratch_array(0, (k, m), np.result_type(wtap, gt)))
             taps = taps.reshape(kh, kw, c, ho, wo, n).transpose(0, 1, 5, 2, 3, 4)
-            gx = np.zeros((c, h, w, n), dtype=x.data.dtype).transpose(3, 0, 1, 2)
+            gx = _scratch_array(2, (c, h, w, n), x.data.dtype).transpose(3, 0, 1, 2)
+            gx.fill(0)
             for p in range(kh):
                 for q in range(kw):
                     _tap(gx, p, q, ho, wo, stride)[...] += taps[p, q]
-            gx = np.ascontiguousarray(gx)
+            gx = np.array(gx, order="C")
         if needs[1] or needs[2]:
-            # (N*ho*wo, O); the weight gradient reads it as g(O, N*ho*wo), and
-            # the bias gradient adds its rows in sequence
-            gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
+            # (N*ho*wo, O); the bias gradient adds its rows in sequence
+            gmat = _scratch_array(1, (m, o), g.dtype)
+            np.copyto(gmat.reshape(n, ho, wo, o), g.transpose(0, 2, 3, 1))
             if needs[1]:
-                gw = (gmat.T @ cols.T).reshape(o, c, kh, kw)
+                gw = (kept_cols @ gmat).T.reshape(o, c, kh, kw)
             if needs[2]:
                 gb = gmat.sum(axis=0)
         return gx, gw, gb
@@ -238,14 +258,17 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
     def bw(g: np.ndarray, needs):
         if not needs[0]:
             return (None,)
-        gx = np.zeros_like(x.data)
+        # the taps tile gx: each position is written once, and only the rest zeroed
+        gx = np.empty_like(x.data)
+        gx[:, :, ho * window:] = gx[..., wo * window:] = 0
         unclaimed = np.ones(out_data.shape, dtype=bool)
+        routed = np.empty_like(g)
         for p, q in taps:
             hit = _tap(x.data, p, q, ho, wo, window) == out_data
             hit &= unclaimed
             unclaimed ^= hit
-            # a finite g times False adds an exact zero; faster than where=
-            _tap(gx, p, q, ho, wo, window)[...] += g * hit
+            # g * False is -0.0 where g < 0; adding +0.0 stores a zeroed sum's +0.0
+            np.add(np.multiply(g, hit, out=routed), 0.0, out=_tap(gx, p, q, ho, wo, window))
         return (gx,)
 
     return _finish(out, tape, (x,), bw)

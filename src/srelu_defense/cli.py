@@ -11,6 +11,7 @@ falls back to wall-clock state.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -73,12 +74,18 @@ def _at_least(low: int):
     return convert
 
 
-def _positive(raw: str) -> float:
-    """Converter for a number that must be greater than 0 (a slope or a factor)."""
-    value = float(raw)
-    if not value > 0:
-        raise ValueError(f"must be positive, got {value}")
-    return value
+def _number(ok, what: str):
+    """Converter for a number that ok accepts (described as what)."""
+    def convert(raw: str) -> float:
+        value = float(raw)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value}")
+        return value
+    return convert
+
+
+_positive = _number(lambda value: value > 0, "positive")  # a slope or a factor
+_finite = _number(math.isfinite, "finite")  # an SGD setting; nan and inf fail every step
 
 
 def _epsilon_grid(raw: str) -> tuple:
@@ -121,8 +128,8 @@ OPTIONS: dict[str, dict] = {
         **_COMMON, **_TRAIN_DATA,
         "epochs": (_at_least(0), {"mnist": 5, "cifar10": 30},
                    "training epochs (default 5 mnist / 30 cifar)"),
-        "lr": (float, ex.TRAIN_DEFAULTS["lr"], "SGD learning rate"),
-        "momentum": (float, ex.TRAIN_DEFAULTS["momentum"], "SGD momentum"),
+        "lr": (_finite, ex.TRAIN_DEFAULTS["lr"], "SGD learning rate"),
+        "momentum": (_finite, ex.TRAIN_DEFAULTS["momentum"], "SGD momentum"),
         "batch_size": (_at_least(1), ex.TRAIN_DEFAULTS["batch_size"], "minibatch size"),
         "limit_train": (_at_least(0), None, "train on only the first N images"),
     },

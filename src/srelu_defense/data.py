@@ -101,7 +101,7 @@ def load_mnist_idx(images_path, labels_path, name: str = "mnist") -> LabeledImag
         raise DataFormatError(f"label file length {len(lbl_blob)} does not match {n} labels")
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-    images = pixels.astype(DTYPE).reshape(n, 1, rows, cols) / 255
+    images = np.divide(pixels.reshape(n, 1, rows, cols), 255, dtype=DTYPE)
     labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
     return LabeledImageSet(images, labels, name)
 
@@ -140,7 +140,7 @@ def load_cifar10_bin(batch_paths, name: str = "cifar10") -> LabeledImageSet:
     if labels.size and labels.max() > 9:
         raise DataFormatError(f"label byte {labels.max()} out of range [0, 9]")
     planes = records[:, 1:].reshape(-1, 3, 32, 32)
-    images = planes.astype(DTYPE) / 255
+    images = np.divide(planes, 255, dtype=DTYPE)
     return LabeledImageSet(images, labels, name)
 
 

@@ -176,6 +176,7 @@ def test_maxpool_backward_routes_to_first_argmax(case):
     _, ref = _pool_reference(x, window, g)
     _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x, g)
     np.testing.assert_array_equal(gx, ref)
+    np.testing.assert_array_equal(np.signbit(gx), np.signbit(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +267,30 @@ def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_s
         # the parameter gradients SGD reads, at the shapes training runs
         np.testing.assert_array_equal(gw, ref_gw)
         np.testing.assert_array_equal(gb, ref_gb)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 256])
+@pytest.mark.parametrize("first,then", [(0, 2), (2, 0)])
+def test_conv2d_results_outlive_a_following_call(n, first, then):
+    # conv2d reuses per-thread scratch buffers; at a batch of one its output
+    # transpose is already contiguous, the case a view would slip through
+    rng = np.random.default_rng(n)
+
+    def call(x_shape, w_shape):
+        x_shape = (n,) + x_shape[1:]
+        x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+        w, b = (Tensor(rng.normal(size=s).astype(np.float32)) for s in (w_shape, w_shape[:1]))
+        tape = Tape()
+        out = ad.conv2d(x, w, b, tape=tape)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        return out.data, tape._records[-1].backward_fn(g, (True, False, False))[0]
+
+    results = call(*MODEL_CONV_SHAPES[first])
+    saved = [a.tobytes() for a in results]
+    following = call(*MODEL_CONV_SHAPES[then])
+    assert [a.tobytes() for a in results] == saved
+    for a in results:
+        assert not any(np.shares_memory(a, b) for b in following)
 
 
 # ---------------------------------------------------------------------------

@@ -265,13 +265,14 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     ("targeted-sweep", "epsilons", "0,1.5"),
     ("bpda", "epsilons", "0.1,0.2"),
     ("sweep", "deepfool_iters", "0"),
+    *(("train", option, value) for option in ("lr", "momentum")
+      for value in ("nan", "inf", "-inf")),
 ])
 def test_count_below_its_bound_is_a_bad_value(command, option, value, tmp_path, capsys):
     out = tmp_path / "o"
     values = {"arch": "mnist_cnn", "seed": "1", "out": str(out), option: value}
-    argv = [command]
-    for name, raw in values.items():
-        argv += ["--" + name.replace("_", "-"), raw]
+    # --name=value, so that a value like -inf is not read as a flag
+    argv = [command] + [f"--{name.replace('_', '-')}={raw}" for name, raw in values.items()]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error in config: bad value for {option}:")
     assert not out.exists()
@@ -346,11 +347,15 @@ def test_train_writes_expected_artifacts(idx_data, tmp_path):
     assert (out / "test_accuracy.txt").exists()
 
 
+# the divergence the test causes overflows float32 on its way to NaN
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 def test_train_that_diverges_saves_nothing(idx_data, tmp_path, capsys):
-    # a NaN learning rate turns every parameter NaN after the first step
+    # a finite learning rate this large overflows the parameters within an
+    # epoch; a non-finite one fails at the config stage
     out = tmp_path / "run"
     code = cli.main(["train", "--arch", "mnist_cnn", *train_args(idx_data),
-                     "--lr", "nan", "--epochs", "2", "--seed", "3", "--out", str(out)])
+                     "--lr", "1e30", "--epochs", "2", "--seed", "3", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error in train: tensor 'conv1.w' holds non-finite values")

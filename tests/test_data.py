@@ -153,6 +153,24 @@ def test_cifar_concatenates_batches_in_order(tmp_path):
     np.testing.assert_array_equal(ds.labels, [3, 5])
 
 
+def test_loaders_scale_pixels_as_float32_division_over_every_byte(tmp_path):
+    # the loaders' pixel scaling gives exactly the bytes of the plain float32
+    # expression, over every byte value and in both file formats
+    rng = np.random.default_rng(0)
+    pixels = rng.permutation(np.repeat(np.arange(256, dtype=np.uint8), 12 * 2))
+    reference = pixels.astype(np.float32) / 255
+
+    images, labels = tmp_path / "imgs", tmp_path / "lbls"
+    images.write_bytes(struct.pack(">4I", IDX_IMAGES_MAGIC, 96, 8, 8) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">2I", IDX_LABELS_MAGIC, 96) + bytes(96))
+    assert load_mnist_idx(images, labels).images.tobytes() == reference.tobytes()
+
+    records = np.concatenate([np.zeros((2, 1), np.uint8), pixels.reshape(2, 3072)], axis=1)
+    path = tmp_path / "batch.bin"
+    path.write_bytes(records.tobytes())
+    assert load_cifar10_bin([path]).images.tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # subsetting and scaling
 

@@ -1,5 +1,7 @@
 """Architecture, forward-pass, and parameter-persistence tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,42 @@ def test_training_forward_gives_one_entry_per_parameter(rng):
     for name, param in model.params.items():
         assert isinstance(grads[param], np.ndarray), name
         assert grads[param].shape == param.shape, name
+
+
+def _conv_column_shapes(model, x):
+    """Shapes of the (C*kh*kw, N*ho*wo) arrays each conv2d backward closure holds."""
+    tape = ad.Tape()
+    md._forward(model, x, tape=tape)
+    held = []
+    for rec in tape._records:
+        if len(rec.inputs) == 3 and rec.inputs[1].data.ndim == 4:
+            c, kh, kw = rec.inputs[1].shape[1:]
+            n, _, ho, wo = rec.out.shape
+            held += [cell.cell_contents.shape for cell in rec.backward_fn.__closure__
+                     if getattr(cell.cell_contents, "shape", None) == (c * kh * kw, n * ho * wo)]
+    return held
+
+
+def test_only_a_weight_gradient_keeps_conv_columns(rng):
+    model = build_model("mnist_cnn", seed=2)
+    x = ad.Tensor(rand_batch(rng, model, n=4), requires_grad=True)
+    assert _conv_column_shapes(model, x) == []
+    assert _conv_column_shapes(trainable(model), x) == [(25, 4 * 24 * 24), (250, 4 * 8 * 8)]
+
+
+def test_input_gradient_peak_memory_at_the_evaluation_chunk(rng):
+    # an attack tape's im2col columns live in this thread's reused scratch;
+    # held on the tape until the reverse pass, both convs' would take 31 MB
+    model = build_model("mnist_cnn", seed=2)
+    batch, labels = rand_batch(rng, model, n=256), np.arange(256) % 10
+    model.loss_input_grad(batch, labels)  # this thread's scratch is warm
+    tracemalloc.start()
+    try:
+        model.loss_input_grad(batch, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 # ---------------------------------------------------------------------------
