@@ -134,10 +134,10 @@ def _image_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _seeded(config, index_base, images, draw):
-    """draw(rng, shape) once per image, from that image's own RNG, in the image dtype."""
+    """draw(rng, image) once per image, from that image's own RNG, in the image dtype."""
     out = np.empty_like(images)
-    for i in range(len(images)):
-        out[i] = draw(_image_rng(config.rng_seed, index_base + i), images.shape[1:])
+    for i, image in enumerate(images):
+        out[i] = draw(_image_rng(config.rng_seed, index_base + i), image)
     return out
 
 
@@ -157,11 +157,11 @@ def _sign_steps(model, images, labels, config, clip, index_base):
     eps, step, x = config.epsilon, config.step_size, images
     if config.kind == "rfgsm":
         noise = _seeded(config, index_base, images,
-                        lambda rng, shape: np.sign(rng.standard_normal(shape)))
+                        lambda rng, image: np.sign(rng.standard_normal(image.shape)))
         x = np.clip(images + config.noise_alpha * noise, *clip)
     elif config.random_start:
         jitter = _seeded(config, index_base, images,
-                         lambda rng, shape: rng.uniform(-eps, eps, size=shape))
+                         lambda rng, image: rng.uniform(-eps, eps, size=image.shape))
         x = np.clip(images + jitter, *clip)
     targets = labels
     if config.targeted:
@@ -226,24 +226,25 @@ def _deepfool(model, images, labels, config, clip, index_base):
 
 def _gaussian_noise(model, images, labels, config, clip, index_base):
     """Additive seeded Gaussian noise of magnitude epsilon, clipped."""
-    noise = _seeded(config, index_base, images, lambda rng, shape: rng.standard_normal(shape))
+    noise = _seeded(config, index_base, images,
+                    lambda rng, image: rng.standard_normal(image.shape))
     return np.clip(images + config.epsilon * noise, *clip), None
 
 
 def _salt_pepper(model, images, labels, config, clip, index_base):
     """Set a seeded fraction (epsilon) of pixels per image to the low or the
     high end of the clip range (0 or 1 by default) with equal odds."""
-    d = int(np.prod(images.shape[1:]))
-    k = int(config.epsilon * d)
     ends = np.asarray(clip, dtype=images.dtype)
-    adv = images.copy()
-    for i in range(len(images)):
-        rng = _image_rng(config.rng_seed, index_base + i)
-        positions = rng.choice(d, size=k, replace=False)
-        values = ends[rng.integers(0, 2, size=k)]
-        flat = adv[i].reshape(-1)
-        flat[positions] = values
-    return adv, None
+
+    def draw(rng, image):
+        k = int(config.epsilon * image.size)
+        # positions are drawn before the values; an image's bytes depend on that order
+        positions = rng.choice(image.size, size=k, replace=False)
+        flat = image.flatten()
+        flat[positions] = ends[rng.integers(0, 2, size=k)]
+        return flat.reshape(image.shape)
+
+    return _seeded(config, index_base, images, draw), None
 
 
 _ATTACKS = {

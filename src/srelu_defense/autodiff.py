@@ -445,43 +445,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(z - lse)
 
 
-def softmax_cross_entropy(
-    logits: Tensor, labels: np.ndarray, tape: Tape | None = None
-) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label]."""
-    if logits.data.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-    n, c = logits.shape
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"labels out of range [0, {c})")
-
-    z, lse = _log_softmax_parts(logits.data)
-    rows = np.arange(n)
-    per_row = lse[:, 0] - z[rows, labels]
-    out = Tensor(per_row.mean(), dtype=logits.data.dtype)
-
-    def bw(g: np.ndarray, needs):
-        if not needs[0]:
-            return (None,)
-        grad = np.exp(z - lse)
-        grad[rows, labels] -= 1.0
-        grad *= g / n
-        return (grad.astype(logits.data.dtype, copy=False),)
-
-    return _finish(out, tape, (logits,), bw)
-
-
-def soft_cross_entropy(
-    logits: Tensor, target_probs: np.ndarray, tape: Tape | None = None
-) -> Tensor:
-    """Mean cross-entropy against a soft target distribution per row."""
-    if logits.shape != np.shape(target_probs):
-        raise ValueError(
-            f"target shape {np.shape(target_probs)} must match logits {logits.shape}"
-        )
+def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None) -> Tensor:
+    """Mean over the batch of the cross-entropy against one target distribution per row."""
     n = logits.shape[0]
     z, lse = _log_softmax_parts(logits.data)
     per_row = (target_probs * (lse - z)).sum(axis=1)
@@ -495,3 +460,30 @@ def soft_cross_entropy(
 
     return _finish(out, tape, (logits,), bw)
 
+
+def softmax_cross_entropy(
+    logits: Tensor, labels: np.ndarray, tape: Tape | None = None
+) -> Tensor:
+    """Mean over the batch of -log softmax(logits)[label]."""
+    if logits.data.ndim != 2:
+        raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
+    n, c = logits.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise ValueError(f"labels out of range [0, {c})")
+    onehot = np.zeros((n, c), dtype=logits.data.dtype)
+    onehot[np.arange(n), labels] = 1.0
+    return _cross_entropy(logits, onehot, tape)
+
+
+def soft_cross_entropy(
+    logits: Tensor, target_probs: np.ndarray, tape: Tape | None = None
+) -> Tensor:
+    """Mean cross-entropy against a soft target distribution per row."""
+    if logits.shape != np.shape(target_probs):
+        raise ValueError(
+            f"target shape {np.shape(target_probs)} must match logits {logits.shape}"
+        )
+    return _cross_entropy(logits, target_probs, tape)

@@ -18,8 +18,8 @@ from dataclasses import replace
 
 from . import __version__
 from . import experiments as ex
-from .attacks import AttackConfig
-from .autodiff import ACTIVATION_KINDS
+from .attacks import _ATTACKS, AttackConfig
+from .autodiff import _ACTIVATIONS, ACTIVATION_KINDS
 from .data import DataFormatError, load_cifar10_bin, load_mnist_idx, take_first
 from .models import (
     PARAMS_VERSION,
@@ -88,6 +88,20 @@ _positive = _number(lambda value: value > 0, "positive")  # a slope or a factor
 _finite = _number(math.isfinite, "finite")  # an SGD setting; nan and inf fail every step
 
 
+def _name_in(table, what: str):
+    """Converter for a name that table holds (described as what)."""
+    def convert(raw: str) -> str:
+        if raw not in table:
+            raise ValueError(f"unknown {what} {raw!r}; known: {sorted(table)}")
+        return raw
+    return convert
+
+
+# the tables AttackConfig and Model check their kinds against
+_attack_kind = _name_in(_ATTACKS, "attack kind")
+_activation = _name_in(("srelu", *_ACTIVATIONS), "activation kind")
+
+
 def _epsilon_grid(raw: str) -> tuple:
     """Converter for an epsilon grid: ascending from 0 and within [0, 1]."""
     values = _list(float)(raw)
@@ -137,7 +151,7 @@ OPTIONS: dict[str, dict] = {
         **_COMMON,
         "params": (str, None, "parameter file"),
         "slope": (_positive, 1.0, "test-time rectifier slope"),
-        "activation": (str, "srelu", "test-time activation override"),
+        "activation": (_activation, "srelu", "test-time activation override"),
     },
     "attack": {
         **_COMMON,
@@ -157,7 +171,7 @@ OPTIONS: dict[str, dict] = {
     "sweep": {
         **_COMMON, **_THREADS, **_SLOPES, **_EPSILON_GRID,
         "params": (str, None, "parameter file"),
-        "attacks": (_list(str), ex.DEFAULT_ATTACK_KINDS, "attack kinds"),
+        "attacks": (_list(_attack_kind), ex.DEFAULT_ATTACK_KINDS, "attack kinds"),
         "deepfool_iters": (_list(_at_least(1)), ex.DEEPFOOL_ITER_GRID,
                            "deepfool iteration grid"),
     },
@@ -168,7 +182,7 @@ OPTIONS: dict[str, dict] = {
     "swap": {
         **_COMMON, **_THREADS, **_EPSILON_GRID,
         "params": (str, None, "parameter file"),
-        "kinds": (_list(str), ACTIVATION_KINDS, "substitute activations"),
+        "kinds": (_list(_activation), ACTIVATION_KINDS, "substitute activations"),
     },
     "scale": {
         **_COMMON, **_THREADS, **_EPSILON_GRID,
@@ -180,7 +194,7 @@ OPTIONS: dict[str, dict] = {
         **_COMMON, **_TRAIN_DATA, **_SLOPES, **_EPSILON_GRID,
         "params": (str, None, "parameter file of the defended model"),
         "epochs": (_at_least(0), 5, "substitute training epochs"),
-        "attacks": (_list(str), ("fgsm",), "attack kinds to craft on the substitute"),
+        "attacks": (_list(_attack_kind), ("fgsm",), "attack kinds to craft on the substitute"),
         "limit_train": (_at_least(0), None, "distill on only the first N training images"),
     },
     "export-features": {
@@ -250,7 +264,7 @@ def parse_config(args: argparse.Namespace) -> dict:
     options = OPTIONS[args.command]
     file_values = _read_config_file(args.config) if args.config else {}
     for key in file_values:
-        if key not in options:
+        if key not in options or key == "config":  # a config file names no other
             raise CliError("config", f"unknown config key {key!r}")
 
     resolved = {"command": args.command}
@@ -340,13 +354,13 @@ def _load_model(cfg: dict):
 def _cmd_train(cfg: dict, outdir: str) -> None:
     train_set = _load_split(cfg, "train")
     model = build_model(cfg["arch"], cfg["seed"])
-    log: list = []
-    ex.train(model, train_set, cfg["epochs"], lr=cfg["lr"], momentum=cfg["momentum"],
-             batch_size=cfg["batch_size"], seed=cfg["seed"], epoch_log=log)
+    losses = ex.train(model, train_set, cfg["epochs"], lr=cfg["lr"],
+                      momentum=cfg["momentum"], batch_size=cfg["batch_size"],
+                      seed=cfg["seed"])
     save_params(model, os.path.join(outdir, "model.bin"))
     with open(os.path.join(outdir, "training_log.csv"), "w", newline="") as f:
         f.write("epoch,mean_loss\n")
-        for epoch, mean_loss in log:
+        for epoch, mean_loss in enumerate(losses):
             f.write(f"{epoch},{mean_loss:.6g}\n")
 
     if cfg.get("test_images" if _family(cfg["arch"]) == "mnist" else "test_batches"):

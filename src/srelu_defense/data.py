@@ -183,21 +183,21 @@ def scale_pixels(dataset: LabeledImageSet, factor: float, clip: bool) -> Labeled
 
 
 class BatchIterator:
-    """Deterministic batching: a seeded shuffle per epoch."""
+    """Deterministic batching of images and their per-image targets: a seeded shuffle per epoch."""
 
-    def __init__(self, dataset: LabeledImageSet, batch_size: int, seed: int = 0):
+    def __init__(self, images: np.ndarray, targets: np.ndarray, batch_size: int, seed: int = 0):
         if batch_size < 1:
             raise ValueError("batch size must be positive")
-        self.dataset = dataset
+        self.images, self.targets = images, targets
         self.batch_size = batch_size
         self.seed = seed
 
     def epoch_indices(self, epoch: int) -> np.ndarray:
-        return np.random.default_rng([self.seed, epoch]).permutation(self.dataset.n)
+        return np.random.default_rng([self.seed, epoch]).permutation(len(self.images))
 
     def epoch_batches(self, epoch: int = 0):
-        """Yield (images, labels) slices covering the set exactly once."""
+        """Yield (images, targets) slices covering the set exactly once."""
         idx = self.epoch_indices(epoch)
         for start in range(0, len(idx), self.batch_size):
             sel = idx[start : start + self.batch_size]
-            yield self.dataset.images[sel], self.dataset.labels[sel]
+            yield self.images[sel], self.targets[sel]

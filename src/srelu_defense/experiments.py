@@ -469,19 +469,15 @@ def train(model: Model, train_set: LabeledImageSet, epochs: int,
           lr: float = TRAIN_DEFAULTS["lr"],
           momentum: float = TRAIN_DEFAULTS["momentum"],
           batch_size: int = TRAIN_DEFAULTS["batch_size"],
-          seed: int = 0, epoch_log: list | None = None) -> Model:
+          seed: int = 0) -> list[float]:
     """Minibatch SGD with momentum on softmax cross-entropy, seeded shuffle.
 
-    Mutates the model's parameters in place and returns it. Training runs the
-    plain rectifier whatever slope or activation the model evaluates with.
-    epoch_log, when given, receives one (epoch, mean loss) pair per epoch.
+    Mutates the model's parameters in place and returns the mean loss of each
+    epoch. Training runs the plain rectifier whatever slope or activation the
+    model evaluates with.
     """
-    iterator = BatchIterator(train_set, batch_size, seed=seed)
-    losses = _sgd(model, epochs, iterator.epoch_batches, ad.softmax_cross_entropy,
-                  lr, momentum)
-    if epoch_log is not None:
-        epoch_log.extend(enumerate(losses))
-    return model
+    iterator = BatchIterator(train_set.images, train_set.labels, batch_size, seed=seed)
+    return _sgd(model, epochs, iterator.epoch_batches, ad.softmax_cross_entropy, lr, momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +492,13 @@ def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
     the softmax of the original's slope-1 logits (soft-label distillation),
     with train's default SGD settings (TRAIN_DEFAULTS).
     """
-    batch_size = TRAIN_DEFAULTS["batch_size"]
     substitute = build_model(original.spec, seed)
     teacher = original.with_slope(1.0)
     soft = np.empty((train_set.n, 10), dtype=train_set.images.dtype)
     for lo, hi in _chunks(train_set.n):
         soft[lo:hi] = ad.softmax(teacher.logits(train_set.images[lo:hi]))
-    iterator = BatchIterator(train_set, batch_size, seed=seed)
-
-    def soft_batches(epoch):
-        idx = iterator.epoch_indices(epoch)
-        for start in range(0, len(idx), batch_size):
-            sel = idx[start : start + batch_size]
-            yield train_set.images[sel], soft[sel]
-
-    _sgd(substitute, epochs, soft_batches, ad.soft_cross_entropy,
+    iterator = BatchIterator(train_set.images, soft, TRAIN_DEFAULTS["batch_size"], seed=seed)
+    _sgd(substitute, epochs, iterator.epoch_batches, ad.soft_cross_entropy,
          TRAIN_DEFAULTS["lr"], TRAIN_DEFAULTS["momentum"])
     return substitute
 

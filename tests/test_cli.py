@@ -267,6 +267,10 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     ("sweep", "deepfool_iters", "0"),
     *(("train", option, value) for option in ("lr", "momentum")
       for value in ("nan", "inf", "-inf")),
+    ("sweep", "attacks", "fgsm,cw"),
+    ("bpda", "attacks", "cw"),
+    ("swap", "kinds", "bogus"),
+    ("eval", "activation", "bogus"),
 ])
 def test_count_below_its_bound_is_a_bad_value(command, option, value, tmp_path, capsys):
     out = tmp_path / "o"
@@ -304,13 +308,18 @@ def test_flag_overrides_config_file(idx_data, saved_model, tmp_path, capsys):
 
 
 def test_unknown_config_key_is_rejected(idx_data, tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("banana=1\n")
-    code = cli.main(["eval", *eval_args(idx_data, [
-        "--config", str(config), "--seed", "1", "--out", str(tmp_path / "o"),
-    ])])
-    assert code == 1
-    assert "banana" in capsys.readouterr().err
+    # a config file cannot name another config file either
+    for key, value in (("banana", "1"), ("config", tmp_path / "nonexistent" / "other.txt")):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key}={value}\n")
+        out = tmp_path / "o"
+        code = cli.main(["eval", *eval_args(idx_data, [
+            "--config", str(config), "--seed", "1", "--out", str(out),
+        ])])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error in config: unknown config key {key!r}")
+        assert not out.exists()
 
 
 def test_missing_data_file_fails_with_stage(tmp_path, capsys, saved_model):

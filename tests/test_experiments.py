@@ -351,15 +351,13 @@ def test_scaling_rejects_nonpositive_factor(trained_synth, small_test):
 
 
 def test_loss_decreases_over_first_steps(synth_sets):
-    # one 64-image batch per epoch and no momentum: each logged epoch loss is
+    # one 64-image batch per epoch and no momentum: each returned epoch loss is
     # the pre-step loss of one plain SGD step on the same 64 images
     train_set, _ = synth_sets
     model = sd.build_model("mnist_cnn", seed=2)
-    log = []
-    ex.train(model, take_first(train_set, 64), epochs=4, lr=0.005, momentum=0.0,
-             batch_size=64, seed=0, epoch_log=log)
-    assert [epoch for epoch, _ in log] == [0, 1, 2, 3]
-    losses = [loss for _, loss in log]
+    losses = ex.train(model, take_first(train_set, 64), epochs=4, lr=0.005, momentum=0.0,
+                      batch_size=64, seed=0)
+    assert len(losses) == 4
     assert losses[1] < losses[0]
     assert losses[2] < losses[1]
     assert losses[3] < losses[2]
@@ -391,8 +389,8 @@ def test_train_runs_the_plain_rectifier_at_any_slope(synth_sets):
     runs = []
     for slope, activation in ((1.0, "srelu"), (5.0, "srelu"), (1.0, "tanh")):
         model = sd.build_model("mnist_cnn", seed=2)
-        view = ex.train(sd.Model(model.spec, model.params, slope, activation), subset,
-                        epochs=1, seed=9)
+        view = sd.Model(model.spec, model.params, slope, activation)
+        ex.train(view, subset, epochs=1, seed=9)
         assert (view.slope, view.activation) == (slope, activation)
         runs.append({n: t.data.tobytes() for n, t in model.params.items()})
     assert runs[0] == runs[1] == runs[2]

@@ -435,9 +435,8 @@ def test_loaded_model_trains(tmp_path, synth_sets):
     save_params(model, path)
     loaded = load_params(path, "mnist_cnn")
     before = loaded.params["fc2.w"].data.copy()
-    log = []
-    ex.train(loaded, take_first(synth_sets[0], 32), epochs=1, seed=1, epoch_log=log)
-    assert len(log) == 1 and np.isfinite(log[0][1])
+    losses = ex.train(loaded, take_first(synth_sets[0], 32), epochs=1, seed=1)
+    assert len(losses) == 1 and np.isfinite(losses[0])
     assert not np.array_equal(loaded.params["fc2.w"].data, before)
 
 
