@@ -22,7 +22,8 @@ DTYPE = np.float32
 
 
 class Tensor:
-    """A contiguous row-major n-dimensional array, the unit of computation.
+    """A row-major n-dimensional array, the unit of computation; an NCHW activation
+    may instead view (C, H, W, N) memory, batch innermost (CHWN; see conv2d).
 
     Values are immutable by convention once produced by an operator; only
     the training loop writes into parameter buffers, between tapes.
@@ -32,9 +33,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or DTYPE)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        chwn = arr.ndim == 4 and arr.transpose(1, 2, 3, 0).flags.c_contiguous
+        self.data = arr if arr.flags.c_contiguous or chwn else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -47,9 +47,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.data
-        return self.data.astype(dtype)
+        return np.array(self.data, dtype=dtype, copy=copy)  # copy=False raises if it must copy
 
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
@@ -144,20 +142,20 @@ def _windows(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 
 def _tap(a: np.ndarray, p: int, q: int, ho: int, wo: int, stride: int) -> np.ndarray:
-    """Strided view (N, C, ho, wo) of the elements at kernel offset (p, q)."""
+    """Strided view (L, ho, wo, T) of an (L, H, W, T) array at kernel offset (p, q)."""
     rows = slice(p, p + (ho - 1) * stride + 1, stride)
     cols = slice(q, q + (wo - 1) * stride + 1, stride)
-    return a[:, :, rows, cols]
+    return a[:, rows, cols]
 
 
 _scratch = threading.local()
 
 
 def _scratch_array(slot: int, shape: tuple, dtype) -> np.ndarray:
-    """Uninitialised array in this thread's reused byte buffer slot (conv2d's 0:
-    columns-, 1: output-, 2: input-sized); no op returns or keeps a view of one."""
+    """Uninitialised row-major array in this thread's reused byte buffer slot
+    (conv2d's 0: columns-, 1: output-sized); no op returns or keeps a view of one."""
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    slots = _scratch.__dict__.setdefault("slots", [np.empty(0, np.uint8)] * 3)
+    slots = _scratch.__dict__.setdefault("slots", [np.empty(0, np.uint8)] * 2)
     if slots[slot].nbytes < nbytes:
         slots[slot] = np.empty(nbytes, np.uint8)
     return slots[slot][:nbytes].view(dtype).reshape(shape)
@@ -169,7 +167,8 @@ def conv2d(
     """Valid-padding 2-D convolution of an NCHW batch.
 
     weights are laid out (out_channels, in_channels, kh, kw); output spatial
-    dims are floor((in - k) / stride) + 1.
+    dims are floor((in - k) / stride) + 1. The input gradient is CHWN (see
+    Tensor), and so is the output when the weights take no gradient (but see below).
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be NCHW, got shape {x.shape}")
@@ -189,36 +188,38 @@ def conv2d(
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
     k, m = c * kh * kw, n * ho * wo
-    # K-major im2col: (O, C*kh*kw) @ (C*kh*kw, N*ho*wo), so the output transpose
-    # to NCHW moves whole ho*wo rows; the columns outlive the call only for gw
+    # K-major im2col, (O, C*kh*kw) @ (C*kh*kw, M), M in (ho, wo, N) order: columns
+    # gathered from CHWN memory in runs of wo*N floats, and a CHWN output. A weight
+    # gradient keeps (N, ho, wo) and NCHW, and so does an M off a multiple of 16:
+    # OpenBLAS rounds a small GEMM's last 1-8 columns apart, so reordering moves bits.
+    chwn = not weights.requires_grad and m % 16 == 0
+    xd = x.data.transpose(1, 2, 3, 0)  # CHWN: copied once at entry, a view after
+    xd = np.ascontiguousarray(xd).transpose(3, 0, 1, 2) if chwn else x.data
     kept_cols = np.empty((k, m), x.data.dtype) if tape and weights.requires_grad else None
     cols = _scratch_array(0, (k, m), x.data.dtype) if kept_cols is None else kept_cols
-    np.copyto(cols.reshape(c, kh, kw, n, ho, wo),
-              _windows(x.data, kh, kw, stride).transpose(1, 4, 5, 0, 2, 3))
-    out_mat = np.matmul(weights.data.reshape(o, k), cols, out=_scratch_array(
+    windows = _windows(xd, kh, kw, stride)
+    windows = windows.transpose((1, 4, 5, 2, 3, 0) if chwn else (1, 4, 5, 0, 2, 3))
+    np.copyto(cols.reshape(windows.shape), windows)
+    out_mat = np.matmul(weights.data.reshape(o, k), cols, out=None if chwn else _scratch_array(
         1, (o, m), np.result_type(weights.data, cols)))
     out_mat += bias.data[:, None]
-    # a copy even where the transpose is already contiguous (a batch of one)
-    out = Tensor(np.array(out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), order="C"),
-                 dtype=out_mat.dtype)
+    # NCHW: a copy even where the transpose is already contiguous (a batch of one)
+    out = Tensor(out_mat.reshape(o, ho, wo, n).transpose(3, 0, 1, 2) if chwn else np.array(
+        out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), order="C"), dtype=out_mat.dtype)
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
         if needs[0]:
-            # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N),
-            # each tap added into a CHWN buffer; with the batch innermost an
-            # add runs over wo*N contiguous floats. Both are indexed as NCHW.
-            gt = _scratch_array(1, (o, m), g.dtype)
-            np.copyto(gt.reshape(o, ho, wo, n), g.transpose(1, 2, 3, 0))
+            # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N), each
+            # tap added into a CHWN buffer over runs of wo*N floats
+            gt = g.transpose(1, 2, 3, 0).reshape(o, m)  # a copy only from NCHW
             wtap = weights.data.transpose(2, 3, 1, 0).reshape(k, o)
             taps = np.matmul(wtap, gt, out=_scratch_array(0, (k, m), np.result_type(wtap, gt)))
-            taps = taps.reshape(kh, kw, c, ho, wo, n).transpose(0, 1, 5, 2, 3, 4)
-            gx = _scratch_array(2, (c, h, w, n), x.data.dtype).transpose(3, 0, 1, 2)
-            gx.fill(0)
-            for p in range(kh):
-                for q in range(kw):
-                    _tap(gx, p, q, ho, wo, stride)[...] += taps[p, q]
-            gx = np.array(gx, order="C")
+            taps = taps.reshape(kh, kw, c, ho, wo, n)
+            gx = np.zeros((c, h, w, n), x.data.dtype)
+            for p, q in np.ndindex(kh, kw):
+                _tap(gx, p, q, ho, wo, stride)[...] += taps[p, q]
+            gx = gx.transpose(3, 0, 1, 2)
         if needs[1] or needs[2]:
             # (N*ho*wo, O); the bias gradient adds its rows in sequence
             gmat = _scratch_array(1, (m, o), g.dtype)
@@ -238,7 +239,7 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
 
     The forward folds np.maximum over the window taps in row-major order.
     Ties, signed zeros included (-0.0 == 0.0), route the gradient to the
-    first tap in that order that equals the max.
+    first tap in that order that equals the max. Output and gradient keep x's layout.
     """
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2d input must be NCHW, got shape {x.shape}")
@@ -250,9 +251,16 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
 
     ho, wo = h // window, w // window
     taps = [(p, q) for p in range(window) for q in range(window)]
-    out_data = _tap(x.data, 0, 0, ho, wo, window).copy()
+    chwn = not x.data.flags.c_contiguous
+
+    def view(a):  # one body over (C, H, W, N) for CHWN memory, else (N*C, H, W, 1)
+        return a.transpose(1, 2, 3, 0) if chwn else a.reshape(-1, *a.shape[2:], 1)
+
+    xv = view(x.data)
+    out_v = _tap(xv, 0, 0, ho, wo, window).copy()
     for p, q in taps[1:]:
-        np.maximum(out_data, _tap(x.data, p, q, ho, wo, window), out=out_data)
+        np.maximum(out_v, _tap(xv, p, q, ho, wo, window), out=out_v)
+    out_data = out_v.transpose(3, 0, 1, 2) if chwn else out_v.reshape(n, c, ho, wo)
     out = Tensor(out_data, dtype=out_data.dtype)
 
     def bw(g: np.ndarray, needs):
@@ -260,15 +268,16 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
             return (None,)
         # the taps tile gx: each position is written once, and only the rest zeroed
         gx = np.empty_like(x.data)
-        gx[:, :, ho * window:] = gx[..., wo * window:] = 0
-        unclaimed = np.ones(out_data.shape, dtype=bool)
-        routed = np.empty_like(g)
+        gxv, gv = view(gx), view(g)
+        gxv[:, ho * window:] = gxv[:, :, wo * window:] = 0
+        unclaimed = np.ones(out_v.shape, dtype=bool)
+        routed = np.empty(out_v.shape, g.dtype)
         for p, q in taps:
-            hit = _tap(x.data, p, q, ho, wo, window) == out_data
+            hit = _tap(xv, p, q, ho, wo, window) == out_v
             hit &= unclaimed
             unclaimed ^= hit
             # g * False is -0.0 where g < 0; adding +0.0 stores a zeroed sum's +0.0
-            np.add(np.multiply(g, hit, out=routed), 0.0, out=_tap(gx, p, q, ho, wo, window))
+            np.add(np.multiply(gv, hit, out=routed), 0.0, out=_tap(gxv, p, q, ho, wo, window))
         return (gx,)
 
     return _finish(out, tape, (x,), bw)
@@ -316,10 +325,10 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 def flatten(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Collapse all but the leading batch axis."""
     n = x.shape[0]
-    out = Tensor(x.data.reshape(n, -1), dtype=x.data.dtype)
+    out = Tensor(x.data.reshape(n, -1), dtype=x.data.dtype)  # copies CHWN memory to row-major
 
-    def bw(g: np.ndarray, needs):
-        return (g.reshape(x.shape) if needs[0] else None,)
+    def bw(g: np.ndarray, needs):  # an exact copy back into x's memory order
+        return (np.positive(g.reshape(x.shape), out=np.empty_like(x.data)) if needs[0] else None,)
 
     return _finish(out, tape, (x,), bw)
 
@@ -343,7 +352,7 @@ def take(x: Tensor, flat_index: int, tape: Tape | None = None) -> Tensor:
     def bw(g: np.ndarray, needs):
         if not needs[0]:
             return (None,)
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x.shape, x.data.dtype)  # row-major, so the flat view writes through
         gx.reshape(-1)[flat_index] = g
         return (gx,)
 
@@ -404,7 +413,7 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     ),
     "softplus": (_softplus, lambda x, y: _sigmoid(x)),
     # pass-through control, handy for isolating activation placement
-    "identity": (lambda x: x.copy(), lambda x, y: np.ones_like(x)),
+    "identity": (lambda x: x.copy(order="K"), lambda x, y: np.ones_like(x)),
 }
 
 ACTIVATION_KINDS = tuple(k for k in _ACTIVATIONS if k != "identity")

@@ -186,7 +186,7 @@ class Model:
         x = Tensor(images, requires_grad=True)
         logits = _forward(self, x, tape=tape)
         loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
-        return loss.item(), ad.backward(tape, loss)[x]
+        return loss.item(), np.ascontiguousarray(ad.backward(tape, loss)[x])  # NCHW, as given
 
     def logit_input_grads(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-class logit gradients for a single image (shape 1xCxHxW).

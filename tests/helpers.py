@@ -108,6 +108,16 @@ def trainable(model: Model, dtype=None) -> Model:
         for name, p in model.params.items()})
 
 
+def chwn_memory(a: np.ndarray) -> np.ndarray:
+    """The same NCHW values as a view of row-major (C, H, W, N) memory, the
+    batch-innermost layout every evaluation tape holds between conv and flatten."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def is_chwn_memory(a: np.ndarray) -> bool:
+    return a.ndim == 4 and a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
 def idx_fixture_bytes():
     """Two hand-built 2x2 IDX images with known byte values."""
     pixels = bytes([0, 51, 102, 255, 10, 20, 30, 40])

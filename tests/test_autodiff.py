@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from srelu_defense import autodiff as ad
 from srelu_defense.autodiff import Tape, Tensor
 
-from helpers import finite_difference_oracle
+from helpers import chwn_memory, finite_difference_oracle, is_chwn_memory
 
 
 def grad_of(build, *tensors):
@@ -18,6 +18,53 @@ def grad_of(build, *tensors):
     loss = build(tape)
     grads = ad.backward(tape, loss)
     return [grads[t] for t in tensors]
+
+
+def _in_memory(a, chwn):
+    """Whether a is laid out as asked: CHWN memory, or row-major."""
+    return is_chwn_memory(a) if chwn else a.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# Tensor
+
+
+def test_array_copy_true_never_shares_the_tensor_data():
+    t = Tensor(np.arange(4.0))
+    for arr in (np.array(t), np.array(t, copy=True), t.__array__(copy=True),
+                np.array(t, dtype=np.float64)):
+        assert not np.shares_memory(arr, t.data)
+        arr[0] = 7.0
+    np.testing.assert_array_equal(t.data, np.arange(4.0))
+    assert np.asarray(t) is t.data
+    assert np.shares_memory(np.array(t, copy=False), t.data)
+
+
+def test_array_copy_false_refuses_a_dtype_change():
+    t = Tensor(np.arange(4.0))
+    with pytest.raises(ValueError):
+        t.__array__(np.float64, copy=False)
+    with pytest.raises(ValueError):
+        np.array(t, dtype=np.float64, copy=False)
+
+
+def test_tensor_keeps_row_major_and_chwn_memory_and_copies_other_strides():
+    x = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
+    assert Tensor(x).data is x
+    chwn = chwn_memory(x)
+    assert Tensor(chwn).data is chwn
+    for strided in (x[:, :, ::2], x.transpose(0, 2, 3, 1), x[::-1]):
+        data = Tensor(strided).data
+        assert data.flags.c_contiguous
+        np.testing.assert_array_equal(data, strided)
+
+
+def test_take_reads_and_routes_by_nchw_index_in_chwn_memory():
+    x = np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2)
+    t = Tensor(chwn_memory(x), requires_grad=True)
+    (gx,) = grad_of(lambda tape: ad.take(t, 5, tape=tape), t)
+    assert ad.take(t, 5).item() == x.reshape(-1)[5]
+    np.testing.assert_array_equal(gx.reshape(-1), np.eye(24, dtype=np.float32)[5])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +158,8 @@ def test_maxpool_window_too_large():
 
 
 def _vjp(op, x, g):
-    """Run op(tensor, tape) on x and pull the upstream gradient g back to x."""
+    """Run op(tensor, tape) on x and pull the upstream gradient g back to x;
+    both arrays are passed in the layout given."""
     tape = Tape()
     out = op(Tensor(x, requires_grad=True, dtype=x.dtype), tape)
     rec = tape._records[-1]
@@ -146,7 +194,8 @@ def _pool_reference(x, window, g):
 
 @st.composite
 def _pool_cases(draw):
-    """Tie-heavy inputs: small integers and both signed zeros."""
+    """Tie-heavy inputs: small integers and both signed zeros; chwn asks for
+    the input and upstream gradient in CHWN memory (an evaluation tape)."""
     window = draw(st.integers(1, 3))
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     h, w = draw(st.integers(window, 7)), draw(st.integers(window, 7))
@@ -155,16 +204,18 @@ def _pool_cases(draw):
     ho, wo = (h - window) // window + 1, (w - window) // window + 1
     g = draw(hnp.arrays(np.float32, (n, c, ho, wo),
                         elements=st.integers(-3, 3).map(float)))
-    return x, window, g
+    return x, window, g, draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None)
 @given(_pool_cases())
 def test_maxpool_forward_equals_window_max(case):
-    x, window, g = case
+    x, window, g, chwn = case
     ref, _ = _pool_reference(x, window, g)
-    recorded, _ = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x, g)
-    for out in (ad.maxpool2d(Tensor(x), window).data, recorded):
+    x_in, g_in = (chwn_memory(x), chwn_memory(g)) if chwn else (x, g)
+    recorded, _ = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x_in, g_in)
+    for out in (ad.maxpool2d(Tensor(x_in), window).data, recorded):
+        assert _in_memory(out, chwn)
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
 
@@ -172,9 +223,11 @@ def test_maxpool_forward_equals_window_max(case):
 @settings(max_examples=200, deadline=None)
 @given(_pool_cases())
 def test_maxpool_backward_routes_to_first_argmax(case):
-    x, window, g = case
+    x, window, g, chwn = case
     _, ref = _pool_reference(x, window, g)
-    _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x, g)
+    x_in, g_in = (chwn_memory(x), chwn_memory(g)) if chwn else (x, g)
+    _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x_in, g_in)
+    assert _in_memory(gx, chwn)
     np.testing.assert_array_equal(gx, ref)
     np.testing.assert_array_equal(np.signbit(gx), np.signbit(ref))
 
@@ -205,36 +258,62 @@ def _conv_reference(x, weights, bias, g, stride):
     return out.transpose(0, 3, 1, 2), gx, gw, gmat.sum(axis=0)
 
 
-def _conv_case(x_shape, w_shape, stride, sample):
+def _conv_case(x_shape, w_shape, stride, sample, weights_grad=True, x_chwn=False):
     """conv2d's (forward, input, weight and bias gradients) and the reference
-    ones, for a sampled input, weights, bias and upstream gradient."""
+    ones, for a sampled input, weights, bias and upstream gradient.
+
+    weights_grad=False runs the evaluation tape, where only the input takes a
+    gradient; both parameter gradients are then None on both sides. x_chwn
+    passes the input in CHWN memory, as every conv after the first gets it
+    there; the upstream gradient always comes in the output's layout.
+    """
     ho = (x_shape[2] - w_shape[2]) // stride + 1
     wo = (x_shape[3] - w_shape[3]) // stride + 1
     x, weights, bias = sample(x_shape), sample(w_shape), sample(w_shape[:1])
     g = sample((x_shape[0], w_shape[0], ho, wo))
     tape = Tape()
-    out = ad.conv2d(*(Tensor(a, requires_grad=True) for a in (x, weights, bias)), stride,
-                    tape=tape)
-    grads = tape._records[-1].backward_fn(g, (True, True, True))
-    return (out.data, *grads), _conv_reference(x, weights, bias, g, stride)
+    params = (Tensor(a, requires_grad=weights_grad) for a in (weights, bias))
+    out = ad.conv2d(Tensor(chwn_memory(x) if x_chwn else x, requires_grad=True), *params,
+                    stride, tape=tape)
+    g_in = np.empty_like(out.data)
+    g_in[...] = g
+    grads = tape._records[-1].backward_fn(g_in, (True, weights_grad, weights_grad))
+    ref = _conv_reference(x, weights, bias, g, stride)
+    return (out.data, *grads), ref if weights_grad else ref[:2] + (None, None)
+
+
+# (weights_grad, x_chwn): the training tape, and the evaluation tape's first
+# conv (an NCHW network input) and later ones (CHWN activations)
+CONV_TAPES = [(True, False), (False, False), (False, True)]
+
+
+def _expect_chwn_output(out, weights_grad):
+    """conv2d's layout rule: CHWN without a weight gradient, unless the GEMM's
+    N*ho*wo columns are off a multiple of 16."""
+    n, _, ho, wo = out.shape
+    return not weights_grad and n * ho * wo % 16 == 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 3), c=st.integers(1, 3), o=st.integers(1, 4),
        kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 3),
-       extra_h=st.integers(0, 5), extra_w=st.integers(0, 5), seed=st.integers(0, 2**16))
+       extra_h=st.integers(0, 5), extra_w=st.integers(0, 5), seed=st.integers(0, 2**16),
+       tape=st.sampled_from(CONV_TAPES))
 def test_conv2d_input_grad_equals_im2col_reference(n, c, o, kh, kw, stride,
-                                                    extra_h, extra_w, seed):
+                                                    extra_h, extra_w, seed, tape):
     # small integers keep every product and sum exact, whatever kernel
     # BLAS picks for degenerate (vector) shapes; the forward and the
-    # parameter gradients are checked too
+    # parameter gradients are checked too, on the training and evaluation tapes
     rng = np.random.default_rng(seed)
     ours, ref = _conv_case(
         (n, c, kh + extra_h, kw + extra_w), (o, c, kh, kw), stride,
-        lambda shape: rng.integers(-4, 5, size=shape).astype(np.float32),
+        lambda shape: rng.integers(-4, 5, size=shape).astype(np.float32), *tape,
     )
+    assert _in_memory(ours[0], _expect_chwn_output(ours[0], tape[0]))
     for got, want in zip(ours, ref):
-        np.testing.assert_array_equal(got, want)
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_array_equal(got, want)
 
 
 MODEL_CONV_SHAPES = [
@@ -247,26 +326,71 @@ MODEL_CONV_SHAPES = [
 CIFAR_TRAINING_SHAPES = MODEL_CONV_SHAPES[3:]
 
 
-def _normal_conv_case(x_shape, w_shape):
+def _normal_conv_case(x_shape, w_shape, weights_grad=True, x_chwn=False):
     rng = np.random.default_rng(0)
     return _conv_case(x_shape, w_shape, 1,
-                      lambda shape: rng.normal(size=shape).astype(np.float32))
+                      lambda shape: rng.normal(size=shape).astype(np.float32),
+                      weights_grad, x_chwn)
 
 
 @pytest.mark.parametrize("x_shape,w_shape", MODEL_CONV_SHAPES)
 def test_conv2d_input_grad_bits_equal_im2col_at_model_shapes(x_shape, w_shape):
-    (_, gx, _, _), (_, ref, _, _) = _normal_conv_case(x_shape, w_shape)
-    np.testing.assert_array_equal(gx, ref)
+    for tape in CONV_TAPES:
+        (_, gx, _, _), (_, ref, _, _) = _normal_conv_case(x_shape, w_shape, *tape)
+        np.testing.assert_array_equal(gx, ref)
 
 
 @pytest.mark.parametrize("x_shape,w_shape", MODEL_CONV_SHAPES)
 def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_shape):
-    (out, _, gw, gb), (ref_out, _, ref_gw, ref_gb) = _normal_conv_case(x_shape, w_shape)
-    np.testing.assert_array_equal(out, ref_out)
-    if (x_shape, w_shape) in CIFAR_TRAINING_SHAPES:
-        # the parameter gradients SGD reads, at the shapes training runs
-        np.testing.assert_array_equal(gw, ref_gw)
-        np.testing.assert_array_equal(gb, ref_gb)
+    for weights_grad, x_chwn in CONV_TAPES:
+        (out, _, gw, gb), (ref_out, _, ref_gw, ref_gb) = _normal_conv_case(
+            x_shape, w_shape, weights_grad, x_chwn)
+        assert _in_memory(out, not weights_grad)
+        np.testing.assert_array_equal(out, ref_out)
+        if weights_grad and (x_shape, w_shape) in CIFAR_TRAINING_SHAPES:
+            # the parameter gradients SGD reads, at the shapes training runs
+            np.testing.assert_array_equal(gw, ref_gw)
+            np.testing.assert_array_equal(gb, ref_gb)
+
+
+@pytest.mark.parametrize("x_chwn", [False, True])
+def test_conv2d_layout_bits_hold_where_a_small_gemm_has_a_short_tail(x_chwn):
+    # cifar conv2 at a batch of two: 200 GEMM columns, 8 past a multiple of 16.
+    # OpenBLAS rounds those last columns of a small sgemm apart (the row-major
+    # reference too), so (ho, wo, N) columns would move bits against the
+    # training tape's (N, ho, wo) ones; the evaluation tape keeps NCHW here
+    shapes = (2, 6, 14, 14), (16, 6, 5, 5)
+    (out, gx, _, _), _ = _normal_conv_case(*shapes, weights_grad=False, x_chwn=x_chwn)
+    (train_out, train_gx, _, _), _ = _normal_conv_case(*shapes)
+    assert out.flags.c_contiguous
+    np.testing.assert_array_equal(out, train_out)
+    np.testing.assert_array_equal(gx, train_gx)
+
+
+@pytest.mark.parametrize("x_shape", [(1, 3, 8, 8), (3, 1, 8, 8), (1, 1, 8, 8)])
+def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
+    # at a batch of one, NCHW and CHWN memory are one array; at one channel
+    # only the batch and pixel axes trade places. 5x5 kernels give 16*N columns
+    rng = np.random.default_rng(sum(x_shape))
+
+    def sample(shape):
+        return rng.integers(-4, 5, size=shape).astype(np.float32)
+
+    for weights_grad, x_chwn in CONV_TAPES:
+        ours, ref = _conv_case(x_shape, (4, x_shape[1], 5, 5), 1, sample, weights_grad, x_chwn)
+        assert _in_memory(ours[0], not weights_grad)
+        for got, want in zip(ours[:2], ref[:2]):
+            np.testing.assert_array_equal(got, want)
+    x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], np.float32), size=x_shape)
+    g = sample(x_shape[:2] + (4, 4))
+    ref_out, ref_gx = _pool_reference(x, 2, g)
+    for chwn in (False, True):
+        x_in, g_in = (chwn_memory(x), chwn_memory(g)) if chwn else (x, g)
+        out, gx = _vjp(lambda t, tape: ad.maxpool2d(t, 2, tape=tape), x_in, g_in)
+        assert _in_memory(out, chwn) and _in_memory(gx, chwn)
+        for got, want in ((out, ref_out), (gx, ref_gx)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 256])

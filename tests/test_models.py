@@ -23,7 +23,7 @@ from srelu_defense.models import (
     save_params,
 )
 
-from helpers import params_file_bytes, trainable
+from helpers import is_chwn_memory, params_file_bytes, trainable
 
 
 def toy_one_site_spec(features=6, hidden=4):
@@ -112,6 +112,44 @@ def test_eval_at_slope_one_equals_train_mode(rng):
     eval_logits = model.with_slope(1.0).logits(batch)
     train_logits = md._forward(trainable(model), ad.Tensor(batch)).data
     np.testing.assert_array_equal(eval_logits, train_logits)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 64, 255, 256])
+@pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
+def test_evaluation_layout_bits_equal_the_training_order_forward(arch, batch):
+    # evaluation tapes hold CHWN activations between the first conv and the
+    # flatten; the trainable view runs training's NCHW, N-major-column order.
+    # cifar10_cnn1/2 at a batch of 2 is where (ho, wo, N) columns moved bits
+    model = build_model(arch, seed=5)
+    rng = np.random.default_rng(batch)
+    images = rng.uniform(0.0, 1.0, size=(batch,) + model.spec.input_shape).astype(np.float32)
+    labels = np.arange(batch) % 10
+    for slope in (1.0, 10.0):
+        ev, train_order = model.with_slope(slope), trainable(model).with_slope(slope)
+        logits = ev.logits(images)
+        loss, grad = ev.loss_input_grad(images, labels)
+        feats = penultimate_features(ev, images)
+        ref_loss, ref_grad = train_order.loss_input_grad(images, labels)
+        np.testing.assert_array_equal(logits, train_order.logits(images))
+        np.testing.assert_array_equal(grad, ref_grad)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(feats, penultimate_features(train_order, images))
+        assert grad.shape == images.shape
+        for a in (logits, grad, feats):
+            assert a.flags.c_contiguous
+
+
+def test_evaluation_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
+    model = build_model("mnist_cnn", seed=2)
+    batch = rand_batch(rng, model, n=4)
+    for view, chwn in ((model, True), (trainable(model), False)):
+        tape = ad.Tape()
+        md._forward(view, ad.Tensor(batch, requires_grad=True), tape=tape)
+        four_d = [rec.out.data for rec in tape._records if rec.out.data.ndim == 4]
+        assert len(four_d) == 6  # conv, pool and act, twice
+        for out in four_d:
+            assert is_chwn_memory(out) == chwn and out.flags.c_contiguous != chwn
+        assert tape._records[-1].out.data.flags.c_contiguous  # the logits
 
 
 def test_toy_slope_two_doubles_logits(rng):
