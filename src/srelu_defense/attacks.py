@@ -6,9 +6,11 @@ are clipped to the valid pixel range, [0, 1] unless a caller evaluating
 rescaled inputs widens it.
 
 Randomized attacks derive one RNG per image from seed XOR image index, so the
-draws do not depend on how a set is split into batches. The model's float32
-arithmetic may (logits can differ in the last bits between batch sizes), so
-experiments.attack_all always chunks at the fixed EVAL_CHUNK from index 0.
+draws do not depend on how a set is split into batches. Nor does the model's
+float32 arithmetic: an image's logits and, at a fixed loss divisor, its input
+gradient have the same bits in a batch of any size (see autodiff). So an
+attack's images do not depend on the split either, once the loss divisor is
+fixed; experiments fixes it at the image count of each EVAL_CHUNK chunk.
 """
 
 from __future__ import annotations
@@ -145,6 +147,14 @@ def _seeded(config, index_base, images, draw):
 # and returns the adversarial images plus, for deepfool only, the L2 norms.
 
 
+def _finite_gradient(grad, what, config, model):
+    """grad unchanged, or ValueError naming the attack kind and the test slope."""
+    if not np.isfinite(grad).all():
+        raise ValueError(f"non-finite {what} gradient in the {config.kind} attack "
+                         f"at test slope {model.slope:g}")
+    return grad
+
+
 def _sign_steps(model, images, labels, config, clip, index_base):
     """FGSM, StepLL, RFGSM, BIM and PGD: config.steps signed loss-gradient steps.
 
@@ -153,6 +163,15 @@ def _sign_steps(model, images, labels, config, clip, index_base):
     a uniform random start. Targeted fgsm and stepll descend the loss of their
     target (stepll's: the least-likely class); the rest ascend the true label's.
     A non-finite input gradient raises ValueError naming the kind and slope.
+
+    Only an active set of rows takes each step. A row whose input gradient is
+    all zero is a fixed point of the step (sign 0 adds nothing, and both
+    projections keep the point), so it is final and leaves the set. Its next
+    gradient would be zero again as long as a row's gradient does not depend on
+    which rows share its batch, which holds when model.loss_input_grad divides
+    the loss by a fixed count (as experiments' chunk views do). The first step
+    passes the images object itself when the attack starts there, so a model
+    that caches the clean gradient answers it.
     """
     eps, step, x = config.epsilon, config.step_size, images
     if config.kind == "rfgsm":
@@ -168,14 +187,20 @@ def _sign_steps(model, images, labels, config, clip, index_base):
         targets, step = np.full(len(images), config.target_class, dtype=np.int64), -step
     elif config.kind == "stepll":
         targets, step = model.logits(images).argmin(axis=1), -step
+    rows, base = np.arange(len(images)), images  # the active set, and its clean images
+    final = np.empty_like(images)  # each row's image, written as the row leaves the set
     for _ in range(config.steps):
+        if not len(rows):
+            break
         _, grad = model.loss_input_grad(x, targets)
-        if not np.isfinite(grad).all():
-            raise ValueError(f"non-finite input gradient in the {config.kind} attack "
-                             f"at test slope {model.slope:g}")
-        x = np.clip(x + step * np.sign(grad), images - eps, images + eps)
+        moving = _finite_gradient(grad, "input", config, model).reshape(len(x), -1).any(axis=1)
+        if not moving.all():
+            final[rows[~moving]] = x[~moving]
+            rows, base, x, targets, grad = (a[moving] for a in (rows, base, x, targets, grad))
+        x = np.clip(x + step * np.sign(grad), base - eps, base + eps)
         x = np.clip(x, *clip)
-    return x, None
+    final[rows] = x
+    return final, None
 
 
 def _deepfool(model, images, labels, config, clip, index_base):
@@ -201,6 +226,7 @@ def _deepfool(model, images, labels, config, clip, index_base):
                 break
             x_work = (x0 + (1.0 + overshoot) * r_tot).astype(images.dtype)
             logits, grads = model.logit_input_grads(x_work[None])
+            _finite_gradient(grads, "logit", config, model)
             best_pert = np.inf
             best_dir = None
             for k in range(len(logits)):

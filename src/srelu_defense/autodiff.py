@@ -9,6 +9,11 @@ inputs included, to that gradient.
 
 Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
 high-accuracy gradient checks build float64 tensors that way.
+
+OpenBLAS rounds a small GEMM apart from a large one, so a row's bits can
+depend on how many rows share its batch. conv2d and dense take batch_invariant,
+which pads a small batch with zero rows up to CONV_MIN_BATCH images or
+DENSE_MIN_ROWS rows; every row then has the bits it has in a batch of any size.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 DTYPE = np.float32
+
+# the batch_invariant padding, measured on numpy's bundled OpenBLAS 0.3.31 with
+# the three architectures: below these sizes an image's bits depend on its batch
+CONV_MIN_BATCH = 4  # images in conv2d's im2col GEMMs
+DENSE_MIN_ROWS = 128  # rows in dense's GEMMs
 
 
 class Tensor:
@@ -148,6 +158,13 @@ def _tap(a: np.ndarray, p: int, q: int, ho: int, wo: int, stride: int) -> np.nda
     return a[:, rows, cols]
 
 
+def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
+    """a with zero rows appended along axis 0 up to rows; a itself if it has as many."""
+    if len(a) >= rows:
+        return a
+    return np.concatenate([a, np.zeros((rows - len(a),) + a.shape[1:], a.dtype)])
+
+
 _scratch = threading.local()
 
 
@@ -162,13 +179,16 @@ def _scratch_array(slot: int, shape: tuple, dtype) -> np.ndarray:
 
 
 def conv2d(
-    x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1, tape: Tape | None = None
+    x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1, tape: Tape | None = None,
+    batch_invariant: bool = False,
 ) -> Tensor:
     """Valid-padding 2-D convolution of an NCHW batch.
 
     weights are laid out (out_channels, in_channels, kh, kw); output spatial
     dims are floor((in - k) / stride) + 1. The input gradient is CHWN (see
     Tensor), and so is the output when the weights take no gradient (but see below).
+    batch_invariant pads a batch under CONV_MIN_BATCH images to it with zeros;
+    the output then holds the batch's own images only, in NCHW memory.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be NCHW, got shape {x.shape}")
@@ -187,14 +207,16 @@ def conv2d(
 
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
+    rows, n = n, max(n, CONV_MIN_BATCH) if batch_invariant else n  # the GEMMs' batch
     k, m = c * kh * kw, n * ho * wo
     # K-major im2col, (O, C*kh*kw) @ (C*kh*kw, M), M in (ho, wo, N) order: columns
     # gathered from CHWN memory in runs of wo*N floats, and a CHWN output. A weight
     # gradient keeps (N, ho, wo) and NCHW, and so does an M off a multiple of 16:
     # OpenBLAS rounds a small GEMM's last 1-8 columns apart, so reordering moves bits.
     chwn = not weights.requires_grad and m % 16 == 0
-    xd = x.data.transpose(1, 2, 3, 0)  # CHWN: copied once at entry, a view after
-    xd = np.ascontiguousarray(xd).transpose(3, 0, 1, 2) if chwn else x.data
+    xd = _pad_rows(x.data, n)
+    if chwn:  # CHWN: copied once at entry, a view after
+        xd = np.ascontiguousarray(xd.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     kept_cols = np.empty((k, m), x.data.dtype) if tape and weights.requires_grad else None
     cols = _scratch_array(0, (k, m), x.data.dtype) if kept_cols is None else kept_cols
     windows = _windows(xd, kh, kw, stride)
@@ -204,26 +226,27 @@ def conv2d(
         1, (o, m), np.result_type(weights.data, cols)))
     out_mat += bias.data[:, None]
     # NCHW: a copy even where the transpose is already contiguous (a batch of one)
-    out = Tensor(out_mat.reshape(o, ho, wo, n).transpose(3, 0, 1, 2) if chwn else np.array(
-        out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), order="C"), dtype=out_mat.dtype)
+    out = Tensor((out_mat.reshape(o, ho, wo, n).transpose(3, 0, 1, 2) if chwn else np.array(
+        out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), order="C"))[:rows],
+        dtype=out_mat.dtype)
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
         if needs[0]:
             # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N), each
-            # tap added into a CHWN buffer over runs of wo*N floats
-            gt = g.transpose(1, 2, 3, 0).reshape(o, m)  # a copy only from NCHW
+            # tap but the padding's added into a CHWN buffer over runs of wo*N floats
+            gt = _pad_rows(g, n).transpose(1, 2, 3, 0).reshape(o, m)  # a copy only from NCHW
             wtap = weights.data.transpose(2, 3, 1, 0).reshape(k, o)
             taps = np.matmul(wtap, gt, out=_scratch_array(0, (k, m), np.result_type(wtap, gt)))
-            taps = taps.reshape(kh, kw, c, ho, wo, n)
-            gx = np.zeros((c, h, w, n), x.data.dtype)
+            taps = taps.reshape(kh, kw, c, ho, wo, n)[..., :rows]
+            gx = np.zeros((c, h, w, rows), x.data.dtype)
             for p, q in np.ndindex(kh, kw):
                 _tap(gx, p, q, ho, wo, stride)[...] += taps[p, q]
             gx = gx.transpose(3, 0, 1, 2)
         if needs[1] or needs[2]:
             # (N*ho*wo, O); the bias gradient adds its rows in sequence
             gmat = _scratch_array(1, (m, o), g.dtype)
-            np.copyto(gmat.reshape(n, ho, wo, o), g.transpose(0, 2, 3, 1))
+            np.copyto(gmat.reshape(n, ho, wo, o), _pad_rows(g, n).transpose(0, 2, 3, 1))
             if needs[1]:
                 gw = (kept_cols @ gmat).T.reshape(o, c, kh, kw)
             if needs[2]:
@@ -287,8 +310,10 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
 # affine / reshape / reductions
 
 
-def dense(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
-    """Affine map x @ weights + bias for 2-D batches."""
+def dense(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None,
+          batch_invariant: bool = False) -> Tensor:
+    """Affine map x @ weights + bias for 2-D batches; batch_invariant pads a batch
+    under DENSE_MIN_ROWS rows to it with zeros."""
     if x.data.ndim != 2 or weights.data.ndim != 2:
         raise ValueError(
             f"dense expects 2-D input and weights, got {x.shape} and {weights.shape}"
@@ -299,10 +324,11 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) ->
         raise ValueError(f"dense dimension mismatch: input width {f}, weights expect {fw}")
     if bias.shape != (g_out,):
         raise ValueError(f"dense bias must have shape ({g_out},), got {bias.shape}")
-    out = Tensor(x.data @ weights.data + bias.data, dtype=x.data.dtype)
+    rows = max(n, DENSE_MIN_ROWS) if batch_invariant else n
+    out = Tensor((_pad_rows(x.data, rows) @ weights.data)[:n] + bias.data, dtype=x.data.dtype)
 
     def bw(g: np.ndarray, needs):
-        gx = g @ weights.data.T if needs[0] else None
+        gx = (_pad_rows(g, rows) @ weights.data.T)[:n] if needs[0] else None
         gw = x.data.T @ g if needs[1] else None
         gb = g.sum(axis=0) if needs[2] else None
         return gx, gw, gb
@@ -454,12 +480,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(z - lse)
 
 
-def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None) -> Tensor:
-    """Mean over the batch of the cross-entropy against one target distribution per row."""
-    n = logits.shape[0]
+def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None,
+                   divisor: int | None = None) -> Tensor:
+    """Sum over the batch of the cross-entropy against one target distribution per
+    row, divided by divisor: the batch size, a mean, unless given."""
+    n = logits.shape[0] if divisor is None else divisor
     z, lse = _log_softmax_parts(logits.data)
     per_row = (target_probs * (lse - z)).sum(axis=1)
-    out = Tensor(per_row.mean(), dtype=logits.data.dtype)
+    out = Tensor(per_row.sum() / n, dtype=logits.data.dtype)
 
     def bw(g: np.ndarray, needs):
         if not needs[0]:
@@ -471,9 +499,13 @@ def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None) 
 
 
 def softmax_cross_entropy(
-    logits: Tensor, labels: np.ndarray, tape: Tape | None = None
+    logits: Tensor, labels: np.ndarray, tape: Tape | None = None, divisor: int | None = None
 ) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label]."""
+    """Mean over the batch of -log softmax(logits)[label], or its sum over divisor.
+
+    A fixed divisor gives every row a gradient that does not depend on the
+    batch's size, so a batch's rows may be split without moving a bit.
+    """
     if logits.data.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
     n, c = logits.shape
@@ -484,7 +516,7 @@ def softmax_cross_entropy(
         raise ValueError(f"labels out of range [0, {c})")
     onehot = np.zeros((n, c), dtype=logits.data.dtype)
     onehot[np.arange(n), labels] = 1.0
-    return _cross_entropy(logits, onehot, tape)
+    return _cross_entropy(logits, onehot, tape, divisor)
 
 
 def soft_cross_entropy(

@@ -130,7 +130,7 @@ _TRAIN_DATA = {
     "train_batches": (_list(str), None, "comma-separated CIFAR-10 training batch files"),
 }
 
-_THREADS = {"threads": (_at_least(1), 1, "worker threads for independent grid cells")}
+_THREADS = {"threads": (_at_least(1), 1, "worker threads for the grid's attack tasks")}
 
 _EPSILON_GRID = {"epsilons": (_epsilon_grid,
                               {"mnist": ex.MNIST_EPSILONS, "cifar10": ex.CIFAR_EPSILONS},

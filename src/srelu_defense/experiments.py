@@ -1,8 +1,10 @@
 """Experiment drivers: training, attack sweeps, and CSV report assembly.
 
 Every driver is deterministic per seed: batches are chunked at a fixed size,
-randomized attacks seed per image, and reports are sorted by a canonical key
-before writing, so thread count never changes output bytes. The training
+each chunk's attack losses are divided by its own image count, the model's
+passes are batch-invariant, randomized attacks seed per image, and reports
+are sorted by a canonical key before writing, so neither the thread count
+nor how the pool slices a chunk changes output bytes. The training
 loop (_sgd) is the one place where parameters take gradients; every other
 driver differentiates with respect to the input alone.
 """
@@ -23,7 +25,8 @@ from .autodiff import Tape, Tensor
 from .data import BatchIterator, LabeledImageSet, scale_pixels
 from .models import Model, _forward, build_model, penultimate_features
 
-EVAL_CHUNK = 256  # fixed so numeric results never depend on partitioning
+EVAL_CHUNK = 256  # each chunk's image count divides its attack losses
+SLICE_ROWS = 64  # rows per grid task, a slice of one chunk, so workers share a chunk
 
 DEFAULT_SLOPES = (0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
 MNIST_EPSILONS = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
@@ -144,6 +147,14 @@ def _chunks(n: int):
         yield start, min(start + EVAL_CHUNK, n)
 
 
+def _slices(n: int):
+    """(lo, hi, chunk_n) of each slice of at most SLICE_ROWS rows, cut inside the
+    EVAL_CHUNK chunks from 0; chunk_n is the slice's chunk's image count."""
+    for start, stop in _chunks(n):
+        for lo in range(start, stop, SLICE_ROWS):
+            yield lo, min(lo + SLICE_ROWS, stop), stop - start
+
+
 def predict_all(model: Model, images: np.ndarray) -> np.ndarray:
     """Predictions over a set, in fixed-size chunks."""
     preds = np.empty(len(images), dtype=np.int64)
@@ -160,17 +171,20 @@ def eval_clean(model: Model, dataset: LabeledImageSet) -> float:
 
 
 class _CleanChunk:
-    """A model that takes each pass at one chunk's clean images only once.
+    """A model that takes each pass at one slice's clean images only once, and
+    divides every attack loss by the image count of the slice's chunk.
 
-    logits, predict and loss_input_grad on the chunk's own images array (the
+    logits, predict and loss_input_grad on the slice's own images array (the
     same object) compute once, the gradient once per loss-target vector; any
     other input or attribute passes through to the model. So the configs of
-    a cell share fgsm's and stepll's gradients across epsilons, bim's first
-    step, deepfool's clean labels and every eps=0 prediction.
+    a grid task share fgsm's and stepll's gradients across epsilons, bim's first
+    step, deepfool's clean labels and every eps=0 prediction. The fixed
+    divisor makes each row's gradient independent of the rows beside it, so
+    slices and attacks' active sets leave every bit where the whole chunk has it.
     """
 
-    def __init__(self, model: Model, images: np.ndarray):
-        self.model, self.images = model, images
+    def __init__(self, model: Model, images: np.ndarray, divisor: int):
+        self.model, self.images, self.divisor = model, images, divisor
         self._logits = None
         self._grads = {}
 
@@ -188,25 +202,34 @@ class _CleanChunk:
 
     def loss_input_grad(self, images, targets):
         if images is not self.images:
-            return self.model.loss_input_grad(images, targets)
+            return self.model.loss_input_grad(images, targets, self.divisor)
         key = (targets.dtype.str, targets.tobytes())
         if key not in self._grads:
-            self._grads[key] = self.model.loss_input_grad(images, targets)
+            self._grads[key] = self.model.loss_input_grad(images, targets, self.divisor)
         return self._grads[key]
+
+
+def _attack_slice(model: Model, dataset: LabeledImageSet, configs, lo, hi, chunk_n):
+    """(clean, batches) of one slice: its _CleanChunk over model, and one lazy
+    AdversarialBatch per config, clipped to the set's pixel range and seeded per image."""
+    clean = _CleanChunk(model, dataset.images[lo:hi], chunk_n)
+    attack = partial(run_attack, clean, clean.images, dataset.labels[lo:hi],
+                     clip=dataset.pixel_range, index_base=lo)
+    return clean, map(attack, configs)
 
 
 def attack_all(model: Model, dataset: LabeledImageSet, configs):
     """Attack a set with every config, one EVAL_CHUNK chunk at a time from 0.
 
-    Yields (lo, hi, clean, batches) per chunk: clean is the chunk's
-    _CleanChunk over model, and batches lazily gives one AdversarialBatch per
-    config, clipped to the set's pixel range and seeded per image.
+    Yields (lo, hi, clean, batches) per chunk, as _attack_slice gives them.
     """
     for lo, hi in _chunks(dataset.n):
-        clean = _CleanChunk(model, dataset.images[lo:hi])
-        attack = partial(run_attack, clean, clean.images, dataset.labels[lo:hi],
-                         clip=dataset.pixel_range, index_base=lo)
-        yield lo, hi, clean, map(attack, configs)
+        yield (lo, hi, *_attack_slice(model, dataset, configs, lo, hi, hi - lo))
+
+
+def _preds(clean: _CleanChunk, batches) -> np.ndarray:
+    """Predictions on a slice, (1 + configs, rows): clean, then one row per config."""
+    return np.array([clean.predict(clean.images), *(batch.preds for batch in batches)])
 
 
 def eval_under_attack(model: Model, dataset: LabeledImageSet, configs,
@@ -216,14 +239,16 @@ def eval_under_attack(model: Model, dataset: LabeledImageSet, configs,
     Records accuracy (untargeted) or success (targeted). Targeted success
     counts only images not already predicted as the target before the attack.
     """
+    return _records(model, dataset, configs, seed, [
+        _preds(clean, batches) for _, _, clean, batches in attack_all(model, dataset, configs)])
+
+
+def _records(model: Model, dataset: LabeledImageSet, configs, seed: int,
+             slice_preds) -> list[EvalRecord]:
+    """eval_under_attack's records, from the _preds of every slice in order."""
     if dataset.n == 0:
         raise ValueError("cannot evaluate an empty image set")
-    clean_preds = np.empty(dataset.n, dtype=np.int64)
-    adv_preds = np.empty((len(configs), dataset.n), dtype=np.int64)
-    for lo, hi, clean, batches in attack_all(model, dataset, configs):
-        clean_preds[lo:hi] = clean.predict(clean.images)
-        for row, batch in zip(adv_preds, batches):
-            row[lo:hi] = batch.preds
+    clean_preds, *adv_preds = np.concatenate(slice_preds, axis=1)
     clean_acc = float((clean_preds == dataset.labels).mean())
 
     records = []
@@ -299,17 +324,17 @@ def _one_blas_thread():
         set_(prior)
 
 
-def _run_cells(cell_fns, threads: int) -> list:
-    """Every cell's result, in order; threads > 1 runs them in a pool.
+def _run_cells(tasks, threads: int) -> list:
+    """Every task's result, in order; threads > 1 runs them in a pool.
 
     While the pool runs, each worker's GEMMs stay on the worker's own thread,
     so the pool busies `threads` cores rather than `threads` times the BLAS
     thread count. No result depends on the BLAS thread count.
     """
     if threads <= 1:
-        return [fn() for fn in cell_fns]
+        return [fn() for fn in tasks]
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda fn: fn(), cell_fns))
+        return list(pool.map(lambda fn: fn(), tasks))
 
 
 def _grid_summaries(records: list[EvalRecord], metric: str) -> list[SummaryRecord]:
@@ -365,14 +390,19 @@ def _grid_configs(attack_kinds, epsilons, seed: int,
 
 def _attack_grid(variants, configs, seed: int, threads: int,
                  summary_metric: str | None = None) -> Report:
-    """Attack every variant with every config, one eval_under_attack per variant.
+    """Attack every variant with every config, as eval_under_attack does.
 
-    variants are (model, dataset) pairs; each is one cell, and threads run
-    whole cells, so a variant's configs share its clean passes per chunk.
+    variants are (model, dataset) pairs. The pool runs one task per (variant,
+    slice), so the configs of a variant share its clean passes per slice, and
+    a variant whose attacks end early frees its thread for another's slices.
     """
-    cell_fns = [lambda m=model, d=dataset: eval_under_attack(m, d, configs, seed=seed)
-                for model, dataset in variants]
-    records = sorted((r for cell in _run_cells(cell_fns, threads) for r in cell),
+    slices = [list(_slices(dataset.n)) for _, dataset in variants]
+    tasks = [lambda m=model, d=dataset, s=s: _preds(*_attack_slice(m, d, configs, *s))
+             for (model, dataset), cuts in zip(variants, slices) for s in cuts]
+    results = iter(_run_cells(tasks, threads))
+    records = sorted((r for (model, dataset), cuts in zip(variants, slices)
+                      for r in _records(model, dataset, configs, seed,
+                                        [next(results) for _ in cuts])),
                      key=EvalRecord.sort_key)
     summaries = _grid_summaries(records, summary_metric) if summary_metric else []
     return Report(records=records, summaries=summaries)
@@ -522,7 +552,7 @@ def bpda_transfer_eval(original: Model, substitute: Model,
     adv_hits = np.zeros((len(configs), len(targets)), dtype=np.int64)
     for lo, hi, clean, batches in attack_all(crafting, dataset, configs):
         labels = dataset.labels[lo:hi]
-        judges = [_CleanChunk(target, clean.images) for target in targets]
+        judges = [_CleanChunk(target, clean.images, clean.divisor) for target in targets]
         clean_hits += [(judge.predict(clean.images) == labels).sum() for judge in judges]
         for row, batch in zip(adv_hits, batches):
             row += [(judge.predict(batch.images) == labels).sum() for judge in judges]

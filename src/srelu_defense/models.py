@@ -5,7 +5,10 @@ activation site: the rectifier at a slope (1 by default), or a substitute
 function. with_slope and with_activation give views that share the
 parameters. The parameters take no gradient: only the training loop
 (experiments._sgd) builds a trainable view of them, at slope 1, so the slope
-is a test-time setting only. Parameters persist in a compact little-endian
+is a test-time setting only. The batch passes (logits, predict,
+loss_input_grad, penultimate_features) are batch-invariant: an image's logits
+and, at a fixed loss divisor, its input gradient have the same bits in a
+batch of any size. Parameters persist in a compact little-endian
 binary format with a bit-exact round trip.
 """
 
@@ -166,7 +169,7 @@ class Model:
 
     def logits(self, images: np.ndarray) -> np.ndarray:
         """Logits for a batch under the configured test activation."""
-        return _forward(self, Tensor(images)).data
+        return _forward(self, Tensor(images), batch_invariant=True).data
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Argmax class per image; ties resolve to the lowest index.
@@ -179,19 +182,26 @@ class Model:
         return _require_finite(logits, "logits", self).argmax(axis=1)
 
     def loss_input_grad(
-        self, images: np.ndarray, labels: np.ndarray
+        self, images: np.ndarray, labels: np.ndarray, divisor: int | None = None
     ) -> tuple[float, np.ndarray]:
-        """Cross-entropy loss and its gradient with respect to the images."""
+        """Cross-entropy loss and its gradient with respect to the images.
+
+        The loss is the batch mean, or its sum over divisor when one is given;
+        with a fixed divisor each image's gradient row has the same bits in
+        any batch (see autodiff).
+        """
         tape = Tape()
         x = Tensor(images, requires_grad=True)
-        logits = _forward(self, x, tape=tape)
-        loss = ad.softmax_cross_entropy(logits, labels, tape=tape)
+        logits = _forward(self, x, tape=tape, batch_invariant=True)
+        loss = ad.softmax_cross_entropy(logits, labels, tape=tape, divisor=divisor)
         return loss.item(), np.ascontiguousarray(ad.backward(tape, loss)[x])  # NCHW, as given
 
     def logit_input_grads(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-class logit gradients for a single image (shape 1xCxHxW).
 
         Returns (logits row, gradient stack of shape (classes,) + image shape).
+        The one pass that is not batch-invariant: it takes one image, and padding
+        it for its ten reverse passes slowed DeepFool by about half.
         """
         tape = Tape()
         x = Tensor(image, requires_grad=True)
@@ -246,16 +256,19 @@ def build_model(arch: "str | ArchitectureSpec", seed: int) -> Model:
     return Model(spec, params)
 
 
-def _forward(model: Model, x: Tensor, tape: Tape | None = None) -> Tensor:
+def _forward(model: Model, x: Tensor, tape: Tape | None = None,
+             batch_invariant: bool = False) -> Tensor:
     """Run the layer stack; an op records a gradient for each tensor, input or
-    parameter, that asks for one."""
+    parameter, that asks for one. batch_invariant pads each GEMM's batch (see
+    autodiff), as the Model batch passes do; the training step runs unpadded."""
     expected = (x.shape[0],) + model.spec.input_shape
     if x.shape != expected:
         raise ValueError(f"batch shape {x.shape} does not match expected {expected}")
     params = model.params
     for layer in model.spec.layers:
         if isinstance(layer, Conv):
-            x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
+            x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape,
+                          batch_invariant=batch_invariant)
         elif isinstance(layer, Pool):
             x = ad.maxpool2d(x, layer.window, tape=tape)
         elif isinstance(layer, Act):
@@ -264,7 +277,8 @@ def _forward(model: Model, x: Tensor, tape: Tape | None = None) -> Tensor:
         elif isinstance(layer, Flatten):
             x = ad.flatten(x, tape=tape)
         elif isinstance(layer, Dense):
-            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
+            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape,
+                         batch_invariant=batch_invariant)
         else:
             raise ValueError(f"unknown layer kind {layer!r}")
     return x
@@ -279,7 +293,7 @@ def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
     last_dense = max(i for i, layer in enumerate(layers) if isinstance(layer, Dense))
     head = replace(model.spec, layers=layers[:last_dense])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        feats = _forward(replace(model, spec=head), Tensor(batch)).data
+        feats = _forward(replace(model, spec=head), Tensor(batch), batch_invariant=True).data
     return _require_finite(feats, "features", model)
 
 

@@ -17,7 +17,7 @@ from srelu_defense.attacks import (
     run_attack,
 )
 from srelu_defense.data import LabeledImageSet, scale_pixels
-from srelu_defense.experiments import DEFAULT_SCALE_FACTORS
+from srelu_defense.experiments import DEFAULT_SCALE_FACTORS, _CleanChunk
 
 from helpers import LinearSoftmaxModel, linear_min_hyperplane_distance, linf_distance
 
@@ -36,28 +36,17 @@ def attack(model, images, labels, kind, index_base=0, **fields):
                       index_base=index_base)
 
 
-class RowwiseModel:
-    """A model's attack-facing interface evaluated one image at a time.
+def split_attack(model, images, labels, config, split, index_base=0):
+    """run_attack on images whole and as two parts cut at split, each part as
+    experiments attacks a slice of one evaluation chunk: through a chunk view
+    that divides every loss by the whole chunk's image count. Returns both."""
+    def part(lo, hi):
+        view = _CleanChunk(model, images[lo:hi], len(images))
+        return run_attack(view, view.images, labels[lo:hi], config,
+                          index_base=index_base + lo).images
 
-    Batched float32 GEMMs may block differently at different batch sizes,
-    which moves the last bits of logits and gradients. Evaluating every row
-    at batch 1 takes that out, so a partition test checks the attack code.
-    loss_input_grad returns the summed loss and its gradient.
-    """
-
-    def __init__(self, model):
-        self.model = model
-
-    def logits(self, images):
-        return np.concatenate([self.model.logits(row[None]) for row in images])
-
-    def predict(self, images):
-        return np.concatenate([self.model.predict(row[None]) for row in images])
-
-    def loss_input_grad(self, images, labels):
-        rows = [self.model.loss_input_grad(images[i:i + 1], labels[i:i + 1])
-                for i in range(len(images))]
-        return sum(loss for loss, _ in rows), np.concatenate([grad for _, grad in rows])
+    stitched = np.concatenate([part(0, split), part(split, len(images))])
+    return part(0, len(images)), stitched
 
 
 def random_linear_model(rng, features=8, classes=10, dtype=np.float32):
@@ -172,14 +161,11 @@ def test_pgd_budget_and_determinism(trained_synth, attack_batch):
 
 
 def test_pgd_partition_invariance(trained_synth, attack_batch):
+    # the batched float32 model itself: a row's bits do not depend on its batch
     images, labels = attack_batch
-    model = RowwiseModel(trained_synth)
-    fields = dict(epsilon=0.2, steps=2, rng_seed=3)
-    whole = attack(model, images, labels, "pgd", **fields)
-    first = attack(model, images[:20], labels[:20], "pgd", **fields)
-    second = attack(model, images[20:], labels[20:], "pgd", index_base=20, **fields)
-    stitched = np.concatenate([first.images, second.images])
-    np.testing.assert_array_equal(whole.images, stitched)
+    config = AttackConfig(kind="pgd", epsilon=0.2, steps=2, rng_seed=3)
+    whole, stitched = split_attack(trained_synth, images, labels, config, 20)
+    np.testing.assert_array_equal(whole, stitched)
 
 
 SEEDED_CONFIGS = {
@@ -193,18 +179,15 @@ SEEDED_CONFIGS = {
 @pytest.mark.parametrize("kind", sorted(SEEDED_CONFIGS))
 @settings(max_examples=10, deadline=None)
 @given(split=st.integers(1, 15), base=st.integers(0, 5000))
-@example(split=1, base=702)  # a batched float32 model differs here by one pixel
+@example(split=1, base=702)  # a plain mean-loss model, unpadded, moved a pixel here
 def test_seeded_attack_partition_invariance(trained_synth, attack_batch, kind,
                                             split, base):
-    # attack_all relies on this: chunk boundaries never reach the per-image seeds
+    # the grid's slices rely on this: slice boundaries reach neither the
+    # per-image seeds nor, on the real model, any bit of an image's attack
     images, labels = attack_batch[0][:16], attack_batch[1][:16]
-    model, config = RowwiseModel(trained_synth), SEEDED_CONFIGS[kind]
-    whole = run_attack(model, images, labels, config, index_base=base)
-    first = run_attack(model, images[:split], labels[:split], config, index_base=base)
-    second = run_attack(model, images[split:], labels[split:], config,
-                        index_base=base + split)
-    stitched = np.concatenate([first.images, second.images])
-    assert whole.images.tobytes() == stitched.tobytes()
+    whole, stitched = split_attack(trained_synth, images, labels, SEEDED_CONFIGS[kind],
+                                   split, index_base=base)
+    assert whole.tobytes() == stitched.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +289,27 @@ def test_deepfool_flips_predictions(trained_synth, attack_batch):
     assert out.success.mean() >= 0.75
     np.testing.assert_array_equal(out.success, after != before)
     assert out.images.min() >= 0.0 and out.images.max() <= 1.0
+
+
+class NanLogitGradientModel(LinearSoftmaxModel):
+    """A linear model whose logit gradients are NaN, as an overflowing slope's are."""
+
+    slope = 7.0
+
+    def logit_input_grads(self, image):
+        logits, grads = super().logit_input_grads(image)
+        return logits, np.full_like(grads, np.nan)
+
+
+def test_deepfool_non_finite_logit_gradient_names_the_attack_and_slope(rng):
+    # a NaN boundary distance compares false with every other, so without the
+    # check the loop stops as if all logit gaps were flat and reports it robust
+    linear = random_linear_model(rng, features=6)
+    model = NanLogitGradientModel(linear.weights, linear.bias)
+    x = rng.uniform(0.3, 0.7, size=(2, 1, 1, 6)).astype(np.float32)
+    with pytest.raises(ValueError, match="non-finite logit gradient in the deepfool "
+                                         "attack at test slope 7"):
+        attack(model, x, None, "deepfool", steps=5)
 
 
 def test_deepfool_rejects_zero_iters():

@@ -180,13 +180,14 @@ def test_tracer_patches_only_names_the_package_has(saved_model, idx_data, tmp_pa
         "--attacks", "deepfool", "--deepfool-iters", "1", "--slopes", "1"])
     assert trace["counters"]["deepfool.images"] == 8
 
-    # it times one cell per eval_under_attack call, which the grid makes once
-    # per variant (slope); an eps=0 cell takes no gradient, and fgsm shares
-    # its clean gradient with bim's first step, so each slope takes 1 + 9
+    # it times one cell per eval_under_attack call; the grid's pool runs
+    # (variant, slice) tasks instead, so a sweep has none. An eps=0 cell takes
+    # no gradient, and fgsm shares its clean gradient with bim's first step,
+    # so each slope takes 1 + 9 while some image's gradient moves it
     trace = _traced_sweep(idx_data, saved_model, tmp_path, "linf", [
         "--attacks", "fgsm,bim", "--slopes", "1,2", "--epsilons", "0,0.1"])
     metrics = _perfbench_tracer().analyse(trace, 0.0, 0.0)
-    assert metrics["experiments.cells"] == 2
+    assert metrics["experiments.cells"] == 0
     assert metrics["models.input_grad.calls"] == 2 * (1 + 9)
 
 
@@ -606,7 +607,7 @@ def test_non_finite_gradient_fails_the_sweep(idx_data, saved_model, tmp_path, ca
     # cached NaN never reaches the next epsilon
     calls = []
 
-    def nan_gradient(self, images, labels):
+    def nan_gradient(self, images, labels, divisor=None):
         calls.append(len(images))
         return float("nan"), np.full_like(images, np.nan)
 

@@ -230,6 +230,17 @@ def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monk
     assert calls == [60] * 2 * (1 + attacked_cells_per_slope)
 
 
+def test_slices_cut_inside_chunks_and_carry_their_chunks_image_count(monkeypatch):
+    # each slice's losses divide by its chunk's image count, so a tail chunk
+    # keeps the divisor it has when it runs whole (a fixed EVAL_CHUNK would not)
+    assert list(ex._slices(300)) == [(0, 64, 256), (64, 128, 256), (128, 192, 256),
+                                     (192, 256, 256), (256, 300, 44)]
+    monkeypatch.setattr(ex, "SLICE_ROWS", 100)
+    assert list(ex._slices(300)) == [(0, 100, 256), (100, 200, 256), (200, 256, 256),
+                                     (256, 300, 44)]
+    assert list(ex._slices(0)) == []
+
+
 def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeypatch):
     calls = _count_calls(monkeypatch, "loss_input_grad")
     grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3),
@@ -238,9 +249,12 @@ def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeyp
     # per slope, eps=0 takes none; eps 0.1 and 0.3 together take one
     # true-label gradient at the clean images (fgsm at both, and bim's first
     # steps), one least-likely-class one (stepll at both), rfgsm's 2 from its
-    # noise steps, bim's 2 x 9 later steps and pgd's 2 x 40 from its start
-    per_slope = 1 + 1 + 2 + 2 * (BIM_DEFAULT_STEPS - 1) + 2 * PGD_DEFAULT_STEPS
-    assert calls == [8] * 2 * per_slope
+    # noise steps, and pgd's 2 first steps from its start. At slope 1 bim's
+    # 2 x 9 later steps and pgd's 2 x 39 follow; at slope 10 every image's
+    # first gradient is zero, so no attack takes a second step
+    first_steps = 1 + 1 + 2 + 2
+    later_steps = 2 * (BIM_DEFAULT_STEPS - 1) + 2 * (PGD_DEFAULT_STEPS - 1)
+    assert calls == [8] * (first_steps + later_steps + first_steps)
 
 
 def test_targeted_sweep_takes_one_gradient_per_target(trained_synth, small_test,

@@ -18,6 +18,7 @@ import pytest
 
 import srelu_defense as sd
 from srelu_defense import experiments as ex
+from srelu_defense.attacks import BIM_DEFAULT_STEPS, AttackConfig
 from srelu_defense.data import take_first
 from srelu_defense.experiments import slope_sweep
 
@@ -54,14 +55,16 @@ def golden_model():
     return model, train_set, test_set
 
 
+GOLDEN_GRID = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
+                   attack_kinds=("fgsm", "stepll", "rfgsm", "bim"))
+
+
 @pytest.fixture(scope="module")
 def golden_sweep(golden_model, tmp_path_factory):
     # one full 256-image evaluation chunk: the conv1 input gradient then has
     # N*ho*wo = 147,456 rows, past any small-batch special case
     model, _, test_set = golden_model
-    grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
-                attack_kinds=("fgsm", "stepll", "rfgsm", "bim"))
-    report = slope_sweep(model, test_set, **grid, seed=7)
+    report = slope_sweep(model, test_set, **GOLDEN_GRID, seed=7)
     out = tmp_path_factory.mktemp("golden")
     report.write_csv(out / "report.csv")
     report.write_summary_csv(out / "summary.csv")
@@ -87,6 +90,36 @@ def test_golden_report_csv(golden_sweep):
 def test_golden_summary_csv(golden_sweep):
     _, out = golden_sweep
     assert _sha256_file(out / "summary.csv") == SUMMARY_SHA256
+
+
+@pytest.mark.parametrize("slice_rows, threads", [(16, 3), (64, 3), (256, 1)])
+def test_golden_sweep_bytes_for_any_slice_size_and_thread_count(golden_model, monkeypatch,
+                                                                slice_rows, threads):
+    # the pool runs one task per (slope, slice of the chunk); neither the
+    # slices' size (256: the whole chunk per task) nor the workers move a byte
+    monkeypatch.setattr(ex, "SLICE_ROWS", slice_rows)
+    report = slope_sweep(golden_model[0], golden_model[2], **GOLDEN_GRID, seed=7,
+                         threads=threads)
+    assert _sha256_text(report.csv_text()) == REPORT_SHA256
+    assert _sha256_text(report.summary_csv_text()) == SUMMARY_SHA256
+
+
+def test_golden_slope_ten_bim_steps_only_the_moving_rows(golden_model, monkeypatch):
+    # at slope 10 the first gradient of 241 of the 256 images is all zero: those
+    # images are final, so each later step passes only the other 15
+    model, _, test_set = golden_model
+    rows = []
+    method = sd.Model.loss_input_grad
+
+    def counted(self, images, *args):
+        rows.append(len(images))
+        return method(self, images, *args)
+
+    monkeypatch.setattr(sd.Model, "loss_input_grad", counted)
+    config = AttackConfig(kind="bim", epsilon=0.1, rng_seed=7)
+    ex.eval_under_attack(model.with_slope(10.0), test_set, [config], seed=7)
+    assert rows == [256] + [15] * (BIM_DEFAULT_STEPS - 1)
+    assert sum(rows) < BIM_DEFAULT_STEPS * test_set.n
 
 
 def test_golden_sweep_other_kinds(golden_model):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import srelu_defense as sd
 from srelu_defense import autodiff as ad
@@ -137,6 +139,51 @@ def test_evaluation_layout_bits_equal_the_training_order_forward(arch, batch):
         assert grad.shape == images.shape
         for a in (logits, grad, feats):
             assert a.flags.c_contiguous
+
+
+CHUNK = ex.EVAL_CHUNK
+
+
+@pytest.fixture(scope="module")
+def chunk_rows():
+    """Per (arch, slope): the model, a chunk of images and labels, and the
+    chunk's logits and input-gradient rows (loss divided by its image count)."""
+    cache = {}
+
+    def rows(arch, slope):
+        if (arch, slope) not in cache:
+            model = build_model(arch, seed=13).with_slope(slope)
+            rng = np.random.default_rng(13)
+            images = rng.uniform(0.0, 1.0, size=(CHUNK,) + model.spec.input_shape)
+            images = images.astype(np.float32)
+            labels = rng.integers(0, 10, size=CHUNK)
+            _, grads = model.loss_input_grad(images, labels, CHUNK)
+            cache[arch, slope] = model, images, labels, model.logits(images), grads
+        return cache[arch, slope]
+
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(arch=st.sampled_from(sorted(md.ARCHITECTURES)), slope=st.sampled_from((1.0, 10.0)),
+       size=st.integers(1, CHUNK), offset=st.integers(0, CHUNK - 1))
+@example(arch="cifar10_cnn1", slope=10.0, size=1, offset=3)
+@example(arch="cifar10_cnn2", slope=1.0, size=65, offset=0)
+@example(arch="mnist_cnn", slope=1.0, size=63, offset=3)
+@example(arch="mnist_cnn", slope=10.0, size=255, offset=1)
+def test_batch_invariant_rows_in_any_subset_of_a_chunk(chunk_rows, arch, slope, size,
+                                                       offset):
+    # any run of a chunk's images, attacked alone with the chunk's loss divisor,
+    # has the bits it has in the whole chunk: the grid's slices and the sign
+    # steps' active sets rely on it. Fails, rather than silently moving report
+    # bits, on a BLAS whose small-GEMM rounding the padding does not reach
+    model, images, labels, logits, grads = chunk_rows(arch, slope)
+    lo = min(offset, CHUNK - size)
+    rows = slice(lo, lo + size)
+    assert model.logits(images[rows]).tobytes() == logits[rows].tobytes()
+    _, part = model.loss_input_grad(images[rows], labels[rows], CHUNK)
+    assert part.tobytes() == grads[rows].tobytes()
+    assert grads[rows].any()  # the rows compared hold real gradients, not only zeros
 
 
 def test_evaluation_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
