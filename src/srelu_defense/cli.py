@@ -25,6 +25,7 @@ from .models import (
     PARAMS_VERSION,
     ParamsFormatError,
     build_model,
+    check_slope_applies,
     load_params,
     resolve_arch,
     save_params,
@@ -284,6 +285,8 @@ def parse_config(args: argparse.Namespace) -> dict:
         if resolved[name] is None:
             by_family = isinstance(default, dict)
             resolved[name] = default[_family(resolved["arch"])] if by_family else default
+    if "activation" in resolved:  # eval's pair; main reports the ValueError as a config error
+        check_slope_applies(resolved["slope"], resolved["activation"])
     return resolved
 
 

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -178,27 +179,28 @@ class _CleanChunk:
     same object) compute once, the gradient once per loss-target vector; any
     other input or attribute passes through to the model. So the configs of
     a grid task share fgsm's and stepll's gradients across epsilons, bim's first
-    step, deepfool's clean labels and every eps=0 prediction. The fixed
-    divisor makes each row's gradient independent of the rows beside it, so
-    slices and attacks' active sets leave every bit where the whole chunk has it.
+    step, deepfool's clean labels and every eps=0 prediction. The logits of the
+    last other array are kept too, so judging a batch the slice's attack just
+    predicted takes no second pass. The fixed divisor makes each row's gradient
+    independent of the rows beside it, so slices and attacks' active sets leave
+    every bit where the whole chunk has it.
     """
 
     def __init__(self, model: Model, images: np.ndarray, divisor: int):
         self.model, self.images, self.divisor = model, images, divisor
-        self._logits = None
-        self._grads = {}
+        # (array, logits) of the slice's own images, then of the last other array
+        self._passes, self._grads = [(None, None), (None, None)], {}
 
     def __getattr__(self, name):
         return getattr(self.model, name)
 
     def logits(self, images):
-        if images is not self.images:
-            return self.model.logits(images)
-        if self._logits is None:
-            self._logits = self.model.logits(images)
-        return self._logits
+        slot = 0 if images is self.images else 1
+        if self._passes[slot][0] is not images:
+            self._passes[slot] = (images, self.model.logits(images))
+        return self._passes[slot][1]
 
-    predict = Model.predict  # reads self.logits, so the chunk's own are cached
+    predict = Model.predict  # reads self.logits, so the cached logits answer it
 
     def loss_input_grad(self, images, targets):
         if images is not self.images:
@@ -208,28 +210,27 @@ class _CleanChunk:
             self._grads[key] = self.model.loss_input_grad(images, targets, self.divisor)
         return self._grads[key]
 
-
-def _attack_slice(model: Model, dataset: LabeledImageSet, configs, lo, hi, chunk_n):
-    """(clean, batches) of one slice: its _CleanChunk over model, and one lazy
-    AdversarialBatch per config, clipped to the set's pixel range and seeded per image."""
-    clean = _CleanChunk(model, dataset.images[lo:hi], chunk_n)
-    attack = partial(run_attack, clean, clean.images, dataset.labels[lo:hi],
-                     clip=dataset.pixel_range, index_base=lo)
-    return clean, map(attack, configs)
+    def judged_by(self, model: Model) -> "_CleanChunk":
+        """The view model judges this slice through: this one for its own model."""
+        return self if model is self.model else _CleanChunk(model, self.images, self.divisor)
 
 
 def attack_all(model: Model, dataset: LabeledImageSet, configs):
-    """Attack a set with every config, one EVAL_CHUNK chunk at a time from 0.
+    """Attack a set with every config, one slice at a time (see _slices): yields
+    (clean, batches) per slice, its _CleanChunk over model and one lazy
+    AdversarialBatch per config, clipped to the set's pixel range and seeded per image."""
+    for lo, hi, chunk_n in _slices(dataset.n):
+        clean = _CleanChunk(model, dataset.images[lo:hi], chunk_n)
+        yield clean, map(partial(run_attack, clean, clean.images, dataset.labels[lo:hi],
+                                 clip=dataset.pixel_range, index_base=lo), configs)
 
-    Yields (lo, hi, clean, batches) per chunk, as _attack_slice gives them.
-    """
-    for lo, hi in _chunks(dataset.n):
-        yield (lo, hi, *_attack_slice(model, dataset, configs, lo, hi, hi - lo))
 
-
-def _preds(clean: _CleanChunk, batches) -> np.ndarray:
-    """Predictions on a slice, (1 + configs, rows): clean, then one row per config."""
-    return np.array([clean.predict(clean.images), *(batch.preds for batch in batches)])
+def _judge_slice(clean: _CleanChunk, batches, judges) -> np.ndarray:
+    """(1 + configs, judges, rows) predictions on a slice: every judge's on its
+    clean images, then on each config's batch as soon as it is crafted."""
+    views = [clean.judged_by(judge) for judge in judges]
+    images = chain([clean.images], (batch.images for batch in batches))
+    return np.array([[view.predict(x) for view in views] for x in images])
 
 
 def eval_under_attack(model: Model, dataset: LabeledImageSet, configs,
@@ -239,16 +240,14 @@ def eval_under_attack(model: Model, dataset: LabeledImageSet, configs,
     Records accuracy (untargeted) or success (targeted). Targeted success
     counts only images not already predicted as the target before the attack.
     """
-    return _records(model, dataset, configs, seed, [
-        _preds(clean, batches) for _, _, clean, batches in attack_all(model, dataset, configs)])
+    return _attack_grid([(model, dataset, [model])], configs, seed)
 
 
-def _records(model: Model, dataset: LabeledImageSet, configs, seed: int,
-             slice_preds) -> list[EvalRecord]:
-    """eval_under_attack's records, from the _preds of every slice in order."""
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate an empty image set")
-    clean_preds, *adv_preds = np.concatenate(slice_preds, axis=1)
+def _records(judge: Model, dataset: LabeledImageSet, configs, seed: int, preds,
+             prefix: str = "") -> list[EvalRecord]:
+    """judge's record per config, in order, from its (1 + configs, images)
+    predictions: on the clean set, then on each config's attack."""
+    clean_preds, *adv_preds = preds
     clean_acc = float((clean_preds == dataset.labels).mean())
 
     records = []
@@ -259,8 +258,8 @@ def _records(model: Model, dataset: LabeledImageSet, configs, seed: int,
             eligible = clean_preds != config.target_class
             hits = (preds == config.target_class) & eligible
             success = float(hits.sum() / eligible.sum()) if eligible.any() else 0.0
-        records.append(eval_record(model, dataset.name, dataset.n, config, clean_acc,
-                                   adv_acc, success, seed))
+        records.append(eval_record(judge, dataset.name, dataset.n, config, clean_acc,
+                                   adv_acc, success, seed, prefix))
     return records
 
 
@@ -327,9 +326,10 @@ def _one_blas_thread():
 def _run_cells(tasks, threads: int) -> list:
     """Every task's result, in order; threads > 1 runs them in a pool.
 
-    While the pool runs, each worker's GEMMs stay on the worker's own thread,
-    so the pool busies `threads` cores rather than `threads` times the BLAS
-    thread count. No result depends on the BLAS thread count.
+    tasks may be an iterator; neither path keeps a task once it has run. While
+    the pool runs, each worker's GEMMs stay on the worker's own thread, so the
+    pool busies `threads` cores rather than `threads` times the BLAS thread
+    count. No result depends on the BLAS thread count.
     """
     if threads <= 1:
         return [fn() for fn in tasks]
@@ -354,10 +354,7 @@ def _grid_summaries(records: list[EvalRecord], metric: str) -> list[SummaryRecor
         for slope, rows in by_attack[attack].items():
             values = [getattr(r, metric) for r in rows]
             stressed = [getattr(r, metric) for r in rows if r.epsilon != 0.0]
-            slope_means[slope] = (
-                float(np.mean(stressed if stressed else values)),
-                float(np.mean(values)),
-            )
+            slope_means[slope] = (float(np.mean(stressed or values)), float(np.mean(values)))
         base = slope_means.get(1.0)
         for slope in sorted(slope_means):
             mean_excl, mean_incl = slope_means[slope]
@@ -388,22 +385,33 @@ def _grid_configs(attack_kinds, epsilons, seed: int,
     return cells
 
 
-def _attack_grid(variants, configs, seed: int, threads: int,
-                 summary_metric: str | None = None) -> Report:
-    """Attack every variant with every config, as eval_under_attack does.
+def _attack_grid(cells, configs, seed: int, threads: int = 1,
+                 prefix: str = "") -> list[EvalRecord]:
+    """The one attack runner: records per cell, judge and config, in that order.
 
-    variants are (model, dataset) pairs. The pool runs one task per (variant,
-    slice), so the configs of a variant share its clean passes per slice, and
-    a variant whose attacks end early frees its thread for another's slices.
+    A cell is (model, dataset, judges): model crafts each slice's attacks once
+    per config and every judge predicts on them (a sweep's model judges itself;
+    BPDA's judges are the defended model's slopes). The pool runs one task per
+    (cell, slice), built as the pool takes it, so a cell whose attacks end early
+    frees its thread for others' slices, and no slice's passes outlive its task.
     """
-    slices = [list(_slices(dataset.n)) for _, dataset in variants]
-    tasks = [lambda m=model, d=dataset, s=s: _preds(*_attack_slice(m, d, configs, *s))
-             for (model, dataset), cuts in zip(variants, slices) for s in cuts]
+    if any(dataset.n == 0 for _, dataset, _ in cells):
+        raise ValueError("cannot evaluate an empty image set")
+    tasks = (partial(_judge_slice, clean, batches, judges)
+             for model, dataset, judges in cells
+             for clean, batches in attack_all(model, dataset, configs))
     results = iter(_run_cells(tasks, threads))
-    records = sorted((r for (model, dataset), cuts in zip(variants, slices)
-                      for r in _records(model, dataset, configs, seed,
-                                        [next(results) for _ in cuts])),
-                     key=EvalRecord.sort_key)
+    records = []
+    for _, dataset, judges in cells:
+        preds = np.concatenate([next(results) for _ in _slices(dataset.n)], axis=2)
+        for judge, judge_preds in zip(judges, preds.swapaxes(0, 1)):
+            records += _records(judge, dataset, configs, seed, judge_preds, prefix)
+    return records
+
+
+def _report(records: list[EvalRecord], summary_metric: str | None = None) -> Report:
+    """A grid's report: records in canonical order, and their summaries by metric."""
+    records = sorted(records, key=EvalRecord.sort_key)
     summaries = _grid_summaries(records, summary_metric) if summary_metric else []
     return Report(records=records, summaries=summaries)
 
@@ -417,25 +425,26 @@ def slope_sweep(model: Model, dataset: LabeledImageSet, slopes, epsilons,
     instead. Model rejects a slope that is not positive and AttackConfig an
     epsilon outside [0, 1]; the CLI also requires the grid to ascend from 0.
     """
-    variants = [(model.with_slope(s), dataset) for s in slopes]
+    cells = [(m, dataset, [m]) for m in map(model.with_slope, slopes)]
     configs = _grid_configs(attack_kinds, epsilons, seed, deepfool_iters)
-    return _attack_grid(variants, configs, seed, threads, summary_metric="adv_acc")
+    return _report(_attack_grid(cells, configs, seed, threads), "adv_acc")
 
 
 def targeted_sweep(model: Model, dataset: LabeledImageSet, slopes, epsilons,
                    seed: int = 0, threads: int = 1) -> Report:
     """Targeted FGSM toward every class, per slope and epsilon (as slope_sweep)."""
-    variants = [(model.with_slope(s), dataset) for s in slopes]
+    cells = [(m, dataset, [m]) for m in map(model.with_slope, slopes)]
     configs = [AttackConfig(kind="fgsm", epsilon=eps, target_class=target, rng_seed=seed)
                for target in range(10) for eps in epsilons]
-    return _attack_grid(variants, configs, seed, threads, summary_metric="attack_success")
+    return _report(_attack_grid(cells, configs, seed, threads), "attack_success")
 
 
 def activation_swap(model: Model, dataset: LabeledImageSet, kinds,
                     epsilons, seed: int = 0, threads: int = 1) -> Report:
     """Evaluate substitute test-time activations under the one-step attack."""
-    variants = [(model.with_activation(k), dataset) for k in kinds]
-    return _attack_grid(variants, _grid_configs(("fgsm",), epsilons, seed), seed, threads)
+    cells = [(m, dataset, [m]) for m in map(model.with_activation, kinds)]
+    return _report(_attack_grid(cells, _grid_configs(("fgsm",), epsilons, seed), seed,
+                                threads))
 
 
 def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
@@ -447,8 +456,9 @@ def scaling_experiment(model: Model, dataset: LabeledImageSet, factors,
     attack clips to that range instead.
     """
     base = model.with_slope(1.0)
-    variants = [(base, scale_pixels(dataset, f, clip)) for f in factors]
-    return _attack_grid(variants, _grid_configs(("fgsm",), epsilons, seed), seed, threads)
+    cells = [(base, scale_pixels(dataset, f, clip), [base]) for f in factors]
+    return _report(_attack_grid(cells, _grid_configs(("fgsm",), epsilons, seed), seed,
+                                threads))
 
 
 # ---------------------------------------------------------------------------
@@ -539,32 +549,14 @@ def bpda_transfer_eval(original: Model, substitute: Model,
     """Craft attacks on the substitute (slope 1), evaluate on the original.
 
     Cells expand as in the slope sweep (deepfool over its default iteration
-    grid). Each adversarial chunk is crafted once per cell and reused across
-    the original's slopes. Each slope predicts each clean chunk once, and
-    reads its eps=0 cells, whose chunk is the clean one, from that pass.
+    grid). One grid cell crafts each slice's attacks once per config, and the
+    original judges them at every slope, reading each clean slice's prediction,
+    and so its eps=0 cells', from one pass per slope.
     """
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate an empty image set")
     crafting = substitute.with_slope(1.0)
-    targets = [original.with_slope(s) for s in slopes]
-    configs = _grid_configs(attack_kinds, epsilons, seed)
-    clean_hits = np.zeros(len(targets), dtype=np.int64)
-    adv_hits = np.zeros((len(configs), len(targets)), dtype=np.int64)
-    for lo, hi, clean, batches in attack_all(crafting, dataset, configs):
-        labels = dataset.labels[lo:hi]
-        judges = [_CleanChunk(target, clean.images, clean.divisor) for target in targets]
-        clean_hits += [(judge.predict(clean.images) == labels).sum() for judge in judges]
-        for row, batch in zip(adv_hits, batches):
-            row += [(judge.predict(batch.images) == labels).sum() for judge in judges]
-    records = []
-    for config, row in zip(configs, adv_hits):
-        for target, n_clean, n_adv in zip(targets, clean_hits, row):
-            adv_acc = float(n_adv / dataset.n)
-            records.append(eval_record(
-                target, dataset.name, dataset.n, config, float(n_clean / dataset.n),
-                adv_acc, 1.0 - adv_acc, seed, attack_prefix="bpda_",
-            ))
-    return Report(records=sorted(records, key=EvalRecord.sort_key))
+    cells = [(crafting, dataset, [original.with_slope(s) for s in slopes])]
+    return _report(_attack_grid(cells, _grid_configs(attack_kinds, epsilons, seed), seed,
+                                prefix="bpda_"))
 
 
 def export_features(model: Model, dataset: LabeledImageSet, path) -> None:

@@ -138,6 +138,12 @@ def resolve_arch(arch: "str | ArchitectureSpec") -> ArchitectureSpec:
         ) from None
 
 
+def check_slope_applies(slope: float, activation: str) -> None:
+    """ValueError unless slope is 1 or activation is the rectifier, which alone has one."""
+    if activation != "srelu" and slope != 1.0:
+        raise ValueError(f"a slope applies only to srelu, not {activation} (got slope {slope})")
+
+
 @dataclass
 class Model:
     """Parameters, and what every activation site runs: the rectifier ("srelu")
@@ -153,9 +159,7 @@ class Model:
             raise ValueError(f"test slope must be positive, got {self.slope}")
         if self.activation != "srelu" and self.activation not in ad._ACTIVATIONS:
             raise ValueError(f"unknown test activation {self.activation!r}")
-        if self.activation != "srelu" and self.slope != 1.0:
-            raise ValueError(f"a slope applies only to srelu, not {self.activation} "
-                             f"(got slope {self.slope})")
+        check_slope_applies(self.slope, self.activation)
 
     def with_slope(self, slope: float) -> "Model":
         """Same parameters, rectifier at a different slope."""

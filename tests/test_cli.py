@@ -401,15 +401,17 @@ def test_eval_reports_clean_accuracy(idx_data, saved_model, tmp_path, capsys):
 
 def test_eval_slope_with_a_substitute_activation_is_an_error(idx_data, saved_model,
                                                             tmp_path, capsys):
-    # a slope applies to the rectifier only; a tanh row must not claim slope 2
+    # a slope applies to the rectifier only; a tanh row must not claim slope 2.
+    # The rule is a config check, so no run directory is written and the
+    # parameter file is not read
     out = tmp_path / "eval"
     code = cli.main(["eval", *eval_args(idx_data, [
         "--params", saved_model, "--slope", "2", "--activation", "tanh",
         "--seed", "1", "--out", str(out),
     ])])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error in eval:")
-    assert not (out / "report.csv").exists()
+    assert capsys.readouterr().err.startswith("error in config:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

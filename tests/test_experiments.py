@@ -84,13 +84,29 @@ def test_targeted_denominator_excludes_pretargeted(trained_synth, small_test):
     [rec] = eval_under_attack(trained_synth, small_test, [config], seed=0)
 
     clean_preds = ex.predict_all(trained_synth, small_test.images)
-    [(_, _, _, batches)] = ex.attack_all(trained_synth, small_test, [config])
-    [batch] = batches
-    adv_preds = batch.preds
-    assert adv_preds.tobytes() == ex.predict_all(trained_synth, batch.images).tobytes()
+    batches = [batch for _, (batch,) in ex.attack_all(trained_synth, small_test, [config])]
+    adv_preds = np.concatenate([batch.preds for batch in batches])
+    adv_images = np.concatenate([batch.images for batch in batches])
+    assert adv_preds.tobytes() == ex.predict_all(trained_synth, adv_images).tobytes()
     eligible = clean_preds != target
     expected = ((adv_preds == target) & eligible).sum() / eligible.sum()
     assert rec.attack_success == pytest.approx(expected)
+
+
+def test_eval_under_attack_returns_records_in_config_order(trained_synth, small_test):
+    # the grid runner behind it sorts reports; a single call's records are not
+    configs = [AttackConfig(kind="fgsm", epsilon=0.3), AttackConfig(kind="fgsm", epsilon=0.0),
+               AttackConfig(kind="bim", epsilon=0.1, steps=2),
+               AttackConfig(kind="fgsm", epsilon=0.1, target_class=2),
+               AttackConfig(kind="fgsm", epsilon=0.1)]
+    records = eval_under_attack(trained_synth, take_first(small_test, 70), configs, seed=0)
+    assert sorted(records, key=EvalRecord.sort_key) != records
+    assert [(r.attack, r.targeted, r.epsilon, r.steps) for r in records] == [
+        (c.kind, c.targeted, c.epsilon, c.steps) for c in configs]
+    for config, record in zip(configs, records):
+        [alone] = eval_under_attack(trained_synth, take_first(small_test, 70), [config],
+                                    seed=0)
+        assert alone == record
 
 
 def test_record_steps_and_units(trained_synth, small_test):
@@ -239,6 +255,15 @@ def test_slices_cut_inside_chunks_and_carry_their_chunks_image_count(monkeypatch
     assert list(ex._slices(300)) == [(0, 100, 256), (100, 200, 256), (200, 256, 256),
                                      (256, 300, 44)]
     assert list(ex._slices(0)) == []
+
+
+def test_attack_all_slices_divide_by_their_chunks_image_count(trained_synth, synth_sets):
+    # the divisor, not the slice, sets a row's gradient bits; sign steps hide a
+    # wrong one wherever no gradient element underflows, so pin it directly
+    subset = take_first(synth_sets[1], 300)
+    views = [clean for clean, _ in ex.attack_all(trained_synth, subset, [])]
+    assert [(len(v.images), v.divisor) for v in views] == [(64, 256)] * 4 + [(44, 44)]
+    assert np.array_equal(np.concatenate([v.images for v in views]), subset.images)
 
 
 def test_sweep_takes_each_clean_gradient_once(trained_synth, small_test, monkeypatch):

@@ -34,6 +34,7 @@ SCALE_CLIP_REPORT_SHA256 = "f6070772059a048f224124a49acf79d1865830fbf76587ab17fc
 SCALE_NOCLIP_REPORT_SHA256 = "f65c680486935938c03700690d0ffce1764406352eaab9b91349ab1be7c06790"
 BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
+BPDA_TAIL_REPORT_SHA256 = "39baf5c5b632e0a405f7ae00f83c2f8c28d7d5efa45d69b5629a35bd1217521d"
 OTHER_KINDS_REPORT_SHA256 = "5bdfd039e3df962ef101067b03fd0451113bd7ce2be448a8f2d22a83367de58e"
 OTHER_KINDS_SUMMARY_SHA256 = "6f166f39f3b1b9d7870f966c6da6c3064ddaaed8d5b8f864a20fd120c9856952"
 
@@ -106,7 +107,9 @@ def test_golden_sweep_bytes_for_any_slice_size_and_thread_count(golden_model, mo
 
 def test_golden_slope_ten_bim_steps_only_the_moving_rows(golden_model, monkeypatch):
     # at slope 10 the first gradient of 241 of the 256 images is all zero: those
-    # images are final, so each later step passes only the other 15
+    # images are final, so each later step passes only the other 15 (the chunk
+    # runs as one slice here, so the rows are counted per step, not per slice)
+    monkeypatch.setattr(ex, "SLICE_ROWS", 256)
     model, _, test_set = golden_model
     rows = []
     method = sd.Model.loss_input_grad
@@ -160,17 +163,35 @@ def test_golden_scaling(golden_model, small_test, clip, digest):
     assert _sha256_text(report.csv_text()) == digest
 
 
-def test_golden_bpda(golden_model, small_test, tmp_path):
+@pytest.fixture(scope="module")
+def golden_substitute(golden_model):
     model, train_set, _ = golden_model
-    substitute = ex.bpda_train_substitute(model, take_first(train_set, 256),
-                                          epochs=1, seed=4)
-    sd.save_params(substitute, tmp_path / "substitute.bin")
+    return ex.bpda_train_substitute(model, take_first(train_set, 256), epochs=1, seed=4)
+
+
+def test_golden_bpda(golden_model, golden_substitute, small_test, tmp_path):
+    sd.save_params(golden_substitute, tmp_path / "substitute.bin")
     assert _sha256_file(tmp_path / "substitute.bin") == BPDA_PARAMS_SHA256
-    report = ex.bpda_transfer_eval(model, substitute, small_test, slopes=(1.0, 10.0),
-                                   epsilons=(0.0, 0.2), attack_kinds=("fgsm", "rfgsm"),
-                                   seed=7)
+    report = ex.bpda_transfer_eval(golden_model[0], golden_substitute, small_test,
+                                   slopes=(1.0, 10.0), epsilons=(0.0, 0.2),
+                                   attack_kinds=("fgsm", "rfgsm"), seed=7)
     assert len(report.records) == 2 * 2 * 2
     assert _sha256_text(report.csv_text()) == BPDA_REPORT_SHA256
+
+
+@pytest.mark.parametrize("slice_rows", [16, 64, 256])
+def test_golden_bpda_bytes_for_any_slice_size(golden_model, golden_substitute, monkeypatch,
+                                              slice_rows):
+    # 300 images: a full 256-image chunk and a 44-image tail chunk, each crafted
+    # in slices on the substitute and judged at every slope; the digest was
+    # taken when BPDA still crafted and judged whole chunks
+    monkeypatch.setattr(ex, "SLICE_ROWS", slice_rows)
+    model, train_set, _ = golden_model
+    report = ex.bpda_transfer_eval(model, golden_substitute, take_first(train_set, 300),
+                                   slopes=(1.0, 10.0), epsilons=(0.0, 0.2),
+                                   attack_kinds=("fgsm", "rfgsm", "bim"), seed=7)
+    assert {r.n_images for r in report.records} == {300}
+    assert _sha256_text(report.csv_text()) == BPDA_TAIL_REPORT_SHA256
 
 
 def test_golden_cifar_training_params(tmp_path):
