@@ -121,8 +121,9 @@ class AttackConfig:
 class AdversarialBatch:
     """Attack output: images, the attacked model's predictions on them, success.
 
-    l2 is filled only by the minimal-perturbation attack (pre-overshoot
-    perturbation norms); None elsewhere.
+    l2 is filled only by the minimal-perturbation attack: per image, the L2
+    norm of its accumulated step before overshoot, at the first probe that
+    left the clean class, or at the end if none did; None elsewhere.
     """
 
     images: np.ndarray
@@ -208,23 +209,23 @@ def _deepfool(model, images, labels, config, clip, index_base):
 
     labels are the clean predictions to move away from. Per image: find the
     class whose linearized decision boundary is nearest in L2, step just past
-    it, and repeat until the predicted label flips or the steps run out. The
-    accumulated perturbation is scaled by (1 + overshoot) and clipped at the
-    end.
+    it, and probe the accumulated perturbation scaled by (1 + overshoot), as
+    it is and clipped. An image stops when its clipped probe changes class
+    (that probe is the image returned), when every logit gap is flat, or when
+    the steps run out. l2 is the norm of the unscaled perturbation at the
+    first probe that changed class; after it the image steps on from its
+    clipped probe.
     """
-    overshoot = config.overshoot
+    scale = 1.0 + config.overshoot
     adv = np.empty_like(images)
     l2 = np.zeros(len(images), dtype=np.float64)
 
     for i in range(len(images)):
-        x0 = images[i]
         orig = int(labels[i])
-        r_tot = np.zeros_like(x0, dtype=np.float64)
-        current = orig
+        base = images[i].astype(np.float64)  # the image, then its clipped probe once crossed
+        r_tot = np.zeros_like(base)
+        x_work, crossed = images[i], False
         for _ in range(config.steps):
-            if current != orig:
-                break
-            x_work = (x0 + (1.0 + overshoot) * r_tot).astype(images.dtype)
             logits, grads = model.logit_input_grads(x_work[None])
             _finite_gradient(grads, "logit", config, model)
             best_pert = np.inf
@@ -242,11 +243,20 @@ def _deepfool(model, images, labels, config, clip, index_base):
                     best_dir = w / norm
             if best_dir is None:
                 break  # all logit gaps locally flat; nothing to follow
-            r_tot += (best_pert * (1.0 + _DEEPFOOL_CROSSING_NUDGE)) * best_dir.reshape(x0.shape)
-            probe = (x0 + (1.0 + overshoot) * r_tot).astype(images.dtype)
-            current = int(model.predict(probe[None])[0])
-        l2[i] = np.linalg.norm(r_tot.reshape(-1))
-        adv[i] = np.clip(x0 + (1.0 + overshoot) * r_tot, *clip).astype(images.dtype)
+            r_tot += (best_pert * (1.0 + _DEEPFOOL_CROSSING_NUDGE)) * best_dir.reshape(base.shape)
+            x_work = (base + scale * r_tot).astype(images.dtype)
+            clipped = np.clip(base + scale * r_tot, *clip).astype(images.dtype)
+            same = crossed or np.array_equal(clipped, x_work)
+            classes = model.predict(clipped[None] if same else np.stack([clipped, x_work]))
+            if not crossed and (classes != orig).any():
+                crossed, l2[i] = True, np.linalg.norm(r_tot.reshape(-1))
+            if classes[0] != orig:
+                break
+            if crossed:
+                base, r_tot, x_work = clipped.astype(np.float64), np.zeros_like(base), clipped
+        if not crossed:
+            l2[i] = np.linalg.norm(r_tot.reshape(-1))
+        adv[i] = np.clip(base + scale * r_tot, *clip).astype(images.dtype)
     return adv, l2
 
 

@@ -312,6 +312,42 @@ def test_deepfool_non_finite_logit_gradient_names_the_attack_and_slope(rng):
         attack(model, x, None, "deepfool", steps=5)
 
 
+class LinearizationCountingModel:
+    """A model whose logit linearizations are counted, noting whether the
+    last one had every logit gap flat (all class gradients equal)."""
+
+    def __init__(self, model):
+        self.model, self.calls, self.flat = model, 0, False
+        self.slope, self.logits, self.predict = model.slope, model.logits, model.predict
+
+    def logit_input_grads(self, images):
+        self.calls += 1
+        logits, grads = self.model.logit_input_grads(images)
+        self.flat = bool((grads == grads[:1]).all())
+        return logits, grads
+
+
+@settings(max_examples=8, deadline=None)
+@given(slope=st.sampled_from([1.0, 10.0]), factor=st.sampled_from([None, 0.5, 2.0]),
+       budget=st.integers(1, 6), first=st.integers(0, 40))
+@example(slope=1.0, factor=None, budget=5, first=0)
+def test_deepfool_stops_early_only_on_a_flipped_image(trained_synth, attack_batch, slope,
+                                                      factor, budget, first):
+    """An image DeepFool stops on before its budget, with some logit gap not
+    flat, is one whose returned (clipped) image changed class."""
+    images, labels = attack_batch[0][first:first + 8], attack_batch[1][first:first + 8]
+    clip = UNIT_RANGE
+    if factor is not None:
+        scaled = scale_pixels(LabeledImageSet(images, labels, "t"), factor, False)
+        images, clip = scaled.images, scaled.pixel_range
+    config = AttackConfig(kind="deepfool", steps=budget)
+    for i in range(len(images)):
+        model = LinearizationCountingModel(trained_synth.with_slope(slope))
+        out = run_attack(model, images[i:i + 1], None, config, clip=clip)
+        if model.calls < budget and not model.flat:
+            assert out.success[0], (i, model.calls)
+
+
 def test_deepfool_rejects_zero_iters():
     with pytest.raises(ValueError, match="steps"):
         AttackConfig(kind="deepfool", steps=0)

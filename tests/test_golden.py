@@ -35,8 +35,8 @@ SCALE_NOCLIP_REPORT_SHA256 = "f65c680486935938c03700690d0ffce1764406352eaab9b913
 BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 BPDA_TAIL_REPORT_SHA256 = "39baf5c5b632e0a405f7ae00f83c2f8c28d7d5efa45d69b5629a35bd1217521d"
-OTHER_KINDS_REPORT_SHA256 = "5bdfd039e3df962ef101067b03fd0451113bd7ce2be448a8f2d22a83367de58e"
-OTHER_KINDS_SUMMARY_SHA256 = "6f166f39f3b1b9d7870f966c6da6c3064ddaaed8d5b8f864a20fd120c9856952"
+OTHER_KINDS_REPORT_SHA256 = "5e7460fd0ef681b8fb4cdd804f7c6187285773352e76378dae258322cc46b2f5"
+OTHER_KINDS_SUMMARY_SHA256 = "084a8082d28ff20b1c90fd3444c179e9eedf7511333d26bbc96448ac051becf3"
 
 
 def _sha256_file(path) -> str:
