@@ -7,10 +7,12 @@ rescaled inputs widens it.
 
 Randomized attacks derive one RNG per image from seed XOR image index, so the
 draws do not depend on how a set is split into batches. Nor does the model's
-float32 arithmetic: an image's logits and, at a fixed loss divisor, its input
-gradient have the same bits in a batch of any size (see autodiff). So an
-attack's images do not depend on the split either, once the loss divisor is
-fixed; experiments fixes it at the image count of each EVAL_CHUNK chunk.
+float32 arithmetic: an image's logits, logit gradients and, at a fixed loss
+divisor, input gradient have the same bits in a batch of any size (see
+autodiff), and the float64 steps read each row alone. So an attack's images
+do not depend on the split either, once the loss divisor is fixed
+(experiments fixes it at each EVAL_CHUNK chunk's image count), and the
+iterative attacks step only the rows still moving.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ DEEPFOOL_DEFAULT_OVERSHOOT = 0.02
 _DEEPFOOL_CROSSING_NUDGE = 1e-4  # relative push past the linearized boundary
 
 # iterative kind -> default steps; every other kind is one-shot (steps 1)
-_ITERATIVE_STEPS = {
-    "bim": BIM_DEFAULT_STEPS, "pgd": PGD_DEFAULT_STEPS, "deepfool": DEEPFOOL_DEFAULT_ITERS,
-}
+_ITERATIVE_STEPS = {"bim": BIM_DEFAULT_STEPS, "pgd": PGD_DEFAULT_STEPS,
+                    "deepfool": DEEPFOOL_DEFAULT_ITERS}
 # optional field -> the kinds that read it; any other kind must leave it None
 _READ_BY = {"step_size": ("bim", "pgd"), "noise_alpha": ("rfgsm",),
             "target_class": ("fgsm",), "overshoot": ("deepfool",),
@@ -167,12 +168,10 @@ def _sign_steps(model, images, labels, config, clip, index_base):
 
     Only an active set of rows takes each step. A row whose input gradient is
     all zero is a fixed point of the step (sign 0 adds nothing, and both
-    projections keep the point), so it is final and leaves the set. Its next
-    gradient would be zero again as long as a row's gradient does not depend on
-    which rows share its batch, which holds when model.loss_input_grad divides
-    the loss by a fixed count (as experiments' chunk views do). The first step
-    passes the images object itself when the attack starts there, so a model
-    that caches the clean gradient answers it.
+    projections keep the point), so it is final and leaves the set: at a fixed
+    loss divisor its next gradient would be zero again. The first step passes
+    the images object itself when the attack starts there, so a model that
+    caches the clean gradient answers it.
     """
     eps, step, x = config.epsilon, config.step_size, images
     if config.kind == "rfgsm":
@@ -204,60 +203,61 @@ def _sign_steps(model, images, labels, config, clip, index_base):
     return final, None
 
 
+def _boundary_steps(logits, grads, orig):
+    """Per row, the flat float64 step just past its nearest linearized class
+    boundary in L2 (0 where every logit gap is flat), and whether it has one."""
+    at = np.arange(len(logits))
+    g = grads.reshape(len(grads), len(logits), -1).swapaxes(0, 1)
+    w = (g - g[at, orig][:, None]).astype(np.float64)
+    norm, gap = np.linalg.norm(w, axis=2), logits.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pert = np.abs(gap - gap[at, orig][:, None]) / norm
+    pert[~(pert < np.inf)] = np.inf  # a flat gap (the own class's too) or a non-finite one
+    best = pert.argmin(axis=1)  # the first of equally near classes
+    pert, w, norm = pert[at, best], w[at, best], norm[at, best]
+    found = pert < np.inf
+    pert[~found], norm[~found] = 0.0, 1.0
+    return (pert * (1.0 + _DEEPFOOL_CROSSING_NUDGE))[:, None] * (w / norm[:, None]), found
+
+
 def _deepfool(model, images, labels, config, clip, index_base):
     """Minimal-perturbation attack via iterative linearization of logit gaps.
 
-    labels are the clean predictions to move away from. Per image: find the
-    class whose linearized decision boundary is nearest in L2, step just past
-    it, and probe the accumulated perturbation scaled by (1 + overshoot), as
-    it is and clipped. An image stops when its clipped probe changes class
-    (that probe is the image returned), when every logit gap is flat, or when
-    the steps run out. l2 is the norm of the unscaled perturbation at the
-    first probe that changed class; after it the image steps on from its
-    clipped probe.
+    labels are the clean predictions to move away from. Each image steps just
+    past its nearest linearized class boundary in L2 and probes its summed steps
+    scaled by (1 + overshoot), as they are and clipped. It stops when its clipped
+    probe (the image returned) changes class, when every logit gap is flat, or
+    when the steps run out; l2 is the summed steps' norm at the first probe that
+    changed class, after which the image steps on from its clipped probe. Each
+    step linearizes, then probes, the active set in one batch.
     """
-    scale = 1.0 + config.overshoot
-    adv = np.empty_like(images)
-    l2 = np.zeros(len(images), dtype=np.float64)
-
-    for i in range(len(images)):
-        orig = int(labels[i])
-        base = images[i].astype(np.float64)  # the image, then its clipped probe once crossed
-        r_tot = np.zeros_like(base)
-        x_work, crossed = images[i], False
-        for _ in range(config.steps):
-            logits, grads = model.logit_input_grads(x_work[None])
-            _finite_gradient(grads, "logit", config, model)
-            best_pert = np.inf
-            best_dir = None
-            for k in range(len(logits)):
-                if k == orig:
-                    continue
-                w = (grads[k] - grads[orig]).astype(np.float64).reshape(-1)
-                norm = np.linalg.norm(w)
-                if norm == 0.0:
-                    continue
-                pert = abs(float(logits[k]) - float(logits[orig])) / norm
-                if pert < best_pert:
-                    best_pert = pert
-                    best_dir = w / norm
-            if best_dir is None:
-                break  # all logit gaps locally flat; nothing to follow
-            r_tot += (best_pert * (1.0 + _DEEPFOOL_CROSSING_NUDGE)) * best_dir.reshape(base.shape)
-            x_work = (base + scale * r_tot).astype(images.dtype)
-            clipped = np.clip(base + scale * r_tot, *clip).astype(images.dtype)
-            same = crossed or np.array_equal(clipped, x_work)
-            classes = model.predict(clipped[None] if same else np.stack([clipped, x_work]))
-            if not crossed and (classes != orig).any():
-                crossed, l2[i] = True, np.linalg.norm(r_tot.reshape(-1))
-            if classes[0] != orig:
-                break
-            if crossed:
-                base, r_tot, x_work = clipped.astype(np.float64), np.zeros_like(base), clipped
-        if not crossed:
-            l2[i] = np.linalg.norm(r_tot.reshape(-1))
-        adv[i] = np.clip(base + scale * r_tot, *clip).astype(images.dtype)
-    return adv, l2
+    scale, shape = 1.0 + config.overshoot, (-1,) + images.shape[1:]
+    final, l2 = np.empty_like(images), np.zeros(len(images), dtype=np.float64)
+    # the active set: rows, clean classes, linearization points, where steps start (the image,
+    # then its clipped probe once a probe crossed) and the steps since, both flat, and crossed
+    rows, orig, x = np.arange(len(images)), labels, images
+    base = images.reshape(len(images), -1).astype(np.float64)
+    r_tot, crossed = np.zeros_like(base), np.zeros(len(images), dtype=bool)
+    for _ in range(config.steps):
+        if not len(rows):
+            break
+        logits, grads = model.logit_input_grads(x)
+        step, found = _boundary_steps(logits, _finite_gradient(grads, "logit", config, model), orig)
+        r_tot += step
+        point = base + scale * r_tot
+        x, clipped = (a.astype(images.dtype).reshape(shape) for a in (point, np.clip(point, *clip)))
+        # every clipped probe, then the unclipped ones of the rows not yet crossed
+        classes = model.predict(np.concatenate([clipped, x[~crossed]]))
+        flipped = classes[:len(x)] != orig
+        l2[rows[~crossed]] = np.linalg.norm(r_tot[~crossed], axis=1)
+        crossed[~crossed] |= classes[len(x):] != orig[~crossed]
+        final[rows] = clipped
+        base[crossed] = clipped.reshape(len(x), -1)[crossed]
+        r_tot[crossed], x[crossed] = 0.0, clipped[crossed]
+        keep = found & ~flipped
+        rows, orig, base, r_tot, crossed, x = (
+            a[keep] for a in (rows, orig, base, r_tot, crossed, x))
+    return final, l2
 
 
 def _gaussian_noise(model, images, labels, config, clip, index_base):

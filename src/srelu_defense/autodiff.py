@@ -369,17 +369,20 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _finish(out, tape, (x,), bw)
 
 
-def take(x: Tensor, flat_index: int, tape: Tape | None = None) -> Tensor:
-    """Select one element (by flat row-major index) as a scalar tensor."""
-    if not 0 <= flat_index < x.data.size:
+def take(x: Tensor, flat_index, tape: Tape | None = None) -> Tensor:
+    """One element by flat row-major index, or the sum of an array of distinct ones."""
+    index = np.asarray(flat_index)
+    if index.size == 0 or index.min() < 0 or index.max() >= x.data.size:
         raise ValueError(f"flat index {flat_index} out of range for size {x.data.size}")
-    out = Tensor(x.data.reshape(-1)[flat_index], dtype=x.data.dtype)
+    if len(np.unique(index)) != index.size:
+        raise ValueError("flat indices must be distinct")
+    out = Tensor(x.data.reshape(-1)[index].sum(), dtype=x.data.dtype)  # one index: itself
 
     def bw(g: np.ndarray, needs):
         if not needs[0]:
             return (None,)
         gx = np.zeros(x.shape, x.data.dtype)  # row-major, so the flat view writes through
-        gx.reshape(-1)[flat_index] = g
+        gx.reshape(-1)[index] = g
         return (gx,)
 
     return _finish(out, tape, (x,), bw)

@@ -5,11 +5,11 @@ activation site: the rectifier at a slope (1 by default), or a substitute
 function. with_slope and with_activation give views that share the
 parameters. The parameters take no gradient: only the training loop
 (experiments._sgd) builds a trainable view of them, at slope 1, so the slope
-is a test-time setting only. The batch passes (logits, predict,
-loss_input_grad, penultimate_features) are batch-invariant: an image's logits
-and, at a fixed loss divisor, its input gradient have the same bits in a
-batch of any size. Parameters persist in a compact little-endian
-binary format with a bit-exact round trip.
+is a test-time setting only. Every pass outside training (logits, predict,
+loss_input_grad, logit_input_grads, penultimate_features) is batch-invariant:
+an image's logits, logit gradients and, at a fixed loss divisor, input
+gradient have the same bits in a batch of any size. Parameters persist in a
+compact little-endian binary format with a bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -200,22 +200,16 @@ class Model:
         loss = ad.softmax_cross_entropy(logits, labels, tape=tape, divisor=divisor)
         return loss.item(), np.ascontiguousarray(ad.backward(tape, loss)[x])  # NCHW, as given
 
-    def logit_input_grads(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class logit gradients for a single image (shape 1xCxHxW).
-
-        Returns (logits row, gradient stack of shape (classes,) + image shape).
-        The one pass that is not batch-invariant: it takes one image, and padding
-        it for its ten reverse passes slowed DeepFool by about half.
-        """
+    def logit_input_grads(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Logits (N, classes) and each logit's input gradient, stacked by class
+        as (classes,) + images.shape: one reverse pass per class seeds that
+        logit of every image at once, and no image's gradient reads another's."""
         tape = Tape()
-        x = Tensor(image, requires_grad=True)
-        logits = _forward(self, x, tape=tape)
-        n_classes = logits.shape[1]
-        grads = np.empty((n_classes,) + x.shape, dtype=x.data.dtype)
-        for k in range(n_classes):
-            scalar = ad.take(logits, k, tape=tape)
-            grads[k] = ad.backward(tape, scalar)[x]
-        return logits.data[0].copy(), grads
+        x = Tensor(images, requires_grad=True)
+        logits = _forward(self, x, tape=tape, batch_invariant=True)
+        columns = (ad.take(logits, np.arange(k, logits.data.size, logits.shape[1]), tape=tape)
+                   for k in range(logits.shape[1]))
+        return logits.data, np.stack([ad.backward(tape, column)[x] for column in columns])
 
 
 def _require_finite(rows: np.ndarray, what: str, model: Model) -> np.ndarray:

@@ -164,12 +164,11 @@ class LinearSoftmaxModel:
         grads = backward(tape, loss)
         return loss.item(), grads[x].reshape(images.shape)
 
-    def logit_input_grads(self, image):
-        flat = image.reshape(1, -1)
-        logits = (flat @ self.weights + self.bias)[0]
-        # d logit_k / d x = W[:, k], independent of x
-        grads = self.weights.T.reshape((self.weights.shape[1],) + image.shape[1:])
-        return logits, grads.astype(image.dtype)
+    def logit_input_grads(self, images):
+        # d logit_k / d x = W[:, k], independent of x, for every image
+        grads = self.weights.T.reshape((self.weights.shape[1], 1) + images.shape[1:])
+        grads = np.broadcast_to(grads, (self.weights.shape[1],) + images.shape)
+        return self.logits(images), grads.astype(images.dtype)
 
 
 def linf_distance(adv: np.ndarray, images: np.ndarray) -> np.ndarray:

@@ -296,8 +296,8 @@ class NanLogitGradientModel(LinearSoftmaxModel):
 
     slope = 7.0
 
-    def logit_input_grads(self, image):
-        logits, grads = super().logit_input_grads(image)
+    def logit_input_grads(self, images):
+        logits, grads = super().logit_input_grads(images)
         return logits, np.full_like(grads, np.nan)
 
 

@@ -67,6 +67,20 @@ def test_take_reads_and_routes_by_nchw_index_in_chwn_memory():
     np.testing.assert_array_equal(gx.reshape(-1), np.eye(24, dtype=np.float32)[5])
 
 
+
+def test_take_of_distinct_indices_sums_them_and_seeds_each():
+    x = np.arange(12, dtype=np.float32).reshape(3, 4)
+    t = Tensor(x, requires_grad=True)
+    picked = np.array([1, 6, 11])  # column 1, 2 and 3 of the three rows
+    (gx,) = grad_of(lambda tape: ad.take(t, picked, tape=tape), t)
+    assert ad.take(t, picked).item() == 1.0 + 6.0 + 11.0
+    np.testing.assert_array_equal(gx.reshape(-1), np.isin(np.arange(12), picked))
+    with pytest.raises(ValueError, match="distinct"):
+        ad.take(t, np.array([2, 2]))
+    with pytest.raises(ValueError, match="out of range"):
+        ad.take(t, np.array([0, 12]))
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 

@@ -35,8 +35,9 @@ SCALE_NOCLIP_REPORT_SHA256 = "f65c680486935938c03700690d0ffce1764406352eaab9b913
 BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 BPDA_TAIL_REPORT_SHA256 = "39baf5c5b632e0a405f7ae00f83c2f8c28d7d5efa45d69b5629a35bd1217521d"
-OTHER_KINDS_REPORT_SHA256 = "5e7460fd0ef681b8fb4cdd804f7c6187285773352e76378dae258322cc46b2f5"
-OTHER_KINDS_SUMMARY_SHA256 = "084a8082d28ff20b1c90fd3444c179e9eedf7511333d26bbc96448ac051becf3"
+OTHER_KINDS_REPORT_SHA256 = "18b4f75ab08e1df6a635107d52ac092b1be17c96ca0fe947bb767d51a864c934"
+DEEPFOOL_REPORT_SHA256 = "b08d30bcbc667947e062b50345c2cacf2059394b0f0ddc46deabecaf920cdb3e"
+OTHER_KINDS_SUMMARY_SHA256 = "f8c185641d7e2eb83ebd1020d5feb0e10b9399ceca57498b44e5396102c49736"
 
 
 def _sha256_file(path) -> str:
@@ -136,6 +137,22 @@ def test_golden_sweep_other_kinds(golden_model):
     assert len(report.records) == 2 * 4 * 3
     assert _sha256_text(report.csv_text()) == OTHER_KINDS_REPORT_SHA256
     assert _sha256_text(report.summary_csv_text()) == OTHER_KINDS_SUMMARY_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("slice_rows", [16, 64, 256])
+def test_deepfool_report_bytes_for_any_slice_size_and_thread_count(golden_model, monkeypatch,
+                                                                   slice_rows, threads):
+    # 300 images: a full 256-image chunk and a 44-image tail chunk; DeepFool's
+    # active set shrinks inside each slice as its rows flip, and no slice
+    # size or worker count moves a byte of the report
+    monkeypatch.setattr(ex, "SLICE_ROWS", slice_rows)
+    model, train_set, _ = golden_model
+    report = slope_sweep(model, take_first(train_set, 300), slopes=(1.0, 10.0),
+                         epsilons=(0.0,), attack_kinds=("deepfool",),
+                         deepfool_iters=(2, 5), seed=7, threads=threads)
+    assert {r.n_images for r in report.records} == {300}
+    assert _sha256_text(report.csv_text()) == DEEPFOOL_REPORT_SHA256
 
 
 def test_golden_targeted_sweep(golden_model, small_test):

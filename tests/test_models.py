@@ -186,6 +186,47 @@ def test_batch_invariant_rows_in_any_subset_of_a_chunk(chunk_rows, arch, slope, 
     assert grads[rows].any()  # the rows compared hold real gradients, not only zeros
 
 
+LINEARIZED = 24  # images in one batched linearization, under dense's padding
+
+
+@pytest.fixture(scope="module")
+def linearized_rows():
+    """Per (arch, slope): the model, LINEARIZED images, and their logits and
+    logit gradients from one batched linearization."""
+    cache = {}
+
+    def rows(arch, slope):
+        if (arch, slope) not in cache:
+            model = build_model(arch, seed=17).with_slope(slope)
+            rng = np.random.default_rng(17)
+            images = rng.uniform(0.0, 1.0, size=(LINEARIZED,) + model.spec.input_shape)
+            images = images.astype(np.float32)
+            cache[arch, slope] = (model, images, *model.logit_input_grads(images))
+        return cache[arch, slope]
+
+    return rows
+
+
+@settings(max_examples=12, deadline=None)
+@given(arch=st.sampled_from(sorted(md.ARCHITECTURES)), slope=st.sampled_from((1.0, 10.0)),
+       size=st.integers(1, LINEARIZED), offset=st.integers(0, LINEARIZED - 1))
+@example(arch="mnist_cnn", slope=1.0, size=1, offset=5)
+@example(arch="cifar10_cnn1", slope=10.0, size=3, offset=0)
+def test_batch_invariant_logit_grads_in_any_subset_of_a_batch(linearized_rows, arch, slope, size,
+                                                               offset):
+    # DeepFool linearizes only the rows still moving, so each image's logits
+    # and logit gradients must have the bits they have in the whole batch
+    model, images, logits, grads = linearized_rows(arch, slope)
+    assert grads.shape == (10,) + images.shape
+    lo = min(offset, LINEARIZED - size)
+    rows = slice(lo, lo + size)
+    part_logits, part = model.logit_input_grads(images[rows])
+    assert part_logits.tobytes() == logits[rows].tobytes()
+    assert part_logits.tobytes() == model.logits(images[rows]).tobytes()
+    assert part.tobytes() == grads[:, rows].tobytes()
+    assert grads[:, rows].any()
+
+
 def test_evaluation_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
     model = build_model("mnist_cnn", seed=2)
     batch = rand_batch(rng, model, n=4)
