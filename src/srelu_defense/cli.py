@@ -56,11 +56,14 @@ def _arch(raw: str) -> str:
 
 
 def _list(item):
-    """Converter for a comma-separated list of item values; empty is an error."""
+    """Converter for a comma-separated list of item values; an empty list is an
+    error, and so is a repeated value (a grid's cell run twice, a file read twice)."""
     def convert(raw: str) -> tuple:
         values = tuple(item(x.strip()) for x in raw.split(",") if x.strip())
         if not values:
             raise ValueError("empty list")
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeats a value, got {raw}")
         return values
     return convert
 
@@ -104,11 +107,11 @@ _activation = _name_in(("srelu", *_ACTIVATIONS), "activation kind")
 
 
 def _epsilon_grid(raw: str) -> tuple:
-    """Converter for an epsilon grid: ascending from 0 and within [0, 1]."""
+    """Converter for an epsilon grid: strictly ascending from 0 and within [0, 1]."""
     values = _list(float)(raw)
-    ascending = all(a <= b for a, b in zip(values, values[1:]))
+    ascending = all(a < b for a, b in zip(values, values[1:]))
     if values[0] != 0.0 or not ascending or not values[-1] <= 1.0:
-        raise ValueError(f"must ascend from 0 and stay within [0, 1], got {raw}")
+        raise ValueError(f"must ascend strictly from 0 and stay within [0, 1], got {raw}")
     return values
 
 
@@ -404,27 +407,23 @@ def _cmd_attack(cfg: dict, outdir: str) -> ex.Report:
 
 
 def _cmd_sweep(cfg: dict, outdir: str) -> ex.Report:
-    model = _load_model(cfg)
-    return ex.slope_sweep(model, _load_split(cfg, "test"), cfg["slopes"], cfg["epsilons"],
-                          cfg["attacks"], cfg["deepfool_iters"], seed=cfg["seed"],
-                          threads=cfg["threads"])
+    return ex.slope_sweep(_load_model(cfg), _load_split(cfg, "test"), cfg["slopes"],
+                          cfg["epsilons"], cfg["attacks"], cfg["deepfool_iters"],
+                          seed=cfg["seed"], threads=cfg["threads"])
 
 
 def _cmd_targeted_sweep(cfg: dict, outdir: str) -> ex.Report:
-    model = _load_model(cfg)
-    return ex.targeted_sweep(model, _load_split(cfg, "test"), cfg["slopes"],
+    return ex.targeted_sweep(_load_model(cfg), _load_split(cfg, "test"), cfg["slopes"],
                              cfg["epsilons"], seed=cfg["seed"], threads=cfg["threads"])
 
 
 def _cmd_swap(cfg: dict, outdir: str) -> ex.Report:
-    model = _load_model(cfg)
-    return ex.activation_swap(model, _load_split(cfg, "test"), cfg["kinds"],
+    return ex.activation_swap(_load_model(cfg), _load_split(cfg, "test"), cfg["kinds"],
                               cfg["epsilons"], seed=cfg["seed"], threads=cfg["threads"])
 
 
 def _cmd_scale(cfg: dict, outdir: str) -> ex.Report:
-    model = _load_model(cfg)
-    return ex.scaling_experiment(model, _load_split(cfg, "test"), cfg["factors"],
+    return ex.scaling_experiment(_load_model(cfg), _load_split(cfg, "test"), cfg["factors"],
                                  cfg["clip"], cfg["epsilons"], seed=cfg["seed"],
                                  threads=cfg["threads"])
 
@@ -441,8 +440,7 @@ def _cmd_bpda(cfg: dict, outdir: str) -> ex.Report:
 
 
 def _cmd_export_features(cfg: dict, outdir: str) -> None:
-    model = _load_model(cfg)
-    ex.export_features(model, _load_split(cfg, "test"),
+    ex.export_features(_load_model(cfg), _load_split(cfg, "test"),
                        os.path.join(outdir, "features.csv"))
 
 

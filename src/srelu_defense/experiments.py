@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 
@@ -115,12 +115,9 @@ class Report:
     records: list[EvalRecord] = field(default_factory=list)
     summaries: list[SummaryRecord] = field(default_factory=list)
 
-    def sorted_records(self) -> list[EvalRecord]:
-        return sorted(self.records, key=EvalRecord.sort_key)
-
     def csv_text(self) -> str:
         lines = [REPORT_HEADER]
-        lines.extend(r.csv_row() for r in self.sorted_records())
+        lines.extend(r.csv_row() for r in sorted(self.records, key=EvalRecord.sort_key))
         return "\n".join(lines) + "\n"
 
     def summary_csv_text(self) -> str:
@@ -138,9 +135,7 @@ class Report:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.6g}"
+    return "" if value is None else f"{value:.6g}"
 
 
 def _chunks(n: int):
@@ -243,8 +238,8 @@ def eval_under_attack(model: Model, dataset: LabeledImageSet, configs,
     return _attack_grid([(model, dataset, [model])], configs, seed)
 
 
-def _records(judge: Model, dataset: LabeledImageSet, configs, seed: int, preds,
-             prefix: str = "") -> list[EvalRecord]:
+def _records(judge: Model, dataset: LabeledImageSet, configs, seed: int,
+             preds) -> list[EvalRecord]:
     """judge's record per config, in order, from its (1 + configs, images)
     predictions: on the clean set, then on each config's attack."""
     clean_preds, *adv_preds = preds
@@ -259,20 +254,19 @@ def _records(judge: Model, dataset: LabeledImageSet, configs, seed: int, preds,
             hits = (preds == config.target_class) & eligible
             success = float(hits.sum() / eligible.sum()) if eligible.any() else 0.0
         records.append(eval_record(judge, dataset.name, dataset.n, config, clean_acc,
-                                   adv_acc, success, seed, prefix))
+                                   adv_acc, success, seed))
     return records
 
 
 def eval_record(model: Model, dataset_name: str, n_images: int,
                 config: AttackConfig | None, clean_acc: float, adv_acc: float,
-                success: float, seed: int, attack_prefix: str = "") -> EvalRecord:
+                success: float, seed: int) -> EvalRecord:
     """One report row for a model; config None is a clean, unattacked row."""
     if config is None:
         attack, targeted, target, steps, epsilon = "none", False, None, 0, 0.0
     else:
-        attack = attack_prefix + config.kind
-        targeted, target, steps = config.targeted, config.target_class, config.steps
-        epsilon = config.budget
+        attack, targeted, target = config.kind, config.targeted, config.target_class
+        steps, epsilon = config.steps, config.budget
     return EvalRecord(
         dataset=dataset_name, model=model.spec.id, activation=model.activation,
         test_slope=model.slope, attack=attack, targeted=targeted, target_class=target,
@@ -385,8 +379,7 @@ def _grid_configs(attack_kinds, epsilons, seed: int,
     return cells
 
 
-def _attack_grid(cells, configs, seed: int, threads: int = 1,
-                 prefix: str = "") -> list[EvalRecord]:
+def _attack_grid(cells, configs, seed: int, threads: int = 1) -> list[EvalRecord]:
     """The one attack runner: records per cell, judge and config, in that order.
 
     A cell is (model, dataset, judges): model crafts each slice's attacks once
@@ -405,7 +398,7 @@ def _attack_grid(cells, configs, seed: int, threads: int = 1,
     for _, dataset, judges in cells:
         preds = np.concatenate([next(results) for _ in _slices(dataset.n)], axis=2)
         for judge, judge_preds in zip(judges, preds.swapaxes(0, 1)):
-            records += _records(judge, dataset, configs, seed, judge_preds, prefix)
+            records += _records(judge, dataset, configs, seed, judge_preds)
     return records
 
 
@@ -555,12 +548,14 @@ def bpda_transfer_eval(original: Model, substitute: Model,
     """
     crafting = substitute.with_slope(1.0)
     cells = [(crafting, dataset, [original.with_slope(s) for s in slopes])]
-    return _report(_attack_grid(cells, _grid_configs(attack_kinds, epsilons, seed), seed,
-                                prefix="bpda_"))
+    records = _attack_grid(cells, _grid_configs(attack_kinds, epsilons, seed), seed)
+    return _report([replace(r, attack="bpda_" + r.attack) for r in records])
 
 
 def export_features(model: Model, dataset: LabeledImageSet, path) -> None:
     """Write one CSV row per image: label, then penultimate-layer features."""
+    if dataset.n == 0:
+        raise ValueError("cannot export features of an empty image set")
     with open(path, "w", newline="") as f:
         for lo, hi in _chunks(dataset.n):
             feats = penultimate_features(model, dataset.images[lo:hi])

@@ -272,6 +272,16 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     ("bpda", "attacks", "cw"),
     ("swap", "kinds", "bogus"),
     ("eval", "activation", "bogus"),
+    # a grid that repeats a value would write the same cell twice
+    ("sweep", "epsilons", "0,0.1,0.1"),
+    ("sweep", "slopes", "1,10,1.0"),
+    ("bpda", "slopes", "2,2"),
+    ("sweep", "deepfool_iters", "1,5,1"),
+    ("scale", "factors", "0.5,0.5"),
+    ("swap", "kinds", "tanh,elu,tanh"),
+    ("sweep", "attacks", "fgsm,bim,fgsm"),
+    ("bpda", "attacks", "fgsm,fgsm"),
+    ("train", "train_batches", "data_batch_1.bin,data_batch_1.bin"),
 ])
 def test_count_below_its_bound_is_a_bad_value(command, option, value, tmp_path, capsys):
     out = tmp_path / "o"
@@ -645,6 +655,22 @@ def test_limit_above_set_size_clamps(idx_data, saved_model, tmp_path, command,
         rows_read = list(csv.DictReader(f))
     assert len(rows_read) == rows
     assert {row["n_images"] for row in rows_read} == {"120"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval", []),
+    ("sweep", ["--attacks", "fgsm", "--slopes", "1"]),
+    ("export-features", []),
+])
+def test_empty_set_fails_the_run(idx_data, saved_model, tmp_path, capsys, command, extra):
+    out = tmp_path / command
+    code = cli.main([command, *eval_args(idx_data, [
+        "--params", saved_model, *extra, "--limit", "0", "--seed", "5", "--out", str(out),
+    ])])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error in {command}:")
+    assert not (out / "manifest.txt").exists()
+    assert not (out / "features.csv").exists()
 
 
 def test_non_finite_features_fail_the_export(idx_data, saved_model, tmp_path, capsys):
