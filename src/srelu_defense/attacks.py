@@ -233,8 +233,8 @@ def _deepfool(model, images, labels, config, clip, index_base):
     """
     scale, shape = 1.0 + config.overshoot, (-1,) + images.shape[1:]
     final, l2 = np.empty_like(images), np.zeros(len(images), dtype=np.float64)
-    # the active set: rows, clean classes, linearization points, where steps start (the image,
-    # then its clipped probe once a probe crossed) and the steps since, both flat, and crossed
+    # the active set: rows, clean classes, linearization points, the flat start of the steps
+    # (the image, then its clipped probe once a probe has crossed), the steps since, crossed
     rows, orig, x = np.arange(len(images)), labels, images
     base = images.reshape(len(images), -1).astype(np.float64)
     r_tot, crossed = np.zeros_like(base), np.zeros(len(images), dtype=bool)

@@ -67,7 +67,6 @@ def test_take_reads_and_routes_by_nchw_index_in_chwn_memory():
     np.testing.assert_array_equal(gx.reshape(-1), np.eye(24, dtype=np.float32)[5])
 
 
-
 def test_take_of_distinct_indices_sums_them_and_seeds_each():
     x = np.arange(12, dtype=np.float32).reshape(3, 4)
     t = Tensor(x, requires_grad=True)

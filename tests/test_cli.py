@@ -272,7 +272,7 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     ("bpda", "attacks", "cw"),
     ("swap", "kinds", "bogus"),
     ("eval", "activation", "bogus"),
-    # a grid that repeats a value would write the same cell twice
+    # a repeated value: a grid would run one cell twice, a batch file load twice
     ("sweep", "epsilons", "0,0.1,0.1"),
     ("sweep", "slopes", "1,10,1.0"),
     ("bpda", "slopes", "2,2"),

@@ -36,8 +36,8 @@ BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d47
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 BPDA_TAIL_REPORT_SHA256 = "39baf5c5b632e0a405f7ae00f83c2f8c28d7d5efa45d69b5629a35bd1217521d"
 OTHER_KINDS_REPORT_SHA256 = "18b4f75ab08e1df6a635107d52ac092b1be17c96ca0fe947bb767d51a864c934"
-DEEPFOOL_REPORT_SHA256 = "b08d30bcbc667947e062b50345c2cacf2059394b0f0ddc46deabecaf920cdb3e"
 OTHER_KINDS_SUMMARY_SHA256 = "f8c185641d7e2eb83ebd1020d5feb0e10b9399ceca57498b44e5396102c49736"
+DEEPFOOL_REPORT_SHA256 = "b08d30bcbc667947e062b50345c2cacf2059394b0f0ddc46deabecaf920cdb3e"
 
 
 def _sha256_file(path) -> str:
