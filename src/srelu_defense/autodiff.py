@@ -140,24 +140,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 # convolution / pooling
 
 
-def _windows(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Strided view (N, C, ho, wo, kh, kw) over all kernel placements."""
-    n, c, h, w = a.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    s0, s1, s2, s3 = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a, (n, c, ho, wo, kh, kw), (s0, s1, s2 * stride, s3 * stride, s2, s3)
-    )
-
-
-def _tap(a: np.ndarray, p: int, q: int, ho: int, wo: int, stride: int) -> np.ndarray:
-    """Strided view (L, ho, wo, T) of an (L, H, W, T) array at kernel offset (p, q)."""
-    rows = slice(p, p + (ho - 1) * stride + 1, stride)
-    cols = slice(q, q + (wo - 1) * stride + 1, stride)
-    return a[:, rows, cols]
-
-
 def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
     """a with zero rows appended along axis 0 up to rows; a itself if it has as many."""
     if len(a) >= rows:
@@ -179,13 +161,13 @@ def _scratch_array(slot: int, shape: tuple, dtype) -> np.ndarray:
 
 
 def conv2d(
-    x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1, tape: Tape | None = None,
+    x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None,
     batch_invariant: bool = False,
 ) -> Tensor:
-    """Valid-padding 2-D convolution of an NCHW batch.
+    """Valid-padding, stride-1 2-D convolution of an NCHW batch.
 
     weights are laid out (out_channels, in_channels, kh, kw); output spatial
-    dims are floor((in - k) / stride) + 1. The input gradient is CHWN (see
+    dims are in - k + 1. The input gradient is CHWN (see
     Tensor), and so is the output when the weights take no gradient (but see below).
     batch_invariant pads a batch under CONV_MIN_BATCH images to it with zeros;
     the output then holds the batch's own images only, in NCHW memory.
@@ -202,11 +184,8 @@ def conv2d(
         raise ValueError(f"kernel {kh}x{kw} does not fit input {h}x{w} (valid padding)")
     if bias.shape != (o,):
         raise ValueError(f"conv2d bias must have shape ({o},), got {bias.shape}")
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
 
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
+    ho, wo = h - kh + 1, w - kw + 1
     rows, n = n, max(n, CONV_MIN_BATCH) if batch_invariant else n  # the GEMMs' batch
     k, m = c * kh * kw, n * ho * wo
     # K-major im2col, (O, C*kh*kw) @ (C*kh*kw, M), M in (ho, wo, N) order: columns
@@ -219,7 +198,7 @@ def conv2d(
         xd = np.ascontiguousarray(xd.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     kept_cols = np.empty((k, m), x.data.dtype) if tape and weights.requires_grad else None
     cols = _scratch_array(0, (k, m), x.data.dtype) if kept_cols is None else kept_cols
-    windows = _windows(xd, kh, kw, stride)
+    windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
     windows = windows.transpose((1, 4, 5, 2, 3, 0) if chwn else (1, 4, 5, 0, 2, 3))
     np.copyto(cols.reshape(windows.shape), windows)
     out_mat = np.matmul(weights.data.reshape(o, k), cols, out=None if chwn else _scratch_array(
@@ -241,7 +220,7 @@ def conv2d(
             taps = taps.reshape(kh, kw, c, ho, wo, n)[..., :rows]
             gx = np.zeros((c, h, w, rows), x.data.dtype)
             for p, q in np.ndindex(kh, kw):
-                _tap(gx, p, q, ho, wo, stride)[...] += taps[p, q]
+                gx[:, p:p + ho, q:q + wo] += taps[p, q]
             gx = gx.transpose(3, 0, 1, 2)
         if needs[1] or needs[2]:
             # (N*ho*wo, O); the bias gradient adds its rows in sequence
@@ -257,7 +236,7 @@ def conv2d(
 
 
 def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
-    """Max pooling over non-overlapping square windows (the stride is the
+    """Max pooling over square windows that tile the map (the stride is the
     window); gradient flows only to the argmax.
 
     The forward folds np.maximum over the window taps in row-major order.
@@ -267,40 +246,39 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2d input must be NCHW, got shape {x.shape}")
     n, c, h, w = x.shape
-    if window > h or window > w:
-        raise ValueError(f"pool window {window} larger than input {h}x{w}")
-    if window < 1:
-        raise ValueError("window must be a positive integer")
+    if window < 1 or h % window or w % window:
+        raise ValueError(f"pool window {window} does not tile the {h}x{w} map")
 
     ho, wo = h // window, w // window
     taps = [(p, q) for p in range(window) for q in range(window)]
     chwn = not x.data.flags.c_contiguous
+    lead, trail = (c, n) if chwn else (n * c, 1)
 
-    def view(a):  # one body over (C, H, W, N) for CHWN memory, else (N*C, H, W, 1)
-        return a.transpose(1, 2, 3, 0) if chwn else a.reshape(-1, *a.shape[2:], 1)
+    def view(a, *mid):  # one body over (C, ..., N) for CHWN memory, else (N*C, ..., 1)
+        return (a.transpose(1, 2, 3, 0) if chwn else a).reshape(lead, *mid, trail)
 
-    xv = view(x.data)
-    out_v = _tap(xv, 0, 0, ho, wo, window).copy()
+    # (lead, ho, window, wo, window, trail): tap (p, q) of every window is [:, :, p, :, q]
+    xw = view(x.data, ho, window, wo, window)
+    out_v = xw[:, :, 0, :, 0].copy()
     for p, q in taps[1:]:
-        np.maximum(out_v, _tap(xv, p, q, ho, wo, window), out=out_v)
+        np.maximum(out_v, xw[:, :, p, :, q], out=out_v)
     out_data = out_v.transpose(3, 0, 1, 2) if chwn else out_v.reshape(n, c, ho, wo)
     out = Tensor(out_data, dtype=out_data.dtype)
 
     def bw(g: np.ndarray, needs):
         if not needs[0]:
             return (None,)
-        # the taps tile gx: each position is written once, and only the rest zeroed
+        # the taps tile gx, so each position is written once
         gx = np.empty_like(x.data)
-        gxv, gv = view(gx), view(g)
-        gxv[:, ho * window:] = gxv[:, :, wo * window:] = 0
+        gxw, gv = view(gx, ho, window, wo, window), view(g, ho, wo)
         unclaimed = np.ones(out_v.shape, dtype=bool)
         routed = np.empty(out_v.shape, g.dtype)
         for p, q in taps:
-            hit = _tap(xv, p, q, ho, wo, window) == out_v
+            hit = xw[:, :, p, :, q] == out_v
             hit &= unclaimed
             unclaimed ^= hit
             # g * False is -0.0 where g < 0; adding +0.0 stores a zeroed sum's +0.0
-            np.add(np.multiply(gv, hit, out=routed), 0.0, out=_tap(gxv, p, q, ho, wo, window))
+            np.add(np.multiply(gv, hit, out=routed), 0.0, out=gxw[:, :, p, :, q])
         return (gx,)
 
     return _finish(out, tape, (x,), bw)

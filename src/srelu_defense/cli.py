@@ -432,6 +432,8 @@ def _cmd_bpda(cfg: dict, outdir: str) -> ex.Report:
     model = _load_model(cfg)
     train_set = _load_split(cfg, "train")
     test_set = _load_split(cfg, "test")
+    if test_set.n == 0:  # before the distillation, not after it
+        raise ValueError("cannot evaluate an empty image set")
     substitute = ex.bpda_train_substitute(model, train_set, cfg["epochs"], cfg["seed"])
     save_params(substitute, os.path.join(outdir, "substitute.bin"))
     return ex.bpda_transfer_eval(model, substitute, test_set, cfg["slopes"],

@@ -138,23 +138,19 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
-def _chunks(n: int):
-    for start in range(0, n, EVAL_CHUNK):
-        yield start, min(start + EVAL_CHUNK, n)
-
-
 def _slices(n: int):
     """(lo, hi, chunk_n) of each slice of at most SLICE_ROWS rows, cut inside the
     EVAL_CHUNK chunks from 0; chunk_n is the slice's chunk's image count."""
-    for start, stop in _chunks(n):
+    for start in range(0, n, EVAL_CHUNK):
+        stop = min(start + EVAL_CHUNK, n)
         for lo in range(start, stop, SLICE_ROWS):
             yield lo, min(lo + SLICE_ROWS, stop), stop - start
 
 
 def predict_all(model: Model, images: np.ndarray) -> np.ndarray:
-    """Predictions over a set, in fixed-size chunks."""
+    """Predictions over a set, one slice at a time (see _slices)."""
     preds = np.empty(len(images), dtype=np.int64)
-    for lo, hi in _chunks(len(images)):
+    for lo, hi, _ in _slices(len(images)):
         preds[lo:hi] = model.predict(images[lo:hi])
     return preds
 
@@ -528,7 +524,7 @@ def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
     substitute = build_model(original.spec, seed)
     teacher = original.with_slope(1.0)
     soft = np.empty((train_set.n, 10), dtype=train_set.images.dtype)
-    for lo, hi in _chunks(train_set.n):
+    for lo, hi, _ in _slices(train_set.n):
         soft[lo:hi] = ad.softmax(teacher.logits(train_set.images[lo:hi]))
     iterator = BatchIterator(train_set.images, soft, TRAIN_DEFAULTS["batch_size"], seed=seed)
     _sgd(substitute, epochs, iterator.epoch_batches, ad.soft_cross_entropy,
@@ -557,7 +553,7 @@ def export_features(model: Model, dataset: LabeledImageSet, path) -> None:
     if dataset.n == 0:
         raise ValueError("cannot export features of an empty image set")
     with open(path, "w", newline="") as f:
-        for lo, hi in _chunks(dataset.n):
+        for lo, hi, _ in _slices(dataset.n):
             feats = penultimate_features(model, dataset.images[lo:hi])
             for label, row in zip(dataset.labels[lo:hi], feats):
                 f.write(str(int(label)) + "," + ",".join(_fmt(v) for v in row) + "\n")

@@ -44,7 +44,7 @@ class Conv:
 
 @dataclass(frozen=True)
 class Pool:
-    window: int = 2
+    window: int = 2  # must tile the map it pools, as 2 tiles every built-in one
 
 
 @dataclass(frozen=True)

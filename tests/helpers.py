@@ -118,6 +118,14 @@ def is_chwn_memory(a: np.ndarray) -> bool:
     return a.ndim == 4 and a.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
+def pool_windows(x: np.ndarray, window: int) -> np.ndarray:
+    """(N, C, ho, wo, window * window): each pool window of an NCHW map the window
+    tiles, its taps in row-major order."""
+    n, c, h, w = x.shape
+    blocks = x.reshape(n, c, h // window, window, w // window, window)
+    return blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // window, w // window, -1)
+
+
 def idx_fixture_bytes():
     """Two hand-built 2x2 IDX images with known byte values."""
     pixels = bytes([0, 51, 102, 255, 10, 20, 30, 40])

@@ -35,6 +35,7 @@ from helpers import (
     idx_fixture_bytes,
     linear_min_hyperplane_distance,
     linf_distance,
+    pool_windows,
     synthetic_split,
     trainable,
     write_idx_files,
@@ -124,18 +125,16 @@ def _layer_op_configs(rng):
         k = rng.integers(1, 4)
         h = rng.integers(k + 1, k + 6)
         w = rng.integers(k + 1, k + 6)
-        stride = rng.integers(1, 3)
         wk = rng.normal(size=(o, c, k, k))
         bk = rng.normal(size=o)
-        ho = (h - k) // stride + 1
-        wo = (w - k) // stride + 1
+        ho, wo = h - k + 1, w - k + 1
         x = rng.normal(size=(n, c, h, w))
         proj = rng.normal(size=(o, ho, wo))
 
-        def conv_apply(t, tape, wk=wk, bk=bk, stride=int(stride)):
+        def conv_apply(t, tape, wk=wk, bk=bk):
             wt = Tensor(wk, dtype=t.data.dtype)
             bt = Tensor(bk, dtype=t.data.dtype)
-            return ad.conv2d(t, wt, bt, stride=stride, tape=tape)
+            return ad.conv2d(t, wt, bt, tape=tape)
 
         yield "conv2d", conv_apply, x, proj
 
@@ -144,11 +143,11 @@ def _layer_op_configs(rng):
         hp = win * int(rng.integers(2, 4))
         for _ in range(100):
             xp = rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 3)), hp, hp))
-            wins = ad._windows(xp, win, win, win).reshape(-1, win * win)
+            wins = pool_windows(xp, win).reshape(-1, win * win)
             part = np.partition(wins, -2, axis=1)
             if (part[:, -1] - part[:, -2]).min() > 4 * STEP32:
                 break
-        po = (hp - win) // win + 1
+        po = hp // win
         pproj = rng.normal(size=(xp.shape[1], po, po))
 
         def pool_apply(t, tape, win=win):
@@ -223,8 +222,7 @@ def _model_loss_sig(model64, images64, labels):
     signature = []
     for layer in model64.spec.layers:
         if isinstance(layer, Pool):
-            wins = ad._windows(x.data, layer.window, layer.window, layer.window)
-            signature.append(wins.reshape(wins.shape[:4] + (-1,)).argmax(axis=-1))
+            signature.append(pool_windows(x.data, layer.window).argmax(axis=-1))
         elif isinstance(layer, Act):
             signature.append(x.data > 0)
         step = replace(model64.spec, input_shape=x.shape[1:], layers=(layer,))

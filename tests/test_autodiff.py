@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from srelu_defense import autodiff as ad
 from srelu_defense.autodiff import Tape, Tensor
 
-from helpers import chwn_memory, finite_difference_oracle, is_chwn_memory
+from helpers import chwn_memory, finite_difference_oracle, is_chwn_memory, pool_windows
 
 
 def grad_of(build, *tensors):
@@ -96,7 +96,7 @@ def test_conv2d_sum_kernel():
     x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
     w = Tensor(np.ones((1, 1, 2, 2)))
     b = Tensor([0.0])
-    out = ad.conv2d(x, w, b, stride=1)
+    out = ad.conv2d(x, w, b)
     np.testing.assert_array_equal(out.data, [[[[10.0]]]])
 
 
@@ -110,11 +110,11 @@ def test_conv2d_zero_kernel_emits_bias():
         np.testing.assert_allclose(out[:, c], b.data[c])
 
 
-def test_conv2d_output_dims_and_stride():
+def test_conv2d_output_dims():
     x = Tensor(np.zeros((1, 1, 9, 7)))
     w = Tensor(np.zeros((2, 1, 3, 3)))
     b = Tensor(np.zeros(2))
-    assert ad.conv2d(x, w, b, stride=2).shape == (1, 2, 4, 3)
+    assert ad.conv2d(x, w, b).shape == (1, 2, 7, 5)
 
 
 @pytest.mark.parametrize(
@@ -166,8 +166,16 @@ def test_maxpool_tie_routes_to_first_in_scan_order():
 
 
 def test_maxpool_window_too_large():
-    with pytest.raises(ValueError, match="larger than input"):
+    with pytest.raises(ValueError, match="pool window 3 does not tile the 2x2 map"):
         ad.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
+
+
+@pytest.mark.parametrize("window,h,w", [(2, 5, 4), (2, 4, 5), (3, 4, 4)])
+@pytest.mark.parametrize("chwn", [False, True])
+def test_maxpool_rejects_a_map_its_window_does_not_tile(window, h, w, chwn):
+    x = np.zeros((2, 3, h, w), np.float32)
+    with pytest.raises(ValueError, match=f"pool window {window} does not tile the {h}x{w} map"):
+        ad.maxpool2d(Tensor(chwn_memory(x) if chwn else x), window)
 
 
 def _vjp(op, x, g):
@@ -190,11 +198,10 @@ def test_maxpool_signed_zero_tie_keeps_plain_max():
 
 
 def _pool_reference(x, window, g):
-    """Per-window max over windows that tile the input (stride = window, any
-    remainder rows and columns dropped), and each output's g added at its
-    first row-major argmax."""
+    """Per-window max over windows that tile the input (stride = window), and
+    each output's g added at its first row-major argmax."""
     n, c, h, w = x.shape
-    ho, wo = (h - window) // window + 1, (w - window) // window + 1
+    ho, wo = h // window, w // window
     out = np.empty((n, c, ho, wo), dtype=x.dtype)
     gx = np.zeros_like(x)
     for b, ch, i, j in np.ndindex(n, c, ho, wo):
@@ -207,14 +214,14 @@ def _pool_reference(x, window, g):
 
 @st.composite
 def _pool_cases(draw):
-    """Tie-heavy inputs: small integers and both signed zeros; chwn asks for
-    the input and upstream gradient in CHWN memory (an evaluation tape)."""
+    """Tie-heavy inputs: small integers and both signed zeros, on maps of up to 7
+    pixels that the window tiles; chwn asks for the input and upstream gradient
+    in CHWN memory (an evaluation tape)."""
     window = draw(st.integers(1, 3))
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    h, w = draw(st.integers(window, 7)), draw(st.integers(window, 7))
-    x = draw(hnp.arrays(np.float32, (n, c, h, w),
+    ho, wo = draw(st.integers(1, 7 // window)), draw(st.integers(1, 7 // window))
+    x = draw(hnp.arrays(np.float32, (n, c, ho * window, wo * window),
                         elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
-    ho, wo = (h - window) // window + 1, (w - window) // window + 1
     g = draw(hnp.arrays(np.float32, (n, c, ho, wo),
                         elements=st.integers(-3, 3).map(float)))
     return x, window, g, draw(st.booleans())
@@ -249,7 +256,7 @@ def test_maxpool_backward_routes_to_first_argmax(case):
 # conv2d against a row-major im2col reference
 
 
-def _conv_reference(x, weights, bias, g, stride):
+def _conv_reference(x, weights, bias, g):
     """Row-major im2col: the forward (N*ho*wo, C*kh*kw) @ (C*kh*kw, O) + bias,
     the weight and bias gradients from the same columns, and the input
     gradient (N*ho*wo, O) @ (O, C*kh*kw) folded back one tap at a time."""
@@ -257,7 +264,7 @@ def _conv_reference(x, weights, bias, g, stride):
     o, _, kh, kw = weights.shape
     ho, wo = g.shape[2:]
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5)
     cols = cols.reshape(n * ho * wo, c * kh * kw)
     out = (cols @ weights.reshape(o, -1).T + bias).reshape(n, ho, wo, o)
     gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
@@ -265,13 +272,12 @@ def _conv_reference(x, weights, bias, g, stride):
     gx = np.zeros(x.shape, dtype=g.dtype)
     for p in range(kh):
         for q in range(kw):
-            gx[:, :, p: p + (ho - 1) * stride + 1: stride,
-               q: q + (wo - 1) * stride + 1: stride] += gcols[..., p, q].transpose(0, 3, 1, 2)
+            gx[:, :, p: p + ho, q: q + wo] += gcols[..., p, q].transpose(0, 3, 1, 2)
     gw = (gmat.T @ cols).reshape(weights.shape)
     return out.transpose(0, 3, 1, 2), gx, gw, gmat.sum(axis=0)
 
 
-def _conv_case(x_shape, w_shape, stride, sample, weights_grad=True, x_chwn=False):
+def _conv_case(x_shape, w_shape, sample, weights_grad=True, x_chwn=False):
     """conv2d's (forward, input, weight and bias gradients) and the reference
     ones, for a sampled input, weights, bias and upstream gradient.
 
@@ -280,18 +286,18 @@ def _conv_case(x_shape, w_shape, stride, sample, weights_grad=True, x_chwn=False
     passes the input in CHWN memory, as every conv after the first gets it
     there; the upstream gradient always comes in the output's layout.
     """
-    ho = (x_shape[2] - w_shape[2]) // stride + 1
-    wo = (x_shape[3] - w_shape[3]) // stride + 1
+    ho = x_shape[2] - w_shape[2] + 1
+    wo = x_shape[3] - w_shape[3] + 1
     x, weights, bias = sample(x_shape), sample(w_shape), sample(w_shape[:1])
     g = sample((x_shape[0], w_shape[0], ho, wo))
     tape = Tape()
     params = (Tensor(a, requires_grad=weights_grad) for a in (weights, bias))
     out = ad.conv2d(Tensor(chwn_memory(x) if x_chwn else x, requires_grad=True), *params,
-                    stride, tape=tape)
+                    tape=tape)
     g_in = np.empty_like(out.data)
     g_in[...] = g
     grads = tape._records[-1].backward_fn(g_in, (True, weights_grad, weights_grad))
-    ref = _conv_reference(x, weights, bias, g, stride)
+    ref = _conv_reference(x, weights, bias, g)
     return (out.data, *grads), ref if weights_grad else ref[:2] + (None, None)
 
 
@@ -309,17 +315,17 @@ def _expect_chwn_output(out, weights_grad):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 3), c=st.integers(1, 3), o=st.integers(1, 4),
-       kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 3),
+       kh=st.integers(1, 3), kw=st.integers(1, 3),
        extra_h=st.integers(0, 5), extra_w=st.integers(0, 5), seed=st.integers(0, 2**16),
        tape=st.sampled_from(CONV_TAPES))
-def test_conv2d_input_grad_equals_im2col_reference(n, c, o, kh, kw, stride,
+def test_conv2d_input_grad_equals_im2col_reference(n, c, o, kh, kw,
                                                     extra_h, extra_w, seed, tape):
     # small integers keep every product and sum exact, whatever kernel
     # BLAS picks for degenerate (vector) shapes; the forward and the
     # parameter gradients are checked too, on the training and evaluation tapes
     rng = np.random.default_rng(seed)
     ours, ref = _conv_case(
-        (n, c, kh + extra_h, kw + extra_w), (o, c, kh, kw), stride,
+        (n, c, kh + extra_h, kw + extra_w), (o, c, kh, kw),
         lambda shape: rng.integers(-4, 5, size=shape).astype(np.float32), *tape,
     )
     assert _in_memory(ours[0], _expect_chwn_output(ours[0], tape[0]))
@@ -341,7 +347,7 @@ CIFAR_TRAINING_SHAPES = MODEL_CONV_SHAPES[3:]
 
 def _normal_conv_case(x_shape, w_shape, weights_grad=True, x_chwn=False):
     rng = np.random.default_rng(0)
-    return _conv_case(x_shape, w_shape, 1,
+    return _conv_case(x_shape, w_shape,
                       lambda shape: rng.normal(size=shape).astype(np.float32),
                       weights_grad, x_chwn)
 
@@ -390,7 +396,7 @@ def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
         return rng.integers(-4, 5, size=shape).astype(np.float32)
 
     for weights_grad, x_chwn in CONV_TAPES:
-        ours, ref = _conv_case(x_shape, (4, x_shape[1], 5, 5), 1, sample, weights_grad, x_chwn)
+        ours, ref = _conv_case(x_shape, (4, x_shape[1], 5, 5), sample, weights_grad, x_chwn)
         assert _in_memory(ours[0], not weights_grad)
         for got, want in zip(ours[:2], ref[:2]):
             np.testing.assert_array_equal(got, want)
@@ -766,7 +772,7 @@ def test_gradcheck_operators(dtype, tol, step):
     # maxpool2d (resample until windows have clear margins)
     for _ in range(50):
         xp = rng.normal(size=(1, 2, 6, 6))
-        wins = ad._windows(xp, 2, 2, 2).reshape(-1, 4)
+        wins = pool_windows(xp, 2).reshape(-1, 4)
         part = np.partition(wins, -2, axis=1)
         if (part[:, -1] - part[:, -2]).min() > 4 * step:
             break

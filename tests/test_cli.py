@@ -673,6 +673,22 @@ def test_empty_set_fails_the_run(idx_data, saved_model, tmp_path, capsys, comman
     assert not (out / "features.csv").exists()
 
 
+def test_empty_test_set_fails_bpda_before_distilling(saved_model, tmp_path, capsys):
+    train, test = synthetic_split(40, 8, seed=5)
+    train_paths = write_idx_files(train, tmp_path, prefix="train")
+    test_paths = write_idx_files(test, tmp_path, prefix="test")
+    out = tmp_path / "bpda"
+    code = cli.main(["bpda", "--arch", "mnist_cnn",
+                     "--train-images", train_paths[0], "--train-labels", train_paths[1],
+                     "--test-images", test_paths[0], "--test-labels", test_paths[1],
+                     "--params", saved_model, "--epochs", "1", "--limit", "0",
+                     "--seed", "5", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error in bpda: cannot evaluate an empty image set\n"
+    assert not (out / "substitute.bin").exists()
+    assert not (out / "manifest.txt").exists()
+
+
 def test_non_finite_features_fail_the_export(idx_data, saved_model, tmp_path, capsys):
     # slope 1e20 overflows the forward pass; no NaN feature row may be written,
     # and the overflow is reported once, as the error, not as numpy warnings

@@ -19,7 +19,7 @@ import pytest
 import srelu_defense as sd
 from srelu_defense import experiments as ex
 from srelu_defense.attacks import BIM_DEFAULT_STEPS, AttackConfig
-from srelu_defense.data import take_first
+from srelu_defense.data import BatchIterator, take_first
 from srelu_defense.experiments import slope_sweep
 
 from helpers import synthetic_cifar, synthetic_split
@@ -38,6 +38,9 @@ BPDA_TAIL_REPORT_SHA256 = "39baf5c5b632e0a405f7ae00f83c2f8c28d7d5efa45d69b5629a3
 OTHER_KINDS_REPORT_SHA256 = "18b4f75ab08e1df6a635107d52ac092b1be17c96ca0fe947bb767d51a864c934"
 OTHER_KINDS_SUMMARY_SHA256 = "f8c185641d7e2eb83ebd1020d5feb0e10b9399ceca57498b44e5396102c49736"
 DEEPFOOL_REPORT_SHA256 = "b08d30bcbc667947e062b50345c2cacf2059394b0f0ddc46deabecaf920cdb3e"
+SLICED_PREDICTIONS_SHA256 = "c43defdda7cd603519fa080b500993a2fd7520a252b3375c0944e7de0248d5cc"
+SLICED_FEATURES_SHA256 = "2e97512f2a12df57dac40ca24a9d1b0388d89324846305c946604be887de3fe1"
+SLICED_SOFT_LABELS_SHA256 = "9b2aa11c47fc7dc2f520b11b8cc7d97ff124c607c3660e5441a98fa460ccd539"
 
 
 def _sha256_file(path) -> str:
@@ -209,6 +212,31 @@ def test_golden_bpda_bytes_for_any_slice_size(golden_model, golden_substitute, m
                                    attack_kinds=("fgsm", "rfgsm", "bim"), seed=7)
     assert {r.n_images for r in report.records} == {300}
     assert _sha256_text(report.csv_text()) == BPDA_TAIL_REPORT_SHA256
+
+
+@pytest.mark.parametrize("slice_rows", [16, 64, 256])
+def test_golden_sliced_passes_for_any_slice_size(golden_model, monkeypatch, tmp_path,
+                                                 slice_rows):
+    # 300 images: a full 256-image chunk and a 44-image tail chunk. Predictions,
+    # features and BPDA's teacher soft labels run one slice at a time, and the
+    # digests were taken when they still ran whole chunks
+    monkeypatch.setattr(ex, "SLICE_ROWS", slice_rows)
+    model, train_set, _ = golden_model
+    images = take_first(train_set, 300)
+    assert ex.eval_clean(model, images) == 0.93
+    preds = ex.predict_all(model.with_slope(10.0), images.images)
+    assert hashlib.sha256(preds.tobytes()).hexdigest() == SLICED_PREDICTIONS_SHA256
+    ex.export_features(model, images, tmp_path / "features.csv")
+    assert _sha256_file(tmp_path / "features.csv") == SLICED_FEATURES_SHA256
+    soft = []
+
+    def recording(images, targets, *args, **kwargs):
+        soft.append(targets)
+        return BatchIterator(images, targets, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "BatchIterator", recording)
+    ex.bpda_train_substitute(model, images, epochs=0, seed=4)
+    assert hashlib.sha256(soft[0].tobytes()).hexdigest() == SLICED_SOFT_LABELS_SHA256
 
 
 def test_golden_cifar_training_params(tmp_path):
