@@ -6,13 +6,19 @@ only together with a CHANGES.md note saying which bits moved and why.
 
 Every experiment driver is pinned: the slope sweep (over every attack kind),
 the targeted sweep, the activation swap, pixel scaling with and without clipping, and the BPDA path
-(substitute parameters and transfer report), plus CIFAR training.
+(substitute parameters and transfer report), plus MNIST and CIFAR training.
+
+Evaluation pins run on stored parameters (tests/data/golden_mnist_cnn.bin, what
+the MNIST training recipe below trained when they were written), so a change to
+training moves only the training digests: the MNIST and CIFAR parameter files
+and BPDA's substitute, which the training loop distils.
 
 The pins hold for the float32 engine on x86-64 with numpy's bundled
 OpenBLAS; another BLAS build may round GEMMs differently.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +30,7 @@ from srelu_defense.experiments import slope_sweep
 
 from helpers import synthetic_cifar, synthetic_split
 
+MNIST_PARAMS_SHA256 = "0a131e6fcddb5b43f419fce566fa842b12413be62bc88525b26e792cae9255d3"
 REPORT_SHA256 = "46a5a04b7ab6b23eb276714428feb2c44742c817704fc229aa2c2a6459f4a757"
 SUMMARY_SHA256 = "361cdfaec5afdcd03976224e363baf8bdefd5cab6e6cf8e677c9b38e1ebea2c6"
 CIFAR_PARAMS_SHA256 = "03c74eb0fd83b6a4764aaae39e10f68dcd9ae4790421763df51843f4a1a18383"
@@ -52,12 +59,25 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def golden_model():
-    train_set, test_set = synthetic_split(1024, 256, seed=31)
+GOLDEN_PARAMS = Path(__file__).parent / "data" / "golden_mnist_cnn.bin"
+
+
+def _golden_split():
+    return synthetic_split(1024, 256, seed=31)
+
+
+def _train_golden_model(train_set):
     model = sd.build_model("mnist_cnn", seed=3)
     ex.train(model, train_set, epochs=2, lr=0.02, batch_size=16, seed=3)
-    return model, train_set, test_set
+    return model
+
+
+@pytest.fixture(scope="module")
+def golden_model():
+    # the parameters _train_golden_model wrote; test_golden_mnist_training_params
+    # pins what it trains now
+    train_set, test_set = _golden_split()
+    return sd.load_params(GOLDEN_PARAMS, "mnist_cnn"), train_set, test_set
 
 
 GOLDEN_GRID = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.2),
@@ -237,6 +257,11 @@ def test_golden_sliced_passes_for_any_slice_size(golden_model, monkeypatch, tmp_
     monkeypatch.setattr(ex, "BatchIterator", recording)
     ex.bpda_train_substitute(model, images, epochs=0, seed=4)
     assert hashlib.sha256(soft[0].tobytes()).hexdigest() == SLICED_SOFT_LABELS_SHA256
+
+
+def test_golden_mnist_training_params(tmp_path):
+    sd.save_params(_train_golden_model(_golden_split()[0]), tmp_path / "model.bin")
+    assert _sha256_file(tmp_path / "model.bin") == MNIST_PARAMS_SHA256
 
 
 def test_golden_cifar_training_params(tmp_path):
