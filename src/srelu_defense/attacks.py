@@ -18,6 +18,7 @@ iterative attacks step only the rows still moving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,15 +123,28 @@ class AttackConfig:
 class AdversarialBatch:
     """Attack output: images, the attacked model's predictions on them, success.
 
+    preds and success are computed on first read, from the model that crafted
+    the images, so a caller that judges them with other models pays no pass.
     l2 is filled only by the minimal-perturbation attack: per image, the L2
     norm of its accumulated step before overshoot, at the first probe that
     left the clean class, or at the end if none did; None elsewhere.
     """
 
     images: np.ndarray
-    preds: np.ndarray
-    success: np.ndarray
+    model: object
+    labels: np.ndarray
+    config: AttackConfig
     l2: np.ndarray | None = None
+
+    @cached_property
+    def preds(self) -> np.ndarray:
+        return self.model.predict(self.images)
+
+    @cached_property
+    def success(self) -> np.ndarray:
+        if self.config.targeted:
+            return self.preds == self.config.target_class
+        return self.preds != self.labels
 
 
 def _image_rng(seed: int, index: int) -> np.random.Generator:
@@ -305,6 +319,4 @@ def run_attack(model, images, labels, config: AttackConfig, clip=UNIT_RANGE,
         adv, l2 = images, None
     else:
         adv, l2 = _ATTACKS[config.kind](model, images, labels, config, clip, index_base)
-    preds = model.predict(adv)
-    success = preds == config.target_class if config.targeted else preds != labels
-    return AdversarialBatch(adv, preds, success, l2)
+    return AdversarialBatch(adv, model, labels, config, l2)

@@ -496,9 +496,20 @@ def test_transfer_eval_crafts_fgsm_from_one_gradient(trained_synth, small_test,
     ex.bpda_transfer_eval(trained_synth, trained_synth, take_first(small_test, 8),
                           slopes=(1.0, 10.0), epsilons=(0.0, 0.1, 0.3), seed=0)
     assert grads == [8]
-    # one clean pass per slope, which its eps=0 cell reads too; one substitute
-    # prediction per cell (run_attack's success); one pass per slope per eps>0
-    assert passes == [8] * (2 + 3 + 2 * 2)
+    # one clean pass per slope, which its eps=0 cell reads too; one pass per
+    # slope per eps>0; the substitute predicts nothing
+    assert passes == [8] * (2 + 2 * 2)
+
+
+def test_transfer_eval_substitute_takes_no_prediction_pass(trained_synth, small_test,
+                                                          monkeypatch):
+    # the crafted batches' preds and success are lazy, and only the judges
+    # read predictions: a clean pass per slope and a pass per slope and
+    # epsilon, 6 in all (with the substitute predicting each batch it was 8)
+    passes = _count_calls(monkeypatch, "logits")
+    ex.bpda_transfer_eval(trained_synth, trained_synth, take_first(small_test, 20),
+                          slopes=(1.0, 10.0), epsilons=(0.1, 0.2), seed=0)
+    assert passes == [20] * 6
 
 
 def test_transfer_attack_hurts_defended_model(trained_synth, distilled_substitute,
