@@ -167,10 +167,10 @@ def conv2d(
     """Valid-padding, stride-1 2-D convolution of an NCHW batch.
 
     weights are laid out (out_channels, in_channels, kh, kw); output spatial
-    dims are in - k + 1. The input gradient is CHWN (see
-    Tensor), and so is the output when the weights take no gradient (but see below).
+    dims are in - k + 1. The input gradient is CHWN (see Tensor), and so is the
+    output wherever N*ho*wo is a multiple of 16, on every tape; elsewhere it is NCHW.
     batch_invariant pads a batch under CONV_MIN_BATCH images to it with zeros;
-    the output then holds the batch's own images only, in NCHW memory.
+    the output then holds the batch's own images only.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be NCHW, got shape {x.shape}")
@@ -189,10 +189,10 @@ def conv2d(
     rows, n = n, max(n, CONV_MIN_BATCH) if batch_invariant else n  # the GEMMs' batch
     k, m = c * kh * kw, n * ho * wo
     # K-major im2col, (O, C*kh*kw) @ (C*kh*kw, M), M in (ho, wo, N) order: columns
-    # gathered from CHWN memory in runs of wo*N floats, and a CHWN output. A weight
-    # gradient keeps (N, ho, wo) and NCHW, and so does an M off a multiple of 16:
-    # OpenBLAS rounds a small GEMM's last 1-8 columns apart, so reordering moves bits.
-    chwn = not weights.requires_grad and m % 16 == 0
+    # gathered from CHWN memory in runs of wo*N floats, and a CHWN output. An M off
+    # a multiple of 16 keeps (N, ho, wo) and NCHW: OpenBLAS rounds a small GEMM's
+    # last 1-8 columns apart, so reordering them would move forward bits.
+    chwn = m % 16 == 0
     xd = _pad_rows(x.data, n)
     if chwn:  # CHWN: copied once at entry, a view after
         xd = np.ascontiguousarray(xd.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
@@ -211,10 +211,11 @@ def conv2d(
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
+        gp = _pad_rows(g, n)
         if needs[0]:
             # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N), each
             # tap but the padding's added into a CHWN buffer over runs of wo*N floats
-            gt = _pad_rows(g, n).transpose(1, 2, 3, 0).reshape(o, m)  # a copy only from NCHW
+            gt = gp.transpose(1, 2, 3, 0).reshape(o, m)  # a copy only from NCHW
             wtap = weights.data.transpose(2, 3, 1, 0).reshape(k, o)
             taps = np.matmul(wtap, gt, out=_scratch_array(0, (k, m), np.result_type(wtap, gt)))
             taps = taps.reshape(kh, kw, c, ho, wo, n)[..., :rows]
@@ -223,13 +224,12 @@ def conv2d(
                 gx[:, p:p + ho, q:q + wo] += taps[p, q]
             gx = gx.transpose(3, 0, 1, 2)
         if needs[1] or needs[2]:
-            # (N*ho*wo, O); the bias gradient adds its rows in sequence
-            gmat = _scratch_array(1, (m, o), g.dtype)
-            np.copyto(gmat.reshape(n, ho, wo, o), _pad_rows(g, n).transpose(0, 2, 3, 1))
+            # (O, M) in the kept columns' order: a view of CHWN memory, a copy from NCHW
+            gmat = (gp.transpose(1, 2, 3, 0) if chwn else gp.transpose(1, 0, 2, 3)).reshape(o, m)
             if needs[1]:
-                gw = (kept_cols @ gmat).T.reshape(o, c, kh, kw)
+                gw = (kept_cols @ gmat.T).T.reshape(o, c, kh, kw)
             if needs[2]:
-                gb = gmat.sum(axis=0)
+                gb = gmat.sum(axis=1)
         return gx, gw, gb
 
     return _finish(out, tape, (x, weights, bias), bw)

@@ -256,10 +256,13 @@ def test_maxpool_backward_routes_to_first_argmax(case):
 # conv2d against a row-major im2col reference
 
 
-def _conv_reference(x, weights, bias, g):
+def _conv_reference(x, weights, bias, g, chwn):
     """Row-major im2col: the forward (N*ho*wo, C*kh*kw) @ (C*kh*kw, O) + bias,
-    the weight and bias gradients from the same columns, and the input
-    gradient (N*ho*wo, O) @ (O, C*kh*kw) folded back one tap at a time."""
+    the input gradient (N*ho*wo, O) @ (O, C*kh*kw) folded back one tap at a
+    time, and the weight and bias gradients from the upstream gradient as an
+    (O, N*ho*wo) matrix and the same columns: the weight gradient sums them in
+    (ho, wo, N) order where chwn, else in (N, ho, wo) order, and the bias
+    gradient is numpy's row sum of that matrix."""
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     ho, wo = g.shape[2:]
@@ -273,8 +276,11 @@ def _conv_reference(x, weights, bias, g):
     for p in range(kh):
         for q in range(kw):
             gx[:, :, p: p + ho, q: q + wo] += gcols[..., p, q].transpose(0, 3, 1, 2)
+    if chwn:  # both matrices' N*ho*wo axis in (ho, wo, N) order
+        cols = cols.reshape(n, ho * wo, -1).transpose(1, 0, 2).reshape(n * ho * wo, -1)
+        gmat = gmat.reshape(n, ho * wo, o).transpose(1, 0, 2).reshape(n * ho * wo, o)
     gw = (gmat.T @ cols).reshape(weights.shape)
-    return out.transpose(0, 3, 1, 2), gx, gw, gmat.sum(axis=0)
+    return out.transpose(0, 3, 1, 2), gx, gw, np.ascontiguousarray(gmat.T).sum(axis=1)
 
 
 def _conv_case(x_shape, w_shape, sample, weights_grad=True, x_chwn=False):
@@ -297,7 +303,7 @@ def _conv_case(x_shape, w_shape, sample, weights_grad=True, x_chwn=False):
     g_in = np.empty_like(out.data)
     g_in[...] = g
     grads = tape._records[-1].backward_fn(g_in, (True, weights_grad, weights_grad))
-    ref = _conv_reference(x, weights, bias, g)
+    ref = _conv_reference(x, weights, bias, g, _expect_chwn_output(out.data))
     return (out.data, *grads), ref if weights_grad else ref[:2] + (None, None)
 
 
@@ -306,11 +312,11 @@ def _conv_case(x_shape, w_shape, sample, weights_grad=True, x_chwn=False):
 CONV_TAPES = [(True, False), (False, False), (False, True)]
 
 
-def _expect_chwn_output(out, weights_grad):
-    """conv2d's layout rule: CHWN without a weight gradient, unless the GEMM's
-    N*ho*wo columns are off a multiple of 16."""
+def _expect_chwn_output(out):
+    """conv2d's layout rule, the same on every tape: CHWN exactly where the
+    GEMM's N*ho*wo columns are a multiple of 16."""
     n, _, ho, wo = out.shape
-    return not weights_grad and n * ho * wo % 16 == 0
+    return n * ho * wo % 16 == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,7 +334,7 @@ def test_conv2d_input_grad_equals_im2col_reference(n, c, o, kh, kw,
         (n, c, kh + extra_h, kw + extra_w), (o, c, kh, kw),
         lambda shape: rng.integers(-4, 5, size=shape).astype(np.float32), *tape,
     )
-    assert _in_memory(ours[0], _expect_chwn_output(ours[0], tape[0]))
+    assert _in_memory(ours[0], _expect_chwn_output(ours[0]))
     for got, want in zip(ours, ref):
         assert (got is None) == (want is None)
         if got is not None:
@@ -364,10 +370,11 @@ def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_s
     for weights_grad, x_chwn in CONV_TAPES:
         (out, _, gw, gb), (ref_out, _, ref_gw, ref_gb) = _normal_conv_case(
             x_shape, w_shape, weights_grad, x_chwn)
-        assert _in_memory(out, not weights_grad)
+        assert _in_memory(out, _expect_chwn_output(out))
         np.testing.assert_array_equal(out, ref_out)
         if weights_grad and (x_shape, w_shape) in CIFAR_TRAINING_SHAPES:
-            # the parameter gradients SGD reads, at the shapes training runs
+            # the parameter gradients SGD reads, at the shapes training runs,
+            # summed in (ho, wo, N) order
             np.testing.assert_array_equal(gw, ref_gw)
             np.testing.assert_array_equal(gb, ref_gb)
 
@@ -376,14 +383,24 @@ def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_s
 def test_conv2d_layout_bits_hold_where_a_small_gemm_has_a_short_tail(x_chwn):
     # cifar conv2 at a batch of two: 200 GEMM columns, 8 past a multiple of 16.
     # OpenBLAS rounds those last columns of a small sgemm apart (the row-major
-    # reference too), so (ho, wo, N) columns would move bits against the
-    # training tape's (N, ho, wo) ones; the evaluation tape keeps NCHW here
+    # reference too), so (ho, wo, N) columns would move bits against (N, ho, wo)
+    # ones; both tapes keep NCHW and (N, ho, wo) columns here
     shapes = (2, 6, 14, 14), (16, 6, 5, 5)
     (out, gx, _, _), _ = _normal_conv_case(*shapes, weights_grad=False, x_chwn=x_chwn)
     (train_out, train_gx, _, _), _ = _normal_conv_case(*shapes)
     assert out.flags.c_contiguous
     np.testing.assert_array_equal(out, train_out)
     np.testing.assert_array_equal(gx, train_gx)
+
+
+def test_conv2d_training_layout_and_parameter_gradient_bits_off_a_multiple_of_16():
+    # cifar conv2 at a training batch of two (200 columns): the output keeps
+    # NCHW, and the parameter gradients sum in (N, ho, wo) order
+    (out, _, gw, gb), (_, _, ref_gw, ref_gb) = _normal_conv_case((2, 6, 14, 14),
+                                                                 (16, 6, 5, 5))
+    assert out.flags.c_contiguous and not _expect_chwn_output(out)
+    np.testing.assert_array_equal(gw, ref_gw)
+    np.testing.assert_array_equal(gb, ref_gb)
 
 
 @pytest.mark.parametrize("x_shape", [(1, 3, 8, 8), (3, 1, 8, 8), (1, 1, 8, 8)])
@@ -397,7 +414,7 @@ def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
 
     for weights_grad, x_chwn in CONV_TAPES:
         ours, ref = _conv_case(x_shape, (4, x_shape[1], 5, 5), sample, weights_grad, x_chwn)
-        assert _in_memory(ours[0], not weights_grad)
+        assert _in_memory(ours[0], _expect_chwn_output(ours[0]))
         for got, want in zip(ours[:2], ref[:2]):
             np.testing.assert_array_equal(got, want)
     x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], np.float32), size=x_shape)

@@ -30,16 +30,16 @@ from srelu_defense.experiments import slope_sweep
 
 from helpers import synthetic_cifar, synthetic_split
 
-MNIST_PARAMS_SHA256 = "0a131e6fcddb5b43f419fce566fa842b12413be62bc88525b26e792cae9255d3"
+MNIST_PARAMS_SHA256 = "03ff32c9600c6750a47c8419e9aef107ac17647c5ea85b9df56cd02047e60830"
 REPORT_SHA256 = "46a5a04b7ab6b23eb276714428feb2c44742c817704fc229aa2c2a6459f4a757"
 SUMMARY_SHA256 = "361cdfaec5afdcd03976224e363baf8bdefd5cab6e6cf8e677c9b38e1ebea2c6"
-CIFAR_PARAMS_SHA256 = "03c74eb0fd83b6a4764aaae39e10f68dcd9ae4790421763df51843f4a1a18383"
+CIFAR_PARAMS_SHA256 = "3dae135fd9ee3888302181d3824fc56d2959b00d0e5b897c0d2c718bc49ca3af"
 TARGETED_REPORT_SHA256 = "8b59b0b2d2844fd586fb3b6875d6d86222dfec36809239edb65c3d5b1a9ead50"
 TARGETED_SUMMARY_SHA256 = "efa11f0ea71e1934eb183e6a991fa4cf16f0c9802a75a12a6a39f2f5cd40c601"
 SWAP_REPORT_SHA256 = "cd8f4527c379ed007d55f78d6afbe3e322a0706ad35fa06f69f93416e2a6a715"
 SCALE_CLIP_REPORT_SHA256 = "f6070772059a048f224124a49acf79d1865830fbf76587ab17fc3a221e37d2ad"
 SCALE_NOCLIP_REPORT_SHA256 = "f65c680486935938c03700690d0ffce1764406352eaab9b91349ab1be7c06790"
-BPDA_PARAMS_SHA256 = "ce7a4ebf78813db769aca29a35c4df28c2859d5113fb7983f369d95d479e5010"
+BPDA_PARAMS_SHA256 = "093468b6215f0b25e1fb28ad90b1e3797e71d03ccf2727aab116c80d9e914a7d"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 BPDA_TAIL_REPORT_SHA256 = "39baf5c5b632e0a405f7ae00f83c2f8c28d7d5efa45d69b5629a35bd1217521d"
 OTHER_KINDS_REPORT_SHA256 = "18b4f75ab08e1df6a635107d52ac092b1be17c96ca0fe947bb767d51a864c934"

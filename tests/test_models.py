@@ -120,8 +120,8 @@ def test_eval_at_slope_one_equals_train_mode(rng):
 @pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
 def test_evaluation_layout_bits_equal_the_training_order_forward(arch, batch):
     # evaluation tapes hold CHWN activations between the first conv and the
-    # flatten; the trainable view runs training's NCHW, N-major-column order.
-    # cifar10_cnn1/2 at a batch of 2 is where (ho, wo, N) columns moved bits
+    # flatten; the trainable view runs training's unpadded convs, so cifar10_cnn1/2's
+    # conv2 keeps NCHW below a batch of 4, where (ho, wo, N) columns moved bits
     model = build_model(arch, seed=5)
     rng = np.random.default_rng(batch)
     images = rng.uniform(0.0, 1.0, size=(batch,) + model.spec.input_shape).astype(np.float32)
@@ -227,16 +227,18 @@ def test_batch_invariant_logit_grads_in_any_subset_of_a_batch(linearized_rows, a
     assert grads[:, rows].any()
 
 
-def test_evaluation_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
+def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
+    # evaluation and training tapes alike: mnist_cnn's convs have N*ho*wo
+    # columns on a multiple of 16 at any batch
     model = build_model("mnist_cnn", seed=2)
     batch = rand_batch(rng, model, n=4)
-    for view, chwn in ((model, True), (trainable(model), False)):
+    for view in (model, trainable(model)):
         tape = ad.Tape()
         md._forward(view, ad.Tensor(batch, requires_grad=True), tape=tape)
         four_d = [rec.out.data for rec in tape._records if rec.out.data.ndim == 4]
         assert len(four_d) == 6  # conv, pool and act, twice
         for out in four_d:
-            assert is_chwn_memory(out) == chwn and out.flags.c_contiguous != chwn
+            assert is_chwn_memory(out) and not out.flags.c_contiguous
         assert tape._records[-1].out.data.flags.c_contiguous  # the logits
 
 
