@@ -212,10 +212,10 @@ def conv2d(
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
         gp = _pad_rows(g, n)
+        gt = gp.transpose(1, 2, 3, 0).reshape(o, m)  # (O, M) as (ho, wo, N): copied only from NCHW
         if needs[0]:
             # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N), each
             # tap but the padding's added into a CHWN buffer over runs of wo*N floats
-            gt = gp.transpose(1, 2, 3, 0).reshape(o, m)  # a copy only from NCHW
             wtap = weights.data.transpose(2, 3, 1, 0).reshape(k, o)
             taps = np.matmul(wtap, gt, out=_scratch_array(0, (k, m), np.result_type(wtap, gt)))
             taps = taps.reshape(kh, kw, c, ho, wo, n)[..., :rows]
@@ -224,8 +224,7 @@ def conv2d(
                 gx[:, p:p + ho, q:q + wo] += taps[p, q]
             gx = gx.transpose(3, 0, 1, 2)
         if needs[1] or needs[2]:
-            # (O, M) in the kept columns' order: a view of CHWN memory, a copy from NCHW
-            gmat = (gp.transpose(1, 2, 3, 0) if chwn else gp.transpose(1, 0, 2, 3)).reshape(o, m)
+            gmat = gt if chwn else gp.transpose(1, 0, 2, 3).reshape(o, m)  # kept columns' order
             if needs[1]:
                 gw = (kept_cols @ gmat.T).T.reshape(o, c, kh, kw)
             if needs[2]:
