@@ -66,16 +66,10 @@ def _golden_split():
     return synthetic_split(1024, 256, seed=31)
 
 
-def _train_golden_model(train_set):
-    model = sd.build_model("mnist_cnn", seed=3)
-    ex.train(model, train_set, epochs=2, lr=0.02, batch_size=16, seed=3)
-    return model
-
-
 @pytest.fixture(scope="module")
 def golden_model():
-    # the parameters _train_golden_model wrote; test_golden_mnist_training_params
-    # pins what it trains now
+    # the parameters test_golden_mnist_training_params's recipe trained when
+    # they were stored; that test pins what the recipe trains now
     train_set, test_set = _golden_split()
     return sd.load_params(GOLDEN_PARAMS, "mnist_cnn"), train_set, test_set
 
@@ -260,7 +254,9 @@ def test_golden_sliced_passes_for_any_slice_size(golden_model, monkeypatch, tmp_
 
 
 def test_golden_mnist_training_params(tmp_path):
-    sd.save_params(_train_golden_model(_golden_split()[0]), tmp_path / "model.bin")
+    model = sd.build_model("mnist_cnn", seed=3)
+    ex.train(model, _golden_split()[0], epochs=2, lr=0.02, batch_size=16, seed=3)
+    sd.save_params(model, tmp_path / "model.bin")
     assert _sha256_file(tmp_path / "model.bin") == MNIST_PARAMS_SHA256
 
 
