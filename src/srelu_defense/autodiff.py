@@ -150,14 +150,14 @@ def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
 _scratch = threading.local()
 
 
-def _scratch_array(slot: int, shape: tuple, dtype) -> np.ndarray:
-    """Uninitialised row-major array in this thread's reused byte buffer slot
-    (conv2d's 0: columns-, 1: output-sized); no op returns or keeps a view of one."""
+def _scratch_array(shape: tuple, dtype) -> np.ndarray:
+    """Uninitialised row-major array in this thread's reused byte buffer (conv2d's
+    columns or input-gradient taps); no op returns or keeps a view of it."""
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    slots = _scratch.__dict__.setdefault("slots", [np.empty(0, np.uint8)] * 2)
-    if slots[slot].nbytes < nbytes:
-        slots[slot] = np.empty(nbytes, np.uint8)
-    return slots[slot][:nbytes].view(dtype).reshape(shape)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = _scratch.buf = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def conv2d(
@@ -167,10 +167,10 @@ def conv2d(
     """Valid-padding, stride-1 2-D convolution of an NCHW batch.
 
     weights are laid out (out_channels, in_channels, kh, kw); output spatial
-    dims are in - k + 1. The input gradient is CHWN (see Tensor), and so is the
-    output wherever N*ho*wo is a multiple of 16, on every tape; elsewhere it is NCHW.
-    batch_invariant pads a batch under CONV_MIN_BATCH images to it with zeros;
-    the output then holds the batch's own images only.
+    dims are in - k + 1. The output and the input gradient are CHWN (see Tensor)
+    at every batch size, on every tape. batch_invariant pads a batch under
+    CONV_MIN_BATCH images to it with zeros; the output then holds the batch's
+    own images only.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be NCHW, got shape {x.shape}")
@@ -189,46 +189,36 @@ def conv2d(
     rows, n = n, max(n, CONV_MIN_BATCH) if batch_invariant else n  # the GEMMs' batch
     k, m = c * kh * kw, n * ho * wo
     # K-major im2col, (O, C*kh*kw) @ (C*kh*kw, M), M in (ho, wo, N) order: columns
-    # gathered from CHWN memory in runs of wo*N floats, and a CHWN output. An M off
-    # a multiple of 16 keeps (N, ho, wo) and NCHW: OpenBLAS rounds a small GEMM's
-    # last 1-8 columns apart, so reordering them would move forward bits.
-    chwn = m % 16 == 0
-    xd = _pad_rows(x.data, n)
-    if chwn:  # CHWN: copied once at entry, a view after
-        xd = np.ascontiguousarray(xd.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    # gathered from CHWN memory (copied once at entry, a view after) in runs of
+    # wo*N floats, and a CHWN output
+    xd = np.ascontiguousarray(_pad_rows(x.data, n).transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     kept_cols = np.empty((k, m), x.data.dtype) if tape and weights.requires_grad else None
-    cols = _scratch_array(0, (k, m), x.data.dtype) if kept_cols is None else kept_cols
+    cols = _scratch_array((k, m), x.data.dtype) if kept_cols is None else kept_cols
     windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
-    windows = windows.transpose((1, 4, 5, 2, 3, 0) if chwn else (1, 4, 5, 0, 2, 3))
-    np.copyto(cols.reshape(windows.shape), windows)
-    out_mat = np.matmul(weights.data.reshape(o, k), cols, out=None if chwn else _scratch_array(
-        1, (o, m), np.result_type(weights.data, cols)))
+    np.copyto(cols.reshape(c, kh, kw, ho, wo, n), windows.transpose(1, 4, 5, 2, 3, 0))
+    out_mat = weights.data.reshape(o, k) @ cols
     out_mat += bias.data[:, None]
-    # NCHW: a copy even where the transpose is already contiguous (a batch of one)
-    out = Tensor((out_mat.reshape(o, ho, wo, n).transpose(3, 0, 1, 2) if chwn else np.array(
-        out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), order="C"))[:rows],
-        dtype=out_mat.dtype)
+    # the padding's rows sliced off in (O, ho, wo, N) memory, so a padded output stays CHWN
+    out_data = np.ascontiguousarray(out_mat.reshape(o, ho, wo, n)[..., :rows])
+    out = Tensor(out_data.transpose(3, 0, 1, 2), dtype=out_data.dtype)
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
-        gp = _pad_rows(g, n)
-        gt = gp.transpose(1, 2, 3, 0).reshape(o, m)  # (O, M) as (ho, wo, N): copied only from NCHW
+        gt = _pad_rows(g, n).transpose(1, 2, 3, 0).reshape(o, m)  # (O, M) as (ho, wo, N)
         if needs[0]:
             # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N), each
             # tap but the padding's added into a CHWN buffer over runs of wo*N floats
             wtap = weights.data.transpose(2, 3, 1, 0).reshape(k, o)
-            taps = np.matmul(wtap, gt, out=_scratch_array(0, (k, m), np.result_type(wtap, gt)))
+            taps = np.matmul(wtap, gt, out=_scratch_array((k, m), np.result_type(wtap, gt)))
             taps = taps.reshape(kh, kw, c, ho, wo, n)[..., :rows]
             gx = np.zeros((c, h, w, rows), x.data.dtype)
             for p, q in np.ndindex(kh, kw):
                 gx[:, p:p + ho, q:q + wo] += taps[p, q]
             gx = gx.transpose(3, 0, 1, 2)
-        if needs[1] or needs[2]:
-            gmat = gt if chwn else gp.transpose(1, 0, 2, 3).reshape(o, m)  # kept columns' order
-            if needs[1]:
-                gw = (kept_cols @ gmat.T).T.reshape(o, c, kh, kw)
-            if needs[2]:
-                gb = gmat.sum(axis=1)
+        if needs[1]:
+            gw = (kept_cols @ gt.T).T.reshape(o, c, kh, kw)
+        if needs[2]:
+            gb = gt.sum(axis=1)
         return gx, gw, gb
 
     return _finish(out, tape, (x, weights, bias), bw)
@@ -240,7 +230,8 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
 
     The forward folds np.maximum over the window taps in row-major order.
     Ties, signed zeros included (-0.0 == 0.0), route the gradient to the
-    first tap in that order that equals the max. Output and gradient keep x's layout.
+    first tap in that order that equals the max. The output and the gradient
+    are CHWN; a row-major x is read through its CHWN transpose.
     """
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2d input must be NCHW, got shape {x.shape}")
@@ -250,25 +241,22 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
 
     ho, wo = h // window, w // window
     taps = [(p, q) for p in range(window) for q in range(window)]
-    chwn = not x.data.flags.c_contiguous
-    lead, trail = (c, n) if chwn else (n * c, 1)
 
-    def view(a, *mid):  # one body over (C, ..., N) for CHWN memory, else (N*C, ..., 1)
-        return (a.transpose(1, 2, 3, 0) if chwn else a).reshape(lead, *mid, trail)
+    def view(a, *mid):  # (C, ..., N): a view of CHWN memory, or of a row-major a's transpose
+        return a.transpose(1, 2, 3, 0).reshape(c, *mid, n)
 
-    # (lead, ho, window, wo, window, trail): tap (p, q) of every window is [:, :, p, :, q]
+    # (C, ho, window, wo, window, N): tap (p, q) of every window is [:, :, p, :, q]
     xw = view(x.data, ho, window, wo, window)
     out_v = xw[:, :, 0, :, 0].copy()
     for p, q in taps[1:]:
         np.maximum(out_v, xw[:, :, p, :, q], out=out_v)
-    out_data = out_v.transpose(3, 0, 1, 2) if chwn else out_v.reshape(n, c, ho, wo)
-    out = Tensor(out_data, dtype=out_data.dtype)
+    out = Tensor(out_v.transpose(3, 0, 1, 2), dtype=out_v.dtype)
 
     def bw(g: np.ndarray, needs):
         if not needs[0]:
             return (None,)
         # the taps tile gx, so each position is written once
-        gx = np.empty_like(x.data)
+        gx = np.empty((c, h, w, n), x.data.dtype).transpose(3, 0, 1, 2)
         gxw, gv = view(gx, ho, window, wo, window), view(g, ho, wo)
         unclaimed = np.ones(out_v.shape, dtype=bool)
         routed = np.empty(out_v.shape, g.dtype)

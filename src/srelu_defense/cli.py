@@ -88,7 +88,8 @@ def _number(ok, what: str):
     return convert
 
 
-_positive = _number(lambda value: value > 0, "positive")  # a slope or a factor
+# a slope or a factor; not inf, since a zero pixel or activation times inf is nan
+_positive = _number(lambda value: 0 < value < math.inf, "positive and finite")
 _finite = _number(math.isfinite, "finite")  # an SGD setting; nan and inf fail every step
 
 

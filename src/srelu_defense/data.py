@@ -51,7 +51,7 @@ class LabeledImageSet:
         if self.images.size:
             low, high = self.pixel_range
             lo, hi = self.images.min(), self.images.max()
-            if lo < low or hi > high:
+            if not (low <= lo and hi <= high):  # nan pixels compare false, so fail too
                 raise ValueError(f"pixels outside [{low:g}, {high:g}]: min {lo}, max {hi}")
 
     @property
@@ -169,11 +169,12 @@ def scale_pixels(dataset: LabeledImageSet, factor: float, clip: bool) -> Labeled
     """Multiply pixels by a positive factor; clip back to [0, 1] only when asked.
 
     Without clipping the pixel range grows to [0, factor]; a factor of 0 would
-    leave no range to attack in, so it is rejected. The scaled set is named
+    leave no range to attack in, and an infinite one would turn dark pixels into
+    nan (0 * inf), so both are rejected. The scaled set is named
     after the original, the factor and the clip mode, for its report rows.
     """
-    if not factor > 0:  # also rejects nan
-        raise ValueError(f"scale factor must be positive, got {factor}")
+    if not 0 < factor < np.inf:  # also rejects nan
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
     scaled = dataset.images * np.asarray(factor, dtype=dataset.images.dtype)
     name = f"{dataset.name}[x{factor:g}:{'clip' if clip else 'noclip'}]"
     if clip:

@@ -341,8 +341,9 @@ class _Reader:
 def load_params(path, arch: "str | ArchitectureSpec") -> Model:
     """Load parameters saved by save_params into a fresh model.
 
-    Names and shapes are validated against the architecture, and every value
-    must be finite; each error names the offending tensor.
+    Names and shapes are validated against the architecture, each name must
+    appear once, and every value must be finite; each error names the
+    offending tensor.
     """
     spec = resolve_arch(arch)
     with open(path, "rb") as f:
@@ -358,6 +359,8 @@ def load_params(path, arch: "str | ArchitectureSpec") -> Model:
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         name = reader.read(name_len).decode("utf-8")
+        if name in params:
+            raise ParamsFormatError(f"tensor {name!r} appears more than once")
         (rank,) = reader.unpack("<I")
         if rank > 8:
             raise ParamsFormatError(f"implausible rank {rank} for tensor {name!r}")

@@ -88,11 +88,13 @@ def write_cifar_file(dataset: LabeledImageSet, directory, name: str = "synth_bat
     return path
 
 
-def params_file_bytes(params: dict[str, np.ndarray]) -> bytes:
-    """A parameter file in save_params's layout, written without its checks,
-    so a test can build the non-finite files load_params must refuse."""
+def params_file_bytes(params) -> bytes:
+    """A parameter file in save_params's layout from (name, array) pairs, written
+    without its checks, so a test can build the files load_params must refuse:
+    non-finite values, or a name that repeats."""
+    params = list(params)
     blob = PARAMS_MAGIC + struct.pack("<II", PARAMS_VERSION, len(params))
-    for name, values in params.items():
+    for name, values in params:
         encoded = name.encode("utf-8")
         blob += struct.pack(f"<H{len(encoded)}sI", len(encoded), encoded, values.ndim)
         blob += struct.pack(f"<{values.ndim}I", *values.shape)

@@ -20,11 +20,6 @@ def grad_of(build, *tensors):
     return [grads[t] for t in tensors]
 
 
-def _in_memory(a, chwn):
-    """Whether a is laid out as asked: CHWN memory, or row-major."""
-    return is_chwn_memory(a) if chwn else a.flags.c_contiguous
-
-
 # ---------------------------------------------------------------------------
 # Tensor
 
@@ -216,7 +211,7 @@ def _pool_reference(x, window, g):
 def _pool_cases(draw):
     """Tie-heavy inputs: small integers and both signed zeros, on maps of up to 7
     pixels that the window tiles; chwn asks for the input and upstream gradient
-    in CHWN memory (an evaluation tape)."""
+    in CHWN memory, as a tape holds them, else they are row-major."""
     window = draw(st.integers(1, 3))
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     ho, wo = draw(st.integers(1, 7 // window)), draw(st.integers(1, 7 // window))
@@ -235,7 +230,7 @@ def test_maxpool_forward_equals_window_max(case):
     x_in, g_in = (chwn_memory(x), chwn_memory(g)) if chwn else (x, g)
     recorded, _ = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x_in, g_in)
     for out in (ad.maxpool2d(Tensor(x_in), window).data, recorded):
-        assert _in_memory(out, chwn)
+        assert is_chwn_memory(out)
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
 
@@ -247,7 +242,7 @@ def test_maxpool_backward_routes_to_first_argmax(case):
     _, ref = _pool_reference(x, window, g)
     x_in, g_in = (chwn_memory(x), chwn_memory(g)) if chwn else (x, g)
     _, gx = _vjp(lambda t, tape: ad.maxpool2d(t, window, tape=tape), x_in, g_in)
-    assert _in_memory(gx, chwn)
+    assert is_chwn_memory(gx)
     np.testing.assert_array_equal(gx, ref)
     np.testing.assert_array_equal(np.signbit(gx), np.signbit(ref))
 
@@ -256,13 +251,13 @@ def test_maxpool_backward_routes_to_first_argmax(case):
 # conv2d against a row-major im2col reference
 
 
-def _conv_reference(x, weights, bias, g, chwn):
+def _conv_reference(x, weights, bias, g):
     """Row-major im2col: the forward (N*ho*wo, C*kh*kw) @ (C*kh*kw, O) + bias,
     the input gradient (N*ho*wo, O) @ (O, C*kh*kw) folded back one tap at a
     time, and the weight and bias gradients from the upstream gradient as an
-    (O, N*ho*wo) matrix and the same columns: the weight gradient sums them in
-    (ho, wo, N) order where chwn, else in (N, ho, wo) order, and the bias
-    gradient is numpy's row sum of that matrix."""
+    (O, N*ho*wo) matrix and the same columns, both in (ho, wo, N) order: the
+    weight gradient sums them in that order, and the bias gradient is numpy's
+    row sum of that matrix."""
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     ho, wo = g.shape[2:]
@@ -276,9 +271,8 @@ def _conv_reference(x, weights, bias, g, chwn):
     for p in range(kh):
         for q in range(kw):
             gx[:, :, p: p + ho, q: q + wo] += gcols[..., p, q].transpose(0, 3, 1, 2)
-    if chwn:  # both matrices' N*ho*wo axis in (ho, wo, N) order
-        cols = cols.reshape(n, ho * wo, -1).transpose(1, 0, 2).reshape(n * ho * wo, -1)
-        gmat = gmat.reshape(n, ho * wo, o).transpose(1, 0, 2).reshape(n * ho * wo, o)
+    cols = cols.reshape(n, ho * wo, -1).transpose(1, 0, 2).reshape(n * ho * wo, -1)
+    gmat = gmat.reshape(n, ho * wo, o).transpose(1, 0, 2).reshape(n * ho * wo, o)
     gw = (gmat.T @ cols).reshape(weights.shape)
     return out.transpose(0, 3, 1, 2), gx, gw, np.ascontiguousarray(gmat.T).sum(axis=1)
 
@@ -303,20 +297,13 @@ def _conv_case(x_shape, w_shape, sample, weights_grad=True, x_chwn=False):
     g_in = np.empty_like(out.data)
     g_in[...] = g
     grads = tape._records[-1].backward_fn(g_in, (True, weights_grad, weights_grad))
-    ref = _conv_reference(x, weights, bias, g, _expect_chwn_output(out.data))
+    ref = _conv_reference(x, weights, bias, g)
     return (out.data, *grads), ref if weights_grad else ref[:2] + (None, None)
 
 
 # (weights_grad, x_chwn): the training tape, and the evaluation tape's first
 # conv (an NCHW network input) and later ones (CHWN activations)
 CONV_TAPES = [(True, False), (False, False), (False, True)]
-
-
-def _expect_chwn_output(out):
-    """conv2d's layout rule, the same on every tape: CHWN exactly where the
-    GEMM's N*ho*wo columns are a multiple of 16."""
-    n, _, ho, wo = out.shape
-    return n * ho * wo % 16 == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,7 +321,7 @@ def test_conv2d_input_grad_equals_im2col_reference(n, c, o, kh, kw,
         (n, c, kh + extra_h, kw + extra_w), (o, c, kh, kw),
         lambda shape: rng.integers(-4, 5, size=shape).astype(np.float32), *tape,
     )
-    assert _in_memory(ours[0], _expect_chwn_output(ours[0]))
+    assert is_chwn_memory(ours[0])
     for got, want in zip(ours, ref):
         assert (got is None) == (want is None)
         if got is not None:
@@ -370,7 +357,7 @@ def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_s
     for weights_grad, x_chwn in CONV_TAPES:
         (out, _, gw, gb), (ref_out, _, ref_gw, ref_gb) = _normal_conv_case(
             x_shape, w_shape, weights_grad, x_chwn)
-        assert _in_memory(out, _expect_chwn_output(out))
+        assert is_chwn_memory(out)
         np.testing.assert_array_equal(out, ref_out)
         if weights_grad and (x_shape, w_shape) in CIFAR_TRAINING_SHAPES:
             # the parameter gradients SGD reads, at the shapes training runs,
@@ -382,23 +369,23 @@ def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_s
 @pytest.mark.parametrize("x_chwn", [False, True])
 def test_conv2d_layout_bits_hold_where_a_small_gemm_has_a_short_tail(x_chwn):
     # cifar conv2 at a batch of two: 200 GEMM columns, 8 past a multiple of 16.
-    # OpenBLAS rounds those last columns of a small sgemm apart (the row-major
-    # reference too), so (ho, wo, N) columns would move bits against (N, ho, wo)
-    # ones; both tapes keep NCHW and (N, ho, wo) columns here
+    # OpenBLAS rounds those last columns of a small sgemm apart, so the forward
+    # matches the row-major reference on no column order; both tapes run the same
+    # CHWN GEMM with (ho, wo, N) columns here, so they agree with each other
     shapes = (2, 6, 14, 14), (16, 6, 5, 5)
     (out, gx, _, _), _ = _normal_conv_case(*shapes, weights_grad=False, x_chwn=x_chwn)
     (train_out, train_gx, _, _), _ = _normal_conv_case(*shapes)
-    assert out.flags.c_contiguous
+    assert is_chwn_memory(out)
     np.testing.assert_array_equal(out, train_out)
     np.testing.assert_array_equal(gx, train_gx)
 
 
 def test_conv2d_training_layout_and_parameter_gradient_bits_off_a_multiple_of_16():
-    # cifar conv2 at a training batch of two (200 columns): the output keeps
-    # NCHW, and the parameter gradients sum in (N, ho, wo) order
+    # cifar conv2 at a training batch of two (200 columns): the output is CHWN,
+    # and the parameter gradients sum in (ho, wo, N) order
     (out, _, gw, gb), (_, _, ref_gw, ref_gb) = _normal_conv_case((2, 6, 14, 14),
                                                                  (16, 6, 5, 5))
-    assert out.flags.c_contiguous and not _expect_chwn_output(out)
+    assert is_chwn_memory(out) and not out.flags.c_contiguous
     np.testing.assert_array_equal(gw, ref_gw)
     np.testing.assert_array_equal(gb, ref_gb)
 
@@ -414,7 +401,7 @@ def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
 
     for weights_grad, x_chwn in CONV_TAPES:
         ours, ref = _conv_case(x_shape, (4, x_shape[1], 5, 5), sample, weights_grad, x_chwn)
-        assert _in_memory(ours[0], _expect_chwn_output(ours[0]))
+        assert is_chwn_memory(ours[0])
         for got, want in zip(ours[:2], ref[:2]):
             np.testing.assert_array_equal(got, want)
     x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], np.float32), size=x_shape)
@@ -423,7 +410,7 @@ def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
     for chwn in (False, True):
         x_in, g_in = (chwn_memory(x), chwn_memory(g)) if chwn else (x, g)
         out, gx = _vjp(lambda t, tape: ad.maxpool2d(t, 2, tape=tape), x_in, g_in)
-        assert _in_memory(out, chwn) and _in_memory(gx, chwn)
+        assert is_chwn_memory(out) and is_chwn_memory(gx)
         for got, want in ((out, ref_out), (gx, ref_gx)):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
@@ -432,8 +419,8 @@ def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
 @pytest.mark.parametrize("n", [1, 2, 3, 256])
 @pytest.mark.parametrize("first,then", [(0, 2), (2, 0)])
 def test_conv2d_results_outlive_a_following_call(n, first, then):
-    # conv2d reuses per-thread scratch buffers; at a batch of one its output
-    # transpose is already contiguous, the case a view would slip through
+    # conv2d reuses a per-thread scratch buffer for its columns and its input
+    # gradient's taps; neither result may be a view of it, at a batch of one too
     rng = np.random.default_rng(n)
 
     def call(x_shape, w_shape):

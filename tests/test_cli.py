@@ -262,6 +262,10 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     ("bpda", "slopes", "-1"),
     ("eval", "slope", "0"),
     ("scale", "factors", "0"),
+    # an infinite slope or factor: a zero pixel or activation times inf is nan
+    ("sweep", "slopes", "1,inf"),
+    ("eval", "slope", "inf"),
+    ("scale", "factors", "inf"),
     ("swap", "epsilons", "0.1,0"),
     ("targeted-sweep", "epsilons", "0,1.5"),
     ("bpda", "epsilons", "0.1,0.2"),
@@ -586,7 +590,7 @@ def test_non_finite_params_exit_1(idx_data, tmp_path, capsys):
     values = {n: t.data.copy() for n, t in build_model("mnist_cnn", seed=0).params.items()}
     values["fc2.w"][:] = np.nan
     params = tmp_path / "nan.bin"
-    params.write_bytes(params_file_bytes(values))
+    params.write_bytes(params_file_bytes(values.items()))
     code = cli.main(["attack", *eval_args(idx_data, [
         "--params", str(params), "--attack-kind", "fgsm", "--epsilon", "0.1",
         "--seed", "2", "--out", str(tmp_path / "o"),

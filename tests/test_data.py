@@ -233,6 +233,12 @@ def test_scale_pixels_rejects_nan(clip):
         scale_pixels(ds, float("nan"), clip=clip)
 
 
+def test_scale_pixels_rejects_an_infinite_factor():
+    ds = synthetic_digits(2, seed=3)  # dark pixels: 0 * inf would be nan
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        scale_pixels(ds, float("inf"), clip=False)
+
+
 def test_unit_range_validation():
     with pytest.raises(ValueError, match="outside"):
         LabeledImageSet(np.full((1, 1, 1, 1), 1.5, dtype=np.float32), np.array([0]), "x")
@@ -243,6 +249,9 @@ def test_unit_range_validation():
     with pytest.raises(ValueError, match="outside"):
         LabeledImageSet(np.full((1, 1, 1, 1), 0.5, dtype=np.float32), np.array([0]), "x",
                         pixel_range=(0.6, 1.0))
+    nan_pixel = np.array([[[[0.5, np.nan]]]], dtype=np.float32)  # as 0 * inf leaves
+    with pytest.raises(ValueError, match="outside"):
+        LabeledImageSet(nan_pixel, np.array([0]), "x", pixel_range=(0.0, np.inf))
     with pytest.raises(ValueError, match="labels"):
         LabeledImageSet(np.zeros((1, 1, 1, 1), dtype=np.float32), np.array([11]), "x")
     with pytest.raises(ValueError, match="count"):

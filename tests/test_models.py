@@ -119,9 +119,9 @@ def test_eval_at_slope_one_equals_train_mode(rng):
 @pytest.mark.parametrize("batch", [1, 2, 3, 64, 255, 256])
 @pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
 def test_evaluation_layout_bits_equal_the_training_order_forward(arch, batch):
-    # evaluation tapes hold CHWN activations between the first conv and the
-    # flatten; the trainable view runs training's unpadded convs, so cifar10_cnn1/2's
-    # conv2 keeps NCHW below a batch of 4, where (ho, wo, N) columns moved bits
+    # both tapes hold CHWN activations between the first conv and the flatten;
+    # the trainable view's parameters take gradients, so its convs keep their
+    # im2col columns, and its forward and input gradient keep the same bits
     model = build_model(arch, seed=5)
     rng = np.random.default_rng(batch)
     images = rng.uniform(0.0, 1.0, size=(batch,) + model.spec.input_shape).astype(np.float32)
@@ -228,18 +228,23 @@ def test_batch_invariant_logit_grads_in_any_subset_of_a_batch(linearized_rows, a
 
 
 def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
-    # evaluation and training tapes alike: mnist_cnn's convs have N*ho*wo
-    # columns on a multiple of 16 at any batch
-    model = build_model("mnist_cnn", seed=2)
-    batch = rand_batch(rng, model, n=4)
-    for view in (model, trainable(model)):
-        tape = ad.Tape()
-        md._forward(view, ad.Tensor(batch, requires_grad=True), tape=tape)
-        four_d = [rec.out.data for rec in tape._records if rec.out.data.ndim == 4]
-        assert len(four_d) == 6  # conv, pool and act, twice
-        for out in four_d:
-            assert is_chwn_memory(out) and not out.flags.c_contiguous
-        assert tape._records[-1].out.data.flags.c_contiguous  # the logits
+    # one rule on the padded Model tape and the unpadded training tape, at every
+    # batch size: each 4-D activation from the first conv to the flatten is CHWN
+    for arch, spec in md.ARCHITECTURES.items():
+        model = build_model(arch, seed=2)
+        maps = spec.layers.index(Flatten())  # conv, pool and act layers before it
+        for batch in (1, 2, 3, 5, 64):
+            images = rand_batch(rng, model, n=batch)
+            for view, padded in ((model, True), (trainable(model), False)):
+                tape = ad.Tape()
+                md._forward(view, ad.Tensor(images, requires_grad=True), tape=tape,
+                            batch_invariant=padded)
+                four_d = [rec.out.data for rec in tape._records if rec.out.data.ndim == 4]
+                assert len(four_d) == maps, (arch, batch, padded)
+                for out in four_d:  # at a batch of one CHWN memory is row-major too
+                    assert is_chwn_memory(out), (arch, batch, padded)
+                    assert batch == 1 or not out.flags.c_contiguous
+                assert tape._records[-1].out.data.flags.c_contiguous  # the logits
 
 
 def test_toy_slope_two_doubles_logits(rng):
@@ -530,8 +535,16 @@ def test_load_rejects_non_finite_values_naming_tensor(tmp_path, bad):
     params = {n: t.data.copy() for n, t in build_model("mnist_cnn", seed=0).params.items()}
     params["fc2.w"][:] = bad
     path = tmp_path / "nan.bin"
-    path.write_bytes(params_file_bytes(params))
+    path.write_bytes(params_file_bytes(params.items()))
     with pytest.raises(ParamsFormatError, match="'fc2.w'.*non-finite"):
+        load_params(path, "mnist_cnn")
+
+
+def test_load_rejects_a_repeated_tensor_naming_it(tmp_path):
+    params = [(n, t.data) for n, t in build_model("mnist_cnn", seed=0).params.items()]
+    path = tmp_path / "twice.bin"
+    path.write_bytes(params_file_bytes(params + [("fc2.b", params[-1][1] + 1.0)]))
+    with pytest.raises(ParamsFormatError, match="'fc2.b' appears more than once"):
         load_params(path, "mnist_cnn")
 
 
