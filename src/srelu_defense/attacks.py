@@ -7,12 +7,11 @@ rescaled inputs widens it.
 
 Randomized attacks derive one RNG per image from seed XOR image index, so the
 draws do not depend on how a set is split into batches. Nor does the model's
-float32 arithmetic: an image's logits, logit gradients and, at a fixed loss
-divisor, input gradient have the same bits in a batch of any size (see
-autodiff), and the float64 steps read each row alone. So an attack's images
-do not depend on the split either, once the loss divisor is fixed
-(experiments fixes it at each EVAL_CHUNK chunk's image count), and the
-iterative attacks step only the rows still moving.
+float32 arithmetic: the loss is each image's own cross-entropy, so an image's
+logits, logit gradients and input gradient have the same bits in a batch of
+any size (see autodiff), and the float64 steps read each row alone. So an
+attack's images do not depend on the split either, and the iterative attacks
+step only the rows still moving.
 """
 
 from __future__ import annotations
@@ -78,10 +77,10 @@ class AttackConfig:
                 raise ValueError(f"{kind} attack does not take {name}")
         if self.targeted and not 0 <= self.target_class < 10:
             raise ValueError("targeted attack needs a target class in [0, 10)")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.overshoot is not None and not self.overshoot >= 0:
-            raise ValueError(f"overshoot must be non-negative, got {self.overshoot}")
+        if self.step_size is not None and not 0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        if self.overshoot is not None and not 0 <= self.overshoot < np.inf:
+            raise ValueError(f"overshoot must be non-negative and finite, got {self.overshoot}")
 
         if self.steps is None:
             self.steps = _ITERATIVE_STEPS.get(kind, 1)
@@ -182,10 +181,10 @@ def _sign_steps(model, images, labels, config, clip, index_base):
 
     Only an active set of rows takes each step. A row whose input gradient is
     all zero is a fixed point of the step (sign 0 adds nothing, and both
-    projections keep the point), so it is final and leaves the set: at a fixed
-    loss divisor its next gradient would be zero again. The first step passes
-    the images object itself when the attack starts there, so a model that
-    caches the clean gradient answers it.
+    projections keep the point), so it is final and leaves the set: its next
+    gradient would be zero again. The first step passes the images object
+    itself when the attack starts there, so a model that caches the clean
+    gradient answers it.
     """
     eps, step, x = config.epsilon, config.step_size, images
     if config.kind == "rfgsm":

@@ -471,8 +471,9 @@ def softmax_cross_entropy(
 ) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], or its sum over divisor.
 
-    A fixed divisor gives every row a gradient that does not depend on the
-    batch's size, so a batch's rows may be split without moving a bit.
+    Training takes the mean. The attacks take divisor 1, the sum: every row's
+    gradient is then its own image's, so a batch's rows may be split without
+    moving a bit.
     """
     if logits.data.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {logits.shape}")

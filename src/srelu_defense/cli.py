@@ -88,9 +88,11 @@ def _number(ok, what: str):
     return convert
 
 
-# a slope or a factor; not inf, since a zero pixel or activation times inf is nan
+# a slope, a factor or a step size; not inf, since a zero pixel, activation or
+# gradient sign times inf is nan
 _positive = _number(lambda value: 0 < value < math.inf, "positive and finite")
 _finite = _number(math.isfinite, "finite")  # an SGD setting; nan and inf fail every step
+_non_negative = _number(lambda value: 0 <= value < math.inf, "non-negative and finite")
 
 
 def _name_in(table, what: str):
@@ -166,10 +168,10 @@ OPTIONS: dict[str, dict] = {
         "epsilon": (float, None, "L-infinity budget in pixels; the noise std for "
                                  "gaussian_noise; the pixel fraction for salt_pepper"),
         "steps": (int, None, "iterations of bim/pgd, or the deepfool budget"),
-        "step_size": (float, None, "per-iteration step size (bim/pgd)"),
+        "step_size": (_positive, None, "per-iteration step size (bim/pgd)"),
         "target": (int, None, "target class (makes fgsm targeted)"),
         "noise_alpha": (float, None, "rfgsm noise share of epsilon"),
-        "overshoot": (float, None, "deepfool overshoot"),
+        "overshoot": (_non_negative, None, "deepfool overshoot"),
         "random_start": (_bool, None, "pgd random start (on by default)"),
         "slope": (_positive, 1.0, "test-time rectifier slope"),
     },

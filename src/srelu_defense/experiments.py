@@ -1,12 +1,12 @@
 """Experiment drivers: training, attack sweeps, and CSV report assembly.
 
-Every driver is deterministic per seed: batches are chunked at a fixed size,
-each chunk's attack losses are divided by its own image count, the model's
-passes are batch-invariant, randomized attacks seed per image, and reports
-are sorted by a canonical key before writing, so neither the thread count
-nor how the pool slices a chunk changes output bytes. The training
-loop (_sgd) is the one place where parameters take gradients; every other
-driver differentiates with respect to the input alone.
+Every driver is deterministic per seed: each image's attack loss is its own
+cross-entropy, the model's passes are batch-invariant, randomized attacks
+seed per image, and reports are sorted by a canonical key before writing, so
+neither the thread count, how the pool slices a set, nor how many images a
+run evaluates changes an image's bytes. The training loop (_sgd) is the one
+place where parameters take gradients; every other driver differentiates with
+respect to the input alone.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .autodiff import Tape, Tensor
 from .data import BatchIterator, LabeledImageSet, scale_pixels
 from .models import Model, _forward, build_model, penultimate_features
 
-EVAL_CHUNK = 256  # each chunk's image count divides its attack losses
-SLICE_ROWS = 64  # rows per grid task, a slice of one chunk, so workers share a chunk
+SLICE_ROWS = 64  # rows per grid task and per batched pass
 
 DEFAULT_SLOPES = (0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
 MNIST_EPSILONS = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
@@ -139,18 +138,15 @@ def _fmt(value) -> str:
 
 
 def _slices(n: int):
-    """(lo, hi, chunk_n) of each slice of at most SLICE_ROWS rows, cut inside the
-    EVAL_CHUNK chunks from 0; chunk_n is the slice's chunk's image count."""
-    for start in range(0, n, EVAL_CHUNK):
-        stop = min(start + EVAL_CHUNK, n)
-        for lo in range(start, stop, SLICE_ROWS):
-            yield lo, min(lo + SLICE_ROWS, stop), stop - start
+    """(lo, hi) of each slice of at most SLICE_ROWS rows, cut from 0."""
+    for lo in range(0, n, SLICE_ROWS):
+        yield lo, min(lo + SLICE_ROWS, n)
 
 
 def predict_all(model: Model, images: np.ndarray) -> np.ndarray:
     """Predictions over a set, one slice at a time (see _slices)."""
     preds = np.empty(len(images), dtype=np.int64)
-    for lo, hi, _ in _slices(len(images)):
+    for lo, hi in _slices(len(images)):
         preds[lo:hi] = model.predict(images[lo:hi])
     return preds
 
@@ -163,8 +159,7 @@ def eval_clean(model: Model, dataset: LabeledImageSet) -> float:
 
 
 class _CleanChunk:
-    """A model that takes each pass at one slice's clean images only once, and
-    divides every attack loss by the image count of the slice's chunk.
+    """A model that takes each pass at one slice's clean images only once.
 
     logits, predict and loss_input_grad on the slice's own images array (the
     same object) compute once, the gradient once per loss-target vector; any
@@ -172,13 +167,11 @@ class _CleanChunk:
     a grid task share fgsm's and stepll's gradients across epsilons, bim's first
     step, deepfool's clean labels and every eps=0 prediction. The logits of the
     last other array are kept too, so judging a batch the slice's attack just
-    predicted takes no second pass. The fixed divisor makes each row's gradient
-    independent of the rows beside it, so slices and attacks' active sets leave
-    every bit where the whole chunk has it.
+    predicted takes no second pass.
     """
 
-    def __init__(self, model: Model, images: np.ndarray, divisor: int):
-        self.model, self.images, self.divisor = model, images, divisor
+    def __init__(self, model: Model, images: np.ndarray):
+        self.model, self.images = model, images
         # (array, logits) of the slice's own images, then of the last other array
         self._passes, self._grads = [(None, None), (None, None)], {}
 
@@ -195,23 +188,23 @@ class _CleanChunk:
 
     def loss_input_grad(self, images, targets):
         if images is not self.images:
-            return self.model.loss_input_grad(images, targets, self.divisor)
+            return self.model.loss_input_grad(images, targets)
         key = (targets.dtype.str, targets.tobytes())
         if key not in self._grads:
-            self._grads[key] = self.model.loss_input_grad(images, targets, self.divisor)
+            self._grads[key] = self.model.loss_input_grad(images, targets)
         return self._grads[key]
 
     def judged_by(self, model: Model) -> "_CleanChunk":
         """The view model judges this slice through: this one for its own model."""
-        return self if model is self.model else _CleanChunk(model, self.images, self.divisor)
+        return self if model is self.model else _CleanChunk(model, self.images)
 
 
 def attack_all(model: Model, dataset: LabeledImageSet, configs):
     """Attack a set with every config, one slice at a time (see _slices): yields
     (clean, batches) per slice, its _CleanChunk over model and one lazy
     AdversarialBatch per config, clipped to the set's pixel range and seeded per image."""
-    for lo, hi, chunk_n in _slices(dataset.n):
-        clean = _CleanChunk(model, dataset.images[lo:hi], chunk_n)
+    for lo, hi in _slices(dataset.n):
+        clean = _CleanChunk(model, dataset.images[lo:hi])
         yield clean, map(partial(run_attack, clean, clean.images, dataset.labels[lo:hi],
                                  clip=dataset.pixel_range, index_base=lo), configs)
 
@@ -524,7 +517,7 @@ def bpda_train_substitute(original: Model, train_set: LabeledImageSet,
     substitute = build_model(original.spec, seed)
     teacher = original.with_slope(1.0)
     soft = np.empty((train_set.n, 10), dtype=train_set.images.dtype)
-    for lo, hi, _ in _slices(train_set.n):
+    for lo, hi in _slices(train_set.n):
         soft[lo:hi] = ad.softmax(teacher.logits(train_set.images[lo:hi]))
     iterator = BatchIterator(train_set.images, soft, TRAIN_DEFAULTS["batch_size"], seed=seed)
     _sgd(substitute, epochs, iterator.epoch_batches, ad.soft_cross_entropy,
@@ -553,7 +546,7 @@ def export_features(model: Model, dataset: LabeledImageSet, path) -> None:
     if dataset.n == 0:
         raise ValueError("cannot export features of an empty image set")
     with open(path, "w", newline="") as f:
-        for lo, hi, _ in _slices(dataset.n):
+        for lo, hi in _slices(dataset.n):
             feats = penultimate_features(model, dataset.images[lo:hi])
             for label, row in zip(dataset.labels[lo:hi], feats):
                 f.write(str(int(label)) + "," + ",".join(_fmt(v) for v in row) + "\n")

@@ -7,9 +7,9 @@ parameters. The parameters take no gradient: only the training loop
 (experiments._sgd) builds a trainable view of them, at slope 1, so the slope
 is a test-time setting only. Every pass outside training (logits, predict,
 loss_input_grad, logit_input_grads, penultimate_features) is batch-invariant:
-an image's logits, logit gradients and, at a fixed loss divisor, input
-gradient have the same bits in a batch of any size. Parameters persist in a
-compact little-endian binary format with a bit-exact round trip.
+an image's logits, logit gradients and loss input gradient have the same bits
+in a batch of any size. Parameters persist in a compact little-endian binary
+format with a bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class Model:
     activation: str = "srelu"
 
     def __post_init__(self):
-        if not self.slope > 0:  # also rejects nan
-            raise ValueError(f"test slope must be positive, got {self.slope}")
+        if not 0 < self.slope < np.inf:  # also rejects nan; inf would make 0 * inf in srelu
+            raise ValueError(f"test slope must be positive and finite, got {self.slope}")
         if self.activation != "srelu" and self.activation not in ad._ACTIVATIONS:
             raise ValueError(f"unknown test activation {self.activation!r}")
         check_slope_applies(self.slope, self.activation)
@@ -185,19 +185,14 @@ class Model:
             logits = self.logits(images)
         return _require_finite(logits, "logits", self).argmax(axis=1)
 
-    def loss_input_grad(
-        self, images: np.ndarray, labels: np.ndarray, divisor: int | None = None
-    ) -> tuple[float, np.ndarray]:
-        """Cross-entropy loss and its gradient with respect to the images.
-
-        The loss is the batch mean, or its sum over divisor when one is given;
-        with a fixed divisor each image's gradient row has the same bits in
-        any batch (see autodiff).
-        """
+    def loss_input_grad(self, images: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+        """Cross-entropy summed over the images, and its gradient with respect to
+        them: each row is its own image's loss gradient, with the same bits in
+        any batch (see autodiff)."""
         tape = Tape()
         x = Tensor(images, requires_grad=True)
         logits = _forward(self, x, tape=tape, batch_invariant=True)
-        loss = ad.softmax_cross_entropy(logits, labels, tape=tape, divisor=divisor)
+        loss = ad.softmax_cross_entropy(logits, labels, tape=tape, divisor=1)
         return loss.item(), np.ascontiguousarray(ad.backward(tape, loss)[x])  # NCHW, as given
 
     def logit_input_grads(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -170,7 +170,7 @@ class LinearSoftmaxModel:
             Tensor(self.bias, dtype=self.bias.dtype),
             tape=tape,
         )
-        loss = softmax_cross_entropy(logits, labels, tape=tape)
+        loss = softmax_cross_entropy(logits, labels, tape=tape, divisor=1)  # per image, as Model's
         grads = backward(tape, loss)
         return loss.item(), grads[x].reshape(images.shape)
 

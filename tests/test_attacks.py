@@ -38,10 +38,10 @@ def attack(model, images, labels, kind, index_base=0, **fields):
 
 def split_attack(model, images, labels, config, split, index_base=0):
     """run_attack on images whole and as two parts cut at split, each part as
-    experiments attacks a slice of one evaluation chunk: through a chunk view
-    that divides every loss by the whole chunk's image count. Returns both."""
+    experiments attacks a slice of a set: through the slice's clean view, whose
+    attack loss is per image. Returns both."""
     def part(lo, hi):
-        view = _CleanChunk(model, images[lo:hi], len(images))
+        view = _CleanChunk(model, images[lo:hi])
         return run_attack(view, view.images, labels[lo:hi], config,
                           index_base=index_base + lo).images
 
@@ -424,9 +424,16 @@ def test_attack_config_validation():
             AttackConfig(kind=kind, epsilon=0.1, step_size=-0.01)
         with pytest.raises(ValueError, match="step_size"):
             AttackConfig(kind=kind, epsilon=0.1, step_size=0.0)
+        for bad in (np.inf, np.nan):  # sign 0 times an infinite step is nan
+            with pytest.raises(ValueError, match="step_size must be positive and finite"):
+                AttackConfig(kind=kind, epsilon=0.1, step_size=bad)
         assert AttackConfig(kind=kind, epsilon=0.0).step_size == 0.0  # derived, allowed
     with pytest.raises(ValueError, match="overshoot"):
         AttackConfig(kind="deepfool", overshoot=-0.02)
+    for bad in (np.inf, np.nan):  # an infinite overshoot scales every probe to inf
+        with pytest.raises(ValueError, match="overshoot must be non-negative and finite"):
+            AttackConfig(kind="deepfool", overshoot=bad)
+    assert AttackConfig(kind="deepfool", overshoot=0.0).overshoot == 0.0
     assert AttackConfig(kind="rfgsm", epsilon=0.0).step_size == 0.0
 
 

@@ -270,6 +270,13 @@ def test_negative_seed_is_rejected_before_the_run(saved_model, idx_data, tmp_pat
     ("targeted-sweep", "epsilons", "0,1.5"),
     ("bpda", "epsilons", "0.1,0.2"),
     ("sweep", "deepfool_iters", "0"),
+    # a non-finite attack step: sign 0 times an infinite step is nan
+    ("attack", "step_size", "inf"),
+    ("attack", "step_size", "nan"),
+    ("attack", "step_size", "0"),
+    ("attack", "overshoot", "inf"),
+    ("attack", "overshoot", "nan"),
+    ("attack", "overshoot", "-0.02"),
     *(("train", option, value) for option in ("lr", "momentum")
       for value in ("nan", "inf", "-inf")),
     ("sweep", "attacks", "fgsm,cw"),
@@ -623,7 +630,7 @@ def test_non_finite_gradient_fails_the_sweep(idx_data, saved_model, tmp_path, ca
     # cached NaN never reaches the next epsilon
     calls = []
 
-    def nan_gradient(self, images, labels, divisor=None):
+    def nan_gradient(self, images, labels):
         calls.append(len(images))
         return float("nan"), np.full_like(images, np.nan)
 

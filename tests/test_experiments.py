@@ -246,23 +246,20 @@ def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monk
     assert calls == [60] * 2 * (1 + attacked_cells_per_slope)
 
 
-def test_slices_cut_inside_chunks_and_carry_their_chunks_image_count(monkeypatch):
-    # each slice's losses divide by its chunk's image count, so a tail chunk
-    # keeps the divisor it has when it runs whole (a fixed EVAL_CHUNK would not)
-    assert list(ex._slices(300)) == [(0, 64, 256), (64, 128, 256), (128, 192, 256),
-                                     (192, 256, 256), (256, 300, 44)]
+def test_slices_cut_slice_rows_from_zero(monkeypatch):
+    # every attack loss is per image, so nothing but SLICE_ROWS sets where a cut falls
+    assert list(ex._slices(300)) == [(0, 64), (64, 128), (128, 192), (192, 256), (256, 300)]
     monkeypatch.setattr(ex, "SLICE_ROWS", 100)
-    assert list(ex._slices(300)) == [(0, 100, 256), (100, 200, 256), (200, 256, 256),
-                                     (256, 300, 44)]
+    assert list(ex._slices(300)) == [(0, 100), (100, 200), (200, 300)]
     assert list(ex._slices(0)) == []
 
 
-def test_attack_all_slices_divide_by_their_chunks_image_count(trained_synth, synth_sets):
-    # the divisor, not the slice, sets a row's gradient bits; sign steps hide a
-    # wrong one wherever no gradient element underflows, so pin it directly
+def test_attack_all_attacks_plain_slices(trained_synth, synth_sets):
+    # each view holds one slice's images and no count of the set's: an image's
+    # attack reads its own loss alone (test_golden pins the bits at any --limit)
     subset = take_first(synth_sets[1], 300)
     views = [clean for clean, _ in ex.attack_all(trained_synth, subset, [])]
-    assert [(len(v.images), v.divisor) for v in views] == [(64, 256)] * 4 + [(44, 44)]
+    assert [len(v.images) for v in views] == [64] * 4 + [44]
     assert np.array_equal(np.concatenate([v.images for v in views]), subset.images)
 
 

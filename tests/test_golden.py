@@ -18,9 +18,13 @@ OpenBLAS; another BLAS build may round GEMMs differently.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import srelu_defense as sd
 from srelu_defense import experiments as ex
@@ -141,6 +145,63 @@ def test_golden_slope_ten_bim_steps_only_the_moving_rows(golden_model, monkeypat
     ex.eval_under_attack(model.with_slope(10.0), test_set, [config], seed=7)
     assert rows == [256] + [15] * (BIM_DEFAULT_STEPS - 1)
     assert sum(rows) < BIM_DEFAULT_STEPS * test_set.n
+
+
+LIMIT_CONFIGS = [AttackConfig(kind=kind, epsilon=eps, rng_seed=7)
+                 for kind in ("fgsm", "stepll", "rfgsm", "bim", "pgd") for eps in (0.1, 0.3)]
+LIMIT_CONFIGS.append(AttackConfig(kind="deepfool", steps=5, rng_seed=7))
+POSITION_FREE = ("fgsm", "stepll", "bim", "deepfool")  # rfgsm and pgd seed by index
+
+
+def _adversarial(model, dataset, configs):
+    """Each config's adversarial images over a set, crafted slice by slice as
+    the grid crafts them."""
+    per_slice = [[batch.images for batch in batches]
+                 for _, batches in ex.attack_all(model, dataset, configs)]
+    return [np.concatenate(images) for images in zip(*per_slice)]
+
+
+@pytest.fixture(scope="module")
+def full_set_attacks(golden_model):
+    # per slope: every config's adversarial images over all 256 test images.
+    # Slopes 5 and 10 hold the images whose gradients are small enough for a
+    # loss scaled by the image count to lose bits
+    model, _, test_set = golden_model
+    return {slope: _adversarial(model.with_slope(slope), test_set, LIMIT_CONFIGS)
+            for slope in (5.0, 10.0)}
+
+
+def _assert_attack_bits(golden_model, full_set_attacks, index, configs):
+    """Attacked alone, the test images at index (in that order) get the bytes
+    they get in the full set, under every config of configs."""
+    model, _, test_set = golden_model
+    subset = replace(test_set, images=test_set.images[index], labels=test_set.labels[index])
+    for slope, full in full_set_attacks.items():
+        for config, adv in zip(configs, _adversarial(model.with_slope(slope), subset, configs)):
+            ref = full[LIMIT_CONFIGS.index(config)][index]
+            differ = [int(i) for i, a, b in zip(index, adv, ref) if a.tobytes() != b.tobytes()]
+            assert not differ, f"{config.kind} at {config.budget:g}, slope {slope:g}: {differ}"
+
+
+@settings(max_examples=3, deadline=None)
+@given(limit=st.integers(1, 255))
+@example(limit=200)
+@example(limit=100)
+def test_golden_attack_bits_at_any_limit(golden_model, full_set_attacks, limit):
+    # --limit keeps the first images: each attack loss is its own image's, so no
+    # image's attack depends on how many others the run evaluates (the seeded
+    # kinds included, which seed by index and keep their indices here)
+    _assert_attack_bits(golden_model, full_set_attacks, np.arange(limit), LIMIT_CONFIGS)
+
+
+@settings(max_examples=3, deadline=None)
+@given(order=st.permutations(range(256)), size=st.integers(1, 256))
+@example(order=range(255, -1, -1), size=256)
+def test_golden_attack_bits_at_any_position(golden_model, full_set_attacks, order, size):
+    # any subset of the images, in any order: the kinds that draw no per-index
+    # noise give each image the bytes it has in the full set
+    configs = [c for c in LIMIT_CONFIGS if c.kind in POSITION_FREE]
+    _assert_attack_bits(golden_model, full_set_attacks, np.array(order[:size]), configs)
 
 
 def test_golden_sweep_other_kinds(golden_model):

@@ -104,6 +104,16 @@ def test_nan_slope_is_rejected():
         model.with_slope(float("nan"))
 
 
+def test_infinite_slope_is_rejected():
+    # srelu would compute 0 * inf = nan on every inactive unit, which predict
+    # would then blame on an overflowing forward pass
+    model = build_model("mnist_cnn", seed=0)
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        Model(model.spec, model.params, slope=float("inf"))
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        model.with_slope(float("inf"))
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -141,13 +151,13 @@ def test_evaluation_layout_bits_equal_the_training_order_forward(arch, batch):
             assert a.flags.c_contiguous
 
 
-CHUNK = ex.EVAL_CHUNK
+CHUNK = 256  # images in the batch whose rows are compared, past all padding
 
 
 @pytest.fixture(scope="module")
 def chunk_rows():
     """Per (arch, slope): the model, a chunk of images and labels, and the
-    chunk's logits and input-gradient rows (loss divided by its image count)."""
+    chunk's logits and input-gradient rows (each its own image's loss's)."""
     cache = {}
 
     def rows(arch, slope):
@@ -157,7 +167,7 @@ def chunk_rows():
             images = rng.uniform(0.0, 1.0, size=(CHUNK,) + model.spec.input_shape)
             images = images.astype(np.float32)
             labels = rng.integers(0, 10, size=CHUNK)
-            _, grads = model.loss_input_grad(images, labels, CHUNK)
+            _, grads = model.loss_input_grad(images, labels)
             cache[arch, slope] = model, images, labels, model.logits(images), grads
         return cache[arch, slope]
 
@@ -173,15 +183,15 @@ def chunk_rows():
 @example(arch="mnist_cnn", slope=10.0, size=255, offset=1)
 def test_batch_invariant_rows_in_any_subset_of_a_chunk(chunk_rows, arch, slope, size,
                                                        offset):
-    # any run of a chunk's images, attacked alone with the chunk's loss divisor,
-    # has the bits it has in the whole chunk: the grid's slices and the sign
-    # steps' active sets rely on it. Fails, rather than silently moving report
-    # bits, on a BLAS whose small-GEMM rounding the padding does not reach
+    # any run of a chunk's images, attacked alone, has the bits it has in the
+    # whole chunk: the grid's slices and the sign steps' active sets rely on
+    # it. Fails, rather than silently moving report bits, on a BLAS whose
+    # small-GEMM rounding the padding does not reach
     model, images, labels, logits, grads = chunk_rows(arch, slope)
     lo = min(offset, CHUNK - size)
     rows = slice(lo, lo + size)
     assert model.logits(images[rows]).tobytes() == logits[rows].tobytes()
-    _, part = model.loss_input_grad(images[rows], labels[rows], CHUNK)
+    _, part = model.loss_input_grad(images[rows], labels[rows])
     assert part.tobytes() == grads[rows].tobytes()
     assert grads[rows].any()  # the rows compared hold real gradients, not only zeros
 
