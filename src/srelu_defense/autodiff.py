@@ -3,9 +3,10 @@
 Forward operators cover exactly what small image CNNs need: valid-padding
 convolution, max pooling, affine layers, a family of elementwise
 activations, and softmax cross-entropy losses. Every operator optionally
-records itself on a ``Tape``; ``backward`` replays the tape once in reverse
-and returns a dict from each tensor that requested a gradient, network
-inputs included, to that gradient.
+records itself on a ``Tape``; ``backward`` replays the tape once in reverse,
+from a scalar loss or from any output seeded with its cotangent, and returns
+a dict from each tensor that requested a gradient, network inputs included,
+to that gradient.
 
 Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
 high-accuracy gradient checks build float64 tensors that way.
@@ -106,21 +107,25 @@ def _finish(out: Tensor, tape: Tape | None, inputs, backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Reverse pass from a scalar loss; returns gradients for the whole tape.
+def backward(tape: Tape, out: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
+    """Reverse pass from out, seeded with seed, out's cotangent (out's shape, cast
+    to its dtype), or with 1 if out is a scalar loss; gradients for the whole tape.
 
     Tensors hash by identity, so the result is keyed by the tensor objects
-    themselves; a tensor the loss does not reach has no entry.
+    themselves; a tensor out does not reach has no entry.
 
     Deterministic: the accumulation order is fixed by the tape, so repeated
     runs over identical inputs produce bit-identical gradients.
     """
-    if loss.data.size != 1:
-        raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    if not tape.produced(loss):
-        raise ValueError("loss tensor was not produced through this tape")
+    if seed is None and out.data.size != 1:
+        raise ValueError(f"an unseeded pass needs a scalar loss, got shape {out.shape}")
+    if seed is not None and np.shape(seed) != out.shape:
+        raise ValueError(f"seed shape {np.shape(seed)} does not match output {out.shape}")
+    if not tape.produced(out):
+        raise ValueError("output tensor was not produced through this tape")
 
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    seed = np.ones_like(out.data) if seed is None else np.asarray(seed, out.data.dtype)
+    grads: dict[Tensor, np.ndarray] = {out: seed}
     for rec in reversed(tape._records):
         g_out = grads.get(rec.out)
         if g_out is None:
@@ -334,20 +339,15 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _finish(out, tape, (x,), bw)
 
 
-def take(x: Tensor, flat_index, tape: Tape | None = None) -> Tensor:
-    """One element by flat row-major index, or the sum of an array of distinct ones."""
-    index = np.asarray(flat_index)
-    if index.size == 0 or index.min() < 0 or index.max() >= x.data.size:
+def take(x: Tensor, flat_index: int, tape: Tape | None = None) -> Tensor:
+    """One element by flat row-major index."""
+    if not 0 <= flat_index < x.data.size:
         raise ValueError(f"flat index {flat_index} out of range for size {x.data.size}")
-    if len(np.unique(index)) != index.size:
-        raise ValueError("flat indices must be distinct")
-    out = Tensor(x.data.reshape(-1)[index].sum(), dtype=x.data.dtype)  # one index: itself
+    out = Tensor(x.data.reshape(-1)[flat_index], dtype=x.data.dtype)
 
-    def bw(g: np.ndarray, needs):
-        if not needs[0]:
-            return (None,)
+    def bw(g: np.ndarray, needs):  # recorded only when x takes a gradient
         gx = np.zeros(x.shape, x.data.dtype)  # row-major, so the flat view writes through
-        gx.reshape(-1)[index] = g
+        gx.reshape(-1)[flat_index] = g
         return (gx,)
 
     return _finish(out, tape, (x,), bw)
@@ -448,11 +448,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(z - lse)
 
 
-def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None,
-                   divisor: int | None = None) -> Tensor:
-    """Sum over the batch of the cross-entropy against one target distribution per
-    row, divided by divisor: the batch size, a mean, unless given."""
-    n = logits.shape[0] if divisor is None else divisor
+def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None) -> Tensor:
+    """Mean over the batch of the cross-entropy against one target distribution per row."""
+    n = logits.shape[0]
     z, lse = _log_softmax_parts(logits.data)
     per_row = (target_probs * (lse - z)).sum(axis=1)
     out = Tensor(per_row.sum() / n, dtype=logits.data.dtype)
@@ -466,16 +464,9 @@ def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None,
     return _finish(out, tape, (logits,), bw)
 
 
-def softmax_cross_entropy(
-    logits: Tensor, labels: np.ndarray, tape: Tape | None = None, divisor: int | None = None
-) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label], or its sum over divisor.
-
-    Training takes the mean. The attacks take divisor 1, the sum: every row's
-    gradient is then its own image's, so a batch's rows may be split without
-    moving a bit.
-    """
-    if logits.data.ndim != 2:
+def _onehot(logits: np.ndarray, labels) -> np.ndarray:
+    """One row per logits row, 1 at its label: labels checked against logits' shape."""
+    if logits.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
     n, c = logits.shape
     labels = np.asarray(labels)
@@ -483,9 +474,14 @@ def softmax_cross_entropy(
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"labels out of range [0, {c})")
-    onehot = np.zeros((n, c), dtype=logits.data.dtype)
+    onehot = np.zeros((n, c), dtype=logits.dtype)
     onehot[np.arange(n), labels] = 1.0
-    return _cross_entropy(logits, onehot, tape, divisor)
+    return onehot
+
+
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, tape: Tape | None = None) -> Tensor:
+    """Mean over the batch of -log softmax(logits)[label]: training's loss."""
+    return _cross_entropy(logits, _onehot(logits.data, labels), tape)
 
 
 def soft_cross_entropy(

@@ -164,7 +164,7 @@ OPTIONS: dict[str, dict] = {
         **_COMMON,
         "limit": (_at_least(0), 2000, "evaluate only the first N images"),
         "params": (str, None, "parameter file"),
-        "attack_kind": (str, None, "attack to run"),
+        "attack_kind": (_attack_kind, None, "attack to run"),
         "epsilon": (float, None, "L-infinity budget in pixels; the noise std for "
                                  "gaussian_noise; the pixel fraction for salt_pepper"),
         "steps": (int, None, "iterations of bim/pgd, or the deepfool budget"),
@@ -293,6 +293,8 @@ def parse_config(args: argparse.Namespace) -> dict:
             resolved[name] = default[_family(resolved["arch"])] if by_family else default
     if "activation" in resolved:  # eval's pair; main reports the ValueError as a config error
         check_slope_applies(resolved["slope"], resolved["activation"])
+    if "attack_kind" in resolved:  # the attack command's attack, checked the same way
+        _attack_config(resolved)
     return resolved
 
 
@@ -389,11 +391,10 @@ def _cmd_eval(cfg: dict, outdir: str) -> ex.Report:
 
 
 def _attack_config(cfg: dict) -> AttackConfig:
-    kind = cfg.get("attack_kind")
-    if not kind:
-        raise CliError("attack", "missing required option: attack_kind")
+    if cfg["attack_kind"] is None:
+        raise CliError("config", "missing required option: attack_kind")
     return AttackConfig(
-        kind=kind, epsilon=cfg["epsilon"], steps=cfg["steps"],
+        kind=cfg["attack_kind"], epsilon=cfg["epsilon"], steps=cfg["steps"],
         step_size=cfg["step_size"], target_class=cfg["target"], rng_seed=cfg["seed"],
         overshoot=cfg["overshoot"], noise_alpha=cfg["noise_alpha"],
         random_start=cfg["random_start"],

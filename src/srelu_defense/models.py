@@ -186,25 +186,27 @@ class Model:
         return _require_finite(logits, "logits", self).argmax(axis=1)
 
     def loss_input_grad(self, images: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """Cross-entropy summed over the images, and its gradient with respect to
-        them: each row is its own image's loss gradient, with the same bits in
-        any batch (see autodiff)."""
-        tape = Tape()
-        x = Tensor(images, requires_grad=True)
-        logits = _forward(self, x, tape=tape, batch_invariant=True)
-        loss = ad.softmax_cross_entropy(logits, labels, tape=tape, divisor=1)
-        return loss.item(), np.ascontiguousarray(ad.backward(tape, loss)[x])  # NCHW, as given
+        """Cross-entropy summed over the images, and its input gradient: the logits
+        seeded with softmax minus one-hot, so each row is its own image's loss
+        gradient, with the same bits in any batch (see autodiff)."""
+        logits, input_grad = self._input_pass(images)
+        z, lse = ad._log_softmax_parts(logits)
+        grad = input_grad(np.exp(z - lse) - ad._onehot(logits, labels))
+        return float((lse - z)[np.arange(len(z)), labels].sum()), np.ascontiguousarray(grad)
 
     def logit_input_grads(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Logits (N, classes) and each logit's input gradient, stacked by class
-        as (classes,) + images.shape: one reverse pass per class seeds that
-        logit of every image at once, and no image's gradient reads another's."""
-        tape = Tape()
-        x = Tensor(images, requires_grad=True)
+        as (classes,) + images.shape: one reverse pass per class, seeded with its
+        one-hot column, so no image's gradient reads another's."""
+        logits, input_grad = self._input_pass(images)
+        classes = np.eye(logits.shape[1], dtype=logits.dtype)
+        return logits, np.stack([input_grad(np.tile(e, (len(logits), 1))) for e in classes])
+
+    def _input_pass(self, images: np.ndarray):
+        """One taped batch-invariant forward: its logits, and cotangent -> input gradient."""
+        tape, x = Tape(), Tensor(images, requires_grad=True)
         logits = _forward(self, x, tape=tape, batch_invariant=True)
-        columns = (ad.take(logits, np.arange(k, logits.data.size, logits.shape[1]), tape=tape)
-                   for k in range(logits.shape[1]))
-        return logits.data, np.stack([ad.backward(tape, column)[x] for column in columns])
+        return logits.data, lambda seed: ad.backward(tape, logits, seed)[x]
 
 
 def _require_finite(rows: np.ndarray, what: str, model: Model) -> np.ndarray:

@@ -62,19 +62,6 @@ def test_take_reads_and_routes_by_nchw_index_in_chwn_memory():
     np.testing.assert_array_equal(gx.reshape(-1), np.eye(24, dtype=np.float32)[5])
 
 
-def test_take_of_distinct_indices_sums_them_and_seeds_each():
-    x = np.arange(12, dtype=np.float32).reshape(3, 4)
-    t = Tensor(x, requires_grad=True)
-    picked = np.array([1, 6, 11])  # column 1, 2 and 3 of the three rows
-    (gx,) = grad_of(lambda tape: ad.take(t, picked, tape=tape), t)
-    assert ad.take(t, picked).item() == 1.0 + 6.0 + 11.0
-    np.testing.assert_array_equal(gx.reshape(-1), np.isin(np.arange(12), picked))
-    with pytest.raises(ValueError, match="distinct"):
-        ad.take(t, np.array([2, 2]))
-    with pytest.raises(ValueError, match="out of range"):
-        ad.take(t, np.array([0, 12]))
-
-
 # ---------------------------------------------------------------------------
 # conv2d
 
@@ -176,11 +163,9 @@ def test_maxpool_rejects_a_map_its_window_does_not_tile(window, h, w, chwn):
 def _vjp(op, x, g):
     """Run op(tensor, tape) on x and pull the upstream gradient g back to x;
     both arrays are passed in the layout given."""
-    tape = Tape()
-    out = op(Tensor(x, requires_grad=True, dtype=x.dtype), tape)
-    rec = tape._records[-1]
-    needs = (True,) + (False,) * (len(rec.inputs) - 1)
-    return out.data, rec.backward_fn(g, needs)[0]
+    tape, t = Tape(), Tensor(x, requires_grad=True, dtype=x.dtype)
+    out = op(t, tape)
+    return out.data, ad.backward(tape, out, g)[t]
 
 
 def test_maxpool_signed_zero_tie_keeps_plain_max():
@@ -291,12 +276,13 @@ def _conv_case(x_shape, w_shape, sample, weights_grad=True, x_chwn=False):
     x, weights, bias = sample(x_shape), sample(w_shape), sample(w_shape[:1])
     g = sample((x_shape[0], w_shape[0], ho, wo))
     tape = Tape()
-    params = (Tensor(a, requires_grad=weights_grad) for a in (weights, bias))
-    out = ad.conv2d(Tensor(chwn_memory(x) if x_chwn else x, requires_grad=True), *params,
-                    tape=tape)
+    inputs = (Tensor(chwn_memory(x) if x_chwn else x, requires_grad=True),
+              *(Tensor(a, requires_grad=weights_grad) for a in (weights, bias)))
+    out = ad.conv2d(*inputs, tape=tape)
     g_in = np.empty_like(out.data)
     g_in[...] = g
-    grads = tape._records[-1].backward_fn(g_in, (True, weights_grad, weights_grad))
+    grads = ad.backward(tape, out, g_in)
+    grads = [grads.get(t) for t in inputs]
     ref = _conv_reference(x, weights, bias, g)
     return (out.data, *grads), ref if weights_grad else ref[:2] + (None, None)
 
@@ -430,7 +416,7 @@ def test_conv2d_results_outlive_a_following_call(n, first, then):
         tape = Tape()
         out = ad.conv2d(x, w, b, tape=tape)
         g = rng.normal(size=out.shape).astype(np.float32)
-        return out.data, tape._records[-1].backward_fn(g, (True, False, False))[0]
+        return out.data, ad.backward(tape, out, g)[x]
 
     results = call(*MODEL_CONV_SHAPES[first])
     saved = [a.tobytes() for a in results]
@@ -627,6 +613,32 @@ def test_backward_rejects_nonscalar_loss():
     y = ad.srelu(x, 1.0, tape=tape)
     with pytest.raises(ValueError, match="scalar"):
         ad.backward(tape, y)
+
+
+def test_backward_rejects_a_seed_of_another_shape():
+    tape = Tape()
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = ad.srelu(x, 1.0, tape=tape)
+    for seed in (np.ones(3), np.ones((2, 1)), 1.0):  # a seed is not broadcast
+        with pytest.raises(ValueError, match="seed shape"):
+            ad.backward(tape, y, seed)
+
+
+def test_backward_seeded_with_one_equals_the_unseeded_pass():
+    rng = np.random.default_rng(3)
+    tape = Tape()
+    x = Tensor(rng.normal(size=(3, 2, 6, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2, 3, 3)).astype(np.float32), requires_grad=True)
+    fc = Tensor(rng.normal(size=(16, 5)).astype(np.float32), requires_grad=True)
+    h = ad.conv2d(x, w, Tensor(np.zeros(4)), tape=tape)
+    h = ad.flatten(ad.srelu(ad.maxpool2d(h, 2, tape=tape), 2.0, tape=tape), tape=tape)
+    logits = ad.dense(h, fc, Tensor(np.zeros(5)), tape=tape)
+    loss = ad.softmax_cross_entropy(logits, np.array([0, 4, 2]), tape=tape)
+    unseeded = ad.backward(tape, loss)
+    for seed in (1, np.float32(1.0), np.ones((), np.float64)):
+        seeded = ad.backward(tape, loss, seed)
+        for t in (x, w, fc):
+            assert seeded[t].tobytes() == unseeded[t].tobytes()
 
 
 def test_backward_rejects_off_tape_loss():

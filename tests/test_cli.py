@@ -20,6 +20,8 @@ from helpers import params_file_bytes, synthetic_split, write_idx_files
 REPO_DIR = os.path.join(os.path.dirname(__file__), "..")
 SRC_DIR = os.path.join(REPO_DIR, "src")
 GRID_COMMANDS = ("sweep", "targeted-sweep", "swap", "scale")
+# the attack command checks its attack when its config is parsed
+CHECKED_AT_CONFIG = {"attack": ["--attack-kind", "fgsm", "--epsilon", "0.1"]}
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +106,8 @@ def test_every_command_has_a_handler():
 def test_config_resolved_lists_exactly_the_command_options(command, tmp_path, capsys):
     # the handler fails fast (no data or parameters), after the run dir is written
     out = tmp_path / "o"
-    code = cli.main([command, "--arch", "mnist_cnn", "--seed", "1", "--out", str(out)])
+    code = cli.main([command, "--arch", "mnist_cnn", "--seed", "1", "--out", str(out),
+                     *CHECKED_AT_CONFIG.get(command, [])])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error in ") and not err.startswith("error in config:")
@@ -131,7 +134,8 @@ def test_config_resolved_records_the_default_used(command, arch, expected, tmp_p
                                                    capsys):
     # the handler fails fast (no data or parameters), after the run dir is written
     out = tmp_path / "o"
-    assert cli.main([command, "--arch", arch, "--seed", "1", "--out", str(out)]) == 1
+    assert cli.main([command, "--arch", arch, "--seed", "1", "--out", str(out),
+                     *CHECKED_AT_CONFIG.get(command, [])]) == 1
     assert not capsys.readouterr().err.startswith("error in config:")
     assert expected in (out / "config_resolved.txt").read_text().splitlines()
 
@@ -579,18 +583,25 @@ def test_export_features_smoke(idx_data, saved_model, tmp_path):
      "fgsm attack does not take overshoot"),
     (["--attack-kind", "deepfool", "--epsilon", "0.1"],
      "deepfool attack does not take epsilon"),
+    # a missing or unknown kind and an out-of-range setting fail at the same stage
+    ([], "missing required option: attack_kind"),
+    (["--attack-kind", "cw"], "bad value for attack_kind: unknown attack kind 'cw'"),
+    (["--attack-kind", "fgsm", "--epsilon", "2"], "epsilon must lie in [0, 1], got 2.0"),
+    (["--attack-kind", "bim", "--epsilon", "0.1", "--steps", "0"], "bim needs steps >= 1"),
 ])
 def test_bad_attack_config_exits_1_before_loading(idx_data, tmp_path, capsys,
                                                   extra, message):
-    # the parameter file does not exist: the config must be rejected first
+    # the parameter file does not exist: the config must be rejected first,
+    # at the config stage, before the run directory is written
+    out = tmp_path / "o"
     code = cli.main(["attack", *eval_args(idx_data, [
-        "--params", str(tmp_path / "missing.bin"), *extra,
-        "--seed", "2", "--out", str(tmp_path / "o"),
+        "--params", str(tmp_path / "missing.bin"), *extra, "--seed", "2", "--out", str(out),
     ])])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error in attack:") and message in err
+    assert err.startswith("error in config:") and message in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_non_finite_params_exit_1(idx_data, tmp_path, capsys):

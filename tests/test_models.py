@@ -237,6 +237,52 @@ def test_batch_invariant_logit_grads_in_any_subset_of_a_batch(linearized_rows, a
     assert grads[:, rows].any()
 
 
+def _scalar_pass_grads(model, images, heads):
+    """The input gradient of each scalar head(logits, tape), each from its own
+    reverse pass over one taped batch-invariant forward."""
+    tape = ad.Tape()
+    x = ad.Tensor(images, requires_grad=True)
+    logits = md._forward(model, x, tape=tape, batch_invariant=True)
+    return [ad.backward(tape, head(logits, tape))[x] for head in heads]
+
+
+def _logit_head(k):
+    """sum_all(dense(logits, e_k, 0)): the sum of every image's logit k."""
+    e_k = ad.Tensor(np.eye(10, dtype=np.float32)[:, k:k + 1])
+    zero = ad.Tensor(np.zeros(1, np.float32))
+    return lambda logits, tape: ad.sum_all(ad.dense(logits, e_k, zero, tape=tape), tape=tape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 256])
+@pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
+def test_seeded_pass_bits_equal_scalar_reverse_passes(arch, n):
+    # n spans both sides of CONV_MIN_BATCH (4) and DENSE_MIN_ROWS (128). The
+    # logit gradients, one forward seeded with each class's one-hot column, are
+    # K scalar passes'. A row of the summed loss's gradient is its image's mean
+    # loss's in a batch of one, where the mean is the sum; n times the whole
+    # batch's mean is no reference, as it is inexact once a value is subnormal
+    # (cifar10_cnn1 at slope 10)
+    rng = np.random.default_rng(n)
+    for slope in (1.0, 10.0):
+        model = build_model(arch, seed=19).with_slope(slope)
+        images = rand_batch(rng, model, n=n)
+        labels = rng.integers(0, 10, size=n)
+        logits, grads = model.logit_input_grads(images)
+        assert logits.tobytes() == model.logits(images).tobytes()
+        columns = _scalar_pass_grads(model, images, [_logit_head(k) for k in range(10)])
+        assert grads.tobytes() == np.stack(columns).tobytes()
+
+        loss, grad = model.loss_input_grad(images, labels)
+        assert grad.any()
+        row_losses = [ad.softmax_cross_entropy(ad.Tensor(row[None]), [label]).item()
+                      for row, label in zip(logits, labels)]
+        assert loss == np.float32(row_losses).sum()
+        for i in sorted({0, n // 2, n - 1}):
+            [alone] = _scalar_pass_grads(model, images[i:i + 1], [
+                lambda logits, tape: ad.softmax_cross_entropy(logits, labels[i:i + 1], tape=tape)])
+            assert grad[i:i + 1].tobytes() == alone.tobytes()
+
+
 def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
     # one rule on the padded Model tape and the unpadded training tape, at every
     # batch size: each 4-D activation from the first conv to the flatten is CHWN
