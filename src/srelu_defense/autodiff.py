@@ -79,13 +79,14 @@ class Tape:
 
     Records append in execution order, so the list is already a topological
     order of the computation; the reverse pass walks it back to front and
-    touches each record exactly once. A tape is single-threaded; independent
+    touches each record exactly once. An operator is recorded only when one of
+    its inputs takes a gradient; its backward_fn(g, needs) returns None for each
+    input whose needs entry is False. A tape is single-threaded; independent
     tapes may run concurrently over shared read-only tensors.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._produced: set[Tensor] = set()
 
     def record(
         self,
@@ -94,10 +95,6 @@ class Tape:
         backward_fn: Callable[[np.ndarray, tuple[bool, ...]], Sequence],
     ) -> None:
         self._records.append(_Record(out, tuple(inputs), backward_fn))
-        self._produced.add(out)
-
-    def produced(self, t: Tensor) -> bool:
-        return t in self._produced
 
 
 def _finish(out: Tensor, tape: Tape | None, inputs, backward_fn) -> Tensor:
@@ -121,7 +118,7 @@ def backward(tape: Tape, out: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
         raise ValueError(f"an unseeded pass needs a scalar loss, got shape {out.shape}")
     if seed is not None and np.shape(seed) != out.shape:
         raise ValueError(f"seed shape {np.shape(seed)} does not match output {out.shape}")
-    if not tape.produced(out):
+    if not any(rec.out is out for rec in tape._records):
         raise ValueError("output tensor was not produced through this tape")
 
     seed = np.ones_like(out.data) if seed is None else np.asarray(seed, out.data.dtype)
@@ -132,7 +129,7 @@ def backward(tape: Tape, out: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
             continue
         needs = tuple(t.requires_grad for t in rec.inputs)
         for t, g in zip(rec.inputs, rec.backward_fn(g_out, needs)):
-            if g is None or not t.requires_grad:
+            if g is None:
                 continue
             acc = grads.get(t)
             # never accumulate in place: backward functions may return views
@@ -258,8 +255,6 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
     out = Tensor(out_v.transpose(3, 0, 1, 2), dtype=out_v.dtype)
 
     def bw(g: np.ndarray, needs):
-        if not needs[0]:
-            return (None,)
         # the taps tile gx, so each position is written once
         gx = np.empty((c, h, w, n), x.data.dtype).transpose(3, 0, 1, 2)
         gxw, gv = view(gx, ho, window, wo, window), view(g, ho, wo)
@@ -324,7 +319,7 @@ def flatten(x: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(x.data.reshape(n, -1), dtype=x.data.dtype)  # copies CHWN memory to row-major
 
     def bw(g: np.ndarray, needs):  # an exact copy back into x's memory order
-        return (np.positive(g.reshape(x.shape), out=np.empty_like(x.data)) if needs[0] else None,)
+        return (np.positive(g.reshape(x.shape), out=np.empty_like(x.data)),)
 
     return _finish(out, tape, (x,), bw)
 
@@ -334,7 +329,7 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(x.data.sum(), dtype=x.data.dtype)
 
     def bw(g: np.ndarray, needs):
-        return (np.broadcast_to(g, x.shape).astype(x.data.dtype) if needs[0] else None,)
+        return (np.broadcast_to(g, x.shape).astype(x.data.dtype),)
 
     return _finish(out, tape, (x,), bw)
 
@@ -345,7 +340,7 @@ def take(x: Tensor, flat_index: int, tape: Tape | None = None) -> Tensor:
         raise ValueError(f"flat index {flat_index} out of range for size {x.data.size}")
     out = Tensor(x.data.reshape(-1)[flat_index], dtype=x.data.dtype)
 
-    def bw(g: np.ndarray, needs):  # recorded only when x takes a gradient
+    def bw(g: np.ndarray, needs):
         gx = np.zeros(x.shape, x.data.dtype)  # row-major, so the flat view writes through
         gx.reshape(-1)[flat_index] = g
         return (gx,)
@@ -368,8 +363,6 @@ def srelu(x: Tensor, slope: float, tape: Tape | None = None) -> Tensor:
     out = Tensor(slope * np.maximum(xd, 0), dtype=xd.dtype)
 
     def bw(g: np.ndarray, needs):
-        if not needs[0]:
-            return (None,)
         gx = g * (xd > 0)
         gx *= np.asarray(slope, dtype=xd.dtype)
         return (gx,)
@@ -426,7 +419,7 @@ def activation(x: Tensor, kind: str, tape: Tape | None = None) -> Tensor:
     out = Tensor(yd, dtype=xd.dtype)
 
     def bw(g: np.ndarray, needs):
-        return (g * deriv(xd, yd).astype(xd.dtype, copy=False) if needs[0] else None,)
+        return (g * deriv(xd, yd).astype(xd.dtype, copy=False),)
 
     return _finish(out, tape, (x,), bw)
 
@@ -456,8 +449,6 @@ def _cross_entropy(logits: Tensor, target_probs: np.ndarray, tape: Tape | None) 
     out = Tensor(per_row.sum() / n, dtype=logits.data.dtype)
 
     def bw(g: np.ndarray, needs):
-        if not needs[0]:
-            return (None,)
         grad = (np.exp(z - lse) - target_probs) * (g / n)
         return (grad.astype(logits.data.dtype, copy=False),)
 

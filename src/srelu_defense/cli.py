@@ -226,7 +226,7 @@ def _family(arch: str) -> str:
 
 
 def _read_config_file(path) -> dict[str, str]:
-    values = {}
+    values, seen_at = {}, {}
     try:
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
@@ -236,7 +236,11 @@ def _read_config_file(path) -> dict[str, str]:
                 if "=" not in line:
                     raise CliError("config", f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in seen_at:
+                    raise CliError("config",
+                                   f"{path}:{lineno}: {key!r} repeats line {seen_at[key]}")
+                values[key], seen_at[key] = value.strip(), lineno
     except OSError as e:
         raise CliError("config", f"cannot read config file: {e}") from None
     return values
@@ -311,6 +315,8 @@ def _format_value(value) -> str:
 def _write_run_dir(cfg: dict) -> str:
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
+    if os.path.exists(manifest := os.path.join(outdir, "manifest.txt")):
+        os.remove(manifest)  # an earlier run's: this run writes its own once it succeeds
     lines = [f"{k}={_format_value(v)}" for k, v in sorted(cfg.items()) if k != "config"]
     with open(os.path.join(outdir, "config_resolved.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -331,14 +337,12 @@ def _load_split(cfg: dict, split: str):
     arch, family = cfg["arch"], _family(cfg["arch"])
     name = family if split == "test" else f"{family}_train"
     if family == "mnist":
-        images, labels = cfg.get(f"{split}_images"), cfg.get(f"{split}_labels")
-        if not images or not labels:
-            raise CliError(
-                "load-data",
-                f"missing --{split.replace('_', '-')}-images/--{split}-labels "
-                f"for architecture {arch}",
-            )
-        dataset = load_mnist_idx(images, labels, name=name)
+        kinds = ("images", "labels")
+        paths = [cfg.get(f"{split}_{kind}") for kind in kinds]
+        missing = " and ".join(f"--{split}-{kind}" for kind, path in zip(kinds, paths) if not path)
+        if missing:
+            raise CliError("load-data", f"missing {missing} for architecture {arch}")
+        dataset = load_mnist_idx(*paths, name=name)
     else:
         batches = cfg.get(f"{split}_batches")
         if not batches:
@@ -364,6 +368,9 @@ def _load_model(cfg: dict):
 
 def _cmd_train(cfg: dict, outdir: str) -> None:
     train_set = _load_split(cfg, "train")
+    mnist = _family(cfg["arch"]) == "mnist"
+    tested = (cfg["test_images"] or cfg["test_labels"]) if mnist else cfg["test_batches"]
+    test_set = _load_split(cfg, "test") if tested else None  # checked before training
     model = build_model(cfg["arch"], cfg["seed"])
     losses = ex.train(model, train_set, cfg["epochs"], lr=cfg["lr"],
                       momentum=cfg["momentum"], batch_size=cfg["batch_size"],
@@ -374,8 +381,8 @@ def _cmd_train(cfg: dict, outdir: str) -> None:
         for epoch, mean_loss in enumerate(losses):
             f.write(f"{epoch},{mean_loss:.6g}\n")
 
-    if cfg.get("test_images" if _family(cfg["arch"]) == "mnist" else "test_batches"):
-        acc = ex.eval_clean(model, _load_split(cfg, "test"))
+    if test_set is not None:
+        acc = ex.eval_clean(model, test_set)
         with open(os.path.join(outdir, "test_accuracy.txt"), "w") as f:
             f.write(f"clean_acc={acc:.6g}\n")
         print(f"test accuracy: {acc:.4f}")

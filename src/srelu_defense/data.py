@@ -66,6 +66,13 @@ def _read_u32s(blob: bytes, offset: int, count: int) -> tuple:
     return struct.unpack(f">{count}I", blob[offset:end])
 
 
+def _labeled(pixels: np.ndarray, label_bytes: np.ndarray, name: str) -> LabeledImageSet:
+    """A set of pixel bytes divided by 255; a label byte above 9 is a format error."""
+    if label_bytes.size and label_bytes.max() > 9:
+        raise DataFormatError(f"label byte {label_bytes.max()} out of range [0, 9]")
+    return LabeledImageSet(np.divide(pixels, 255, dtype=DTYPE), label_bytes.astype(np.int64), name)
+
+
 def load_mnist_idx(images_path, labels_path, name: str = "mnist") -> LabeledImageSet:
     """Parse a big-endian IDX image/label file pair.
 
@@ -100,10 +107,8 @@ def load_mnist_idx(images_path, labels_path, name: str = "mnist") -> LabeledImag
     if len(lbl_blob) != 8 + n:
         raise DataFormatError(f"label file length {len(lbl_blob)} does not match {n} labels")
 
-    pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-    images = np.divide(pixels.reshape(n, 1, rows, cols), 255, dtype=DTYPE)
-    labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    return LabeledImageSet(images, labels, name)
+    pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols)
+    return _labeled(pixels, np.frombuffer(lbl_blob, dtype=np.uint8, offset=8), name)
 
 
 def dump_mnist_idx(dataset: LabeledImageSet) -> tuple[bytes, bytes]:
@@ -136,12 +141,7 @@ def load_cifar10_bin(batch_paths, name: str = "cifar10") -> LabeledImageSet:
         chunks.append(np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
     records = np.concatenate(chunks, axis=0)
 
-    labels = records[:, 0].astype(np.int64)
-    if labels.size and labels.max() > 9:
-        raise DataFormatError(f"label byte {labels.max()} out of range [0, 9]")
-    planes = records[:, 1:].reshape(-1, 3, 32, 32)
-    images = np.divide(planes, 255, dtype=DTYPE)
-    return LabeledImageSet(images, labels, name)
+    return _labeled(records[:, 1:].reshape(-1, 3, 32, 32), records[:, 0], name)
 
 
 def dump_cifar10_bin(dataset: LabeledImageSet) -> bytes:

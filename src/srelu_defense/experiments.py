@@ -373,9 +373,11 @@ def _attack_grid(cells, configs, seed: int, threads: int = 1) -> list[EvalRecord
 
     A cell is (model, dataset, judges): model crafts each slice's attacks once
     per config and every judge predicts on them (a sweep's model judges itself;
-    BPDA's judges are the defended model's slopes). The pool runs one task per
-    (cell, slice), built as the pool takes it, so a cell whose attacks end early
-    frees its thread for others' slices, and no slice's passes outlive its task.
+    BPDA's judges are the defended model's slopes). One task runs per (cell,
+    slice). The serial path builds each task as it runs it; with threads > 1,
+    Executor.map builds and submits every task before the first result. Either
+    way a cell whose attacks end early frees its thread for others' slices, and
+    no slice's passes outlive its task.
     """
     if any(dataset.n == 0 for _, dataset, _ in cells):
         raise ValueError("cannot evaluate an empty image set")
@@ -472,12 +474,9 @@ def _sgd(model: Model, epochs: int, epoch_batches, loss_fn, lr: float,
             loss = loss_fn(logits, targets, tape=tape)
             grads = ad.backward(tape, loss)
             for name, param in model.params.items():
-                g = grads.get(param)
-                if g is None:
-                    continue
                 v = velocity[name]
                 v *= momentum
-                v += g
+                v += grads[param]
                 param.data -= lr * v
             total_loss += loss.item() * len(targets)
             seen += len(targets)

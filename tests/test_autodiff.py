@@ -646,6 +646,34 @@ def test_backward_rejects_off_tape_loss():
     loss = Tensor(1.0)
     with pytest.raises(ValueError, match="not produced"):
         ad.backward(tape, loss)
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    ad.srelu(x, 1.0, tape=tape)
+    other = ad.sum_all(x, tape=Tape())  # produced, but through another tape
+    for out in (loss, x, other):
+        with pytest.raises(ValueError, match="not produced"):
+            ad.backward(tape, out, np.ones(out.shape))
+
+
+@pytest.mark.parametrize("op, shape", [
+    (lambda x, tape: ad.maxpool2d(x, 2, tape=tape), (2, 1, 4, 4)),
+    (lambda x, tape: ad.srelu(x, 2.0, tape=tape), (2, 1, 4, 4)),
+    (lambda x, tape: ad.flatten(x, tape=tape), (2, 1, 4, 4)),
+    (lambda x, tape: ad.sum_all(x, tape=tape), (2, 1, 4, 4)),
+    (lambda x, tape: ad.take(x, 5, tape=tape), (2, 1, 4, 4)),
+    (lambda x, tape: ad.activation(x, "tanh", tape=tape), (2, 1, 4, 4)),
+    (lambda x, tape: ad.softmax_cross_entropy(x, np.array([0, 3]), tape=tape), (2, 5)),
+    (lambda x, tape: ad.soft_cross_entropy(x, np.full((2, 5), 0.2), tape=tape), (2, 5)),
+], ids=["maxpool2d", "srelu", "flatten", "sum_all", "take", "activation",
+        "softmax_cross_entropy", "soft_cross_entropy"])
+def test_a_one_input_op_is_recorded_only_when_its_input_takes_a_gradient(op, shape):
+    # the one recording rule, so each one-input backward owes its input a gradient
+    data = np.random.default_rng(4).normal(size=shape).astype(np.float32)
+    for requires_grad in (False, True):
+        tape, x = Tape(), Tensor(data, requires_grad=requires_grad)
+        out = op(x, tape)
+        assert [(rec.out, rec.inputs) for rec in tape._records] == (
+            [(out, (x,))] if requires_grad else [])
+        assert out.requires_grad == requires_grad
 
 
 def test_backward_bit_identical_across_runs():

@@ -15,7 +15,13 @@ import pytest
 from srelu_defense import cli
 from srelu_defense.models import Model, build_model
 
-from helpers import params_file_bytes, synthetic_split, write_idx_files
+from helpers import (
+    params_file_bytes,
+    synthetic_cifar,
+    synthetic_split,
+    write_cifar_file,
+    write_idx_files,
+)
 
 REPO_DIR = os.path.join(os.path.dirname(__file__), "..")
 SRC_DIR = os.path.join(REPO_DIR, "src")
@@ -348,6 +354,45 @@ def test_unknown_config_key_is_rejected(idx_data, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["epochs=1", "lr=0.01", "epochs=2"], r":3: 'epochs' repeats line 1$"),
+    (["batch-size=8", "batch_size=16"], r":2: 'batch_size' repeats line 1$"),
+    (["epochs=1", "momentum"], r":2: expected key=value$"),
+], ids=["epochs", "batch-size", "no-equals"])
+def test_malformed_config_file_fails_at_config(idx_data, tmp_path, capsys, lines, message):
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    code = cli.main(["train", "--arch", "mnist_cnn", *train_args(idx_data),
+                     "--config", str(config), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in config: {config}:")
+    assert re.search(message, err.rstrip("\n"))
+    assert not out.exists()
+
+
+def test_missing_config_file_fails_at_config(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = cli.main(["eval", "--arch", "mnist_cnn", "--config", str(tmp_path / "none.cfg"),
+                     "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error in config: cannot read config file:")
+    assert not out.exists()
+
+
+def test_bad_boolean_in_config_file_fails_at_config(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("clip=maybe\n")
+    out = tmp_path / "o"
+    code = cli.main(["scale", "--arch", "mnist_cnn", "--config", str(config),
+                     "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error in config: bad value for clip: not a boolean: 'maybe'\n")
+    assert not out.exists()
+
+
 def test_missing_data_file_fails_with_stage(tmp_path, capsys, saved_model):
     code = cli.main(["eval", "--arch", "mnist_cnn",
                      "--test-images", str(tmp_path / "nope"),
@@ -380,6 +425,56 @@ def test_train_writes_expected_artifacts(idx_data, tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "seed=3" in manifest and "params_format_version=1" in manifest
     assert (out / "test_accuracy.txt").exists()
+
+
+@pytest.mark.parametrize("test_args, error", [
+    (["--test-images", "test0"], "error in load-data: missing --test-labels for architecture"),
+    (["--test-labels", "test1"], "error in load-data: missing --test-images for architecture"),
+    (["--test-images", "train1", "--test-labels", "test1"], "error in train: bad magic"),
+], ids=["no-labels", "no-images", "bad-magic"])
+def test_train_checks_its_test_split_before_training(idx_data, tmp_path, capsys,
+                                                     test_args, error):
+    # a test flag asks for the test split, so a missing or malformed one fails
+    # before any epoch; a label file where the images belong has a bad magic
+    paths = {"test0": idx_data["test"][0], "test1": idx_data["test"][1],
+             "train1": idx_data["train"][1]}
+    out = tmp_path / "run"
+    code = cli.main(["train", "--arch", "mnist_cnn", *train_args(idx_data),
+                     *(paths.get(arg, arg) for arg in test_args),
+                     "--limit-train", "64", "--epochs", "1", "--seed", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert sorted(os.listdir(out)) == ["config_resolved.txt"]
+
+
+def test_train_on_an_empty_set_saves_nothing(idx_data, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli.main(["train", "--arch", "mnist_cnn", *train_args(idx_data),
+                     "--limit-train", "0", "--epochs", "1", "--seed", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error in train: cannot train on an empty image set\n"
+    assert sorted(os.listdir(out)) == ["config_resolved.txt"]
+
+
+def test_cifar_train_and_eval_read_binary_batches(tmp_path, capsys):
+    train_path = write_cifar_file(synthetic_cifar(64, seed=8), tmp_path, "data_batch_1.bin")
+    test_path = write_cifar_file(synthetic_cifar(20, seed=9), tmp_path, "test_batch.bin")
+    run = tmp_path / "run"
+    code = cli.main(["train", "--arch", "cifar10_cnn1", "--train-batches", train_path,
+                     "--test-batches", test_path, "--epochs", "1", "--seed", "3",
+                     "--out", str(run)])
+    assert code == 0
+    train_acc = (run / "test_accuracy.txt").read_text()
+    assert train_acc.startswith("clean_acc=")
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--arch", "cifar10", "--params", str(run / "model.bin"),
+                     "--test-batches", test_path, "--seed", "3", "--out", str(out)])
+    assert code == 0
+    with open(out / "report.csv", newline="") as f:
+        [row] = list(csv.DictReader(f))
+    assert (row["dataset"], row["model"], row["n_images"]) == ("cifar10", "cifar10_cnn1", "20")
+    assert float(row["clean_acc"]) == float(train_acc.partition("=")[2])
+    assert (out / "manifest.txt").exists()
 
 
 # the divergence the test causes overflows float32 on its way to NaN
@@ -737,6 +832,19 @@ def test_failed_run_leaves_no_manifest(idx_data, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error in eval:")
     assert (out / "config_resolved.txt").exists()
+    assert not (out / "manifest.txt").exists()
+
+
+def test_failed_rerun_removes_the_earlier_manifest(idx_data, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["train", "--arch", "mnist_cnn", "--train-labels", idx_data["train"][1],
+            "--limit-train", "16", "--epochs", "1", "--out", str(out)]
+    assert cli.main([*argv, "--train-images", idx_data["train"][0], "--seed", "1"]) == 0
+    assert "seed=1" in (out / "manifest.txt").read_text().splitlines()
+    code = cli.main([*argv, "--train-images", str(tmp_path / "missing"), "--seed", "2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error in train:")
+    assert "seed=2" in (out / "config_resolved.txt").read_text().splitlines()
     assert not (out / "manifest.txt").exists()
 
 

@@ -90,6 +90,32 @@ def test_idx_rejects_truncated_images(tmp_path, idx_files):
         load_mnist_idx(bad, idx_files[1])
 
 
+@pytest.mark.parametrize("which, keep", [(0, 12), (0, 3), (1, 6)])
+def test_idx_rejects_a_truncated_header(tmp_path, idx_files, which, keep):
+    paths = list(idx_files)
+    paths[which] = tmp_path / "short"
+    paths[which].write_bytes(idx_files[which].read_bytes()[:keep])
+    with pytest.raises(DataFormatError, match="file header truncated"):
+        load_mnist_idx(*paths)
+
+
+@pytest.mark.parametrize("extra", [b"", b"\x01\x02"])
+def test_idx_rejects_a_label_file_of_the_wrong_length(tmp_path, idx_files, extra):
+    blob = idx_files[1].read_bytes()
+    bad = tmp_path / "lbl"
+    bad.write_bytes(blob[:-1] + extra)  # one label short, or one too many
+    with pytest.raises(DataFormatError, match="label file length .* does not match 2 labels"):
+        load_mnist_idx(idx_files[0], bad)
+
+
+def test_idx_rejects_a_label_out_of_range_as_a_format_error(tmp_path, idx_files):
+    blob = idx_files[1].read_bytes()
+    bad = tmp_path / "lbl"
+    bad.write_bytes(blob[:-1] + bytes([12]))
+    with pytest.raises(DataFormatError, match=r"label byte 12 out of range \[0, 9\]"):
+        load_mnist_idx(idx_files[0], bad)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
 def test_idx_roundtrip_random(seed, rows, cols):
     rng = np.random.default_rng(seed)

@@ -604,6 +604,21 @@ def test_load_rejects_a_repeated_tensor_naming_it(tmp_path):
         load_params(path, "mnist_cnn")
 
 
+def test_load_rejects_trailing_bytes(tmp_path):
+    params = [(n, t.data) for n, t in build_model("mnist_cnn", seed=0).params.items()]
+    path = tmp_path / "tail.bin"
+    path.write_bytes(params_file_bytes(params) + b"\x00")
+    with pytest.raises(ParamsFormatError, match="trailing bytes after last tensor"):
+        load_params(path, "mnist_cnn")
+
+
+def test_load_rejects_a_rank_above_8_naming_the_tensor(tmp_path):
+    path = tmp_path / "rank.bin"
+    path.write_bytes(params_file_bytes([("conv1.w", np.zeros((1,) * 9))]))
+    with pytest.raises(ParamsFormatError, match="implausible rank 9 for tensor 'conv1.w'"):
+        load_params(path, "mnist_cnn")
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 def test_save_refuses_non_finite_values_naming_tensor(tmp_path, bad):
     model = build_model("mnist_cnn", seed=0)
