@@ -17,7 +17,6 @@ step only the rows still moving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -122,8 +121,9 @@ class AttackConfig:
 class AdversarialBatch:
     """Attack output: images, the attacked model's predictions on them, success.
 
-    preds and success are computed on first read, from the model that crafted
-    the images, so a caller that judges them with other models pays no pass.
+    preds is computed once, on first read, by the model that crafted the images
+    (a grid slice's _CleanChunk), and success is read off it: a grid cell judged
+    by that model reads preds, and one judged by other models pays no pass.
     l2 is filled only by the minimal-perturbation attack: per image, the L2
     norm of its accumulated step before overshoot, at the first probe that
     left the clean class, or at the end if none did; None elsewhere.
@@ -135,11 +135,14 @@ class AdversarialBatch:
     config: AttackConfig
     l2: np.ndarray | None = None
 
-    @cached_property
+    @property
     def preds(self) -> np.ndarray:
-        return self.model.predict(self.images)
+        # not a cached_property, whose per-class lock before Python 3.12 serializes threads
+        if "_preds" not in vars(self):
+            self._preds = self.model.predict(self.images)
+        return self._preds
 
-    @cached_property
+    @property
     def success(self) -> np.ndarray:
         if self.config.targeted:
             return self.preds == self.config.target_class

@@ -131,6 +131,9 @@ _COMMON = {
     "test_batches": (_list(str), None, "comma-separated CIFAR-10 test batch files"),
 }
 
+_FOREIGN_DATA = {"mnist": ("test_batches", "train_batches"),  # an error, not ignored
+                 "cifar10": ("test_images", "test_labels", "train_images", "train_labels")}
+
 _TRAIN_DATA = {
     "train_images": (str, None, "IDX image file for training"),
     "train_labels": (str, None, "IDX label file for training"),
@@ -291,10 +294,13 @@ def parse_config(args: argparse.Namespace) -> dict:
     for name in _REQUIRED:
         if resolved[name] is None:
             raise CliError("config", f"missing required option: {name}")
+    family = _family(resolved["arch"])
     for name, (_convert, default, _help) in options.items():
         if resolved[name] is None:
-            by_family = isinstance(default, dict)
-            resolved[name] = default[_family(resolved["arch"])] if by_family else default
+            resolved[name] = default[family] if isinstance(default, dict) else default
+        elif name in _FOREIGN_DATA[family]:
+            raise CliError("config", f"--{name.replace('_', '-')} is not read by "
+                                     f"architecture {resolved['arch']}, which reads {family} data")
     if "activation" in resolved:  # eval's pair; main reports the ValueError as a config error
         check_slope_applies(resolved["slope"], resolved["activation"])
     if "attack_kind" in resolved:  # the attack command's attack, checked the same way
@@ -335,19 +341,13 @@ def _write_manifest(cfg: dict, outdir: str) -> None:
 def _load_split(cfg: dict, split: str):
     """The test or train split, cut to --limit or --limit-train when smaller."""
     arch, family = cfg["arch"], _family(cfg["arch"])
-    name = family if split == "test" else f"{family}_train"
-    if family == "mnist":
-        kinds = ("images", "labels")
-        paths = [cfg.get(f"{split}_{kind}") for kind in kinds]
-        missing = " and ".join(f"--{split}-{kind}" for kind, path in zip(kinds, paths) if not path)
-        if missing:
-            raise CliError("load-data", f"missing {missing} for architecture {arch}")
-        dataset = load_mnist_idx(*paths, name=name)
-    else:
-        batches = cfg.get(f"{split}_batches")
-        if not batches:
-            raise CliError("load-data", f"missing --{split}-batches for architecture {arch}")
-        dataset = load_cifar10_bin(list(batches), name=name)
+    load, kinds = ((load_mnist_idx, ("images", "labels")) if family == "mnist"
+                   else (load_cifar10_bin, ("batches",)))
+    paths = [cfg.get(f"{split}_{kind}") for kind in kinds]
+    missing = " and ".join(f"--{split}-{kind}" for kind, path in zip(kinds, paths) if not path)
+    if missing:
+        raise CliError("load-data", f"missing {missing} for architecture {arch}")
+    dataset = load(*paths, name=family if split == "test" else f"{family}_train")
     limit = cfg.get("limit" if split == "test" else "limit_train")
     if limit is not None and limit < dataset.n:
         return take_first(dataset, limit)
@@ -368,8 +368,7 @@ def _load_model(cfg: dict):
 
 def _cmd_train(cfg: dict, outdir: str) -> None:
     train_set = _load_split(cfg, "train")
-    mnist = _family(cfg["arch"]) == "mnist"
-    tested = (cfg["test_images"] or cfg["test_labels"]) if mnist else cfg["test_batches"]
+    tested = cfg["test_images"] or cfg["test_labels"] or cfg["test_batches"]
     test_set = _load_split(cfg, "test") if tested else None  # checked before training
     model = build_model(cfg["arch"], cfg["seed"])
     losses = ex.train(model, train_set, cfg["epochs"], lr=cfg["lr"],

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -165,24 +164,23 @@ class _CleanChunk:
     same object) compute once, the gradient once per loss-target vector; any
     other input or attribute passes through to the model. So the configs of
     a grid task share fgsm's and stepll's gradients across epsilons, bim's first
-    step, deepfool's clean labels and every eps=0 prediction. The logits of the
-    last other array are kept too, so judging a batch the slice's attack just
-    predicted takes no second pass.
+    step, deepfool's clean labels and every eps=0 prediction. An attacked
+    batch's prediction passes through once, into the batch's own preds.
     """
 
     def __init__(self, model: Model, images: np.ndarray):
         self.model, self.images = model, images
-        # (array, logits) of the slice's own images, then of the last other array
-        self._passes, self._grads = [(None, None), (None, None)], {}
+        self._logits, self._grads = None, {}
 
     def __getattr__(self, name):
         return getattr(self.model, name)
 
     def logits(self, images):
-        slot = 0 if images is self.images else 1
-        if self._passes[slot][0] is not images:
-            self._passes[slot] = (images, self.model.logits(images))
-        return self._passes[slot][1]
+        if images is not self.images:
+            return self.model.logits(images)
+        if self._logits is None:
+            self._logits = self.model.logits(images)
+        return self._logits
 
     predict = Model.predict  # reads self.logits, so the cached logits answer it
 
@@ -193,10 +191,6 @@ class _CleanChunk:
         if key not in self._grads:
             self._grads[key] = self.model.loss_input_grad(images, targets)
         return self._grads[key]
-
-    def judged_by(self, model: Model) -> "_CleanChunk":
-        """The view model judges this slice through: this one for its own model."""
-        return self if model is self.model else _CleanChunk(model, self.images)
 
 
 def attack_all(model: Model, dataset: LabeledImageSet, configs):
@@ -210,11 +204,14 @@ def attack_all(model: Model, dataset: LabeledImageSet, configs):
 
 
 def _judge_slice(clean: _CleanChunk, batches, judges) -> np.ndarray:
-    """(1 + configs, judges, rows) predictions on a slice: every judge's on its
-    clean images, then on each config's batch as soon as it is crafted."""
-    views = [clean.judged_by(judge) for judge in judges]
-    images = chain([clean.images], (batch.images for batch in batches))
-    return np.array([[view.predict(x) for view in views] for x in images])
+    """(1 + configs, judges, rows) predictions on a slice, each batch's once it is
+    crafted. The crafting model's are clean's and each batch's own cached preds; any
+    other judge predicts through its own _CleanChunk, so its eps=0 row is its clean pass."""
+    views = [clean if j is clean.model else _CleanChunk(j, clean.images) for j in judges]
+    rows = [[view.predict(clean.images) for view in views]]
+    rows += ([batch.preds if view is clean else view.predict(batch.images) for view in views]
+             for batch in batches)
+    return np.array(rows)
 
 
 def eval_under_attack(model: Model, dataset: LabeledImageSet, configs,

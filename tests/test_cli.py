@@ -393,6 +393,34 @@ def test_bad_boolean_in_config_file_fails_at_config(tmp_path, capsys):
     assert not out.exists()
 
 
+FOREIGN_DATA = [("cifar10_cnn1", option) for option in
+                ("test_images", "test_labels", "train_images", "train_labels")]
+FOREIGN_DATA += [("mnist_cnn", option) for option in ("test_batches", "train_batches")]
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+@pytest.mark.parametrize("command, arch, option", [
+    (command, arch, option) for command in ("train", "eval", "bpda")
+    for arch, option in FOREIGN_DATA if option in cli.OPTIONS[command]])
+def test_data_option_of_the_other_family_fails_at_config(tmp_path, capsys, source,
+                                                        command, arch, option):
+    # an IDX file given to a CIFAR-10 architecture, or a binary batch to an
+    # MNIST one, would be silently ignored; it is an error before any file is read
+    flag = "--" + option.replace("_", "-")
+    given = [flag, str(tmp_path / "none")]
+    if source == "config-file":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option}={tmp_path / 'none'}\n")
+        given = ["--config", str(config)]
+    out = tmp_path / "o"
+    code = cli.main([command, "--arch", arch, *given, "--seed", "1", "--out", str(out)])
+    assert code == 1
+    family = "mnist" if arch == "mnist_cnn" else "cifar10"
+    assert capsys.readouterr().err == (
+        f"error in config: {flag} is not read by architecture {arch}, which reads {family} data\n")
+    assert not out.exists()
+
+
 def test_missing_data_file_fails_with_stage(tmp_path, capsys, saved_model):
     code = cli.main(["eval", "--arch", "mnist_cnn",
                      "--test-images", str(tmp_path / "nope"),

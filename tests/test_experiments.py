@@ -287,6 +287,43 @@ def test_targeted_sweep_takes_one_gradient_per_target(trained_synth, small_test,
     assert calls == [8] * 2 * 10
 
 
+@pytest.mark.parametrize("kind", ["deepfool", "fgsm"])
+def test_reading_success_as_each_batch_is_crafted_adds_no_pass(trained_synth, small_test,
+                                                                monkeypatch, kind):
+    # perfbench's tracer reads each crafted batch's success before the grid
+    # judges the batch; both reads are the batch's own preds, so either way
+    # each attacked batch (and each slope's clean slice) takes one forward
+    # pass, and the report is the same
+    grid = dict(slopes=(1.0, 10.0), epsilons=(0.0, 0.1), attack_kinds=(kind,),
+                deepfool_iters=(1, 3))
+    subset = take_first(small_test, 16)
+    run_attack, logits = ex.run_attack, sd.Model.logits
+
+    def sweep(read_success):
+        batches, inputs = [], []
+
+        def crafted(*args, **kwargs):
+            batches.append(run_attack(*args, **kwargs))
+            if read_success:
+                _ = batches[-1].success
+            return batches[-1]
+
+        def counted(self, images):
+            inputs.append(images)
+            return logits(self, images)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "run_attack", crafted)
+            patch.setattr(sd.Model, "logits", counted)
+            report = slope_sweep(trained_synth, subset, **grid, seed=0)
+        passes = [sum(x is batch.images for x in inputs) for batch in batches]
+        return report.csv_text(), len(inputs), passes
+
+    plain, observed = sweep(read_success=False), sweep(read_success=True)
+    assert plain[2] == [1] * 4
+    assert observed == plain
+
+
 def test_sweep_deepfool_uses_iteration_grid(trained_synth, small_test):
     grid = dict(slopes=(1.0,), epsilons=(0.0, 0.3),
                 attack_kinds=("deepfool",), deepfool_iters=(1, 2))
