@@ -12,9 +12,9 @@ Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
 high-accuracy gradient checks build float64 tensors that way.
 
 OpenBLAS rounds a small GEMM apart from a large one, so a row's bits can
-depend on how many rows share its batch. conv2d and dense take batch_invariant,
-which pads a small batch with zero rows up to CONV_MIN_BATCH images or
-DENSE_MIN_ROWS rows; every row then has the bits it has in a batch of any size.
+depend on how many rows share its batch. conv2d always pads its batch with zero
+images, and dense with batch_invariant pads one under DENSE_MIN_ROWS rows; every
+row then has the bits it has in a batch of any size.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ import numpy as np
 
 DTYPE = np.float32
 
-# the batch_invariant padding, measured on numpy's bundled OpenBLAS 0.3.31 with
-# the three architectures: below these sizes an image's bits depend on its batch
-CONV_MIN_BATCH = 4  # images in conv2d's im2col GEMMs
-DENSE_MIN_ROWS = 128  # rows in dense's GEMMs
+DENSE_MIN_ROWS = 128  # dense's batch_invariant floor, measured on numpy's OpenBLAS 0.3.31
 
 
 class Tensor:
@@ -154,7 +151,7 @@ _scratch = threading.local()
 
 def _scratch_array(shape: tuple, dtype) -> np.ndarray:
     """Uninitialised row-major array in this thread's reused byte buffer (conv2d's
-    columns or input-gradient taps); no op returns or keeps a view of it."""
+    unfold or input-gradient taps); no op returns or keeps a view of it."""
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.nbytes < nbytes:
@@ -162,23 +159,23 @@ def _scratch_array(shape: tuple, dtype) -> np.ndarray:
     return buf[:nbytes].view(dtype).reshape(shape)
 
 
-def conv2d(
-    x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None,
-    batch_invariant: bool = False,
-) -> Tensor:
+def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
     """Valid-padding, stride-1 2-D convolution of an NCHW batch.
 
     weights are laid out (out_channels, in_channels, kh, kw); output spatial
-    dims are in - k + 1. The output and the input gradient are CHWN (see Tensor)
-    at every batch size, on every tape. batch_invariant pads a batch under
-    CONV_MIN_BATCH images to it with zeros; the output then holds the batch's
-    own images only.
+    dims are in - k + 1. The output and the input gradient are CHWN (see Tensor).
+    The input is unfolded along its width as (H, C, kw, wo, N); output row i is
+    one (O, kh*C*kw) @ (kh*C*kw, wo*N) GEMM over a view of its rows i to i + kh - 1,
+    so K sums in (kh, C, kw) order. Every tape pads the batch with zero images to
+    the smallest N with wo*N a multiple of 16, past OpenBLAS's short-tail rounding,
+    so at the built-in shapes an image has the same bits in a batch of any size.
+    Only a weight gradient keeps the unfold; it sums the per-row GEMMs over rows.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be NCHW, got shape {x.shape}")
     if weights.data.ndim != 4:
         raise ValueError(f"conv2d weights must be OIKK, got shape {weights.shape}")
-    n, c, h, w = x.shape
+    rows, c, h, w = x.shape
     o, i, kh, kw = weights.shape
     if c != i:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weights expect {i}")
@@ -188,21 +185,23 @@ def conv2d(
         raise ValueError(f"conv2d bias must have shape ({o},), got {bias.shape}")
 
     ho, wo = h - kh + 1, w - kw + 1
-    rows, n = n, max(n, CONV_MIN_BATCH) if batch_invariant else n  # the GEMMs' batch
+    n = rows + -rows % (16 // np.gcd(wo, 16))  # the GEMMs' batch
     k, m = c * kh * kw, n * ho * wo
-    # K-major im2col, (O, C*kh*kw) @ (C*kh*kw, M), M in (ho, wo, N) order: columns
-    # gathered from CHWN memory (copied once at entry, a view after) in runs of
-    # wo*N floats, and a CHWN output
-    xd = np.ascontiguousarray(_pad_rows(x.data, n).transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-    kept_cols = np.empty((k, m), x.data.dtype) if tape and weights.requires_grad else None
-    cols = _scratch_array((k, m), x.data.dtype) if kept_cols is None else kept_cols
-    windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
-    np.copyto(cols.reshape(c, kh, kw, ho, wo, n), windows.transpose(1, 4, 5, 2, 3, 0))
-    out_mat = weights.data.reshape(o, k) @ cols
-    out_mat += bias.data[:, None]
-    # the padding's rows sliced off in (O, ho, wo, N) memory, so a padded output stays CHWN
+    keep = tape is not None and weights.requires_grad
+    unfold = (np.empty if keep else _scratch_array)((h, c * kw, wo * n), x.data.dtype)
+    chwn = np.ascontiguousarray(_pad_rows(x.data, n).transpose(1, 2, 3, 0))
+    windows = np.lib.stride_tricks.sliding_window_view(chwn, kw, axis=2)  # (C, H, wo, N, kw)
+    np.copyto(unfold.reshape(h, c, kw, wo, n), windows.transpose(1, 0, 4, 2, 3))
+    row_ops = np.lib.stride_tricks.as_strided(unfold, (ho, k, wo * n), unfold.strides,
+                                              writeable=False)  # output row i's operand
+    out_mat = np.empty((o, ho, wo * n), np.result_type(weights.data, unfold))
+    np.matmul(weights.data.transpose(0, 2, 1, 3).reshape(o, k), row_ops,
+              out=out_mat.transpose(1, 0, 2))
+    out_mat += bias.data[:, None, None]
+    # the padding's images sliced off in (O, ho, wo, N) memory, so the output stays CHWN
     out_data = np.ascontiguousarray(out_mat.reshape(o, ho, wo, n)[..., :rows])
     out = Tensor(out_data.transpose(3, 0, 1, 2), dtype=out_data.dtype)
+    kept = row_ops if keep else None  # the closure holds no view of the scratch
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
@@ -217,10 +216,11 @@ def conv2d(
             for p, q in np.ndindex(kh, kw):
                 gx[:, p:p + ho, q:q + wo] += taps[p, q]
             gx = gx.transpose(3, 0, 1, 2)
-        if needs[1]:
-            gw = (kept_cols @ gt.T).T.reshape(o, c, kh, kw)
+        if needs[1]:  # (kh*C*kw, wo*N) @ (wo*N, O) per output row, summed over the rows
+            per_row = np.matmul(kept, gt.reshape(o, ho, wo * n).transpose(1, 2, 0))
+            gw = per_row.sum(axis=0).T.reshape(o, kh, c, kw).transpose(0, 2, 1, 3)
         if needs[2]:
-            gb = gt.sum(axis=1)
+            gb = g.transpose(1, 2, 3, 0).reshape(o, -1).sum(axis=1)  # the batch's own columns
         return gx, gw, gb
 
     return _finish(out, tape, (x, weights, bias), bw)

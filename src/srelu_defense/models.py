@@ -8,7 +8,8 @@ parameters. The parameters take no gradient: only the training loop
 is a test-time setting only. Every pass outside training (logits, predict,
 loss_input_grad, logit_input_grads, penultimate_features) is batch-invariant:
 an image's logits, logit gradients and loss input gradient have the same bits
-in a batch of any size. Parameters persist in a compact little-endian binary
+in a batch of any size: the convs pad their batch on every tape, and the dense
+layers outside training. Parameters persist in a compact little-endian binary
 format with a bit-exact round trip.
 """
 
@@ -254,16 +255,15 @@ def build_model(arch: "str | ArchitectureSpec", seed: int) -> Model:
 def _forward(model: Model, x: Tensor, tape: Tape | None = None,
              batch_invariant: bool = False) -> Tensor:
     """Run the layer stack; an op records a gradient for each tensor, input or
-    parameter, that asks for one. batch_invariant pads each GEMM's batch (see
-    autodiff), as the Model batch passes do; the training step runs unpadded."""
+    parameter, that asks for one. batch_invariant pads the dense layers' batch, as
+    the Model batch passes do; the convs pad on every tape (see autodiff)."""
     expected = (x.shape[0],) + model.spec.input_shape
     if x.shape != expected:
         raise ValueError(f"batch shape {x.shape} does not match expected {expected}")
     params = model.params
     for layer in model.spec.layers:
         if isinstance(layer, Conv):
-            x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape,
-                          batch_invariant=batch_invariant)
+            x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
         elif isinstance(layer, Pool):
             x = ad.maxpool2d(x, layer.window, tape=tape)
         elif isinstance(layer, Act):

@@ -237,29 +237,33 @@ def test_maxpool_backward_routes_to_first_argmax(case):
 
 
 def _conv_reference(x, weights, bias, g):
-    """Row-major im2col: the forward (N*ho*wo, C*kh*kw) @ (C*kh*kw, O) + bias,
-    the input gradient (N*ho*wo, O) @ (O, C*kh*kw) folded back one tap at a
-    time, and the weight and bias gradients from the upstream gradient as an
-    (O, N*ho*wo) matrix and the same columns, both in (ho, wo, N) order: the
-    weight gradient sums them in that order, and the bias gradient is numpy's
-    row sum of that matrix."""
+    """Row-major im2col with K in (kh, C, kw) order: the forward (N*ho*wo, K) @
+    (K, O) + bias, the input gradient (N*ho*wo, O) @ (O, K) folded back one tap
+    at a time, and the weight gradient one output row at a time, (K, wo*N) @
+    (wo*N, O) over row-major operands with columns in (wo, N) order, summed over
+    the rows (OpenBLAS's small GEMMs round the transposed product apart); the
+    bias gradient is numpy's row sum of the upstream gradient as an (O, N*ho*wo)
+    matrix in (ho, wo, N) order."""
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     ho, wo = g.shape[2:]
+    w_mat = weights.transpose(0, 2, 1, 3).reshape(o, -1)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5)
-    cols = cols.reshape(n * ho * wo, c * kh * kw)
-    out = (cols @ weights.reshape(o, -1).T + bias).reshape(n, ho, wo, o)
-    gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
-    gcols = (gmat @ weights.reshape(o, -1)).reshape(n, ho, wo, c, kh, kw)
+    cols = windows.transpose(0, 2, 3, 4, 1, 5).reshape(n, ho, wo, -1)  # (.., kh, C, kw)
+    out = (cols.reshape(n * ho * wo, -1) @ w_mat.T + bias).reshape(n, ho, wo, o)
+    gmat = g.transpose(0, 2, 3, 1)  # (N, ho, wo, O)
+    gcols = (gmat.reshape(n * ho * wo, o) @ w_mat).reshape(n, ho, wo, kh, c, kw)
     gx = np.zeros(x.shape, dtype=g.dtype)
     for p in range(kh):
         for q in range(kw):
-            gx[:, :, p: p + ho, q: q + wo] += gcols[..., p, q].transpose(0, 3, 1, 2)
-    cols = cols.reshape(n, ho * wo, -1).transpose(1, 0, 2).reshape(n * ho * wo, -1)
-    gmat = gmat.reshape(n, ho * wo, o).transpose(1, 0, 2).reshape(n * ho * wo, o)
-    gw = (gmat.T @ cols).reshape(weights.shape)
-    return out.transpose(0, 3, 1, 2), gx, gw, np.ascontiguousarray(gmat.T).sum(axis=1)
+            gx[:, :, p: p + ho, q: q + wo] += gcols[..., p, :, q].transpose(0, 3, 1, 2)
+    # output row i's (K, wo*N) columns and (O, wo*N) upstream gradient, row-major
+    row_cols = np.ascontiguousarray(cols.transpose(1, 3, 2, 0)).reshape(ho, -1, wo * n)
+    row_g = np.ascontiguousarray(gmat.transpose(1, 3, 2, 0)).reshape(ho, o, wo * n)
+    per_row = [row_cols[i] @ row_g[i].T for i in range(ho)]
+    gw = np.sum(per_row, axis=0).T.reshape(o, kh, c, kw).transpose(0, 2, 1, 3)
+    gb = np.ascontiguousarray(gmat.transpose(3, 1, 2, 0)).reshape(o, -1).sum(axis=1)
+    return out.transpose(0, 3, 1, 2), gx, gw, gb
 
 
 def _conv_case(x_shape, w_shape, sample, weights_grad=True, x_chwn=False):
@@ -346,29 +350,64 @@ def test_conv2d_forward_bits_equal_row_major_im2col_at_model_shapes(x_shape, w_s
         assert is_chwn_memory(out)
         np.testing.assert_array_equal(out, ref_out)
         if weights_grad and (x_shape, w_shape) in CIFAR_TRAINING_SHAPES:
-            # the parameter gradients SGD reads, at the shapes training runs,
-            # summed in (ho, wo, N) order
+            # the parameter gradients SGD reads, at the shapes training runs: the
+            # weight gradient summed over output rows, the bias in (ho, wo, N) order
             np.testing.assert_array_equal(gw, ref_gw)
             np.testing.assert_array_equal(gb, ref_gb)
 
 
+# (C, H, W) input, weights, and whether the input comes in CHWN memory (every
+# conv after the first), of each built-in conv; wo = 24, 8, 28 and 10
+BUILT_IN_CONVS = [
+    ((1, 28, 28), (10, 1, 5, 5), False), ((10, 12, 12), (20, 10, 5, 5), True),
+    ((3, 32, 32), (6, 3, 5, 5), False), ((6, 14, 14), (16, 6, 5, 5), True),
+]
+
+
+@pytest.mark.parametrize("weights_grad", [False, True], ids=["evaluation", "training"])
+@pytest.mark.parametrize("x_chw,w_shape,x_chwn", BUILT_IN_CONVS)
+def test_conv2d_rows_keep_their_bits_in_any_batch(x_chw, w_shape, x_chwn, weights_grad):
+    # every tape pads a batch until each output row's GEMM has a multiple of 16
+    # columns, so a run of 1 to 17 images of a 64-image batch, convolved alone,
+    # has the bits it has in the whole batch. conv2d promises this at the
+    # built-in shapes only, the ones it is measured at here
+    rng = np.random.default_rng(sum(x_chw))
+    x = rng.normal(size=(64,) + x_chw).astype(np.float32)
+    weights, bias = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=weights_grad)
+                     for s in (w_shape, w_shape[:1]))
+
+    def conv(images):
+        x_in = chwn_memory(images) if x_chwn else images
+        return ad.conv2d(Tensor(x_in, requires_grad=True), weights, bias, tape=Tape()).data
+
+    whole = conv(x)
+    for lo in (0, 5, 40):
+        for size in range(1, 18):
+            assert conv(x[lo:lo + size]).tobytes() == whole[lo:lo + size].tobytes(), (lo, size)
+
+
 @pytest.mark.parametrize("x_chwn", [False, True])
 def test_conv2d_layout_bits_hold_where_a_small_gemm_has_a_short_tail(x_chwn):
-    # cifar conv2 at a batch of two: 200 GEMM columns, 8 past a multiple of 16.
-    # OpenBLAS rounds those last columns of a small sgemm apart, so the forward
-    # matches the row-major reference on no column order; both tapes run the same
-    # CHWN GEMM with (ho, wo, N) columns here, so they agree with each other
+    # cifar conv2 at a batch of two: each output row's GEMM would have 20
+    # columns, 4 past a multiple of 16, and OpenBLAS rounds the last columns of a
+    # small sgemm apart. Both tapes pad the batch to eight images (80 columns),
+    # so they agree with each other and with the row-major reference
     shapes = (2, 6, 14, 14), (16, 6, 5, 5)
-    (out, gx, _, _), _ = _normal_conv_case(*shapes, weights_grad=False, x_chwn=x_chwn)
+    (out, gx, _, _), (ref_out, ref_gx, _, _) = _normal_conv_case(
+        *shapes, weights_grad=False, x_chwn=x_chwn)
     (train_out, train_gx, _, _), _ = _normal_conv_case(*shapes)
     assert is_chwn_memory(out)
-    np.testing.assert_array_equal(out, train_out)
-    np.testing.assert_array_equal(gx, train_gx)
+    for got in (out, train_out):
+        np.testing.assert_array_equal(got, ref_out)
+    for got in (gx, train_gx):
+        np.testing.assert_array_equal(got, ref_gx)
 
 
 def test_conv2d_training_layout_and_parameter_gradient_bits_off_a_multiple_of_16():
-    # cifar conv2 at a training batch of two (200 columns): the output is CHWN,
-    # and the parameter gradients sum in (ho, wo, N) order
+    # cifar conv2 at a training batch of two, padded to eight images: the output
+    # is CHWN, the weight gradient sums each output row's 80 columns, the
+    # padding's zeros included, and the bias gradient the batch's own 200
+    # columns in (ho, wo, N) order
     (out, _, gw, gb), (_, _, ref_gw, ref_gb) = _normal_conv_case((2, 6, 14, 14),
                                                                  (16, 6, 5, 5))
     assert is_chwn_memory(out) and not out.flags.c_contiguous
@@ -405,7 +444,7 @@ def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
 @pytest.mark.parametrize("n", [1, 2, 3, 256])
 @pytest.mark.parametrize("first,then", [(0, 2), (2, 0)])
 def test_conv2d_results_outlive_a_following_call(n, first, then):
-    # conv2d reuses a per-thread scratch buffer for its columns and its input
+    # conv2d reuses a per-thread scratch buffer for its unfold and its input
     # gradient's taps; neither result may be a view of it, at a batch of one too
     rng = np.random.default_rng(n)
 

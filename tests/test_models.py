@@ -1,6 +1,7 @@
 """Architecture, forward-pass, and parameter-persistence tests."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from srelu_defense.data import take_first
 from srelu_defense.models import (
     Act,
     ArchitectureSpec,
+    Conv,
     Dense,
     Flatten,
     Model,
@@ -131,7 +133,7 @@ def test_eval_at_slope_one_equals_train_mode(rng):
 def test_evaluation_layout_bits_equal_the_training_order_forward(arch, batch):
     # both tapes hold CHWN activations between the first conv and the flatten;
     # the trainable view's parameters take gradients, so its convs keep their
-    # im2col columns, and its forward and input gradient keep the same bits
+    # unfolds, and its forward and input gradient keep the same bits
     model = build_model(arch, seed=5)
     rng = np.random.default_rng(batch)
     images = rng.uniform(0.0, 1.0, size=(batch,) + model.spec.input_shape).astype(np.float32)
@@ -256,12 +258,12 @@ def _logit_head(k):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 256])
 @pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
 def test_seeded_pass_bits_equal_scalar_reverse_passes(arch, n):
-    # n spans both sides of CONV_MIN_BATCH (4) and DENSE_MIN_ROWS (128). The
-    # logit gradients, one forward seeded with each class's one-hot column, are
-    # K scalar passes'. A row of the summed loss's gradient is its image's mean
-    # loss's in a batch of one, where the mean is the sum; n times the whole
-    # batch's mean is no reference, as it is inexact once a value is subnormal
-    # (cifar10_cnn1 at slope 10)
+    # n spans batches that every conv pads (1, 3, 5) and both sides of
+    # DENSE_MIN_ROWS (128). The logit gradients, one forward seeded with each
+    # class's one-hot column, are K scalar passes'. A row of the summed loss's
+    # gradient is its image's mean loss's in a batch of one, where the mean is
+    # the sum; n times the whole batch's mean is no reference, as it is inexact
+    # once a value is subnormal (cifar10_cnn1 at slope 10)
     rng = np.random.default_rng(n)
     for slope in (1.0, 10.0):
         model = build_model(arch, seed=19).with_slope(slope)
@@ -284,8 +286,9 @@ def test_seeded_pass_bits_equal_scalar_reverse_passes(arch, n):
 
 
 def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
-    # one rule on the padded Model tape and the unpadded training tape, at every
-    # batch size: each 4-D activation from the first conv to the flatten is CHWN
+    # one rule on the Model tape, whose dense layers pad, and on the training
+    # tape, at every batch size: each 4-D activation from the first conv to the
+    # flatten is CHWN
     for arch, spec in md.ARCHITECTURES.items():
         model = build_model(arch, seed=2)
         maps = spec.layers.index(Flatten())  # conv, pool and act layers before it
@@ -310,6 +313,47 @@ def test_toy_slope_two_doubles_logits(rng):
     one = model.with_slope(1.0).logits(batch)
     two = model.with_slope(2.0).logits(batch)
     np.testing.assert_allclose(two, 2.0 * one, rtol=1e-6)
+
+
+def _folded(model, slope):
+    """The slope-1 model whose weights, in each layer that follows an
+    activation site, are scaled by slope; biases are not scaled."""
+    params, after_act = dict(model.params), False
+    for layer in model.spec.layers:
+        if isinstance(layer, Act):
+            after_act = True
+        elif isinstance(layer, (Conv, Dense)):
+            if after_act:
+                w = params[f"{layer.name}.w"]
+                params[f"{layer.name}.w"] = ad.Tensor(w.data * np.float32(slope))
+            after_act = False
+    return replace(model, params=params, slope=1.0)
+
+
+@pytest.mark.parametrize("slope", [2.0, 8.0, 64.0])
+@pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
+def test_slope_folds_into_the_weights_after_each_activation_site(arch, slope):
+    # the layers between activation sites are positively homogeneous, so the
+    # slope-s model is the slope-1 model with the weights after each site scaled
+    # by s; a power of two scales exactly under any summation order, except in
+    # float32's subnormal range. An image classified with probability 1 to
+    # float32 precision has an underflowed cotangent and an all-subnormal gradient
+    # row (one of these 37 at cifar10_cnn2 and slope 64), so only rows free of
+    # subnormals are compared
+    rng = np.random.default_rng(int(slope))
+    model = build_model(arch, seed=23)
+    images = rand_batch(rng, model, n=37)
+    labels = rng.integers(0, 10, size=37)
+    sloped, folded = model.with_slope(slope), _folded(model, slope)
+    assert sloped.logits(images).tobytes() == folded.logits(images).tobytes()
+    loss, grad = sloped.loss_input_grad(images, labels)
+    ref_loss, ref_grad = folded.loss_input_grad(images, labels)
+    assert loss == ref_loss
+    subnormal = (ref_grad != 0) & (np.abs(ref_grad) < np.finfo(np.float32).tiny)
+    normal = ~subnormal.reshape(len(images), -1).any(axis=1)
+    assert normal.sum() >= 36
+    assert grad[normal].tobytes() == ref_grad[normal].tobytes()
+    assert grad[normal].any()
 
 
 def test_forward_shape_mismatch():
@@ -469,30 +513,33 @@ def test_training_forward_gives_one_entry_per_parameter(rng):
         assert grads[param].shape == param.shape, name
 
 
-def _conv_column_shapes(model, x):
-    """Shapes of the (C*kh*kw, N*ho*wo) arrays each conv2d backward closure holds."""
+def _conv_kept_shapes(model, x):
+    """Shapes of the unfold views each conv2d backward closure holds: output row
+    i's (kh*C*kw, wo*N) GEMM operand, for each of the ho rows."""
     tape = ad.Tape()
     md._forward(model, x, tape=tape)
     held = []
     for rec in tape._records:
         if len(rec.inputs) == 3 and rec.inputs[1].data.ndim == 4:
             c, kh, kw = rec.inputs[1].shape[1:]
-            n, _, ho, wo = rec.out.shape
+            ho = rec.out.shape[2]
             held += [cell.cell_contents.shape for cell in rec.backward_fn.__closure__
-                     if getattr(cell.cell_contents, "shape", None) == (c * kh * kw, n * ho * wo)]
+                     if getattr(cell.cell_contents, "shape", (None,))[:2] == (ho, kh * c * kw)]
     return held
 
 
 def test_only_a_weight_gradient_keeps_conv_columns(rng):
+    # a batch of three pads to four images at both mnist convs (wo = 24 and 8)
     model = build_model("mnist_cnn", seed=2)
-    x = ad.Tensor(rand_batch(rng, model, n=4), requires_grad=True)
-    assert _conv_column_shapes(model, x) == []
-    assert _conv_column_shapes(trainable(model), x) == [(25, 4 * 24 * 24), (250, 4 * 8 * 8)]
+    x = ad.Tensor(rand_batch(rng, model, n=3), requires_grad=True)
+    assert _conv_kept_shapes(model, x) == []
+    assert _conv_kept_shapes(trainable(model), x) == [(24, 25, 24 * 4), (8, 250, 8 * 4)]
 
 
 def test_input_gradient_peak_memory_at_the_evaluation_chunk(rng):
-    # an attack tape's im2col columns live in this thread's reused scratch;
-    # held on the tape until the reverse pass, both convs' would take 31 MB
+    # an attack tape's conv unfolds and input-gradient taps live in this thread's
+    # reused scratch; held on the tape until the reverse pass, both convs'
+    # unfolds would take the peak from 25 to 33.5 MB
     model = build_model("mnist_cnn", seed=2)
     batch, labels = rand_batch(rng, model, n=256), np.arange(256) % 10
     model.loss_input_grad(batch, labels)  # this thread's scratch is warm
