@@ -187,7 +187,8 @@ def _sign_steps(model, images, labels, config, clip, index_base):
     projections keep the point), so it is final and leaves the set: its next
     gradient would be zero again. The first step passes the images object
     itself when the attack starts there, so a model that caches the clean
-    gradient answers it.
+    gradient answers it; if no row moves at that step, the attack returns the
+    images object itself, so such a model answers its prediction too.
     """
     eps, step, x = config.epsilon, config.step_size, images
     if config.kind == "rfgsm":
@@ -210,6 +211,8 @@ def _sign_steps(model, images, labels, config, clip, index_base):
             break
         _, grad = model.loss_input_grad(x, targets)
         moving = _finite_gradient(grad, "input", config, model).reshape(len(x), -1).any(axis=1)
+        if x is images and not moving.any():
+            return images, None
         if not moving.all():
             final[rows[~moving]] = x[~moving]
             rows, base, x, targets, grad = (a[moving] for a in (rows, base, x, targets, grad))
@@ -313,7 +316,9 @@ def run_attack(model, images, labels, config: AttackConfig, clip=UNIT_RANGE,
     Success means the prediction hits the target (targeted fgsm), leaves the
     clean prediction (deepfool), or leaves the true label (everything else).
     At epsilon 0 every kind that takes one returns images itself, the same
-    object, with no gradient and no draw.
+    object, with no gradient and no draw. So does a sign-step kind that starts
+    at images (not rfgsm, nor pgd with a random start) when every image's first
+    gradient is zero: no image moves, so the batch's prediction is the clean one.
     """
     if config.kind == "deepfool":
         labels = model.predict(images)

@@ -12,9 +12,10 @@ Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
 high-accuracy gradient checks build float64 tensors that way.
 
 OpenBLAS rounds a small GEMM apart from a large one, so a row's bits can
-depend on how many rows share its batch. conv2d always pads its batch with zero
-images, and dense with batch_invariant pads one under DENSE_MIN_ROWS rows; every
-row then has the bits it has in a batch of any size.
+depend on how many rows share its batch. conv2d and conv2d_maxpool2d's
+input-gradient GEMM always pad their batch with zero images, and dense with
+batch_invariant pads one under DENSE_MIN_ROWS rows; every row then has the bits
+it has in a batch of any size.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ _scratch = threading.local()
 
 def _scratch_array(shape: tuple, dtype) -> np.ndarray:
     """Uninitialised row-major array in this thread's reused byte buffer (conv2d's
-    unfold or input-gradient taps); no op returns or keeps a view of it."""
+    unfold or input-gradient taps, or conv2d_maxpool2d's offset products); no op
+    returns or keeps a view of it."""
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.nbytes < nbytes:
@@ -258,17 +260,89 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
         # the taps tile gx, so each position is written once
         gx = np.empty((c, h, w, n), x.data.dtype).transpose(3, 0, 1, 2)
         gxw, gv = view(gx, ho, window, wo, window), view(g, ho, wo)
-        unclaimed = np.ones(out_v.shape, dtype=bool)
         routed = np.empty(out_v.shape, g.dtype)
-        for p, q in taps:
-            hit = xw[:, :, p, :, q] == out_v
-            hit &= unclaimed
-            unclaimed ^= hit
+        for p, q, hit in _first_hits(xw, out_v):
             # g * False is -0.0 where g < 0; adding +0.0 stores a zeroed sum's +0.0
             np.add(np.multiply(gv, hit, out=routed), 0.0, out=gxw[:, :, p, :, q])
         return (gx,)
 
     return _finish(out, tape, (x,), bw)
+
+
+def _first_hits(xw: np.ndarray, out_v: np.ndarray):
+    """Each tap (p, q) of a pool's windows in row-major order, with where it is its
+    window's first tap equal to the window's max: xw is the (C, ho, window, wo,
+    window, N) input, out_v the (C, ho, wo, N) maxes. The mask is one buffer,
+    overwritten at the next tap."""
+    window = xw.shape[2]
+    unclaimed = np.ones(out_v.shape, dtype=bool)
+    hit = np.empty(out_v.shape, dtype=bool)
+    for p, q in np.ndindex(window, window):
+        np.equal(xw[:, :, p, :, q], out_v, out=hit)
+        hit &= unclaimed
+        unclaimed ^= hit
+        yield p, q, hit
+
+
+def conv2d_maxpool2d(x: Tensor, weights: Tensor, bias: Tensor, window: int,
+                     tape: Tape | None = None) -> Tensor:
+    """conv2d, then maxpool2d over window, recorded as one op.
+
+    The forward calls both. The reverse pass routes the pooled cotangent by
+    maxpool2d's rule into a phase-major buffer (window, window, O, hp, wp, N):
+    the conv output's gradient split by its position mod window. The input
+    gradient is then one GEMM of a combined kernel, one (C, window, window, O)
+    block per offset (u, v) of an input pixel from its output window's corner,
+    u, v < kh + window - 1, with that buffer; each offset's product is added into
+    the input at stride window. So neither the routed gradient at full
+    resolution nor conv2d's kh*kw taps are built: the sub-pixel decomposition of
+    Shi et al. (CVPR 2016) in reverse. The GEMM pads its batch with zero images
+    until its hp*wp*N columns are a multiple of 16, as conv2d pads its own. The
+    weight and bias gradients interleave the buffer back to the conv output's
+    gradient, as maxpool2d's reverse pass writes it, and run conv2d's.
+    """
+    params_grad = tape is not None and (weights.requires_grad or bias.requires_grad)
+    conv_tape = Tape() if params_grad else None  # holds conv2d's reverse pass, unfold and all
+    y = conv2d(x, weights, bias, tape=conv_tape)
+    out = maxpool2d(y, window)
+    rows, c, h, w = x.shape
+    o, _, kh, kw = weights.shape
+    ho, wo = y.shape[2:]
+    hp, wp = ho // window, wo // window
+    n = rows + -rows % (16 // np.gcd(hp * wp, 16))  # the phase GEMM's batch
+    yw = y.data.transpose(1, 2, 3, 0).reshape(o, hp, window, wp, window, rows)
+    out_v = out.data.transpose(1, 2, 3, 0)
+
+    def bw(g: np.ndarray, needs):
+        gx = gw = gb = None
+        phases = np.empty((window, window, o, hp, wp, n), g.dtype)
+        phases[..., rows:] = 0.0
+        gv = g.transpose(1, 2, 3, 0)
+        for p, q, hit in _first_hits(yw, out_v):
+            np.multiply(gv, hit, out=phases[p, q, ..., :rows])
+        if needs[0]:
+            sh, sw = kh + window - 1, kw + window - 1
+            combined = np.zeros((sh, sw, c, window, window, o), weights.data.dtype)
+            for p, q in np.ndindex(window, window):  # offset (u, v) meets tap (u - p, v - q)
+                combined[p:p + kh, q:q + kw, :, p, q] = weights.data.transpose(2, 3, 1, 0)
+            combined = combined.reshape(sh * sw * c, -1)
+            at = np.matmul(combined, phases.reshape(window * window * o, -1),
+                           out=_scratch_array((len(combined), hp * wp * n), g.dtype))
+            at = at.reshape(sh, sw, c, hp, wp, n)[..., :rows]
+            gx = np.zeros((c, h, w, rows), x.data.dtype)
+            for u, v in np.ndindex(sh, sw):
+                gx[:, u:u + ho:window, v:v + wo:window] += at[u, v]
+            gx = gx.transpose(3, 0, 1, 2)
+        if needs[1] or needs[2]:
+            gy = np.empty((o, hp, window, wp, window, rows), g.dtype)
+            # maxpool2d's +0.0, which stores a zeroed sum's +0.0 (see its reverse pass)
+            np.add(phases[..., :rows].transpose(2, 3, 0, 4, 1, 5), 0.0, out=gy)
+            [conv] = conv_tape._records
+            _, gw, gb = conv.backward_fn(gy.reshape(o, ho, wo, rows).transpose(3, 0, 1, 2),
+                                         (False, needs[1], needs[2]))
+        return gx, gw, gb
+
+    return _finish(out, tape, (x, weights, bias), bw)
 
 
 # ---------------------------------------------------------------------------

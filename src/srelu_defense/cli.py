@@ -11,6 +11,7 @@ falls back to wall-clock state.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -469,7 +470,26 @@ _HANDLERS = {
 }
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_heap_pages() -> bool:
+    """Have glibc's allocator keep freed heap pages for the next pass: serve
+    blocks under 32 MiB from the heap, and give memory back to the kernel only
+    past 64 MiB free at its top. Left alone, it returns a pass's freed
+    temporaries and faults them back in on the next pass. False, and nothing
+    set, where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return (mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1
+            and mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1)
+
+
 def main(argv=None) -> int:
+    _keep_heap_pages()
     args = build_parser().parse_args(argv)
     stage = "config"
     try:

@@ -9,8 +9,10 @@ is a test-time setting only. Every pass outside training (logits, predict,
 loss_input_grad, logit_input_grads, penultimate_features) is batch-invariant:
 an image's logits, logit gradients and loss input gradient have the same bits
 in a batch of any size: the convs pad their batch on every tape, and the dense
-layers outside training. Parameters persist in a compact little-endian binary
-format with a bit-exact round trip.
+layers outside training. A pass runs the rectifier after a pool that the spec
+puts right after it, and each conv with the pool right after it as one op
+(_run_order). Parameters persist in a compact little-endian binary format with
+a bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -204,10 +206,18 @@ class Model:
         return logits, np.stack([input_grad(np.tile(e, (len(logits), 1))) for e in classes])
 
     def _input_pass(self, images: np.ndarray):
-        """One taped batch-invariant forward: its logits, and cotangent -> input gradient."""
+        """One taped batch-invariant forward: its logits, and cotangent -> input
+        gradient. A cotangent with no nonzero element takes no reverse pass: its
+        gradient is +0.0 throughout, the bits the reverse pass gives it."""
         tape, x = Tape(), Tensor(images, requires_grad=True)
         logits = _forward(self, x, tape=tape, batch_invariant=True)
-        return logits.data, lambda seed: ad.backward(tape, logits, seed)[x]
+
+        def input_grad(seed: np.ndarray) -> np.ndarray:
+            if not seed.any():
+                return np.zeros(x.shape, x.data.dtype)
+            return ad.backward(tape, logits, seed)[x]
+
+        return logits.data, input_grad
 
 
 def _require_finite(rows: np.ndarray, what: str, model: Model) -> np.ndarray:
@@ -252,17 +262,51 @@ def build_model(arch: "str | ArchitectureSpec", seed: int) -> Model:
     return Model(spec, params)
 
 
+@dataclass(frozen=True)
+class _ConvPool:
+    """A Conv and the Pool right after it, run as one op (ad.conv2d_maxpool2d)."""
+
+    conv: Conv
+    pool: Pool
+
+
+def _run_order(layers: tuple, activation: str) -> list:
+    """layers in the order _forward runs them. With the rectifier, an Act right
+    before a Pool runs after it: fl(slope * max(0, v)) is monotone in v, so it
+    commutes with a window max, bit for bit but for the sign of a window whose
+    max is a zero, and at slope 1 the pool routes its gradient as before. Then
+    each Conv right before a Pool runs with it as one _ConvPool."""
+    order = list(layers)
+    if activation == "srelu":
+        for i in range(len(order) - 1):
+            if isinstance(order[i], Act) and isinstance(order[i + 1], Pool):
+                order[i], order[i + 1] = order[i + 1], order[i]
+    fused = []
+    for layer in order:
+        if isinstance(layer, Pool) and fused and isinstance(fused[-1], Conv):
+            fused[-1] = _ConvPool(fused[-1], layer)
+        else:
+            fused.append(layer)
+    return fused
+
+
 def _forward(model: Model, x: Tensor, tape: Tape | None = None,
              batch_invariant: bool = False) -> Tensor:
-    """Run the layer stack; an op records a gradient for each tensor, input or
-    parameter, that asks for one. batch_invariant pads the dense layers' batch, as
-    the Model batch passes do; the convs pad on every tape (see autodiff)."""
+    """Run the layer stack in _run_order: the rectifier after a pool it precedes,
+    and each conv with the pool after it as one op. An op records a gradient for
+    each tensor, input or parameter, that asks for one. batch_invariant pads the
+    dense layers' batch, as the Model batch passes do; the convs pad on every
+    tape (see autodiff)."""
     expected = (x.shape[0],) + model.spec.input_shape
     if x.shape != expected:
         raise ValueError(f"batch shape {x.shape} does not match expected {expected}")
     params = model.params
-    for layer in model.spec.layers:
-        if isinstance(layer, Conv):
+    for layer in _run_order(model.spec.layers, model.activation):
+        if isinstance(layer, _ConvPool):
+            name = layer.conv.name
+            x = ad.conv2d_maxpool2d(x, params[f"{name}.w"], params[f"{name}.b"],
+                                    layer.pool.window, tape=tape)
+        elif isinstance(layer, Conv):
             x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
         elif isinstance(layer, Pool):
             x = ad.maxpool2d(x, layer.window, tape=tape)

@@ -466,6 +466,85 @@ def test_conv2d_results_outlive_a_following_call(n, first, then):
 
 
 # ---------------------------------------------------------------------------
+# conv2d_maxpool2d against conv2d then maxpool2d
+
+
+def _conv_pool(fused, x, weights, bias, window, g, x_grad=True):
+    """The pooled output and the (input, weight, bias) gradients of conv2d then
+    maxpool2d, recorded as the one fused op or as the two; g is the cotangent."""
+    tape = Tape()
+    inputs = (Tensor(x, requires_grad=x_grad), weights, bias)
+    if fused:
+        out = ad.conv2d_maxpool2d(*inputs, window, tape=tape)
+    else:
+        out = ad.maxpool2d(ad.conv2d(*inputs, tape=tape), window, tape=tape)
+    grads = ad.backward(tape, out, g)
+    return [out.data] + [grads.get(t) for t in inputs]
+
+
+# (input, parameters) taking a gradient: the evaluation tape, the training
+# tape past the first conv, and the training tape's first conv
+CONV_POOL_TAPES = [(True, False), (True, True), (False, True)]
+
+
+@pytest.mark.parametrize("x_grad,params_grad", CONV_POOL_TAPES)
+@pytest.mark.parametrize("window", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), o=st.integers(1, 4),
+       kh=st.integers(1, 3), kw=st.integers(1, 3), hp=st.integers(1, 3), wp=st.integers(1, 3),
+       x_chwn=st.booleans(), seed=st.integers(0, 2**16))
+def test_conv2d_maxpool2d_equals_conv2d_then_maxpool2d(window, x_grad, params_grad, n, c, o,
+                                                       kh, kw, hp, wp, x_chwn, seed):
+    # small integers keep every sum exact whatever the summation order, and make
+    # ties in the pool windows common, so the phase GEMM, the routing rule and
+    # the weight gradient's interleave are checked exactly, sign bits included
+    rng = np.random.default_rng(seed)
+
+    def sample(shape):
+        return rng.integers(-4, 5, size=shape).astype(np.float32)
+
+    x = sample((n, c, window * hp + kh - 1, window * wp + kw - 1))
+    weights, bias = (Tensor(sample(s), requires_grad=params_grad) for s in ((o, c, kh, kw), (o,)))
+    g = chwn_memory(sample((n, o, hp, wp)))
+    x_in = chwn_memory(x) if x_chwn else x
+    fused = _conv_pool(True, x_in, weights, bias, window, g, x_grad)
+    ref = _conv_pool(False, x_in, weights, bias, window, g, x_grad)
+    assert is_chwn_memory(fused[0]) and (fused[1] is None or is_chwn_memory(fused[1]))
+    for got, want in zip(fused, ref):
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("params_grad", [False, True], ids=["evaluation", "training"])
+@pytest.mark.parametrize("x_chw,w_shape,x_chwn", BUILT_IN_CONVS)
+def test_conv2d_maxpool2d_rows_keep_their_bits_in_any_batch(x_chw, w_shape, x_chwn,
+                                                            params_grad):
+    # each built-in conv is followed by a 2-window pool. The phase GEMM pads a
+    # batch until its hp*wp*N columns are a multiple of 16, so a run of 1 to 17
+    # images of a 64-image batch, taken alone, has the pooled output and input
+    # gradient bits it has in the whole batch
+    rng = np.random.default_rng(sum(x_chw))
+    x = rng.normal(size=(64,) + x_chw).astype(np.float32)
+    weights, bias = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=params_grad)
+                     for s in (w_shape, w_shape[:1]))
+    hp, wp = ((size - w_shape[2] + 1) // 2 for size in x_chw[1:])
+    g = rng.normal(size=(64, w_shape[0], hp, wp)).astype(np.float32)
+
+    def rows(lo, size):
+        images = x[lo:lo + size]
+        return _conv_pool(True, chwn_memory(images) if x_chwn else images, weights, bias, 2,
+                          g[lo:lo + size])[:2]
+
+    whole = rows(0, 64)
+    for lo in (0, 5, 40):
+        for size in range(1, 18):
+            for got, want in zip(rows(lo, size), whole):
+                assert got.tobytes() == want[lo:lo + size].tobytes(), (lo, size)
+
+
+# ---------------------------------------------------------------------------
 # dense
 
 

@@ -236,14 +236,19 @@ def _count_calls(monkeypatch, name):
 def test_sweep_predicts_each_attacked_chunk_once(trained_synth, small_test, monkeypatch,
                                                  kinds):
     # no kind here takes its gradients through Model.logits, and an eps=0
-    # cell returns the clean chunk, whose prediction is cached; so the forward
-    # passes left are one clean prediction per slope and one per eps>0 cell
+    # cell returns the clean chunk, whose prediction is cached; so does a
+    # gradient cell whose every first gradient is zero, as at slope 100 here,
+    # where the softmax saturates. So the forward passes left are one clean
+    # prediction per slope and one per eps>0 cell in which an image moves
+    images = take_first(small_test, 60)
+    _, grad = trained_synth.with_slope(100.0).loss_input_grad(images.images, images.labels)
+    assert not grad.any()
     calls = _count_calls(monkeypatch, "logits")
-    grid = dict(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
-                attack_kinds=tuple(kinds.split(",")))
-    slope_sweep(trained_synth, take_first(small_test, 60), **grid, seed=0)
-    attacked_cells_per_slope = len(grid["attack_kinds"]) * 2
-    assert calls == [60] * 2 * (1 + attacked_cells_per_slope)
+    kinds = kinds.split(",")
+    grid = dict(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3), attack_kinds=tuple(kinds))
+    slope_sweep(trained_synth, images, **grid, seed=0)
+    moving_kinds = len(kinds) + len(set(kinds) - {"fgsm", "bim"})  # at slopes 1 and 100
+    assert calls == [60] * (2 + 2 * moving_kinds)
 
 
 def test_slices_cut_slice_rows_from_zero(monkeypatch):

@@ -34,21 +34,21 @@ from srelu_defense.experiments import slope_sweep
 
 from helpers import synthetic_cifar, synthetic_split
 
-MNIST_PARAMS_SHA256 = "357ea6c827b396705e459936058a0ae7ae06c17b78b45ad02aef4b46a6ff9f41"
+MNIST_PARAMS_SHA256 = "57da09fc0c77a7579195feab1d1e047a9c96ffd30e9ae36d7c340aad2eb25380"
 REPORT_SHA256 = "46a5a04b7ab6b23eb276714428feb2c44742c817704fc229aa2c2a6459f4a757"
 SUMMARY_SHA256 = "361cdfaec5afdcd03976224e363baf8bdefd5cab6e6cf8e677c9b38e1ebea2c6"
-CIFAR_PARAMS_SHA256 = "906774eff795ceaba890d16ae7e737f12bf6cbbda115a44f9bb98b37f47508a4"
+CIFAR_PARAMS_SHA256 = "ca8aabf801869f8dd18224ceebf7da9815e472dda0fe6b7de5d75bec1fe06d08"
 TARGETED_REPORT_SHA256 = "8b59b0b2d2844fd586fb3b6875d6d86222dfec36809239edb65c3d5b1a9ead50"
 TARGETED_SUMMARY_SHA256 = "efa11f0ea71e1934eb183e6a991fa4cf16f0c9802a75a12a6a39f2f5cd40c601"
 SWAP_REPORT_SHA256 = "cd8f4527c379ed007d55f78d6afbe3e322a0706ad35fa06f69f93416e2a6a715"
 SCALE_CLIP_REPORT_SHA256 = "f6070772059a048f224124a49acf79d1865830fbf76587ab17fc3a221e37d2ad"
 SCALE_NOCLIP_REPORT_SHA256 = "f65c680486935938c03700690d0ffce1764406352eaab9b91349ab1be7c06790"
-BPDA_PARAMS_SHA256 = "0551e7a62904390ffebfab33a8ca890b695460b19c691f01eadb9beef956a9b8"
+BPDA_PARAMS_SHA256 = "98ea39f85575f38383aa82e0b1fa1f3247c7f86e200431ddeb7f0733e2e1607c"
 BPDA_REPORT_SHA256 = "d5a93172a0bf2b15b4a0424353a0a20e2f7e0454985fbae55c09106f9b725c24"
 BPDA_TAIL_REPORT_SHA256 = "39baf5c5b632e0a405f7ae00f83c2f8c28d7d5efa45d69b5629a35bd1217521d"
 OTHER_KINDS_REPORT_SHA256 = "5e7460fd0ef681b8fb4cdd804f7c6187285773352e76378dae258322cc46b2f5"
 OTHER_KINDS_SUMMARY_SHA256 = "084a8082d28ff20b1c90fd3444c179e9eedf7511333d26bbc96448ac051becf3"
-DEEPFOOL_REPORT_SHA256 = "1a1f18e37248100b68d6ab2b5e98d96afce8d82cc710868b207449fd33ac07aa"
+DEEPFOOL_REPORT_SHA256 = "b4a4867b8c376bd6e76cb78658d7a43bef9f83b593d5d649ec2787b7557df682"
 SLICED_PREDICTIONS_SHA256 = "c43defdda7cd603519fa080b500993a2fd7520a252b3375c0944e7de0248d5cc"
 SLICED_FEATURES_SHA256 = "2624a8392f821b5e3251b851762f43ff9b8e8177c678f569ceb3564bd9b19fad"
 SLICED_SOFT_LABELS_SHA256 = "bd83cf3075f293336746b1819a951e9679ce1a5720341c89a1d06b943566f3e1"

@@ -1,5 +1,8 @@
 """Architecture, forward-pass, and parameter-persistence tests."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -21,6 +24,7 @@ from srelu_defense.models import (
     Flatten,
     Model,
     ParamsFormatError,
+    Pool,
     build_model,
     load_params,
     penultimate_features,
@@ -291,7 +295,9 @@ def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
     # flatten is CHWN
     for arch, spec in md.ARCHITECTURES.items():
         model = build_model(arch, seed=2)
-        maps = spec.layers.index(Flatten())  # conv, pool and act layers before it
+        # the conv, pool and act layers before it; each pool runs with the conv
+        # before it as one op, cifar10_cnn1's after its rectifier moves past it
+        maps = spec.layers.index(Flatten()) - spec.layers.count(Pool())
         for batch in (1, 2, 3, 5, 64):
             images = rand_batch(rng, model, n=batch)
             for view, padded in ((model, True), (trainable(model), False)):
@@ -354,6 +360,61 @@ def test_slope_folds_into_the_weights_after_each_activation_site(arch, slope):
     assert normal.sum() >= 36
     assert grad[normal].tobytes() == ref_grad[normal].tobytes()
     assert grad[normal].any()
+
+
+def _spec_order_walk(model, images, layers):
+    """The batch-invariant forward through the standalone ops, layer by layer in
+    the order the spec lists them, with no tape."""
+    x, params = ad.Tensor(images), model.params
+    for layer in layers:
+        if isinstance(layer, Conv):
+            x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"])
+        elif isinstance(layer, Pool):
+            x = ad.maxpool2d(x, layer.window)
+        elif isinstance(layer, Act):
+            x = ad.srelu(x, model.slope)
+        elif isinstance(layer, Flatten):
+            x = ad.flatten(x)
+        else:
+            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"],
+                         batch_invariant=True)
+    return x.data
+
+
+@pytest.mark.parametrize("slope", [1.0, 2.0, 10.0, 100.0])
+def test_rectifier_after_the_pool_keeps_the_spec_order_bits(slope):
+    # cifar10_cnn1 lists each conv's rectifier before its pool, and a pass runs
+    # the rectifier after the pool, fused with the conv: a window max commutes
+    # with the monotone fl(slope * max(0, v)) at any slope
+    model = build_model("cifar10_cnn1", seed=29).with_slope(slope)
+    images = rand_batch(np.random.default_rng(29), model, n=37)
+    layers = model.spec.layers
+    head = layers[:max(i for i, layer in enumerate(layers) if isinstance(layer, Dense))]
+    assert model.logits(images).tobytes() == _spec_order_walk(model, images, layers).tobytes()
+    assert (penultimate_features(model, images).tobytes()
+            == _spec_order_walk(model, images, head).tobytes())
+
+
+@pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
+def test_a_zero_cotangent_takes_no_reverse_pass_and_keeps_its_bits(arch, monkeypatch):
+    # at slope 100 this model gives each image its own prediction with
+    # probability 1 in float32, so the loss's cotangent is all zero. The input
+    # gradient then skips the reverse pass and has the full pass's bits: +0.0
+    model = build_model(arch, seed=8).with_slope(100.0)
+    images = rand_batch(np.random.default_rng(7), model, n=9)
+    labels = model.predict(images)
+    tape, x = ad.Tape(), ad.Tensor(images, requires_grad=True)
+    logits = md._forward(model, x, tape=tape, batch_invariant=True)
+    z, lse = ad._log_softmax_parts(logits.data)
+    seed = np.exp(z - lse) - ad._onehot(logits.data, labels)
+    assert not seed.any()
+    full = ad.backward(tape, logits, seed)[x]
+    calls = []
+    monkeypatch.setattr(ad, "backward", lambda *args: calls.append(args))
+    _, grad = model.loss_input_grad(images, labels)
+    assert calls == []
+    assert grad.tobytes() == full.tobytes()
+    assert not np.signbit(grad).any()
 
 
 def test_forward_shape_mismatch():
@@ -514,17 +575,27 @@ def test_training_forward_gives_one_entry_per_parameter(rng):
 
 
 def _conv_kept_shapes(model, x):
-    """Shapes of the unfold views each conv2d backward closure holds: output row
-    i's (kh*C*kw, wo*N) GEMM operand, for each of the ho rows."""
+    """Shapes of the unfold views each conv's backward closure holds: output row
+    i's (kh*C*kw, wo*N) GEMM operand, for each of the ho rows. A conv+pool
+    record holds conv2d's own reverse pass on a tape of its own, so the
+    closures of that tape's record are searched too."""
     tape = ad.Tape()
     md._forward(model, x, tape=tape)
     held = []
+
+    def search(backward_fn, operand):
+        for cell in backward_fn.__closure__:
+            value = cell.cell_contents
+            if isinstance(value, ad.Tape):
+                for rec in value._records:
+                    search(rec.backward_fn, operand)
+            elif getattr(value, "shape", (None,))[:2] == operand:
+                held.append(value.shape)
+
     for rec in tape._records:
         if len(rec.inputs) == 3 and rec.inputs[1].data.ndim == 4:
             c, kh, kw = rec.inputs[1].shape[1:]
-            ho = rec.out.shape[2]
-            held += [cell.cell_contents.shape for cell in rec.backward_fn.__closure__
-                     if getattr(cell.cell_contents, "shape", (None,))[:2] == (ho, kh * c * kw)]
+            search(rec.backward_fn, (rec.inputs[0].shape[2] - kh + 1, kh * c * kw))
     return held
 
 
@@ -550,6 +621,43 @@ def test_input_gradient_peak_memory_at_the_evaluation_chunk(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 32e6
+
+
+HEAP_PASSES = """
+import resource, sys
+import numpy as np
+from srelu_defense import build_model
+from srelu_defense.cli import _keep_heap_pages
+if not _keep_heap_pages():
+    sys.exit(3)
+model = build_model("mnist_cnn", seed=2)
+rng = np.random.default_rng(2)
+images = rng.uniform(0, 1, size=(64, 1, 28, 28)).astype(np.float32)
+labels = np.arange(64) % 10
+for _ in range(2):  # the heap grows to the pass's high-water mark
+    model.loss_input_grad(images, labels)
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.loss_input_grad(images, labels)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults))
+"""
+
+
+def test_the_cli_allocator_setting_keeps_a_pass_off_the_kernel():
+    # with glibc's default thresholds a pass returns its freed temporaries to the
+    # kernel and faults them back in: about 1,470 minor faults per pass at 64
+    # rows. The CLI's setting keeps them on the heap, so a warm pass takes few
+    pytest.importorskip("resource")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sd.__file__)))
+    run = subprocess.run([sys.executable, "-c", HEAP_PASSES], env=env,
+                         capture_output=True, text=True, timeout=120)
+    if run.returncode == 3:
+        pytest.skip("libc has no mallopt")
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 100
 
 
 # ---------------------------------------------------------------------------
