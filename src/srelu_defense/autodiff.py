@@ -12,22 +12,21 @@ Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
 high-accuracy gradient checks build float64 tensors that way.
 
 OpenBLAS rounds a small GEMM apart from a large one, so a row's bits can
-depend on how many rows share its batch. conv2d and conv2d_maxpool2d's
-input-gradient GEMM always pad their batch with zero images, and dense with
-batch_invariant pads one under DENSE_MIN_ROWS rows; every row then has the bits
-it has in a batch of any size.
+depend on how many rows share its batch. Every GEMM whose columns run over the
+batch (conv2d's, conv2d_maxpool2d's input-gradient GEMM and dense's) pads the
+batch with zero images by one rule, _gemm_batch, on every tape, training
+included; every row then has the bits it has in a batch of any size.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 DTYPE = np.float32
-
-DENSE_MIN_ROWS = 128  # dense's batch_invariant floor, measured on numpy's OpenBLAS 0.3.31
 
 
 class Tensor:
@@ -140,6 +139,14 @@ def backward(tape: Tape, out: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
 # convolution / pooling
 
 
+def _gemm_batch(rows: int, cols_per_image: int) -> int:
+    """The batch every GEMM whose columns run over the images pads to with zero
+    images: the smallest N >= rows with N * cols_per_image a multiple of 16, past
+    OpenBLAS's short-tail rounding (measured on numpy 2.4.6's OpenBLAS 0.3.31),
+    so at the built-in shapes a row has the same bits in a batch of any size."""
+    return rows + -rows % (16 // math.gcd(cols_per_image, 16))
+
+
 def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
     """a with zero rows appended along axis 0 up to rows; a itself if it has as many."""
     if len(a) >= rows:
@@ -152,8 +159,8 @@ _scratch = threading.local()
 
 def _scratch_array(shape: tuple, dtype) -> np.ndarray:
     """Uninitialised row-major array in this thread's reused byte buffer (conv2d's
-    unfold or input-gradient taps, or conv2d_maxpool2d's offset products); no op
-    returns or keeps a view of it."""
+    unfold or a conv input gradient's offset products); no op returns or keeps a
+    view of it."""
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.nbytes < nbytes:
@@ -168,10 +175,10 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -
     dims are in - k + 1. The output and the input gradient are CHWN (see Tensor).
     The input is unfolded along its width as (H, C, kw, wo, N); output row i is
     one (O, kh*C*kw) @ (kh*C*kw, wo*N) GEMM over a view of its rows i to i + kh - 1,
-    so K sums in (kh, C, kw) order. Every tape pads the batch with zero images to
-    the smallest N with wo*N a multiple of 16, past OpenBLAS's short-tail rounding,
-    so at the built-in shapes an image has the same bits in a batch of any size.
-    Only a weight gradient keeps the unfold; it sums the per-row GEMMs over rows.
+    so K sums in (kh, C, kw) order. Every tape pads the batch to
+    _gemm_batch(rows, wo). The input gradient is _input_grad's at window 1: one
+    GEMM into tap-major order, each tap added into the input. Only a weight
+    gradient keeps the unfold; it sums the per-row GEMMs over rows.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be NCHW, got shape {x.shape}")
@@ -187,8 +194,8 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -
         raise ValueError(f"conv2d bias must have shape ({o},), got {bias.shape}")
 
     ho, wo = h - kh + 1, w - kw + 1
-    n = rows + -rows % (16 // np.gcd(wo, 16))  # the GEMMs' batch
-    k, m = c * kh * kw, n * ho * wo
+    n = _gemm_batch(rows, wo)
+    k = c * kh * kw
     keep = tape is not None and weights.requires_grad
     unfold = (np.empty if keep else _scratch_array)((h, c * kw, wo * n), x.data.dtype)
     chwn = np.ascontiguousarray(_pad_rows(x.data, n).transpose(1, 2, 3, 0))
@@ -207,19 +214,11 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
-        gt = _pad_rows(g, n).transpose(1, 2, 3, 0).reshape(o, m)  # (O, M) as (ho, wo, N)
-        if needs[0]:
-            # one GEMM straight into tap-major order (kh, kw, C, ho, wo, N), each
-            # tap but the padding's added into a CHWN buffer over runs of wo*N floats
-            wtap = weights.data.transpose(2, 3, 1, 0).reshape(k, o)
-            taps = np.matmul(wtap, gt, out=_scratch_array((k, m), np.result_type(wtap, gt)))
-            taps = taps.reshape(kh, kw, c, ho, wo, n)[..., :rows]
-            gx = np.zeros((c, h, w, rows), x.data.dtype)
-            for p, q in np.ndindex(kh, kw):
-                gx[:, p:p + ho, q:q + wo] += taps[p, q]
-            gx = gx.transpose(3, 0, 1, 2)
+        gt = _pad_rows(g, n).transpose(1, 2, 3, 0).reshape(o, ho, wo * n)
+        if needs[0]:  # one phase: the whole output
+            gx = _input_grad(weights.data, gt.reshape(1, 1, o, ho, wo, n), x.data)
         if needs[1]:  # (kh*C*kw, wo*N) @ (wo*N, O) per output row, summed over the rows
-            per_row = np.matmul(kept, gt.reshape(o, ho, wo * n).transpose(1, 2, 0))
+            per_row = np.matmul(kept, gt.transpose(1, 2, 0))
             gw = per_row.sum(axis=0).T.reshape(o, kh, c, kw).transpose(0, 2, 1, 3)
         if needs[2]:
             gb = g.transpose(1, 2, 3, 0).reshape(o, -1).sum(axis=1)  # the batch's own columns
@@ -228,14 +227,40 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -
     return _finish(out, tape, (x, weights, bias), bw)
 
 
+def _input_grad(weights: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A conv's input gradient, in CHWN memory, from its output's gradient split
+    by position mod window into phases (window, window, O, hp, wp, N), N padded:
+    one GEMM of a combined kernel, a (C, window, window, O) block per offset (u, v)
+    of an input pixel from its window's corner, with the phases, each offset's
+    product added into the input at stride window. At window 1 the offsets are
+    conv2d's taps; past it, the sub-pixel decomposition of Shi et al. (CVPR 2016)
+    in reverse."""
+    window, _, o, hp, wp, n = phases.shape
+    rows, c, h, w = x.shape
+    kh, kw = weights.shape[2:]
+    sh, sw = kh + window - 1, kw + window - 1
+    combined = np.zeros((sh, sw, c, window, window, o), weights.dtype)
+    for p, q in np.ndindex(window, window):  # offset (u, v) meets tap (u - p, v - q)
+        combined[p:p + kh, q:q + kw, :, p, q] = weights.transpose(2, 3, 1, 0)
+    combined = combined.reshape(sh * sw * c, -1)
+    at = np.matmul(combined, phases.reshape(window * window * o, -1),
+                   out=_scratch_array((len(combined), hp * wp * n),
+                                      np.result_type(combined, phases)))
+    at = at.reshape(sh, sw, c, hp, wp, n)[..., :rows]
+    gx = np.zeros((c, h, w, rows), x.dtype)
+    for u, v in np.ndindex(sh, sw):
+        gx[:, u:u + window * hp:window, v:v + window * wp:window] += at[u, v]
+    return gx.transpose(3, 0, 1, 2)
+
+
 def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
     """Max pooling over square windows that tile the map (the stride is the
     window); gradient flows only to the argmax.
 
     The forward folds np.maximum over the window taps in row-major order.
     Ties, signed zeros included (-0.0 == 0.0), route the gradient to the
-    first tap in that order that equals the max. The output and the gradient
-    are CHWN; a row-major x is read through its CHWN transpose.
+    first tap in that order that equals the max (_route). The output and the
+    gradient are CHWN; a row-major x is read through its CHWN transpose.
     """
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2d input must be NCHW, got shape {x.shape}")
@@ -243,45 +268,48 @@ def maxpool2d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
     if window < 1 or h % window or w % window:
         raise ValueError(f"pool window {window} does not tile the {h}x{w} map")
 
-    ho, wo = h // window, w // window
-    taps = [(p, q) for p in range(window) for q in range(window)]
-
-    def view(a, *mid):  # (C, ..., N): a view of CHWN memory, or of a row-major a's transpose
-        return a.transpose(1, 2, 3, 0).reshape(c, *mid, n)
-
-    # (C, ho, window, wo, window, N): tap (p, q) of every window is [:, :, p, :, q]
-    xw = view(x.data, ho, window, wo, window)
+    # (C, ho, window, wo, window, N): a view of CHWN memory, or of a row-major x's
+    # transpose; tap (p, q) of every window is [:, :, p, :, q]
+    xw = x.data.transpose(1, 2, 3, 0).reshape(c, h // window, window, w // window, window, n)
     out_v = xw[:, :, 0, :, 0].copy()
-    for p, q in taps[1:]:
+    for p, q in list(np.ndindex(window, window))[1:]:
         np.maximum(out_v, xw[:, :, p, :, q], out=out_v)
     out = Tensor(out_v.transpose(3, 0, 1, 2), dtype=out_v.dtype)
 
     def bw(g: np.ndarray, needs):
-        # the taps tile gx, so each position is written once
-        gx = np.empty((c, h, w, n), x.data.dtype).transpose(3, 0, 1, 2)
-        gxw, gv = view(gx, ho, window, wo, window), view(g, ho, wo)
-        routed = np.empty(out_v.shape, g.dtype)
-        for p, q, hit in _first_hits(xw, out_v):
-            # g * False is -0.0 where g < 0; adding +0.0 stores a zeroed sum's +0.0
-            np.add(np.multiply(gv, hit, out=routed), 0.0, out=gxw[:, :, p, :, q])
-        return (gx,)
+        return (_unroute(_route(g, xw, out_v, n), n),)
 
     return _finish(out, tape, (x,), bw)
 
 
-def _first_hits(xw: np.ndarray, out_v: np.ndarray):
-    """Each tap (p, q) of a pool's windows in row-major order, with where it is its
-    window's first tap equal to the window's max: xw is the (C, ho, window, wo,
-    window, N) input, out_v the (C, ho, wo, N) maxes. The mask is one buffer,
-    overwritten at the next tap."""
-    window = xw.shape[2]
+def _route(g: np.ndarray, xw: np.ndarray, out_v: np.ndarray, n: int) -> np.ndarray:
+    """The pooled cotangent g routed by the first-tie rule into phases (window,
+    window, C, hp, wp, n): [p, q] holds g where tap (p, q) is its window's first
+    tap in row-major order equal to the max, and zero elsewhere and in the
+    padding's images past g's. xw is the (C, hp, window, wp, window, rows) input,
+    out_v the (C, hp, wp, rows) maxes."""
+    c, hp, window, wp, _, rows = xw.shape
+    phases = np.empty((window, window, c, hp, wp, n), g.dtype)
+    phases[..., rows:] = 0.0
+    gv = g.transpose(1, 2, 3, 0)
     unclaimed = np.ones(out_v.shape, dtype=bool)
     hit = np.empty(out_v.shape, dtype=bool)
     for p, q in np.ndindex(window, window):
         np.equal(xw[:, :, p, :, q], out_v, out=hit)
         hit &= unclaimed
         unclaimed ^= hit
-        yield p, q, hit
+        np.multiply(gv, hit, out=phases[p, q, ..., :rows])
+    return phases
+
+
+def _unroute(phases: np.ndarray, rows: int) -> np.ndarray:
+    """The gradient at the pool's input, (rows, C, H, W) in CHWN memory: the
+    first rows images of phases interleaved back to full resolution. g * False is
+    -0.0 where g < 0; adding +0.0 stores a zeroed sum's +0.0."""
+    window, _, c, hp, wp, _ = phases.shape
+    gx = np.empty((c, hp, window, wp, window, rows), phases.dtype)
+    np.add(phases[..., :rows].transpose(2, 3, 0, 4, 1, 5), 0.0, out=gx)
+    return gx.reshape(c, hp * window, wp * window, rows).transpose(3, 0, 1, 2)
 
 
 def conv2d_maxpool2d(x: Tensor, weights: Tensor, bias: Tensor, window: int,
@@ -289,57 +317,30 @@ def conv2d_maxpool2d(x: Tensor, weights: Tensor, bias: Tensor, window: int,
     """conv2d, then maxpool2d over window, recorded as one op.
 
     The forward calls both. The reverse pass routes the pooled cotangent by
-    maxpool2d's rule into a phase-major buffer (window, window, O, hp, wp, N):
-    the conv output's gradient split by its position mod window. The input
-    gradient is then one GEMM of a combined kernel, one (C, window, window, O)
-    block per offset (u, v) of an input pixel from its output window's corner,
-    u, v < kh + window - 1, with that buffer; each offset's product is added into
-    the input at stride window. So neither the routed gradient at full
-    resolution nor conv2d's kh*kw taps are built: the sub-pixel decomposition of
-    Shi et al. (CVPR 2016) in reverse. The GEMM pads its batch with zero images
-    until its hp*wp*N columns are a multiple of 16, as conv2d pads its own. The
-    weight and bias gradients interleave the buffer back to the conv output's
-    gradient, as maxpool2d's reverse pass writes it, and run conv2d's.
+    maxpool2d's rule into phases, the conv output's gradient split by its
+    position mod window (_route), padded to _gemm_batch(rows, hp*wp) images;
+    the input gradient is _input_grad's from them, so the routed gradient is
+    never built at full resolution. The weight and bias gradients interleave the
+    phases back, as maxpool2d's reverse pass does (_unroute), and run conv2d's.
     """
     params_grad = tape is not None and (weights.requires_grad or bias.requires_grad)
     conv_tape = Tape() if params_grad else None  # holds conv2d's reverse pass, unfold and all
     y = conv2d(x, weights, bias, tape=conv_tape)
     out = maxpool2d(y, window)
-    rows, c, h, w = x.shape
-    o, _, kh, kw = weights.shape
-    ho, wo = y.shape[2:]
+    rows, o, ho, wo = y.shape
     hp, wp = ho // window, wo // window
-    n = rows + -rows % (16 // np.gcd(hp * wp, 16))  # the phase GEMM's batch
+    n = _gemm_batch(rows, hp * wp)
     yw = y.data.transpose(1, 2, 3, 0).reshape(o, hp, window, wp, window, rows)
     out_v = out.data.transpose(1, 2, 3, 0)
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
-        phases = np.empty((window, window, o, hp, wp, n), g.dtype)
-        phases[..., rows:] = 0.0
-        gv = g.transpose(1, 2, 3, 0)
-        for p, q, hit in _first_hits(yw, out_v):
-            np.multiply(gv, hit, out=phases[p, q, ..., :rows])
+        phases = _route(g, yw, out_v, n)
         if needs[0]:
-            sh, sw = kh + window - 1, kw + window - 1
-            combined = np.zeros((sh, sw, c, window, window, o), weights.data.dtype)
-            for p, q in np.ndindex(window, window):  # offset (u, v) meets tap (u - p, v - q)
-                combined[p:p + kh, q:q + kw, :, p, q] = weights.data.transpose(2, 3, 1, 0)
-            combined = combined.reshape(sh * sw * c, -1)
-            at = np.matmul(combined, phases.reshape(window * window * o, -1),
-                           out=_scratch_array((len(combined), hp * wp * n), g.dtype))
-            at = at.reshape(sh, sw, c, hp, wp, n)[..., :rows]
-            gx = np.zeros((c, h, w, rows), x.data.dtype)
-            for u, v in np.ndindex(sh, sw):
-                gx[:, u:u + ho:window, v:v + wo:window] += at[u, v]
-            gx = gx.transpose(3, 0, 1, 2)
+            gx = _input_grad(weights.data, phases, x.data)
         if needs[1] or needs[2]:
-            gy = np.empty((o, hp, window, wp, window, rows), g.dtype)
-            # maxpool2d's +0.0, which stores a zeroed sum's +0.0 (see its reverse pass)
-            np.add(phases[..., :rows].transpose(2, 3, 0, 4, 1, 5), 0.0, out=gy)
             [conv] = conv_tape._records
-            _, gw, gb = conv.backward_fn(gy.reshape(o, ho, wo, rows).transpose(3, 0, 1, 2),
-                                         (False, needs[1], needs[2]))
+            _, gw, gb = conv.backward_fn(_unroute(phases, rows), (False, needs[1], needs[2]))
         return gx, gw, gb
 
     return _finish(out, tape, (x, weights, bias), bw)
@@ -349,25 +350,29 @@ def conv2d_maxpool2d(x: Tensor, weights: Tensor, bias: Tensor, window: int,
 # affine / reshape / reductions
 
 
-def dense(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None,
-          batch_invariant: bool = False) -> Tensor:
-    """Affine map x @ weights + bias for 2-D batches; batch_invariant pads a batch
-    under DENSE_MIN_ROWS rows to it with zeros."""
+def dense(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
+    """Affine map x @ weights + bias for 2-D batches. The GEMMs run the batch along
+    their columns, as conv2d's do: weights.T @ x.T, and weights @ g.T for the input
+    gradient, each over the batch padded to _gemm_batch(rows, 1)."""
     if x.data.ndim != 2 or weights.data.ndim != 2:
         raise ValueError(
             f"dense expects 2-D input and weights, got {x.shape} and {weights.shape}"
         )
-    n, f = x.shape
+    rows, f = x.shape
     fw, g_out = weights.shape
     if f != fw:
         raise ValueError(f"dense dimension mismatch: input width {f}, weights expect {fw}")
     if bias.shape != (g_out,):
         raise ValueError(f"dense bias must have shape ({g_out},), got {bias.shape}")
-    rows = max(n, DENSE_MIN_ROWS) if batch_invariant else n
-    out = Tensor((_pad_rows(x.data, rows) @ weights.data)[:n] + bias.data, dtype=x.data.dtype)
+    n = _gemm_batch(rows, 1)
+
+    def batch_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # (a @ b.T).T, b's rows padded
+        return np.ascontiguousarray((a @ _pad_rows(b, n).T)[:, :rows].T)
+
+    out = Tensor(batch_gemm(weights.data.T, x.data) + bias.data, dtype=x.data.dtype)
 
     def bw(g: np.ndarray, needs):
-        gx = (_pad_rows(g, rows) @ weights.data.T)[:n] if needs[0] else None
+        gx = batch_gemm(weights.data, g) if needs[0] else None
         gw = x.data.T @ g if needs[1] else None
         gb = g.sum(axis=0) if needs[2] else None
         return gx, gw, gb

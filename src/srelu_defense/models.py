@@ -5,14 +5,13 @@ activation site: the rectifier at a slope (1 by default), or a substitute
 function. with_slope and with_activation give views that share the
 parameters. The parameters take no gradient: only the training loop
 (experiments._sgd) builds a trainable view of them, at slope 1, so the slope
-is a test-time setting only. Every pass outside training (logits, predict,
-loss_input_grad, logit_input_grads, penultimate_features) is batch-invariant:
-an image's logits, logit gradients and loss input gradient have the same bits
-in a batch of any size: the convs pad their batch on every tape, and the dense
-layers outside training. A pass runs the rectifier after a pool that the spec
-puts right after it, and each conv with the pool right after it as one op
-(_run_order). Parameters persist in a compact little-endian binary format with
-a bit-exact round trip.
+is a test-time setting only. Every pass, training's included, is
+batch-invariant: an image's logits, logit gradients and loss input gradient
+have the same bits in a batch of any size, as every conv and dense GEMM pads
+its batch by one rule (see autodiff). A pass runs the rectifier after a pool
+that the spec puts right after it, and each conv with the pool right after it
+as one op (_run_order). Parameters persist in a compact little-endian binary
+format with a bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -176,7 +175,7 @@ class Model:
 
     def logits(self, images: np.ndarray) -> np.ndarray:
         """Logits for a batch under the configured test activation."""
-        return _forward(self, Tensor(images), batch_invariant=True).data
+        return _forward(self, Tensor(images)).data
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Argmax class per image; ties resolve to the lowest index.
@@ -206,11 +205,11 @@ class Model:
         return logits, np.stack([input_grad(np.tile(e, (len(logits), 1))) for e in classes])
 
     def _input_pass(self, images: np.ndarray):
-        """One taped batch-invariant forward: its logits, and cotangent -> input
+        """One taped forward: its logits, and cotangent -> input
         gradient. A cotangent with no nonzero element takes no reverse pass: its
         gradient is +0.0 throughout, the bits the reverse pass gives it."""
         tape, x = Tape(), Tensor(images, requires_grad=True)
-        logits = _forward(self, x, tape=tape, batch_invariant=True)
+        logits = _forward(self, x, tape=tape)
 
         def input_grad(seed: np.ndarray) -> np.ndarray:
             if not seed.any():
@@ -290,13 +289,11 @@ def _run_order(layers: tuple, activation: str) -> list:
     return fused
 
 
-def _forward(model: Model, x: Tensor, tape: Tape | None = None,
-             batch_invariant: bool = False) -> Tensor:
+def _forward(model: Model, x: Tensor, tape: Tape | None = None) -> Tensor:
     """Run the layer stack in _run_order: the rectifier after a pool it precedes,
     and each conv with the pool after it as one op. An op records a gradient for
-    each tensor, input or parameter, that asks for one. batch_invariant pads the
-    dense layers' batch, as the Model batch passes do; the convs pad on every
-    tape (see autodiff)."""
+    each tensor, input or parameter, that asks for one. Batch-invariant on every
+    tape: each conv and dense pads its batch (see autodiff)."""
     expected = (x.shape[0],) + model.spec.input_shape
     if x.shape != expected:
         raise ValueError(f"batch shape {x.shape} does not match expected {expected}")
@@ -316,8 +313,7 @@ def _forward(model: Model, x: Tensor, tape: Tape | None = None,
         elif isinstance(layer, Flatten):
             x = ad.flatten(x, tape=tape)
         elif isinstance(layer, Dense):
-            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape,
-                         batch_invariant=batch_invariant)
+            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
         else:
             raise ValueError(f"unknown layer kind {layer!r}")
     return x
@@ -332,7 +328,7 @@ def penultimate_features(model: Model, batch: np.ndarray) -> np.ndarray:
     last_dense = max(i for i, layer in enumerate(layers) if isinstance(layer, Dense))
     head = replace(model.spec, layers=layers[:last_dense])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        feats = _forward(replace(model, spec=head), Tensor(batch), batch_invariant=True).data
+        feats = _forward(replace(model, spec=head), Tensor(batch)).data
     return _require_finite(feats, "features", model)
 
 

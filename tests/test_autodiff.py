@@ -386,6 +386,36 @@ def test_conv2d_rows_keep_their_bits_in_any_batch(x_chw, w_shape, x_chwn, weight
             assert conv(x[lo:lo + size]).tobytes() == whole[lo:lo + size].tobytes(), (lo, size)
 
 
+# (in, out) features of each built-in dense layer: mnist_cnn's two, cifar's three
+BUILT_IN_DENSES = [(320, 50), (50, 10), (400, 120), (120, 84), (84, 10)]
+
+
+@pytest.mark.parametrize("weights_grad", [False, True], ids=["evaluation", "training"])
+@pytest.mark.parametrize("features,out_features", BUILT_IN_DENSES)
+def test_dense_rows_keep_their_bits_in_any_batch(features, out_features, weights_grad):
+    # every tape runs the batch along the GEMMs' columns and pads it to a multiple
+    # of 16, as conv2d does, so a run of 1 to 17 rows of a 64-row batch, taken
+    # alone, has the output and input gradient bits it has in the whole batch.
+    # Row-major x @ weights under the same padding moves rows of the 320 -> 50
+    # and 400 -> 120 forwards here
+    rng = np.random.default_rng(features + out_features)
+    x = rng.normal(size=(64, features)).astype(np.float32)
+    g = rng.normal(size=(64, out_features)).astype(np.float32)
+    weights, bias = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=weights_grad)
+                     for s in ((features, out_features), (out_features,)))
+
+    def rows(lo, size):
+        tape, t = Tape(), Tensor(x[lo:lo + size], requires_grad=True)
+        out = ad.dense(t, weights, bias, tape=tape)
+        return out.data, ad.backward(tape, out, g[lo:lo + size])[t]
+
+    whole = rows(0, 64)
+    for lo in (0, 5, 40):
+        for size in range(1, 18):
+            for got, want in zip(rows(lo, size), whole):
+                assert got.tobytes() == want[lo:lo + size].tobytes(), (lo, size)
+
+
 @pytest.mark.parametrize("x_chwn", [False, True])
 def test_conv2d_layout_bits_hold_where_a_small_gemm_has_a_short_tail(x_chwn):
     # cifar conv2 at a batch of two: each output row's GEMM would have 20

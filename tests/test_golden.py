@@ -34,10 +34,10 @@ from srelu_defense.experiments import slope_sweep
 
 from helpers import synthetic_cifar, synthetic_split
 
-MNIST_PARAMS_SHA256 = "57da09fc0c77a7579195feab1d1e047a9c96ffd30e9ae36d7c340aad2eb25380"
+MNIST_PARAMS_SHA256 = "ba127505aa16a43d9bac15d0aacbf2da2a6d8dd6cffd61c9b545685144f5ff98"
 REPORT_SHA256 = "46a5a04b7ab6b23eb276714428feb2c44742c817704fc229aa2c2a6459f4a757"
 SUMMARY_SHA256 = "361cdfaec5afdcd03976224e363baf8bdefd5cab6e6cf8e677c9b38e1ebea2c6"
-CIFAR_PARAMS_SHA256 = "ca8aabf801869f8dd18224ceebf7da9815e472dda0fe6b7de5d75bec1fe06d08"
+CIFAR_PARAMS_SHA256 = "85cf22c29aea3cfd49afaf591fa240200e7b1c18ec63b292ca6ce8d61eab5050"
 TARGETED_REPORT_SHA256 = "8b59b0b2d2844fd586fb3b6875d6d86222dfec36809239edb65c3d5b1a9ead50"
 TARGETED_SUMMARY_SHA256 = "efa11f0ea71e1934eb183e6a991fa4cf16f0c9802a75a12a6a39f2f5cd40c601"
 SWAP_REPORT_SHA256 = "cd8f4527c379ed007d55f78d6afbe3e322a0706ad35fa06f69f93416e2a6a715"

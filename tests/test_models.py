@@ -197,12 +197,16 @@ def test_batch_invariant_rows_in_any_subset_of_a_chunk(chunk_rows, arch, slope, 
     lo = min(offset, CHUNK - size)
     rows = slice(lo, lo + size)
     assert model.logits(images[rows]).tobytes() == logits[rows].tobytes()
+    # the training tape, whose parameters take gradients, pads by the same rule
+    train = md._forward(trainable(model).with_slope(slope), ad.Tensor(images[rows]),
+                        tape=ad.Tape())
+    assert train.data.tobytes() == logits[rows].tobytes()
     _, part = model.loss_input_grad(images[rows], labels[rows])
     assert part.tobytes() == grads[rows].tobytes()
     assert grads[rows].any()  # the rows compared hold real gradients, not only zeros
 
 
-LINEARIZED = 24  # images in one batched linearization, under dense's padding
+LINEARIZED = 24  # images in one batched linearization, off a multiple of 16
 
 
 @pytest.fixture(scope="module")
@@ -245,10 +249,10 @@ def test_batch_invariant_logit_grads_in_any_subset_of_a_batch(linearized_rows, a
 
 def _scalar_pass_grads(model, images, heads):
     """The input gradient of each scalar head(logits, tape), each from its own
-    reverse pass over one taped batch-invariant forward."""
+    reverse pass over one taped forward."""
     tape = ad.Tape()
     x = ad.Tensor(images, requires_grad=True)
-    logits = md._forward(model, x, tape=tape, batch_invariant=True)
+    logits = md._forward(model, x, tape=tape)
     return [ad.backward(tape, head(logits, tape))[x] for head in heads]
 
 
@@ -262,8 +266,8 @@ def _logit_head(k):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 256])
 @pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
 def test_seeded_pass_bits_equal_scalar_reverse_passes(arch, n):
-    # n spans batches that every conv pads (1, 3, 5) and both sides of
-    # DENSE_MIN_ROWS (128). The logit gradients, one forward seeded with each
+    # n spans batches that every conv and dense pads (1, 2, 3, 5) and ones that
+    # need no padding (64, 256). The logit gradients, one forward seeded with each
     # class's one-hot column, are K scalar passes'. A row of the summed loss's
     # gradient is its image's mean loss's in a batch of one, where the mean is
     # the sum; n times the whole batch's mean is no reference, as it is inexact
@@ -290,9 +294,8 @@ def test_seeded_pass_bits_equal_scalar_reverse_passes(arch, n):
 
 
 def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
-    # one rule on the Model tape, whose dense layers pad, and on the training
-    # tape, at every batch size: each 4-D activation from the first conv to the
-    # flatten is CHWN
+    # one rule on the Model tape and on the training tape, at every batch size:
+    # each 4-D activation from the first conv to the flatten is CHWN
     for arch, spec in md.ARCHITECTURES.items():
         model = build_model(arch, seed=2)
         # the conv, pool and act layers before it; each pool runs with the conv
@@ -300,14 +303,13 @@ def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
         maps = spec.layers.index(Flatten()) - spec.layers.count(Pool())
         for batch in (1, 2, 3, 5, 64):
             images = rand_batch(rng, model, n=batch)
-            for view, padded in ((model, True), (trainable(model), False)):
+            for view in (model, trainable(model)):
                 tape = ad.Tape()
-                md._forward(view, ad.Tensor(images, requires_grad=True), tape=tape,
-                            batch_invariant=padded)
+                md._forward(view, ad.Tensor(images, requires_grad=True), tape=tape)
                 four_d = [rec.out.data for rec in tape._records if rec.out.data.ndim == 4]
-                assert len(four_d) == maps, (arch, batch, padded)
+                assert len(four_d) == maps, (arch, batch, view is model)
                 for out in four_d:  # at a batch of one CHWN memory is row-major too
-                    assert is_chwn_memory(out), (arch, batch, padded)
+                    assert is_chwn_memory(out), (arch, batch, view is model)
                     assert batch == 1 or not out.flags.c_contiguous
                 assert tape._records[-1].out.data.flags.c_contiguous  # the logits
 
@@ -376,8 +378,7 @@ def _spec_order_walk(model, images, layers):
         elif isinstance(layer, Flatten):
             x = ad.flatten(x)
         else:
-            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"],
-                         batch_invariant=True)
+            x = ad.dense(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"])
     return x.data
 
 
@@ -404,7 +405,7 @@ def test_a_zero_cotangent_takes_no_reverse_pass_and_keeps_its_bits(arch, monkeyp
     images = rand_batch(np.random.default_rng(7), model, n=9)
     labels = model.predict(images)
     tape, x = ad.Tape(), ad.Tensor(images, requires_grad=True)
-    logits = md._forward(model, x, tape=tape, batch_invariant=True)
+    logits = md._forward(model, x, tape=tape)
     z, lse = ad._log_softmax_parts(logits.data)
     seed = np.exp(z - lse) - ad._onehot(logits.data, labels)
     assert not seed.any()
