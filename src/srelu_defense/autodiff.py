@@ -9,7 +9,9 @@ a dict from each tensor that requested a gradient, network inputs included,
 to that gradient.
 
 Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
-high-accuracy gradient checks build float64 tensors that way.
+high-accuracy gradient checks build float64 tensors that way. Ops allocate
+ordinary arrays on every call and keep nothing between passes except their
+tape records.
 
 OpenBLAS rounds a small GEMM apart from a large one, so a row's bits can
 depend on how many rows share its batch. Every GEMM whose columns run over the
@@ -21,7 +23,6 @@ included; every row then has the bits it has in a batch of any size.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,20 +155,6 @@ def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate([a, np.zeros((rows - len(a),) + a.shape[1:], a.dtype)])
 
 
-_scratch = threading.local()
-
-
-def _scratch_array(shape: tuple, dtype) -> np.ndarray:
-    """Uninitialised row-major array in this thread's reused byte buffer (conv2d's
-    unfold or a conv input gradient's offset products); no op returns or keeps a
-    view of it."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.nbytes < nbytes:
-        buf = _scratch.buf = np.empty(nbytes, np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
-
-
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
     """Valid-padding, stride-1 2-D convolution of an NCHW batch.
 
@@ -196,8 +183,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -
     ho, wo = h - kh + 1, w - kw + 1
     n = _gemm_batch(rows, wo)
     k = c * kh * kw
-    keep = tape is not None and weights.requires_grad
-    unfold = (np.empty if keep else _scratch_array)((h, c * kw, wo * n), x.data.dtype)
+    unfold = np.empty((h, c * kw, wo * n), x.data.dtype)
     chwn = np.ascontiguousarray(_pad_rows(x.data, n).transpose(1, 2, 3, 0))
     windows = np.lib.stride_tricks.sliding_window_view(chwn, kw, axis=2)  # (C, H, wo, N, kw)
     np.copyto(unfold.reshape(h, c, kw, wo, n), windows.transpose(1, 0, 4, 2, 3))
@@ -210,7 +196,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, tape: Tape | None = None) -
     # the padding's images sliced off in (O, ho, wo, N) memory, so the output stays CHWN
     out_data = np.ascontiguousarray(out_mat.reshape(o, ho, wo, n)[..., :rows])
     out = Tensor(out_data.transpose(3, 0, 1, 2), dtype=out_data.dtype)
-    kept = row_ops if keep else None  # the closure holds no view of the scratch
+    kept = row_ops if tape is not None and weights.requires_grad else None
 
     def bw(g: np.ndarray, needs):
         gx = gw = gb = None
@@ -243,9 +229,7 @@ def _input_grad(weights: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.nd
     for p, q in np.ndindex(window, window):  # offset (u, v) meets tap (u - p, v - q)
         combined[p:p + kh, q:q + kw, :, p, q] = weights.transpose(2, 3, 1, 0)
     combined = combined.reshape(sh * sw * c, -1)
-    at = np.matmul(combined, phases.reshape(window * window * o, -1),
-                   out=_scratch_array((len(combined), hp * wp * n),
-                                      np.result_type(combined, phases)))
+    at = combined @ phases.reshape(window * window * o, -1)
     at = at.reshape(sh, sw, c, hp, wp, n)[..., :rows]
     gx = np.zeros((c, h, w, rows), x.dtype)
     for u, v in np.ndindex(sh, sw):

@@ -141,6 +141,8 @@ _TRAIN_DATA = {
     "train_batches": (_list(str), None, "comma-separated CIFAR-10 training batch files"),
 }
 
+_PARAMS = {"params": (str, None, "parameter file")}
+_SLOPE = {"slope": (_positive, 1.0, "test-time rectifier slope")}
 _THREADS = {"threads": (_at_least(1), 1, "worker threads for the grid's attack tasks")}
 
 _EPSILON_GRID = {"epsilons": (_epsilon_grid,
@@ -159,15 +161,13 @@ OPTIONS: dict[str, dict] = {
         "limit_train": (_at_least(0), None, "train on only the first N images"),
     },
     "eval": {
-        **_COMMON,
-        "params": (str, None, "parameter file"),
-        "slope": (_positive, 1.0, "test-time rectifier slope"),
+        **_COMMON, **_PARAMS, **_SLOPE,
         "activation": (_activation, "srelu", "test-time activation override"),
     },
     "attack": {
         **_COMMON,
         "limit": (_at_least(0), 2000, "evaluate only the first N images"),
-        "params": (str, None, "parameter file"),
+        **_PARAMS,
         "attack_kind": (_attack_kind, None, "attack to run"),
         "epsilon": (float, None, "L-infinity budget in pixels; the noise std for "
                                  "gaussian_noise; the pixel fraction for salt_pepper"),
@@ -177,27 +177,21 @@ OPTIONS: dict[str, dict] = {
         "noise_alpha": (float, None, "rfgsm noise share of epsilon"),
         "overshoot": (_non_negative, None, "deepfool overshoot"),
         "random_start": (_bool, None, "pgd random start (on by default)"),
-        "slope": (_positive, 1.0, "test-time rectifier slope"),
+        **_SLOPE,
     },
     "sweep": {
-        **_COMMON, **_THREADS, **_SLOPES, **_EPSILON_GRID,
-        "params": (str, None, "parameter file"),
+        **_COMMON, **_THREADS, **_SLOPES, **_EPSILON_GRID, **_PARAMS,
         "attacks": (_list(_attack_kind), ex.DEFAULT_ATTACK_KINDS, "attack kinds"),
         "deepfool_iters": (_list(_at_least(1)), ex.DEEPFOOL_ITER_GRID,
                            "deepfool iteration grid"),
     },
-    "targeted-sweep": {
-        **_COMMON, **_THREADS, **_SLOPES, **_EPSILON_GRID,
-        "params": (str, None, "parameter file"),
-    },
+    "targeted-sweep": {**_COMMON, **_THREADS, **_SLOPES, **_EPSILON_GRID, **_PARAMS},
     "swap": {
-        **_COMMON, **_THREADS, **_EPSILON_GRID,
-        "params": (str, None, "parameter file"),
+        **_COMMON, **_THREADS, **_EPSILON_GRID, **_PARAMS,
         "kinds": (_list(_activation), ACTIVATION_KINDS, "substitute activations"),
     },
     "scale": {
-        **_COMMON, **_THREADS, **_EPSILON_GRID,
-        "params": (str, None, "parameter file"),
+        **_COMMON, **_THREADS, **_EPSILON_GRID, **_PARAMS,
         "factors": (_list(_positive), ex.DEFAULT_SCALE_FACTORS, "pixel scale factors"),
         "clip": (_bool, True, "clip scaled pixels back to [0, 1]"),
     },
@@ -208,11 +202,7 @@ OPTIONS: dict[str, dict] = {
         "attacks": (_list(_attack_kind), ("fgsm",), "attack kinds to craft on the substitute"),
         "limit_train": (_at_least(0), None, "distill on only the first N training images"),
     },
-    "export-features": {
-        **_COMMON,
-        "params": (str, None, "parameter file"),
-        "slope": (_positive, 1.0, "test-time rectifier slope"),
-    },
+    "export-features": {**_COMMON, **_PARAMS, **_SLOPE},
 }
 
 _REQUIRED = ("arch", "seed", "out")
@@ -477,8 +467,9 @@ def _keep_heap_pages() -> bool:
     """Have glibc's allocator keep freed heap pages for the next pass: serve
     blocks under 32 MiB from the heap, and give memory back to the kernel only
     past 64 MiB free at its top. Left alone, it returns a pass's freed
-    temporaries and faults them back in on the next pass. False, and nothing
-    set, where libc has no mallopt."""
+    temporaries and faults them back in on the next pass. This is the one
+    guard against those page faults: autodiff's ops keep no buffer of their
+    own. False, and nothing set, where libc has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):

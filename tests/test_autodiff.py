@@ -474,8 +474,9 @@ def test_layouts_agree_at_batch_one_and_channel_one(x_shape):
 @pytest.mark.parametrize("n", [1, 2, 3, 256])
 @pytest.mark.parametrize("first,then", [(0, 2), (2, 0)])
 def test_conv2d_results_outlive_a_following_call(n, first, then):
-    # conv2d reuses a per-thread scratch buffer for its unfold and its input
-    # gradient's taps; neither result may be a view of it, at a batch of one too
+    # conv2d allocates its unfold and its input gradient's products afresh on
+    # every call; neither result may share memory with a later call's, at a
+    # batch of one too
     rng = np.random.default_rng(n)
 
     def call(x_shape, w_shape):

@@ -168,6 +168,21 @@ def test_sweep_defense_recovers_on_synthetic(sweep_report):
     assert fgsm_recovery[0].recovery > 0.2
 
 
+def test_images_crafted_at_slope_one_fool_every_slope(trained_synth, small_test):
+    # the other half: the raised slope masks the gradient, not the weakness.
+    # Images crafted on the slope-1 model itself still fool it at slope 100,
+    # where its self-crafted FGSM rows read clean accuracy
+    report = ex.bpda_transfer_eval(trained_synth, trained_synth, take_first(small_test, 60),
+                                   slopes=(1.0, 10.0, 100.0), epsilons=(0.0, 0.1, 0.3),
+                                   attack_kinds=("fgsm", "bim"), seed=0)
+    assert len(report.records) == 3 * 2 * 3
+    for r in report.records:
+        if r.epsilon == 0.0:
+            assert r.adv_acc == r.clean_acc
+        else:
+            assert r.adv_acc <= 0.05, r
+
+
 def test_sweep_rerun_is_byte_identical(trained_synth, small_test, sweep_report):
     grid = dict(slopes=(1.0, 100.0), epsilons=(0.0, 0.1, 0.3),
                 attack_kinds=("fgsm", "bim"))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -609,12 +610,12 @@ def test_only_a_weight_gradient_keeps_conv_columns(rng):
 
 
 def test_input_gradient_peak_memory_at_the_evaluation_chunk(rng):
-    # an attack tape's conv unfolds and input-gradient taps live in this thread's
-    # reused scratch; held on the tape until the reverse pass, both convs'
-    # unfolds would take the peak from 25 to 33.5 MB
+    # an attack tape's conv unfolds are freed as each forward returns, and its
+    # input-gradient products as each reverse step does; held on the tape until
+    # the reverse pass, both convs' unfolds would take the peak from 27.4 to 35.7 MB
     model = build_model("mnist_cnn", seed=2)
     batch, labels = rand_batch(rng, model, n=256), np.arange(256) % 10
-    model.loss_input_grad(batch, labels)  # this thread's scratch is warm
+    model.loss_input_grad(batch, labels)  # the pass measured is a warm one, as an attack's are
     tracemalloc.start()
     try:
         model.loss_input_grad(batch, labels)
@@ -622,6 +623,29 @@ def test_input_gradient_peak_memory_at_the_evaluation_chunk(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 32e6
+
+
+def test_a_pass_keeps_no_memory_once_it_returns():
+    # autodiff's ops keep nothing between passes but their tape records, so a
+    # fresh thread's passes leave nothing behind once their results are dropped
+    model = build_model("mnist_cnn", seed=2)
+    rng = np.random.default_rng(2)
+    batch, labels = rand_batch(rng, model, n=64), np.arange(64) % 10
+    held = []
+
+    def passes():
+        tracemalloc.start()
+        try:
+            model.loss_input_grad(batch, labels)
+            model.logit_input_grads(batch[:5])
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=passes)
+    thread.start()
+    thread.join()
+    assert held and held[0] <= 256 * 1024
 
 
 HEAP_PASSES = """
