@@ -298,18 +298,19 @@ def _unroute(phases: np.ndarray, rows: int) -> np.ndarray:
 
 def conv2d_maxpool2d(x: Tensor, weights: Tensor, bias: Tensor, window: int,
                      tape: Tape | None = None) -> Tensor:
-    """conv2d, then maxpool2d over window, recorded as one op.
+    """conv2d, then maxpool2d over window, recorded as one op on x and the conv's
+    output.
 
-    The forward calls both. The reverse pass routes the pooled cotangent by
-    maxpool2d's rule into phases, the conv output's gradient split by its
-    position mod window (_route), padded to _gemm_batch(rows, hp*wp) images;
-    the input gradient is _input_grad's from them, so the routed gradient is
-    never built at full resolution. The weight and bias gradients interleave the
-    phases back, as maxpool2d's reverse pass does (_unroute), and run conv2d's.
+    The forward calls both; conv2d runs on x's array as a tensor that takes no
+    gradient, so its own record, if the parameters take one, yields only theirs. The
+    reverse pass routes the pooled cotangent by maxpool2d's rule into phases, the
+    conv output's gradient split by its position mod window (_route), padded to
+    _gemm_batch(rows, hp*wp) images; the input gradient is _input_grad's from
+    them, so the routed gradient is never built at full resolution for it. The
+    conv output's gradient interleaves the phases back, as maxpool2d's reverse
+    pass does (_unroute).
     """
-    params_grad = tape is not None and (weights.requires_grad or bias.requires_grad)
-    conv_tape = Tape() if params_grad else None  # holds conv2d's reverse pass, unfold and all
-    y = conv2d(x, weights, bias, tape=conv_tape)
+    y = conv2d(Tensor(x.data, dtype=x.data.dtype), weights, bias, tape=tape)
     out = maxpool2d(y, window)
     rows, o, ho, wo = y.shape
     hp, wp = ho // window, wo // window
@@ -318,16 +319,11 @@ def conv2d_maxpool2d(x: Tensor, weights: Tensor, bias: Tensor, window: int,
     out_v = out.data.transpose(1, 2, 3, 0)
 
     def bw(g: np.ndarray, needs):
-        gx = gw = gb = None
         phases = _route(g, yw, out_v, n)
-        if needs[0]:
-            gx = _input_grad(weights.data, phases, x.data)
-        if needs[1] or needs[2]:
-            [conv] = conv_tape._records
-            _, gw, gb = conv.backward_fn(_unroute(phases, rows), (False, needs[1], needs[2]))
-        return gx, gw, gb
+        return (_input_grad(weights.data, phases, x.data) if needs[0] else None,
+                _unroute(phases, rows) if needs[1] else None)
 
-    return _finish(out, tape, (x, weights, bias), bw)
+    return _finish(out, tape, (x, y), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ parameters. The parameters take no gradient: only the training loop
 is a test-time setting only. Every pass, training's included, is
 batch-invariant: an image's logits, logit gradients and loss input gradient
 have the same bits in a batch of any size, as every conv and dense GEMM pads
-its batch by one rule (see autodiff). A pass runs the rectifier after a pool
-that the spec puts right after it, and each conv with the pool right after it
-as one op (_run_order). Parameters persist in a compact little-endian binary
-format with a bit-exact round trip.
+its batch by one rule (see autodiff). A pass runs the spec's layers in the
+order it lists them, and every conv max-pools its own output in the same op, so
+an activation after a conv runs after its pool: a window max commutes with a
+monotone activation, and the logits match the paper's conv -> act -> pool order
+bit for bit. Parameters persist in a compact little-endian binary format with a
+bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -36,17 +38,20 @@ class ParamsFormatError(ValueError):
 # architecture descriptions
 
 
+POOL = 2  # every conv's pool window; it tiles every built-in conv's output
+
+
 @dataclass(frozen=True)
 class Conv:
+    """A valid-padding conv, then a POOL x POOL max pool of its output, run as one
+    op (ad.conv2d_maxpool2d). An Act after it runs after the pool: a window max
+    commutes with a monotone activation, so the logits match the paper's
+    conv -> act -> pool order bit for bit, for every activation kind."""
+
     name: str
     in_channels: int
     out_channels: int
     kernel: int
-
-
-@dataclass(frozen=True)
-class Pool:
-    window: int = 2  # must tile the map it pools, as 2 tiles every built-in one
 
 
 @dataclass(frozen=True)
@@ -73,16 +78,17 @@ class ArchitectureSpec:
     layers: tuple
 
 
+# each Conv pools its own output, so cifar10_cnn1's Act after a conv runs after
+# the pool, where the paper puts it before: the logits are the same bits, as a
+# window max commutes with every monotone activation
 ARCHITECTURES: dict[str, ArchitectureSpec] = {
     "mnist_cnn": ArchitectureSpec(
         id="mnist_cnn",
         input_shape=(1, 28, 28),
         layers=(
             Conv("conv1", 1, 10, 5),
-            Pool(2),
             Act(),
             Conv("conv2", 10, 20, 5),
-            Pool(2),
             Act(),
             Flatten(),
             Dense("fc1", 320, 50),
@@ -96,10 +102,8 @@ ARCHITECTURES: dict[str, ArchitectureSpec] = {
         layers=(
             Conv("conv1", 3, 6, 5),
             Act(),
-            Pool(2),
             Conv("conv2", 6, 16, 5),
             Act(),
-            Pool(2),
             Flatten(),
             Dense("fc1", 400, 120),
             Act(),
@@ -109,15 +113,13 @@ ARCHITECTURES: dict[str, ArchitectureSpec] = {
         ),
     ),
     # same parameters as cifar10_cnn1; activations only after the first two
-    # fully connected layers, convolutions feed pooling directly
+    # fully connected layers, each conv's pool feeds the next layer directly
     "cifar10_cnn2": ArchitectureSpec(
         id="cifar10_cnn2",
         input_shape=(3, 32, 32),
         layers=(
             Conv("conv1", 3, 6, 5),
-            Pool(2),
             Conv("conv2", 6, 16, 5),
-            Pool(2),
             Flatten(),
             Dense("fc1", 400, 120),
             Act(),
@@ -261,52 +263,18 @@ def build_model(arch: "str | ArchitectureSpec", seed: int) -> Model:
     return Model(spec, params)
 
 
-@dataclass(frozen=True)
-class _ConvPool:
-    """A Conv and the Pool right after it, run as one op (ad.conv2d_maxpool2d)."""
-
-    conv: Conv
-    pool: Pool
-
-
-def _run_order(layers: tuple, activation: str) -> list:
-    """layers in the order _forward runs them. With the rectifier, an Act right
-    before a Pool runs after it: fl(slope * max(0, v)) is monotone in v, so it
-    commutes with a window max, bit for bit but for the sign of a window whose
-    max is a zero, and at slope 1 the pool routes its gradient as before. Then
-    each Conv right before a Pool runs with it as one _ConvPool."""
-    order = list(layers)
-    if activation == "srelu":
-        for i in range(len(order) - 1):
-            if isinstance(order[i], Act) and isinstance(order[i + 1], Pool):
-                order[i], order[i + 1] = order[i + 1], order[i]
-    fused = []
-    for layer in order:
-        if isinstance(layer, Pool) and fused and isinstance(fused[-1], Conv):
-            fused[-1] = _ConvPool(fused[-1], layer)
-        else:
-            fused.append(layer)
-    return fused
-
-
 def _forward(model: Model, x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Run the layer stack in _run_order: the rectifier after a pool it precedes,
-    and each conv with the pool after it as one op. An op records a gradient for
-    each tensor, input or parameter, that asks for one. Batch-invariant on every
-    tape: each conv and dense pads its batch (see autodiff)."""
+    """Run the spec's layers in order, each Conv with its pool as one op. An op
+    records a gradient for each tensor, input or parameter, that asks for one.
+    Batch-invariant on every tape: each conv and dense pads its batch (see autodiff)."""
     expected = (x.shape[0],) + model.spec.input_shape
     if x.shape != expected:
         raise ValueError(f"batch shape {x.shape} does not match expected {expected}")
     params = model.params
-    for layer in _run_order(model.spec.layers, model.activation):
-        if isinstance(layer, _ConvPool):
-            name = layer.conv.name
-            x = ad.conv2d_maxpool2d(x, params[f"{name}.w"], params[f"{name}.b"],
-                                    layer.pool.window, tape=tape)
-        elif isinstance(layer, Conv):
-            x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"], tape=tape)
-        elif isinstance(layer, Pool):
-            x = ad.maxpool2d(x, layer.window, tape=tape)
+    for layer in model.spec.layers:
+        if isinstance(layer, Conv):
+            x = ad.conv2d_maxpool2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"],
+                                    POOL, tape=tape)
         elif isinstance(layer, Act):
             x = (ad.srelu(x, model.slope, tape=tape) if model.activation == "srelu"
                  else ad.activation(x, model.activation, tape=tape))

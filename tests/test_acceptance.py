@@ -26,7 +26,7 @@ from srelu_defense.data import (
     take_first,
 )
 from srelu_defense.experiments import MNIST_EPSILONS, slope_sweep
-from srelu_defense.models import Act, Pool, _forward, build_model
+from srelu_defense.models import POOL, Act, Conv, _forward, build_model
 
 from conftest import cifar_paths_or_skip, mnist_paths_or_skip
 from helpers import (
@@ -216,13 +216,15 @@ def _model_loss_sig(model64, images64, labels):
     each rectifier's input and the argmax of each pool window.
 
     The stack runs one layer at a time, each as a one-layer spec through
-    the same _forward, so the signature reads every Pool/Act input.
+    the same _forward, so the signature reads every Act input; a Conv's pool
+    reads its conv2d output.
     """
     x = Tensor(images64, dtype=np.float64)
     signature = []
     for layer in model64.spec.layers:
-        if isinstance(layer, Pool):
-            signature.append(pool_windows(x.data, layer.window).argmax(axis=-1))
+        if isinstance(layer, Conv):
+            conv = ad.conv2d(x, *(model64.params[f"{layer.name}.{p}"] for p in "wb"))
+            signature.append(pool_windows(conv.data, POOL).argmax(axis=-1))
         elif isinstance(layer, Act):
             signature.append(x.data > 0)
         step = replace(model64.spec, input_shape=x.shape[1:], layers=(layer,))

@@ -25,7 +25,6 @@ from srelu_defense.models import (
     Flatten,
     Model,
     ParamsFormatError,
-    Pool,
     build_model,
     load_params,
     penultimate_features,
@@ -299,16 +298,18 @@ def test_tape_layout_is_chwn_from_first_conv_to_flatten(rng):
     # each 4-D activation from the first conv to the flatten is CHWN
     for arch, spec in md.ARCHITECTURES.items():
         model = build_model(arch, seed=2)
-        # the conv, pool and act layers before it; each pool runs with the conv
-        # before it as one op, cifar10_cnn1's after its rectifier moves past it
-        maps = spec.layers.index(Flatten()) - spec.layers.count(Pool())
+        # the conv and act layers before it, each conv pooled in its own op; a
+        # training tape also holds each conv2d's full-resolution record, for
+        # the weight gradient
+        maps = spec.layers.index(Flatten())
+        convs = sum(isinstance(layer, Conv) for layer in spec.layers)
         for batch in (1, 2, 3, 5, 64):
             images = rand_batch(rng, model, n=batch)
             for view in (model, trainable(model)):
                 tape = ad.Tape()
                 md._forward(view, ad.Tensor(images, requires_grad=True), tape=tape)
                 four_d = [rec.out.data for rec in tape._records if rec.out.data.ndim == 4]
-                assert len(four_d) == maps, (arch, batch, view is model)
+                assert len(four_d) == maps + (view is not model) * convs, (arch, batch)
                 for out in four_d:  # at a batch of one CHWN memory is row-major too
                     assert is_chwn_memory(out), (arch, batch, view is model)
                     assert batch == 1 or not out.flags.c_contiguous
@@ -365,17 +366,18 @@ def test_slope_folds_into_the_weights_after_each_activation_site(arch, slope):
     assert grad[normal].any()
 
 
-def _spec_order_walk(model, images, layers):
-    """The batch-invariant forward through the standalone ops, layer by layer in
-    the order the spec lists them, with no tape."""
+def _paper_order_walk(model, images, layers):
+    """The batch-invariant forward through the standalone ops with no tape, in
+    the paper's order: a conv, then the activation after it, then its pool."""
     x, params = ad.Tensor(images), model.params
-    for layer in layers:
+    for prev, layer in zip((None,) + layers, layers):
         if isinstance(layer, Conv):
             x = ad.conv2d(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"])
-        elif isinstance(layer, Pool):
-            x = ad.maxpool2d(x, layer.window)
         elif isinstance(layer, Act):
-            x = ad.srelu(x, model.slope)
+            x = (ad.srelu(x, model.slope) if model.activation == "srelu"
+                 else ad.activation(x, model.activation))
+            if isinstance(prev, Conv):
+                x = ad.maxpool2d(x, md.POOL)
         elif isinstance(layer, Flatten):
             x = ad.flatten(x)
         else:
@@ -383,18 +385,41 @@ def _spec_order_walk(model, images, layers):
     return x.data
 
 
-@pytest.mark.parametrize("slope", [1.0, 2.0, 10.0, 100.0])
-def test_rectifier_after_the_pool_keeps_the_spec_order_bits(slope):
-    # cifar10_cnn1 lists each conv's rectifier before its pool, and a pass runs
-    # the rectifier after the pool, fused with the conv: a window max commutes
-    # with the monotone fl(slope * max(0, v)) at any slope
-    model = build_model("cifar10_cnn1", seed=29).with_slope(slope)
+@pytest.mark.parametrize("setting", [1.0, 2.0, 10.0, 100.0, *ad._ACTIVATIONS])
+def test_rectifier_after_the_pool_keeps_the_spec_order_bits(setting):
+    # cifar10_cnn1 has an activation after each conv, which the paper runs before
+    # the pool and a pass runs after it, the pool fused with the conv: a window
+    # max commutes with every monotone activation, fl(slope * max(0, v)) at any
+    # slope (a float setting) and each substitute (a kind)
+    model = build_model("cifar10_cnn1", seed=29)
+    model = (model.with_activation(setting) if isinstance(setting, str)
+             else model.with_slope(setting))
     images = rand_batch(np.random.default_rng(29), model, n=37)
     layers = model.spec.layers
     head = layers[:max(i for i, layer in enumerate(layers) if isinstance(layer, Dense))]
-    assert model.logits(images).tobytes() == _spec_order_walk(model, images, layers).tobytes()
+    assert model.logits(images).tobytes() == _paper_order_walk(model, images, layers).tobytes()
     assert (penultimate_features(model, images).tobytes()
-            == _spec_order_walk(model, images, head).tobytes())
+            == _paper_order_walk(model, images, head).tobytes())
+
+
+@pytest.mark.parametrize("kind", ["srelu", "tanh"])
+@pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
+def test_every_conv_runs_fused_with_its_pool(arch, kind, monkeypatch):
+    # an evaluation tape records one conv2d_maxpool2d per Conv, under the
+    # rectifier and under a substitute activation alike
+    fused, real = [], ad.conv2d_maxpool2d
+
+    def counted(*args, **kwargs):
+        fused.append(real(*args, **kwargs))
+        return fused[-1]
+
+    monkeypatch.setattr(ad, "conv2d_maxpool2d", counted)
+    model = build_model(arch, seed=5).with_activation(kind)
+    x = ad.Tensor(rand_batch(np.random.default_rng(5), model), requires_grad=True)
+    tape = ad.Tape()
+    md._forward(model, x, tape=tape)
+    assert len(fused) == sum(isinstance(layer, Conv) for layer in model.spec.layers)
+    assert [sum(rec.out is out for rec in tape._records) for out in fused] == [1] * len(fused)
 
 
 @pytest.mark.parametrize("arch", sorted(md.ARCHITECTURES))
@@ -577,27 +602,23 @@ def test_training_forward_gives_one_entry_per_parameter(rng):
 
 
 def _conv_kept_shapes(model, x):
-    """Shapes of the unfold views each conv's backward closure holds: output row
-    i's (kh*C*kw, wo*N) GEMM operand, for each of the ho rows. A conv+pool
-    record holds conv2d's own reverse pass on a tape of its own, so the
-    closures of that tape's record are searched too."""
+    """Shapes of the unfold views the tape's backward closures hold: a conv's
+    output row i's (kh*C*kw, wo*N) GEMM operand, for each of its ho rows. Every
+    record is searched, each conv's fused record with its pool included."""
     tape = ad.Tape()
     md._forward(model, x, tape=tape)
+    operands, h = set(), x.shape[2]
+    for layer in model.spec.layers:
+        if isinstance(layer, Conv):
+            h -= layer.kernel - 1
+            operands.add((h, layer.kernel * layer.in_channels * layer.kernel))
+            h //= md.POOL
     held = []
-
-    def search(backward_fn, operand):
-        for cell in backward_fn.__closure__:
-            value = cell.cell_contents
-            if isinstance(value, ad.Tape):
-                for rec in value._records:
-                    search(rec.backward_fn, operand)
-            elif getattr(value, "shape", (None,))[:2] == operand:
-                held.append(value.shape)
-
     for rec in tape._records:
-        if len(rec.inputs) == 3 and rec.inputs[1].data.ndim == 4:
-            c, kh, kw = rec.inputs[1].shape[1:]
-            search(rec.backward_fn, (rec.inputs[0].shape[2] - kh + 1, kh * c * kw))
+        for cell in rec.backward_fn.__closure__:
+            shape = getattr(cell.cell_contents, "shape", (None,))
+            if shape[:2] in operands:
+                held.append(shape)
     return held
 
 
@@ -738,8 +759,6 @@ def test_load_into_wrong_architecture_names_tensor(tmp_path):
 
 
 def test_load_shape_mismatch_names_tensor(tmp_path):
-    from srelu_defense.models import Conv, Pool
-
     model = build_model("mnist_cnn", seed=0)
     path = tmp_path / "m.bin"
     save_params(model, path)
@@ -747,8 +766,8 @@ def test_load_shape_mismatch_names_tensor(tmp_path):
         id="mnist_wide",
         input_shape=(1, 28, 28),
         layers=(
-            Conv("conv1", 1, 10, 5), Pool(2), Act(),
-            Conv("conv2", 10, 20, 5), Pool(2), Act(),
+            Conv("conv1", 1, 10, 5), Act(),
+            Conv("conv2", 10, 20, 5), Act(),
             Flatten(), Dense("fc1", 320, 60), Act(), Dense("fc2", 60, 10),
         ),
     )
