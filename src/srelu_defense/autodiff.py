@@ -5,8 +5,9 @@ convolution, max pooling, affine layers, a family of elementwise
 activations, and softmax cross-entropy losses. Every operator optionally
 records itself on a ``Tape``; ``backward`` replays the tape once in reverse,
 from a scalar loss or from any output seeded with its cotangent, and returns
-a dict from each tensor that requested a gradient, network inputs included,
-to that gradient.
+a dict from each leaf that requested a gradient (network inputs and
+parameters, which no record produced) to that gradient; every other gradient
+is freed once the record that produced its tensor has read it.
 
 Tensors are 32-bit (``DTYPE``) unless built with an explicit dtype; the
 high-accuracy gradient checks build float64 tensors that way. Ops allocate
@@ -104,10 +105,12 @@ def _finish(out: Tensor, tape: Tape | None, inputs, backward_fn) -> Tensor:
 
 def backward(tape: Tape, out: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
     """Reverse pass from out, seeded with seed, out's cotangent (out's shape, cast
-    to its dtype), or with 1 if out is a scalar loss; gradients for the whole tape.
+    to its dtype), or with 1 if out is a scalar loss; gradients for the tape's leaves.
 
     Tensors hash by identity, so the result is keyed by the tensor objects
-    themselves; a tensor out does not reach has no entry.
+    themselves. Only leaves (tensors no record produced, such as inputs and
+    parameters) have entries; a tensor a record produced loses its gradient
+    once that record has read it, and a leaf out does not reach has none.
 
     Deterministic: the accumulation order is fixed by the tape, so repeated
     runs over identical inputs produce bit-identical gradients.
@@ -122,7 +125,7 @@ def backward(tape: Tape, out: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
     seed = np.ones_like(out.data) if seed is None else np.asarray(seed, out.data.dtype)
     grads: dict[Tensor, np.ndarray] = {out: seed}
     for rec in reversed(tape._records):
-        g_out = grads.get(rec.out)
+        g_out = grads.pop(rec.out, None)
         if g_out is None:
             continue
         needs = tuple(t.requires_grad for t in rec.inputs)

@@ -367,9 +367,7 @@ def _cmd_train(cfg: dict, outdir: str) -> None:
                       seed=cfg["seed"])
     save_params(model, os.path.join(outdir, "model.bin"))
     with open(os.path.join(outdir, "training_log.csv"), "w", newline="") as f:
-        f.write("epoch,mean_loss\n")
-        for epoch, mean_loss in enumerate(losses):
-            f.write(f"{epoch},{mean_loss:.6g}\n")
+        f.write(ex.csv_lines([("epoch", "mean_loss"), *enumerate(losses)]))
 
     if test_set is not None:
         acc = ex.eval_clean(model, test_set)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -34,15 +34,6 @@ DEFAULT_ATTACK_KINDS = ("fgsm", "bim", "rfgsm", "stepll", "pgd", "deepfool")
 DEEPFOOL_ITER_GRID = (1, 2, 5, 10, 20, 50)
 DEFAULT_SCALE_FACTORS = (0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
 
-REPORT_HEADER = (
-    "dataset,model,activation,train_slope,test_slope,attack,targeted,"
-    "target_class,epsilon,steps,n_images,clean_acc,adv_acc,attack_success,seed"
-)
-SUMMARY_HEADER = (
-    "dataset,model,attack,test_slope,metric,mean,recovery,"
-    "mean_with_eps0,recovery_with_eps0"
-)
-
 TRAIN_DEFAULTS = {"lr": 0.01, "momentum": 0.9, "batch_size": 64}
 
 
@@ -53,6 +44,7 @@ class EvalRecord:
     dataset: str
     model: str
     activation: str
+    train_slope: int = field(default=1, init=False)  # networks always train at slope 1
     test_slope: float
     attack: str
     targeted: bool
@@ -73,18 +65,6 @@ class EvalRecord:
             self.epsilon, self.steps,
         )
 
-    def csv_row(self) -> str:
-        return ",".join([
-            self.dataset, self.model, self.activation,
-            "1",  # the training slope: networks always train at slope 1
-            _fmt(self.test_slope), self.attack,
-            "true" if self.targeted else "false",
-            "" if self.target_class is None else str(self.target_class),
-            _fmt(self.epsilon), str(self.steps), str(self.n_images),
-            _fmt(self.clean_acc), _fmt(self.adv_acc), _fmt(self.attack_success),
-            str(self.seed),
-        ])
-
 
 @dataclass
 class SummaryRecord:
@@ -100,13 +80,6 @@ class SummaryRecord:
     mean_with_eps0: float
     recovery_with_eps0: float | None
 
-    def csv_row(self) -> str:
-        return ",".join([
-            self.dataset, self.model, self.attack, _fmt(self.test_slope),
-            self.metric, _fmt(self.mean), _fmt(self.recovery),
-            _fmt(self.mean_with_eps0), _fmt(self.recovery_with_eps0),
-        ])
-
 
 @dataclass
 class Report:
@@ -114,14 +87,10 @@ class Report:
     summaries: list[SummaryRecord] = field(default_factory=list)
 
     def csv_text(self) -> str:
-        lines = [REPORT_HEADER]
-        lines.extend(r.csv_row() for r in sorted(self.records, key=EvalRecord.sort_key))
-        return "\n".join(lines) + "\n"
+        return _table(EvalRecord, sorted(self.records, key=EvalRecord.sort_key))
 
     def summary_csv_text(self) -> str:
-        lines = [SUMMARY_HEADER]
-        lines.extend(s.csv_row() for s in self.summaries)
-        return "\n".join(lines) + "\n"
+        return _table(SummaryRecord, self.summaries)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -132,8 +101,30 @@ class Report:
             f.write(self.summary_csv_text())
 
 
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.6g}"
+REPORT_HEADER = ",".join(f.name for f in fields(EvalRecord))
+
+
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a bool true or false, a float (numpy's too)
+    %.6g, and anything else its str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def csv_lines(rows) -> str:
+    """The one CSV writer: a line per row of values, each cell by _cell."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _table(kind, records) -> str:
+    """CSV text of records of dataclass kind: its field names, then a row per record."""
+    names = [f.name for f in fields(kind)]
+    return csv_lines([names, *([getattr(r, n) for n in names] for r in records)])
 
 
 def _slices(n: int):
@@ -255,7 +246,7 @@ def eval_record(model: Model, dataset_name: str, n_images: int,
         steps, epsilon = config.steps, config.budget
     return EvalRecord(
         dataset=dataset_name, model=model.spec.id, activation=model.activation,
-        test_slope=model.slope, attack=attack, targeted=targeted, target_class=target,
+        test_slope=float(model.slope), attack=attack, targeted=targeted, target_class=target,
         epsilon=epsilon, steps=steps, n_images=n_images, clean_acc=clean_acc,
         adv_acc=adv_acc, attack_success=success, seed=seed,
     )
@@ -544,5 +535,4 @@ def export_features(model: Model, dataset: LabeledImageSet, path) -> None:
     with open(path, "w", newline="") as f:
         for lo, hi in _slices(dataset.n):
             feats = penultimate_features(model, dataset.images[lo:hi])
-            for label, row in zip(dataset.labels[lo:hi], feats):
-                f.write(str(int(label)) + "," + ",".join(_fmt(v) for v in row) + "\n")
+            f.write(csv_lines([label, *row] for label, row in zip(dataset.labels[lo:hi], feats)))

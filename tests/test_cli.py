@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from srelu_defense import cli
+from srelu_defense import experiments as ex
 from srelu_defense.models import Model, build_model
 
 from helpers import (
@@ -890,3 +891,11 @@ def test_readme_flags_are_accepted():
                 accepted.add("--no-" + flag[2:])
     assert documented, "README documents no flags"
     assert documented <= accepted, sorted(documented - accepted)
+
+
+def test_readme_column_lines_are_the_written_headers():
+    # report.csv's and summary.csv's columns, as the README's "Report format" lists them
+    with open(os.path.join(REPO_DIR, "README.md")) as f:
+        documented = re.findall(r"^dataset,model,[a-z0-9_,]+$", f.read(), re.MULTILINE)
+    empty = ex.Report()
+    assert documented == [empty.csv_text().rstrip("\n"), empty.summary_csv_text().rstrip("\n")]

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from srelu_defense.experiments import (
     REPORT_HEADER,
     EvalRecord,
     Report,
+    SummaryRecord,
     eval_clean,
     eval_under_attack,
     slope_sweep,
@@ -655,9 +657,13 @@ def test_every_driver_report_parses_to_header_width(trained_synth, small_test):
         "bpda": ex.bpda_transfer_eval(trained_synth, trained_synth, few, (1.0,),
                                       (0.0, 0.1), seed=1),
     }
-    width = len(REPORT_HEADER.split(","))
-    for name, report in reports.items():
-        rows = list(csv.reader(io.StringIO(report.csv_text())))
-        assert rows[0] == REPORT_HEADER.split(","), name
+    tables = {name: (report.csv_text(), REPORT_HEADER.split(","))
+              for name, report in reports.items()}
+    summary_header = [f.name for f in fields(SummaryRecord)]
+    for name in ("sweep", "targeted"):
+        tables[name + "-summary"] = (reports[name].summary_csv_text(), summary_header)
+    for name, (text, header) in tables.items():
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == header, name
         assert len(rows) > 1, name
-        assert {len(row) for row in rows} == {width}, name
+        assert {len(row) for row in rows} == {len(header)}, name

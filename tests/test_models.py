@@ -601,6 +601,19 @@ def test_training_forward_gives_one_entry_per_parameter(rng):
         assert grads[param].shape == param.shape, name
 
 
+def test_a_pass_returns_gradients_for_the_tape_leaves_only(rng):
+    # a training step's pass frees each intermediate gradient as it walks back,
+    # so what it returns is exactly what _sgd reads, and an input pass's is the input's
+    model = trainable(build_model("cifar10_cnn1", seed=2))
+    batch = rand_batch(rng, model, n=8)
+    tape = ad.Tape()
+    loss = ad.softmax_cross_entropy(md._forward(model, ad.Tensor(batch), tape=tape),
+                                    np.arange(8) % 10, tape=tape)
+    assert set(map(id, ad.backward(tape, loss))) == set(map(id, model.params.values()))
+    x, grads = _forward_grads(build_model("cifar10_cnn1", seed=2), batch)
+    assert list(grads) == [x]
+
+
 def _conv_kept_shapes(model, x):
     """Shapes of the unfold views the tape's backward closures hold: a conv's
     output row i's (kh*C*kw, wo*N) GEMM operand, for each of its ho rows. Every
