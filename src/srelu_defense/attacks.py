@@ -17,6 +17,7 @@ step only the rows still moving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,12 +136,9 @@ class AdversarialBatch:
     config: AttackConfig
     l2: np.ndarray | None = None
 
-    @property
+    @cached_property
     def preds(self) -> np.ndarray:
-        # not a cached_property, whose per-class lock before Python 3.12 serializes threads
-        if "_preds" not in vars(self):
-            self._preds = self.model.predict(self.images)
-        return self._preds
+        return self.model.predict(self.images)
 
     @property
     def success(self) -> np.ndarray:

@@ -143,7 +143,7 @@ _TRAIN_DATA = {
 
 _PARAMS = {"params": (str, None, "parameter file")}
 _SLOPE = {"slope": (_positive, 1.0, "test-time rectifier slope")}
-_THREADS = {"threads": (_at_least(1), 1, "worker threads for the grid's attack tasks")}
+_THREADS = {"threads": (_at_least(1), 1, "worker processes for the grid's attack tasks")}
 
 _EPSILON_GRID = {"epsilons": (_epsilon_grid,
                               {"mnist": ex.MNIST_EPSILONS, "cifar10": ex.CIFAR_EPSILONS},

@@ -3,7 +3,7 @@
 Every driver is deterministic per seed: each image's attack loss is its own
 cross-entropy, the model's passes are batch-invariant, randomized attacks
 seed per image, and reports are sorted by a canonical key before writing, so
-neither the thread count, how the pool slices a set, nor how many images a
+neither the worker count, how the pool slices a set, nor how many images a
 run evaluates changes an image's bytes. The training loop (_sgd) is the one
 place where parameters take gradients; every other driver differentiates with
 respect to the input alone.
@@ -12,10 +12,14 @@ respect to the input alone.
 from __future__ import annotations
 
 import ctypes
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -295,17 +299,122 @@ def _one_blas_thread():
 
 
 def _run_cells(tasks, threads: int) -> list:
-    """Every task's result, in order; threads > 1 runs them in a pool.
+    """Every task's result, in order; threads > 1 runs them in `threads` processes.
 
-    tasks may be an iterator; neither path keeps a task once it has run. While
-    the pool runs, each worker's GEMMs stay on the worker's own thread, so the
-    pool busies `threads` cores rather than `threads` times the BLAS thread
-    count. No result depends on the BLAS thread count.
+    The pool forks min(threads, len(tasks)) - 1 children, which inherit the
+    tasks; the calling process runs the first task and then, like each child,
+    takes the next index from one shared queue (see _queued). A child pickles
+    its results back once the queue runs dry. A raising task ends the queue,
+    and the call raises the lowest-index task's exception; a child that dies
+    raises RuntimeError. No child outlives the call, on any exit path. While
+    the pool runs, OpenBLAS runs on each process's own thread, so the pool
+    busies `threads` cores, not `threads` times the BLAS thread count, and no
+    result depends on either count. With threads <= 1, or without os.fork,
+    tasks run in order in the caller. tasks may be an iterator; the calling
+    process keeps no task once it has run it.
     """
-    if threads <= 1:
-        return [fn() for fn in tasks]
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda fn: fn(), tasks))
+    if threads > 1 and hasattr(os, "fork"):
+        tasks = list(tasks)
+        if len(tasks) > 1:
+            with _one_blas_thread():
+                return _fork_pool(tasks, min(threads, len(tasks)) - 1)
+    return [fn() for fn in tasks]
+
+
+def _queued(queue: int):
+    """Task indices read from queue until it runs dry.
+
+    queue is a file descriptor on a file of 4-byte task indices, shared by
+    every process of the pool: its one file offset makes each read take the
+    next unread index, once.
+    """
+    while index := os.read(queue, 4):
+        yield int.from_bytes(index, "little")
+
+
+def _take_tasks(tasks: list, queue: int, indices):
+    """Run tasks[i] for each i of indices until they run out or a task raises:
+    (results by index, (index, exception) or None). A raising task moves
+    queue's offset to its end, so no process starts a later task, while every
+    earlier one has been taken."""
+    results = {}
+    for i in indices:
+        try:
+            results[i] = tasks[i]()
+        except Exception as e:
+            os.lseek(queue, 0, os.SEEK_END)
+            return results, (i, e)
+        tasks[i] = None
+    return results, None
+
+
+_PR_SET_PDEATHSIG = 1  # linux/prctl.h
+
+
+def _child(tasks: list, queue: int, out: int, parent: int):
+    """A forked worker: run tasks from queue, pickle (results, failure) to the
+    pipe out, and leave by os._exit, so no atexit handler, finally block or
+    stdio buffer of the parent runs or flushes twice.
+
+    It ignores SIGINT, since the parent gets the same interrupt and kills it,
+    and has the kernel kill it once the parent exits (Linux prctl), rechecking
+    the parent after, in case it exited first.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl is not None:
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() == parent:
+            done = _take_tasks(tasks, queue, _queued(queue))
+            with open(out, "wb") as pipe:
+                pipe.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_pool(tasks: list, children: int) -> list:
+    """tasks' results, in order, from this process and `children` forked ones.
+
+    The queue holds every index but 0, which this process runs first: so it
+    runs at least one task, whichever child starts first.
+    """
+    parent = os.getpid()
+    pipes = {}  # child pid -> read end of its result pipe, until reaped
+    with tempfile.TemporaryFile(buffering=0) as queue:
+        queue.write(np.arange(1, len(tasks), dtype="<u4").tobytes())
+        queue.seek(0)
+        fd = queue.fileno()
+        try:
+            for _ in range(children):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _child(tasks, fd, write_end, parent)
+                os.close(write_end)
+                pipes[pid] = read_end
+            outcomes = [_take_tasks(tasks, fd, chain([0], _queued(fd)))]
+            for pid, read_end in list(pipes.items()):
+                with open(read_end, "rb", closefd=False) as pipe:
+                    payload = pipe.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                os.close(pipes.pop(pid))
+                if status != 0:
+                    raise RuntimeError(f"a grid worker process exited with status {status}")
+                outcomes.append(pickle.loads(payload))
+        finally:
+            for pid, read_end in pipes.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read_end)
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures)[1]  # indices are unique, so no exception is compared
+    results = {i: result for done, _ in outcomes for i, result in done.items()}
+    return [results[i] for i in range(len(tasks))]
 
 
 def _grid_summaries(records: list[EvalRecord], metric: str) -> list[SummaryRecord]:
@@ -363,9 +472,9 @@ def _attack_grid(cells, configs, seed: int, threads: int = 1) -> list[EvalRecord
     per config and every judge predicts on them (a sweep's model judges itself;
     BPDA's judges are the defended model's slopes). One task runs per (cell,
     slice). The serial path builds each task as it runs it; with threads > 1,
-    Executor.map builds and submits every task before the first result. Either
-    way a cell whose attacks end early frees its thread for others' slices, and
-    no slice's passes outlive its task.
+    _run_cells builds every task before it forks its workers, which inherit
+    them. Either way a cell whose attacks end early frees its worker for
+    others' slices, and no slice's passes outlive its task.
     """
     if any(dataset.n == 0 for _, dataset, _ in cells):
         raise ValueError("cannot evaluate an empty image set")

@@ -743,12 +743,15 @@ def test_non_finite_params_exit_1(idx_data, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_non_finite_logits_fail_the_sweep(idx_data, saved_model, tmp_path, capsys):
-    # slope 1e20 overflows the forward pass; no accuracy row may be written
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_non_finite_logits_fail_the_sweep(idx_data, saved_model, tmp_path, capsys, threads):
+    # slope 1e20 overflows the forward pass; no accuracy row may be written, and
+    # a worker process's error reaches the caller as the serial run's
     out = tmp_path / "o"
     code = cli.main(["sweep", *eval_args(idx_data, [
         "--params", saved_model, "--attacks", "fgsm", "--slopes", "1,1e20",
-        "--epsilons", "0,0.1", "--limit", "10", "--seed", "5", "--out", str(out),
+        "--epsilons", "0,0.1", "--limit", "10", "--seed", "5", "--threads", threads,
+        "--out", str(out),
     ])])
     err = capsys.readouterr().err
     assert code == 1

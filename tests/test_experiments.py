@@ -2,7 +2,10 @@
 
 import csv
 import io
+import os
+import time
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -231,9 +234,59 @@ def test_cell_pool_restores_blas_threads_when_a_cell_raises(blas_threads):
 
     with pytest.raises(RuntimeError, match="cell failed"):
         ex._run_cells([failing, failing], threads=2)
-    # map cancels the cells not yet started once one raises
+    # a raising cell ends the task queue, so no process starts a later cell;
+    # seen holds the cells this process ran, the worker's stay in the worker
     assert set(seen) == {1}
     assert blas_threads() == 2
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_cell_pool_runs_tasks_in_forked_workers_and_reaps_them(threads):
+    def pid():
+        time.sleep(0.1)
+        return os.getpid()
+
+    pids = ex._run_cells([pid] * (3 * threads), threads=threads)
+    assert os.getpid() in pids and len(set(pids)) > 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_cell_pool_raises_the_lowest_index_failure(threads):
+    def task(i):
+        if i == 2:
+            time.sleep(0.2)  # later cells fail first, in other processes
+            raise LookupError("cell 2 failed")
+        if i in (3, 5):
+            raise ValueError(f"cell {i} failed")
+        time.sleep(0.02)
+        return i
+
+    with pytest.raises(LookupError) as raised:
+        ex._run_cells([partial(task, i) for i in range(8)], threads=threads)
+    assert type(raised.value) is LookupError
+    assert raised.value.args == ("cell 2 failed",)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_cell_pool_raises_when_a_worker_dies(threads):
+    parent = os.getpid()
+
+    def task():
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.1)
+        return 0
+
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        ex._run_cells([task] * (3 * threads), threads=threads)
+    _assert_no_child_left()
 
 
 def _count_calls(monkeypatch, name):
