@@ -21,10 +21,9 @@ from . import __version__
 from . import experiments as ex
 from .attacks import _ATTACKS, AttackConfig
 from .autodiff import _ACTIVATIONS, ACTIVATION_KINDS
-from .data import DataFormatError, load_cifar10_bin, load_mnist_idx, take_first
+from .data import load_cifar10_bin, load_mnist_idx, take_first
 from .models import (
     PARAMS_VERSION,
-    ParamsFormatError,
     build_model,
     check_slope_applies,
     load_params,
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error in {e.stage}: {e}", file=sys.stderr)
         return 1
-    except (DataFormatError, ParamsFormatError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error in {stage}: {e}", file=sys.stderr)
         return 1
 

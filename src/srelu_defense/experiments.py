@@ -306,12 +306,13 @@ def _run_cells(tasks, threads: int) -> list:
     takes the next index from one shared queue (see _queued). A child pickles
     its results back once the queue runs dry. A raising task ends the queue,
     and the call raises the lowest-index task's exception; a child that dies
-    raises RuntimeError. No child outlives the call, on any exit path. While
-    the pool runs, OpenBLAS runs on each process's own thread, so the pool
-    busies `threads` cores, not `threads` times the BLAS thread count, and no
-    result depends on either count. With threads <= 1, or without os.fork,
-    tasks run in order in the caller. tasks may be an iterator; the calling
-    process keeps no task once it has run it.
+    raises ChildProcessError, an OSError, which the CLI reports as one error
+    line. No child outlives the call, on any exit path. While the pool runs,
+    OpenBLAS runs on each process's own thread, so the pool busies `threads`
+    cores, not `threads` times the BLAS thread count, and no result depends
+    on either count. With threads <= 1, or without os.fork, tasks run in
+    order in the caller. tasks may be an iterator; the calling process keeps
+    no task once it has run it.
     """
     if threads > 1 and hasattr(os, "fork"):
         tasks = list(tasks)
@@ -403,7 +404,7 @@ def _fork_pool(tasks: list, children: int) -> list:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 os.close(pipes.pop(pid))
                 if status != 0:
-                    raise RuntimeError(f"a grid worker process exited with status {status}")
+                    raise ChildProcessError(f"a grid worker process exited with status {status}")
                 outcomes.append(pickle.loads(payload))
         finally:
             for pid, read_end in pipes.items():

@@ -1,5 +1,6 @@
 """End-to-end command-line tests on small synthetic datasets."""
 
+import ast
 import csv
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -761,6 +763,34 @@ def test_non_finite_logits_fail_the_sweep(idx_data, saved_model, tmp_path, capsy
     assert not (out / "manifest.txt").exists()
 
 
+def test_dead_grid_worker_fails_the_sweep_with_one_line(idx_data, saved_model, tmp_path,
+                                                        capsys, monkeypatch):
+    # a worker process killed mid-grid (a signal, the OOM killer) is an error
+    # of the command, reported as one line, not a traceback
+    parent = os.getpid()
+    judge = ex._judge_slice
+
+    def dying_judge(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        time.sleep(0.1)  # the worker takes the second slope's task first
+        return judge(*args)
+
+    monkeypatch.setattr(ex, "_judge_slice", dying_judge)
+    out = tmp_path / "o"
+    code = cli.main(["sweep", *eval_args(idx_data, [
+        "--params", saved_model, "--attacks", "fgsm", "--slopes", "1,10",
+        "--epsilons", "0,0.1", "--limit", "10", "--seed", "5", "--threads", "2",
+        "--out", str(out),
+    ])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in sweep:") and "status 9" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+    assert not (out / "manifest.txt").exists()
+
+
 def test_non_finite_gradient_fails_the_sweep(idx_data, saved_model, tmp_path, capsys,
                                              monkeypatch):
     # a double whose input gradient is NaN: the attack that reads it names
@@ -894,6 +924,25 @@ def test_readme_flags_are_accepted():
                 accepted.add("--no-" + flag[2:])
     assert documented, "README documents no flags"
     assert documented <= accepted, sorted(documented - accepted)
+
+
+def test_readme_names_only_existing_tests():
+    # a guarantee must not cite a test that was renamed or removed; the test
+    # files are parsed, not imported
+    with open(os.path.join(REPO_DIR, "README.md")) as f:
+        named = set(re.findall(r"tests/(test_\w+\.py)::(\w+)", f.read()))
+    assert named, "README names no tests"
+    defined = {}
+    for file in {file for file, _ in named}:
+        path = os.path.join(REPO_DIR, "tests", file)
+        assert os.path.exists(path), file
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        defined[file] = {node.name for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    missing = sorted(f"tests/{file}::{name}" for file, name in named
+                     if name not in defined[file])
+    assert not missing, missing
 
 
 def test_readme_column_lines_are_the_written_headers():

@@ -3,6 +3,9 @@
 import csv
 import io
 import os
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from functools import partial
@@ -284,9 +287,69 @@ def test_cell_pool_raises_when_a_worker_dies(threads):
         time.sleep(0.1)
         return 0
 
-    with pytest.raises(RuntimeError, match="exited with status 3"):
+    with pytest.raises(ChildProcessError, match="exited with status 3"):
         ex._run_cells([task] * (3 * threads), threads=threads)
     _assert_no_child_left()
+
+
+def test_cell_pool_runs_tasks_in_the_caller_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert ex._run_cells([os.getpid] * 4, threads=3) == [os.getpid()] * 4
+
+
+# a grid command whose one worker writes its pid to argv[1], then waits
+WAITING_COMMAND = """
+import os, sys, time
+from srelu_defense import experiments as ex
+
+parent = os.getpid()
+
+def task():
+    if os.getpid() != parent:
+        with open(sys.argv[1] + ".tmp", "w") as f:
+            f.write(str(os.getpid()))
+        os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(60)
+
+ex._run_cells([task, task], threads=2)
+"""
+
+
+def _running(pid):
+    """Whether pid runs; a killed child that no process has reaped yet does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _within(seconds, done):
+    deadline = time.monotonic() + seconds
+    while not done():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads Linux /proc")
+def test_cell_pool_workers_die_with_their_command(tmp_path):
+    # a command killed by SIGKILL runs no cleanup; the kernel kills its workers
+    pid_file = tmp_path / "worker.pid"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sd.__file__)))
+    command = subprocess.Popen([sys.executable, "-c", WAITING_COMMAND, str(pid_file)],
+                               env=env)
+    try:
+        assert _within(60, pid_file.exists)
+    finally:
+        command.kill()
+        command.wait()
+    worker = int(pid_file.read_text())
+    died = _within(10, lambda: not _running(worker))
+    if not died:
+        os.kill(worker, signal.SIGKILL)
+    assert died, f"worker {worker} outlived its command"
 
 
 def _count_calls(monkeypatch, name):

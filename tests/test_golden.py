@@ -233,17 +233,20 @@ def test_deepfool_report_bytes_for_any_slice_size_and_thread_count(golden_model,
     assert _sha256_text(report.csv_text()) == DEEPFOOL_REPORT_SHA256
 
 
-def test_golden_targeted_sweep(golden_model, small_test):
+@pytest.mark.parametrize("threads", [1, 3])
+def test_golden_targeted_sweep(golden_model, small_test, threads):
     report = ex.targeted_sweep(golden_model[0], small_test, slopes=(1.0, 10.0),
-                               epsilons=(0.0, 0.1), seed=7)
+                               epsilons=(0.0, 0.1), seed=7, threads=threads)
     assert len(report.records) == 2 * 10 * 2
     assert _sha256_text(report.csv_text()) == TARGETED_REPORT_SHA256
     assert _sha256_text(report.summary_csv_text()) == TARGETED_SUMMARY_SHA256
 
 
-def test_golden_activation_swap(golden_model, small_test):
+@pytest.mark.parametrize("threads", [1, 3])
+def test_golden_activation_swap(golden_model, small_test, threads):
     report = ex.activation_swap(golden_model[0], small_test,
-                                ("srelu", "tanh", "softplus"), (0.0, 0.2), seed=7)
+                                ("srelu", "tanh", "softplus"), (0.0, 0.2), seed=7,
+                                threads=threads)
     assert len(report.records) == 3 * 2
     assert _sha256_text(report.csv_text()) == SWAP_REPORT_SHA256
 
@@ -251,9 +254,10 @@ def test_golden_activation_swap(golden_model, small_test):
 @pytest.mark.parametrize("clip, digest", [(True, SCALE_CLIP_REPORT_SHA256),
                                           (False, SCALE_NOCLIP_REPORT_SHA256)],
                          ids=["clip", "noclip"])
-def test_golden_scaling(golden_model, small_test, clip, digest):
+@pytest.mark.parametrize("threads", [1, 3])
+def test_golden_scaling(golden_model, small_test, clip, digest, threads):
     report = ex.scaling_experiment(golden_model[0], small_test, (0.5, 2.0), clip,
-                                   (0.0, 0.2), seed=7)
+                                   (0.0, 0.2), seed=7, threads=threads)
     assert len(report.records) == 2 * 2
     assert _sha256_text(report.csv_text()) == digest
 
